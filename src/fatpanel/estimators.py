@@ -20,13 +20,22 @@ Variants included here:
   with covariates carrying unit-specific coefficients.
 * ``dfat``: difference of forecasted effects between treated units and
   never-treated controls, which removes common post-adoption shocks.
+
+A forecast is a fixed linear contrast of the unit's window outcomes whose
+weights depend only on the window times.  Every estimator therefore works
+on the panel's cohort blocks (units sharing a control flag, adoption date
+and time grid): one kernel resolves each block's window, target and
+weights once, forecasts all of its units with one matrix product, and
+hands results back in panel order.  Units that cannot be forecast are
+dropped with a stated reason, the same for a block of one unit as for a
+block of thousands.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -35,7 +44,7 @@ from scipy.stats import norm
 
 from .basis import BasisSpec, ForecastConfig, _qr, _solver_design, forecast_weights
 from .errors import ConfigError, EstimationError, RankDeficiencyError
-from .panel import PanelData, UnitSeries
+from .panel import CohortBlock, PanelData, _run_ending
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +158,9 @@ class MbConfig:
     ----------
     q, R, h, delta : as in ``ForecastConfig``
         Polynomial order, window length, default horizon, anticipation.
+        With ``lagged_outcome``, ``R="all"`` takes each unit's contiguous
+        pre-treatment run less its first period, whose outcome is the
+        window's first lag.
     lagged_outcome : bool
         Include the one-period-lagged outcome in the dynamic model.
     covariates : tuple of str
@@ -180,17 +192,7 @@ class MbConfig:
     beta: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.q < 0:
-            raise ConfigError("q must be >= 0")
-        if isinstance(self.R, str):
-            if self.R != "all":
-                raise ConfigError(f"R must be an integer or 'all', got {self.R!r}")
-        elif self.R < self.q + 1:
-            raise ConfigError(f"window length R={self.R} is below q+1={self.q + 1}")
-        if self.h < 1:
-            raise ConfigError("horizon h must be >= 1")
-        if self.delta < 0:
-            raise ConfigError("anticipation delta must be >= 0")
+        self.forecast_config()  # refuses bad q, R, h and delta
         if self.first_stage not in ("anderson_hsiao", "user"):
             raise ConfigError(f"unknown first stage {self.first_stage!r}")
         if self.instrument_lag not in (2, 3):
@@ -209,6 +211,10 @@ class MbConfig:
                 )
         if self.detrend is None:
             object.__setattr__(self, "detrend", self.instrument_lag == 3)
+
+    def forecast_config(self) -> ForecastConfig:
+        """Window settings of the polynomial remainder fit."""
+        return ForecastConfig(q=self.q, R=self.R, h=self.h, delta=self.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -259,37 +265,37 @@ def _interval(point: float, se: float, level: float) -> tuple[float, float]:
 
 
 class _DropUnit(Exception):
-    """Internal: the unit cannot contribute and is reported, not fatal."""
+    """Internal: the block's units cannot contribute; reported, not fatal."""
 
     def __init__(self, reason: str):
         super().__init__(reason)
         self.reason = reason
 
 
-def _contiguous_run(times: np.ndarray, i_end: int) -> int:
-    run = 1
-    t_end = times[i_end]
-    while i_end - run >= 0 and times[i_end - run] == t_end - run:
-        run += 1
-    return run
+def _resolve(block: CohortBlock, q: int, R, shrink: bool, eff_tau: int,
+             h: int, lead: int = 0) -> tuple[int, int, int]:
+    """Window start, window end and target position shared by a block.
 
-
-def _window_indices(unit_id: str, times: np.ndarray, eff_tau: int, q: int,
-                    R, shrink: bool) -> tuple[int, int]:
-    """Start and end index of the estimation window ending at ``eff_tau``."""
+    The window holds the ``R`` periods ending at ``eff_tau``; ``R="all"``
+    takes the contiguous run ending there less its first ``lead`` periods.
+    Raises ``_DropUnit`` when the block's units cannot be forecast, and
+    ``EstimationError`` when the window has interior gaps and ``shrink``
+    is off.
+    """
+    times = block.times
     i_tau = int(np.searchsorted(times, eff_tau))
     if i_tau >= times.size or times[i_tau] != eff_tau:
         raise _DropUnit(f"no observation at effective adoption date {eff_tau}")
-    run = _contiguous_run(times, i_tau)
-    R_i = run if R == "all" else int(R)
+    run = _run_ending(times, i_tau)
+    R_i = run - lead if R == "all" else int(R)
     if run < R_i:
         if times[0] < eff_tau - run + 1:
             # Older observations exist, so the window has interior holes.
             if not shrink:
                 raise EstimationError(
-                    f"unit {unit_id!r}: missing periods inside the estimation "
-                    f"window ending at {eff_tau}; pass shrink_window=True to "
-                    "shrink to the contiguous run"
+                    f"unit {block.unit_ids[0]!r}: missing periods inside the "
+                    f"estimation window ending at {eff_tau}; pass "
+                    "shrink_window=True to shrink to the contiguous run"
                 )
             R_i = run
         else:
@@ -298,108 +304,143 @@ def _window_indices(unit_id: str, times: np.ndarray, eff_tau: int, q: int,
             )
     if R_i < q + 1:
         raise _DropUnit(f"only {R_i} usable pre-treatment periods, need q+1={q + 1}")
-    return i_tau - R_i + 1, i_tau
+    target = eff_tau + h
+    j = int(np.searchsorted(times, target))
+    if j >= times.size or times[j] != target:
+        raise _DropUnit(f"outcome not observed at target period {target}")
+    return i_tau - R_i + 1, i_tau, j
 
 
-def _homogeneous(units: Sequence[UnitSeries]) -> bool:
-    t0 = units[0].times
-    tau0 = units[0].tau
-    if tau0 is None:
-        return False
-    for u in units[1:]:
-        if u.tau != tau0:
-            return False
-        if u.times is not t0 and not np.array_equal(u.times, t0):
-            return False
-    return True
+def _weights(cache: dict, basis: BasisSpec, window: np.ndarray, target,
+             h: int) -> np.ndarray:
+    """Forecast weights for a contiguous window, reused within one call.
+
+    Polynomial weights depend only on the window length and the horizon,
+    Fourier weights also on the window's phase; custom bases are not
+    cached.
+    """
+    if basis.family == "polynomial":
+        key = (window.size, h)
+    elif basis.family == "fourier":
+        key = (window.size, h, int(window[0]))
+    else:
+        key = None
+    if key in cache:
+        return cache[key]
+    w = forecast_weights(basis, window, target).weights
+    if key is not None:
+        cache[key] = w
+    return w
 
 
-def _stack_outcomes(units: Sequence[UnitSeries]) -> np.ndarray:
-    return np.stack([u.outcomes for u in units])
+class _PanelOrder:
+    """Per-block results gathered in block order, returned in panel order."""
+
+    def __init__(self, width: int = 0):
+        self.positions = [np.empty(0, dtype=int)]
+        self.ids = [np.empty(0, dtype=object)]
+        self.residuals = [np.empty(0)]
+        self.grads = [np.empty((0, width))]
+        self.dropped = []
+
+    def drop(self, block: CohortBlock, reason: str, rows=slice(None)) -> None:
+        self.dropped.extend(zip(block.positions[rows], block.unit_ids[rows],
+                                repeat(reason)))
+
+    def use(self, block: CohortBlock, rows, residuals, grads) -> None:
+        self.positions.append(block.positions[rows])
+        self.ids.append(block.unit_ids[rows])
+        self.residuals.append(residuals)
+        self.grads.append(grads)
+
+    def result(self):
+        """(unit_ids, residuals, gradients, dropped), all in panel order."""
+        order = np.argsort(np.concatenate(self.positions))
+        return (tuple(np.concatenate(self.ids)[order]),
+                np.concatenate(self.residuals)[order],
+                np.concatenate(self.grads)[order],
+                tuple((u, r) for _, u, r in sorted(self.dropped)))
 
 
 # ---------------------------------------------------------------------------
-# the core residual computation
+# the residual kernel
 
 
-def _fat_residuals(units: Sequence[UnitSeries], config: ForecastConfig, h: int,
-                   tau_shift: int = 0):
-    """Per-unit forecast residuals y(tau_eff + h) - forecast.
+def _fat_residuals(blocks: Sequence[CohortBlock], config: ForecastConfig,
+                   h: int, tau_shift: int = 0, lagged: bool = False,
+                   cov_idx: Sequence[int] = (), beta=()):
+    """Forecast residuals y(tau_eff + h) - forecast of every unit in ``blocks``.
 
-    Returns (unit_ids, residuals, dropped).  Units in a homogeneous group
-    (shared times and adoption date) are solved with one set of weights and
-    a single matrix product; otherwise each unit is resolved on its own.
+    Each block's window, target and weights are resolved once, and its
+    residuals come from one product over its dense outcome rows:
+    ``Y[:, j] - (Y[:, win] - X beta) @ w - x_j' beta``, where the model
+    columns X stack the lagged outcome (``lagged``) and the covariates
+    ``cov_idx``.  Without a model this is ``Y[:, j] - Y[:, win] @ w``.
+    With ``lagged``, ``R="all"`` leaves the run's first period to serve
+    as the window's first lag.
+
+    Returns (unit_ids, residuals, gradients, dropped) in panel order; row
+    i of the gradients is the derivative of unit i's forecast in ``beta``.
     """
-    if not units:
+    if not blocks:
         raise EstimationError("no units to estimate on")
     q = config.basis.order
     shift = config.delta + tau_shift
-
-    if _homogeneous(units):
-        u0 = units[0]
-        eff_tau = u0.tau - shift
-        times = u0.times
-        try:
-            i0, i1 = _window_indices(u0.unit_id, times, eff_tau, q, config.R,
-                                     config.shrink_window)
-        except _DropUnit as d:
-            return (), np.empty(0), tuple((u.unit_id, d.reason) for u in units)
-        target = eff_tau + h
-        j = int(np.searchsorted(times, target))
-        if j >= times.size or times[j] != target:
-            reason = f"outcome not observed at target period {target}"
-            return (), np.empty(0), tuple((u.unit_id, reason) for u in units)
-        w = forecast_weights(config.basis, times[i0:i1 + 1], target).weights
-        Y = _stack_outcomes(units)
-        residuals = Y[:, j] - Y[:, i0:i1 + 1] @ w
-        return tuple(u.unit_id for u in units), residuals, ()
-
-    ids, residuals, dropped = [], [], []
+    out = _PanelOrder(int(lagged) + len(cov_idx))
     cache: dict = {}
-    for u in units:
-        if u.tau is None:
-            dropped.append((u.unit_id, "no adoption date"))
-            continue
-        eff_tau = u.tau - shift
+    for b in blocks:
         try:
-            i0, i1 = _window_indices(u.unit_id, u.times, eff_tau, q, config.R,
-                                     config.shrink_window)
+            i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
+                                 b.tau - shift, h, lead=int(lagged))
+            if lagged and (i0 == 0 or b.times[i0 - 1] != b.times[i0] - 1
+                           or b.times[j - 1] != b.times[j] - 1):
+                raise _DropUnit("lagged outcome missing for the window or target")
         except _DropUnit as d:
-            dropped.append((u.unit_id, d.reason))
+            out.drop(b, d.reason)
             continue
-        target = eff_tau + h
-        jt = u.index_of(target)
-        if jt is None:
-            dropped.append((u.unit_id, f"outcome not observed at target period {target}"))
-            continue
-        R_i = i1 - i0 + 1
-        if config.basis.family == "polynomial":
-            key = (R_i, h)
-        elif config.basis.family == "fourier":
-            key = (R_i, h, int(u.times[i0]))
-        else:
-            key = None
-        w = cache.get(key) if key is not None else None
-        if w is None:
-            try:
-                w = forecast_weights(config.basis, u.times[i0:i1 + 1], target).weights
-            except RankDeficiencyError:
-                dropped.append((u.unit_id, "window design is rank deficient"))
+        rows = slice(None)
+        if cov_idx:
+            X = b.covariates[:, :, cov_idx]
+            bad = (np.isnan(X[:, i0:i1 + 1]).any(axis=(1, 2))
+                   | np.isnan(X[:, j]).any(axis=1))
+            out.drop(b, "incomplete covariates on the window or target", bad)
+            rows = np.flatnonzero(~bad)
+            if not rows.size:
                 continue
-            if key is not None:
-                cache[key] = w
-        ids.append(u.unit_id)
-        residuals.append(float(u.outcomes[jt] - w @ u.outcomes[i0:i1 + 1]))
-    return tuple(ids), np.asarray(residuals, dtype=float), tuple(dropped)
+        try:
+            w = _weights(cache, config.basis, b.times[i0:i1 + 1], b.times[j], h)
+        except RankDeficiencyError:
+            out.drop(b, "window design is rank deficient", rows)
+            continue
+        Y = b.outcomes[rows]
+        terms = [(Y[:, i0 - 1:i1], Y[:, j - 1])] if lagged else []
+        terms += [(b.covariates[rows, i0:i1 + 1, c], b.covariates[rows, j, c])
+                  for c in cov_idx]
+        modeled = sum(bk * Xw for bk, (Xw, _) in zip(beta, terms))
+        forecast = (sum(bk * xt for bk, (_, xt) in zip(beta, terms))
+                    + (Y[:, i0:i1 + 1] - modeled) @ w)
+        grads = np.empty((Y.shape[0], len(terms)))
+        for c, (Xw, xt) in enumerate(terms):
+            grads[:, c] = xt - Xw @ w
+        out.use(b, rows, Y[:, j] - forecast, grads)
+    return out.result()
 
 
-def _summarize(ids, residuals, dropped, h, level) -> FatEstimate:
+def _summarize(ids, residuals, dropped, h, level, grads=None,
+               psi: Mapping[str, np.ndarray] | None = None) -> FatEstimate:
+    """Point, standard error and interval; with first-stage influence
+    vectors ``psi`` the error is corrected through ``grads``."""
     n = len(ids)
     if n == 0:
         detail = "; ".join(f"{u}: {r}" for u, r in dropped[:3])
         raise EstimationError(f"no usable units ({detail})")
     point = math.fsum(residuals.tolist()) / n
-    se = fat_variance(residuals)
+    if psi:
+        zeros = np.zeros(grads.shape[1])
+        psi_arr = np.vstack([np.asarray(psi.get(u, zeros)) for u in ids])
+        se = mb_variance(residuals, grads, psi_arr)
+    else:
+        se = fat_variance(residuals)
     return FatEstimate(
         horizon=h, point=point, se=se, ci=_interval(point, se, level),
         level=level, n_used=n, unit_ids=tuple(ids),
@@ -441,7 +482,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     h = config.h if h is None else int(h)
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
-    ids, residuals, dropped = _fat_residuals(panel.treated_units, config, h)
+    ids, residuals, _, dropped = _fat_residuals(panel.treated_blocks, config, h)
     return _summarize(ids, residuals, dropped, h, level)
 
 
@@ -455,8 +496,8 @@ def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
     """
     if lag < 0:
         raise ConfigError("placebo lag must be >= 0")
-    ids, residuals, dropped = _fat_residuals(panel.treated_units, config, h,
-                                             tau_shift=lag)
+    ids, residuals, _, dropped = _fat_residuals(panel.treated_blocks, config, h,
+                                                tau_shift=lag)
     return _summarize(ids, residuals, dropped, h, level)
 
 
@@ -471,8 +512,8 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     settings via ``config_control``.
     """
     h = config.h if h is None else int(h)
-    treated = panel.treated_units
-    controls = [u for u in panel.control_units if u.tau is not None]
+    treated = panel.treated_blocks
+    controls = [b for b in panel.control_blocks if b.tau is not None]
     skipped = tuple(
         (u.unit_id, "no adoption date") for u in panel.control_units if u.tau is None
     )
@@ -482,8 +523,8 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
             "an adoption date"
         )
     cc = config if config_control is None else config_control
-    t_ids, t_res, t_drop = _fat_residuals(treated, config, h)
-    c_ids, c_res, c_drop = _fat_residuals(tuple(controls), cc, h)
+    t_ids, t_res, _, t_drop = _fat_residuals(treated, config, h)
+    c_ids, c_res, _, c_drop = _fat_residuals(controls, cc, h)
     est_t = _summarize(t_ids, t_res, t_drop, h, level)
     est_c = _summarize(c_ids, c_res, c_drop + skipped, h, level)
     point = est_t.point - est_c.point
@@ -494,30 +535,31 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     )
 
 
+def _single_block(panel: PanelData, name: str) -> CohortBlock:
+    blocks = panel.treated_blocks
+    if not blocks:
+        raise EstimationError("no treated units")
+    if len(blocks) > 1:
+        raise EstimationError(
+            f"{name} requires a balanced panel with a shared adoption date")
+    return blocks[0]
+
+
 def fat_balanced_avg(panel: PanelData, q: int, R: int, h: int) -> float:
     """Forecast the cross-sectional average series; balanced panels only.
 
     On a balanced panel with a shared adoption date this equals ``fat``
     exactly, because the forecast is linear in outcomes.
     """
-    units = panel.treated_units
-    if not units:
-        raise EstimationError("no treated units")
-    tau = units[0].tau
-    if any(u.tau != tau for u in units) or not _homogeneous(units):
-        raise EstimationError("fat_balanced_avg requires a balanced panel with a shared adoption date")
-    times = units[0].times
+    block = _single_block(panel, "fat_balanced_avg")
     try:
-        i0, i1 = _window_indices(units[0].unit_id, times, tau, q, int(R), False)
+        i0, i1, j = _resolve(block, q, int(R), False, block.tau, h)
     except _DropUnit as d:
-        raise EstimationError(str(d)) from None
-    target = tau + h
-    j = int(np.searchsorted(times, target))
-    if j >= times.size or times[j] != target:
-        raise EstimationError(f"outcome not observed at target period {target}")
-    Y = _stack_outcomes(units)
-    ybar = Y.mean(axis=0)
-    w = forecast_weights(BasisSpec("polynomial", order=q), times[i0:i1 + 1], target).weights
+        raise EstimationError(d.reason) from None
+    times = block.times
+    ybar = block.outcomes.mean(axis=0)
+    w = forecast_weights(BasisSpec("polynomial", order=q), times[i0:i1 + 1],
+                         times[j]).weights
     return float(ybar[j] - w @ ybar[i0:i1 + 1])
 
 
@@ -529,22 +571,17 @@ def fat_pooled(panel: PanelData, q: int, R: int, h: int) -> np.ndarray:
     plus a full polynomial trend per unit.  On a balanced panel the dummy
     coefficients equal ``fat`` at horizons 1..h exactly.
     """
-    units = panel.treated_units
-    if not units:
-        raise EstimationError("no treated units")
-    tau = units[0].tau
-    if any(u.tau != tau for u in units) or not _homogeneous(units):
-        raise EstimationError("fat_pooled requires a balanced panel with a shared adoption date")
+    block = _single_block(panel, "fat_pooled")
     if R < q + 1:
         raise ConfigError(f"window length R={R} is below q+1={q + 1}")
-    times = units[0].times
+    tau, times = block.tau, block.times
     wanted = np.arange(tau - R + 1, tau + h + 1)
     idx = np.searchsorted(times, wanted)
     if np.any(idx >= times.size) or np.any(times[np.minimum(idx, times.size - 1)] != wanted):
         raise EstimationError(
             f"pooled regression needs every period in [{wanted[0]}, {wanted[-1]}]"
         )
-    n = len(units)
+    n = block.unit_ids.size
     rel = (wanted - tau).astype(float)
     rows_per = wanted.size
     dummies = np.zeros((rows_per, h))
@@ -553,12 +590,11 @@ def fat_pooled(panel: PanelData, q: int, R: int, h: int) -> np.ndarray:
     trend = np.vander(rel, q + 1, increasing=True)
     X = np.zeros((n * rows_per, h + n * (q + 1)))
     y = np.empty(n * rows_per)
-    Y = _stack_outcomes(units)
     for i in range(n):
         r0 = i * rows_per
         X[r0:r0 + rows_per, :h] = dummies
         X[r0:r0 + rows_per, h + i * (q + 1):h + (i + 1) * (q + 1)] = trend
-        y[r0:r0 + rows_per] = Y[i, idx]
+        y[r0:r0 + rows_per] = block.outcomes[i, idx]
     coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
     if rank < X.shape[1]:
         raise EstimationError("pooled design is rank deficient")
@@ -569,83 +605,46 @@ def fat_pooled(panel: PanelData, q: int, R: int, h: int) -> np.ndarray:
 # instrumented first stage and model-based estimator
 
 
-def _ah_unit_rows(u: UnitSeries, eff_tau: int, lag: int, detrend: bool,
-                  cov_idx: list[int]):
-    """Per-unit moment blocks A_i = Z'W and b_i = Z'dy for one unit."""
-    k = 1 + len(cov_idx) + (1 if detrend else 0)
-    A = np.zeros((k, k))
-    b = np.zeros(k)
-    rows = 0
-    times = u.times
-    y = u.outcomes
-    for i_t in range(times.size):
-        t = int(times[i_t])
-        if t > eff_tau:
-            break
-        i1 = u.index_of(t - 1)
-        i2 = u.index_of(t - 2)
-        il = u.index_of(t - lag)
-        if i1 is None or i2 is None or il is None:
-            continue
-        wrow = [y[i1] - y[i2]]
-        zrow = [y[il]]
-        if cov_idx:
-            x_t = u.covariates[i_t, cov_idx]
-            x_1 = u.covariates[i1, cov_idx]
-            if np.isnan(x_t).any() or np.isnan(x_1).any():
-                continue
-            wrow.extend(x_t - x_1)
-            zrow.extend(x_1)
-        if detrend:
-            wrow.append(1.0)
-            zrow.append(1.0)
-        wv = np.asarray(wrow)
-        zv = np.asarray(zrow)
-        dy = y[i_t] - y[i1]
-        A += np.outer(zv, wv)
-        b += zv * dy
-        rows += 1
-    return A, b, rows
+def _ah_moments(block: CohortBlock, eff_tau: int, lag: int, detrend: bool,
+                cov_idx: list[int]):
+    """Moment blocks A_i = Z'W and b_i = Z'dy of every unit in ``block``.
 
-
-def _ah_blocks_vectorized(units, eff_tau: int, lag: int, detrend: bool):
-    """Moment blocks for a homogeneous gap-free group, built matrix-wise.
-
-    Returns (uids, A, b, rows_per_unit) with A of shape (n, k, k) and b of
-    shape (n, k), or None when the shared time grid cannot support the
-    construction (then the per-unit path applies).
+    Period t <= eff_tau gives a moment row when t-1, t-2 and t-lag are
+    observed; with covariates, only for the units whose covariates at t
+    and t-1 are complete.  Rows are accumulated in time order.  Returns
+    (A, b, rows) with shapes (n, k, k), (n, k) and (n,).
     """
-    u0 = units[0]
-    times = u0.times
-    if times.size > 1 and not np.all(np.diff(times) == 1):
-        return None
-    i_tau = int(np.searchsorted(times, eff_tau))
-    if i_tau >= times.size or times[i_tau] != eff_tau:
-        i_tau = min(i_tau, times.size) - 1  # last observed pre-period
-    j_lo = max(2, lag)
-    if i_tau < j_lo:
-        return None
-    js = np.arange(j_lo, i_tau + 1)
-    J = js.size
-    Y = _stack_outcomes(units)
-    dy_t = Y[:, js] - Y[:, js - 1]
-    dy_lag = Y[:, js - 1] - Y[:, js - 2]
-    z = Y[:, js - lag]
-    n = len(units)
+    times, Y = block.times, block.outcomes
+    t = times[times <= eff_tau]
+    at = [np.searchsorted(times, t - d) for d in (1, 2, lag)]
+    valid = np.logical_and.reduce([times[i] == t - d for i, d in zip(at, (1, 2, lag))])
+    js = np.flatnonzero(valid)
+    i1, i2, il = (i[valid] for i in at)
+    dy = Y[:, js] - Y[:, i1]
+    W = [Y[:, i1] - Y[:, i2]]
+    Z = [Y[:, il]]
+    rows = np.ones(dy.shape, dtype=bool)
+    if cov_idx:
+        x_t = block.covariates[:, js][:, :, cov_idx]
+        x_1 = block.covariates[:, i1][:, :, cov_idx]
+        rows = ~(np.isnan(x_t).any(axis=2) | np.isnan(x_1).any(axis=2))
+        W += list(np.moveaxis(x_t - x_1, 2, 0))
+        Z += list(np.moveaxis(x_1, 2, 0))
     if detrend:
-        A = np.empty((n, 2, 2))
-        A[:, 0, 0] = (z * dy_lag).sum(axis=1)
-        A[:, 0, 1] = z.sum(axis=1)
-        A[:, 1, 0] = dy_lag.sum(axis=1)
-        A[:, 1, 1] = J
-        b = np.empty((n, 2))
-        b[:, 0] = (z * dy_t).sum(axis=1)
-        b[:, 1] = dy_t.sum(axis=1)
-    else:
-        A = (z * dy_lag).sum(axis=1).reshape(n, 1, 1)
-        b = (z * dy_t).sum(axis=1).reshape(n, 1)
-    uids = [u.unit_id for u in units]
-    return uids, A, b, J
+        W.append(np.ones(dy.shape))
+        Z.append(np.ones(dy.shape))
+    W = np.stack(W, axis=2)
+    Z = np.stack(Z, axis=2)
+    # Rows a unit lacks add exact zeros, leaving its sums as if skipped.
+    W[~rows] = 0.0
+    Z[~rows] = 0.0
+    n, k = Y.shape[0], Z.shape[2]
+    A = np.zeros((n, k, k))
+    b = np.zeros((n, k))
+    for j in range(js.size):
+        A += Z[:, j, :, None] * W[:, j, None, :]
+        b += Z[:, j] * dy[:, j, None]
+    return A, b, rows.sum(axis=1)
 
 
 def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
@@ -673,39 +672,26 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     if detrend is None:
         detrend = instrument_lag == 3
     cov_idx = [panel.covariate_names.index(c) for c in covariates]
-    units = panel.treated_units
-    if not units:
+    if not panel.treated_blocks:
         raise EstimationError("no treated units")
     k = 1 + len(cov_idx) + (1 if detrend else 0)
-
-    packed = None
-    if not cov_idx and _homogeneous(units):
-        packed = _ah_blocks_vectorized(units, units[0].tau - delta,
-                                       instrument_lag, detrend)
-    if packed is not None:
-        uids, A_all, b_all, rows_per = packed
-        n_contrib = len(uids)
-        n_rows = n_contrib * rows_per
-    else:
-        uids, A_list, b_list = [], [], []
-        n_rows = 0
-        for u in units:
-            if u.tau is None:
-                continue
-            A, b, rows = _ah_unit_rows(u, u.tau - delta, instrument_lag,
-                                       detrend, cov_idx)
-            if rows:
-                uids.append(u.unit_id)
-                A_list.append(A)
-                b_list.append(b)
-                n_rows += rows
-        if not uids:
-            raise EstimationError(
-                f"no unit has enough history for instrument lag {instrument_lag}"
-            )
-        A_all = np.stack(A_list)
-        b_all = np.stack(b_list)
-        n_contrib = len(uids)
+    A_all = np.zeros((len(panel), k, k))
+    b_all = np.zeros((len(panel), k))
+    rows = np.zeros(len(panel), dtype=int)
+    for block in panel.treated_blocks:
+        at = block.positions
+        A_all[at], b_all[at], rows[at] = _ah_moments(
+            block, block.tau - delta, instrument_lag, detrend, cov_idx)
+    contrib = np.flatnonzero(rows)
+    if not contrib.size:
+        raise EstimationError(
+            f"no unit has enough history for instrument lag {instrument_lag}"
+        )
+    A_all = A_all[contrib]
+    b_all = b_all[contrib]
+    uids = [panel.units[i].unit_id for i in contrib]
+    n_contrib = len(uids)
+    n_rows = int(rows.sum())
 
     ZtW = A_all.sum(axis=0)
     Ztdy = b_all.sum(axis=0)
@@ -752,130 +738,19 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int | None = None,
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
     if mb.first_stage == "user":
-        first = None
         beta = np.asarray(mb.beta, dtype=float)
-        psi_by_unit: Mapping[str, np.ndarray] = {}
+        psi: Mapping[str, np.ndarray] = {}
     else:
         first = anderson_hsiao(panel, mb.instrument_lag, mb.detrend,
                                mb.covariates, mb.delta)
-        beta = first.beta
-        psi_by_unit = first.psi
-    k = int(mb.lagged_outcome) + len(mb.covariates)
+        beta, psi = first.beta, first.psi
     cov_idx = [panel.covariate_names.index(c) for c in mb.covariates]
-    units = panel.treated_units
-    if not units:
+    if not panel.treated_blocks:
         raise EstimationError("no treated units")
-    basis = BasisSpec("polynomial", order=mb.q)
-
-    ids: list[str] = []
-    residuals: list[float] = []
-    grads: list[np.ndarray] = []
-    dropped: list[tuple[str, str]] = []
-
-    fast = _homogeneous(units) and not mb.covariates
-    if fast:
-        u0 = units[0]
-        eff_tau = u0.tau - mb.delta
-        times = u0.times
-        try:
-            i0, i1 = _window_indices(u0.unit_id, times, eff_tau, mb.q, mb.R, False)
-        except _DropUnit as d:
-            raise EstimationError(f"no usable units ({d.reason})") from None
-        target = eff_tau + h
-        jt = int(np.searchsorted(times, target))
-        if jt >= times.size or times[jt] != target:
-            raise EstimationError(f"outcome not observed at target period {target}")
-        if mb.lagged_outcome and (i0 == 0 or times[i0 - 1] != times[i0] - 1
-                                  or times[jt - 1] != target - 1):
-            raise EstimationError("lagged outcomes missing for the window or target")
-        w = forecast_weights(basis, times[i0:i1 + 1], target).weights
-        Y = _stack_outcomes(units)
-        Ywin = Y[:, i0:i1 + 1]
-        if mb.lagged_outcome:
-            rho = float(beta[0])
-            Xlag = Y[:, i0 - 1:i1]
-            v = Ywin - rho * Xlag
-            fc = rho * Y[:, jt - 1] + v @ w
-            g = Y[:, jt - 1] - Xlag @ w
-            grads_arr = g[:, None]
-        else:
-            fc = Ywin @ w
-            grads_arr = np.zeros((len(units), 0))
-        res_arr = Y[:, jt] - fc
-        ids = [u.unit_id for u in units]
-        residuals_arr = res_arr
-    else:
-        cache: dict = {}
-        for u in units:
-            if u.tau is None:
-                dropped.append((u.unit_id, "no adoption date"))
-                continue
-            eff_tau = u.tau - mb.delta
-            try:
-                i0, i1 = _window_indices(u.unit_id, u.times, eff_tau, mb.q, mb.R, False)
-            except _DropUnit as d:
-                dropped.append((u.unit_id, d.reason))
-                continue
-            target = eff_tau + h
-            jt = u.index_of(target)
-            if jt is None:
-                dropped.append((u.unit_id, f"outcome not observed at target period {target}"))
-                continue
-            win = slice(i0, i1 + 1)
-            xcols = []
-            xt = []
-            if mb.lagged_outcome:
-                if i0 == 0 or u.times[i0 - 1] != u.times[i0] - 1 \
-                        or u.index_of(target - 1) is None:
-                    dropped.append((u.unit_id, "lagged outcome missing for the window or target"))
-                    continue
-                xcols.append(u.outcomes[i0 - 1:i1])
-                xt.append(u.outcomes[u.index_of(target - 1)])
-            ok = True
-            for ci in cov_idx:
-                col = u.covariates[win, ci]
-                tgt = u.covariates[jt, ci]
-                if np.isnan(col).any() or np.isnan(tgt):
-                    dropped.append((u.unit_id, "incomplete covariates on the window or target"))
-                    ok = False
-                    break
-                xcols.append(col)
-                xt.append(tgt)
-            if not ok:
-                continue
-            R_i = i1 - i0 + 1
-            key = (R_i, h)
-            w = cache.get(key)
-            if w is None:
-                w = forecast_weights(basis, u.times[win], target).weights
-                cache[key] = w
-            Xwin = np.column_stack(xcols) if xcols else np.zeros((R_i, 0))
-            xtv = np.asarray(xt, dtype=float)
-            v = u.outcomes[win] - Xwin @ beta
-            fc = float(xtv @ beta) + float(w @ v)
-            ids.append(u.unit_id)
-            residuals.append(float(u.outcomes[jt]) - fc)
-            grads.append(xtv - Xwin.T @ w)
-        residuals_arr = np.asarray(residuals, dtype=float)
-        grads_arr = (np.vstack(grads) if grads
-                     else np.zeros((len(ids), k)))
-
-    if not ids:
-        detail = "; ".join(f"{u}: {r}" for u, r in dropped[:3])
-        raise EstimationError(f"no usable units ({detail})")
-    n = len(ids)
-    point = math.fsum(residuals_arr.tolist()) / n
-    if k and psi_by_unit:
-        zeros = np.zeros(k)
-        psi_arr = np.vstack([np.asarray(psi_by_unit.get(u, zeros)) for u in ids])
-        se = mb_variance(residuals_arr, grads_arr, psi_arr)
-    else:
-        se = fat_variance(residuals_arr)
-    return FatEstimate(
-        horizon=h, point=point, se=se, ci=_interval(point, se, level),
-        level=level, n_used=n, unit_ids=tuple(ids),
-        residuals=residuals_arr, dropped=tuple(dropped),
-    )
+    ids, residuals, grads, dropped = _fat_residuals(
+        panel.treated_blocks, mb.forecast_config(), h,
+        lagged=mb.lagged_outcome, cov_idx=cov_idx, beta=beta)
+    return _summarize(ids, residuals, dropped, h, level, grads, psi)
 
 
 def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
@@ -897,45 +772,38 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
     if not cov_idx:
         raise ConfigError("no covariates selected")
     q = config.basis.order
-    ids, residuals, dropped = [], [], []
-    for u in panel.treated_units:
-        if u.tau is None:
-            dropped.append((u.unit_id, "no adoption date"))
-            continue
-        eff_tau = u.tau - config.delta
+    out = _PanelOrder()
+    for b in panel.treated_blocks:
         try:
-            i0, i1 = _window_indices(u.unit_id, u.times, eff_tau, q, config.R,
-                                     config.shrink_window)
+            i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
+                                 b.tau - config.delta, h)
         except _DropUnit as d:
-            dropped.append((u.unit_id, d.reason))
-            continue
-        target = eff_tau + h
-        jt = u.index_of(target)
-        if jt is None:
-            dropped.append((u.unit_id, f"outcome not observed at target period {target}"))
+            out.drop(b, d.reason)
             continue
         win = slice(i0, i1 + 1)
         R_i = i1 - i0 + 1
         if R_i < q + 1 + len(cov_idx):
-            dropped.append((u.unit_id,
-                            f"window of {R_i} cannot fit {q + 1 + len(cov_idx)} parameters"))
+            out.drop(b, f"window of {R_i} cannot fit {q + 1 + len(cov_idx)} parameters")
             continue
-        Xc = u.covariates[win, :][:, cov_idx]
-        xt = u.covariates[jt, cov_idx]
-        if np.isnan(Xc).any() or np.isnan(xt).any():
-            dropped.append((u.unit_id, "incomplete covariates on the window or target"))
-            continue
-        base, hrow = _solver_design(config.basis, u.times[win].astype(float),
-                                    float(target))
-        D = np.hstack([base, Xc])
-        drow = np.concatenate([hrow, xt])
-        try:
-            Qm, Rm = _qr(D)
-        except RankDeficiencyError:
-            dropped.append((u.unit_id, "augmented window design is rank deficient"))
-            continue
-        coef = solve_triangular(Rm, Qm.T @ u.outcomes[win])
-        ids.append(u.unit_id)
-        residuals.append(float(u.outcomes[jt]) - float(drow @ coef))
-    return _summarize(tuple(ids), np.asarray(residuals, dtype=float),
-                      tuple(dropped), h, level)
+        base, hrow = _solver_design(config.basis, b.times[win].astype(float),
+                                    float(b.times[j]))
+        rows, residuals = [], []
+        for row, (y, x) in enumerate(zip(b.outcomes, b.covariates)):
+            Xc = x[win, :][:, cov_idx]
+            xt = x[j, cov_idx]
+            if np.isnan(Xc).any() or np.isnan(xt).any():
+                out.drop(b, "incomplete covariates on the window or target", [row])
+                continue
+            D = np.hstack([base, Xc])
+            drow = np.concatenate([hrow, xt])
+            try:
+                Qm, Rm = _qr(D)
+            except RankDeficiencyError:
+                out.drop(b, "augmented window design is rank deficient", [row])
+                continue
+            coef = solve_triangular(Rm, Qm.T @ y[win])
+            rows.append(row)
+            residuals.append(float(y[j]) - float(drow @ coef))
+        out.use(b, rows, np.asarray(residuals, dtype=float), np.empty((len(rows), 0)))
+    ids, residuals, _, dropped = out.result()
+    return _summarize(ids, residuals, dropped, h, level)

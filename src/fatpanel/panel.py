@@ -11,7 +11,8 @@ The interchange format is a delimited text file with a header row::
     unit,time,outcome,treated_at[,control_flag][,x1,x2,...]
 
 Times and treatment dates are integers, outcomes and covariates decimal
-numbers with "." as the decimal mark, encoding UTF-8.  ``write_panel``
+numbers with "." as the decimal mark, encoding UTF-8.  Outcomes must be
+finite; a blank covariate field means the value is missing.  ``write_panel``
 emits exactly this layout so that a write/load round trip reproduces the
 panel bit for bit.
 """
@@ -21,9 +22,10 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -107,19 +109,71 @@ class UnitSeries:
             return i
         return None
 
-    def value_at(self, time: int) -> float | None:
-        i = self.index_of(time)
-        return None if i is None else float(self.outcomes[i])
-
     def contiguous_run_ending(self, time: int) -> int:
         """Length of the unbroken run of consecutive periods ending at ``time``."""
         i = self.index_of(time)
-        if i is None:
-            return 0
-        run = 1
-        while i - run >= 0 and self.times[i - run] == time - run:
-            run += 1
-        return run
+        return 0 if i is None else _run_ending(self.times, i)
+
+
+def _run_ending(times: np.ndarray, i: int) -> int:
+    """Length of the unbroken run of consecutive periods ending at position ``i``."""
+    run = 1
+    while i - run >= 0 and times[i - run] == times[i] - run:
+        run += 1
+    return run
+
+
+@dataclass(frozen=True, eq=False)
+class CohortBlock:
+    """The units of a panel that share a control flag, ``tau`` and time grid.
+
+    A unit's window, target period and forecast weights depend only on
+    these three, so estimators resolve them once per block and compute
+    every unit's forecast as one product over the dense outcome rows.
+
+    Attributes
+    ----------
+    is_control : bool
+        Control flag shared by the block's units.
+    tau : int or None
+        Shared treatment (or cohort) date.
+    times : ndarray of int
+        Shared observed periods.
+    outcomes : ndarray
+        (n_block, n_periods) outcomes, one row per unit.
+    covariates : ndarray or None
+        (n_block, n_periods, n_covariates) covariates, NaN for a unit that
+        carries none; None when the panel declares no covariates.
+    positions : ndarray of int
+        The units' positions in panel order.
+    unit_ids : ndarray of str
+        The units' identifiers, aligned with ``positions``.
+    """
+
+    is_control: bool
+    tau: int | None
+    times: np.ndarray
+    outcomes: np.ndarray
+    covariates: np.ndarray | None
+    positions: np.ndarray
+    unit_ids: np.ndarray
+
+
+def _cohort_block(units: Sequence[UnitSeries], positions: list[int],
+                  n_covariates: int) -> CohortBlock:
+    units = [units[i] for i in positions]
+    first = units[0]
+    covariates = None
+    if n_covariates:
+        missing = np.full((first.n_obs, n_covariates), np.nan)
+        covariates = np.array([missing if u.covariates is None else u.covariates
+                               for u in units])
+    return CohortBlock(
+        is_control=first.is_control, tau=first.tau, times=first.times,
+        outcomes=np.array([u.outcomes for u in units]), covariates=covariates,
+        positions=np.array(positions, dtype=int),
+        unit_ids=np.array([u.unit_id for u in units], dtype=object),
+    )
 
 
 class PanelData:
@@ -141,7 +195,9 @@ class PanelData:
         units = tuple(units)
         names = tuple(covariate_names)
         seen = set()
-        for u in units:
+        treated, controls = [], []
+        groups: dict[tuple, list[int]] = {}
+        for i, u in enumerate(units):
             if u.unit_id in seen:
                 raise PanelFormatError(f"duplicate unit id {u.unit_id!r}")
             seen.add(u.unit_id)
@@ -150,6 +206,8 @@ class PanelData:
                     f"unit {u.unit_id!r} carries {u.covariates.shape[1]} covariate "
                     f"columns but the panel declares {len(names)}"
                 )
+            (controls if u.is_control else treated).append(u)
+            groups.setdefault((u.is_control, u.tau, u.times.tobytes()), []).append(i)
         if not units:
             raise PanelFormatError("panel has no units")
         self.units = units
@@ -157,6 +215,14 @@ class PanelData:
         self.covariate_names = names
         self._by_id = {u.unit_id: u for u in units}
         self._dense = None
+        blocks = [_cohort_block(units, positions, len(names))
+                  for positions in groups.values()]
+        #: Cohort blocks of treated and of control units, each in order of
+        #: first appearance.
+        self.treated_blocks = tuple(b for b in blocks if not b.is_control)
+        self.control_blocks = tuple(b for b in blocks if b.is_control)
+        self.treated_units = tuple(treated)
+        self.control_units = tuple(controls)
 
     def __iter__(self):
         return iter(self.units)
@@ -173,14 +239,6 @@ class PanelData:
             return self._by_id[unit_id]
         except KeyError:
             raise KeyError(f"no unit {unit_id!r} in panel") from None
-
-    @property
-    def treated_units(self) -> tuple[UnitSeries, ...]:
-        return tuple(u for u in self.units if not u.is_control)
-
-    @property
-    def control_units(self) -> tuple[UnitSeries, ...]:
-        return tuple(u for u in self.units if u.is_control)
 
     def is_balanced(self) -> bool:
         """True when every unit observes exactly the same periods."""
@@ -268,7 +326,8 @@ def load_panel(source, schema: Mapping[str, object] | None = None,
     Raises
     ------
     PanelFormatError
-        On missing columns, non-numeric fields, duplicate (unit, time)
+        On missing columns, non-numeric fields, an outcome that is not
+        finite (``nan``, ``inf``), duplicate (unit, time)
         observations, inconsistent treatment dates within a unit, or a unit
         that has neither a treatment date nor a control flag.
     """
@@ -305,6 +364,8 @@ def _load_stream(fh: TextIO, schema, time_unit) -> PanelData:
         uid = row[iu]
         t = _parse_int(row[it], "time", rownum)
         y = _parse_float(row[iy], "outcome", rownum)
+        if not math.isfinite(y):
+            raise PanelFormatError(f"row {rownum}: outcome {row[iy]!r} is not finite")
 
         tau = None
         if ita is not None and row[ita].strip() != "":

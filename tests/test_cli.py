@@ -104,6 +104,20 @@ def test_estimate_mb_equals_library_call(tmp_path):
     assert r["se"] == est.se
 
 
+def test_estimate_mb_default_window_exits_zero(tmp_path):
+    # R="all" under the lagged model is the run less its first period:
+    # periods 1..5 before adoption leave a 4-period window.
+    path = sim_panel_csv(tmp_path, name="mb.csv", n=200, T=6, tau=5,
+                         include_ar=True, rho=0.5, mu=(-1.0, 1.0))
+    code, every = run_json(["estimate", "--input", path, "--estimator", "mb"],
+                           tmp_path, name="all.json")
+    assert code == 0
+    _, fixed = run_json(["estimate", "--input", path, "--estimator", "mb",
+                         "--r", "4"], tmp_path, name="four.json")
+    assert every["results"][0]["point"] == fixed["results"][0]["point"]
+    assert every["results"][0]["se"] == fixed["results"][0]["se"]
+
+
 def test_estimate_residual_csv(tmp_path):
     path = sim_panel_csv(tmp_path)
     out_csv = tmp_path / "resid.csv"
@@ -330,6 +344,15 @@ def test_malformed_csv_is_data_error(tmp_path):
     bad.write_text("unit,time\nu1,1\n")
     code = main(["estimate", "--input", str(bad)])
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_outcome_is_data_error(tmp_path, capsys, value):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("unit,time,outcome,treated_at\n"
+                   f"a,1,1.0,2\na,2,{value},2\na,3,3.0,2\n")
+    assert main(["estimate", "--input", str(bad), "--q", "0"]) == 2
+    assert "row 3" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -268,21 +268,6 @@ def test_anticipation_config_matches_shifted_panel():
     assert via_config.se == via_panel.se
 
 
-def test_slow_path_matches_fast_path():
-    rng = np.random.default_rng(33)
-    panel = random_balanced_panel(rng, n=6, T=8, tau=5)
-    fast = fat(panel, ForecastConfig(q=1, R=4), h=1)
-    # Give one unit an extra, far-earlier observation: times now differ
-    # across units, forcing per-unit resolution, but every window and
-    # target is unchanged.
-    u0 = panel.units[0]
-    times0 = np.concatenate([[-10], u0.times])
-    y0 = np.concatenate([[99.0], u0.outcomes])
-    units = [UnitSeries("u0", times0, y0, tau=5)] + list(panel.units[1:])
-    slow = fat(PanelData(units), ForecastConfig(q=1, R=4), h=1)
-    np.testing.assert_allclose(slow.residuals, fast.residuals, rtol=0, atol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # instrumented first stage
 
@@ -566,3 +551,16 @@ def test_heterogeneous_requires_room_for_parameters():
     panel = PanelData(units, covariate_names=("x",))
     with pytest.raises(EstimationError, match="no usable units"):
         covariate_fat_heterogeneous(panel, ForecastConfig(q=1, R=2), h=1)
+
+
+def test_unit_without_covariates_is_dropped_as_incomplete():
+    t = np.arange(8.0)
+    units = [UnitSeries("a", np.arange(8), t + np.sin(t), tau=5,
+                        covariates=np.sin(t)[:, None]),
+             UnitSeries("b", np.arange(8), t + 1.0, tau=5)]
+    panel = PanelData(units, covariate_names=("x",))
+    reason = ("b", "incomplete covariates on the window or target")
+    het = covariate_fat_heterogeneous(panel, ForecastConfig(q=1, R=5), h=1)
+    assert het.unit_ids == ("a",) and het.dropped == (reason,)
+    mb = MbConfig(q=1, R=4, covariates=("x",), first_stage="user", beta=(0.3, 1.0))
+    assert model_based_fat(panel, mb, h=1).dropped == (reason,)

@@ -106,6 +106,19 @@ def test_load_rejects_malformed_input(text, fragment):
         load_panel(io.StringIO(text))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_load_rejects_non_finite_outcomes(value):
+    text = f"unit,time,outcome,treated_at\na,1,1.0,3\na,2,{value},3\n"
+    with pytest.raises(PanelFormatError, match=r"row 3: outcome .* is not finite"):
+        load_panel(io.StringIO(text))
+
+
+def test_blank_covariate_is_missing():
+    text = "unit,time,outcome,treated_at,x\na,1,1.0,3,0.5\na,2,2.0,3,\n"
+    x = load_panel(io.StringIO(text)).unit("a").covariates[:, 0]
+    assert x[0] == 0.5 and np.isnan(x[1])
+
+
 def test_control_without_date_is_accepted():
     text = "unit,time,outcome,treated_at,control_flag\nc,1,1.0,,1\nc,2,2.0,,1\n"
     p = load_panel(io.StringIO(text))
@@ -131,6 +144,20 @@ def test_contiguous_run_ending():
 def test_panel_duplicate_ids_rejected():
     with pytest.raises(PanelFormatError, match="duplicate unit id"):
         PanelData([unit("a"), unit("a")])
+
+
+def test_cohort_blocks_group_units_in_order_of_first_appearance():
+    p = PanelData([unit("a"), unit("c", is_control=True), unit("b", tau=4),
+                   unit("d"), unit("e", times=(2, 3, 4, 5, 6))])
+    assert [b.unit_ids.tolist() for b in p.treated_blocks] == [["a", "d"], ["b"], ["e"]]
+    assert [b.positions.tolist() for b in p.treated_blocks] == [[0, 3], [2], [4]]
+    assert [b.unit_ids.tolist() for b in p.control_blocks] == [["c"]]
+    first = p.treated_blocks[0]
+    assert first.tau == 5 and first.times.tolist() == [1, 2, 3, 4, 5, 6]
+    assert first.outcomes.tolist() == [list(range(6))] * 2
+    assert first.covariates is None
+    assert [u.unit_id for u in p.treated_units] == ["a", "b", "d", "e"]
+    assert [u.unit_id for u in p.control_units] == ["c"]
 
 
 def test_as_matrix_and_structure():

@@ -437,7 +437,7 @@ def _summarize(ids, residuals, dropped, h, level, grads=None,
     point = math.fsum(residuals.tolist()) / n
     if psi:
         zeros = np.zeros(grads.shape[1])
-        psi_arr = np.vstack([np.asarray(psi.get(u, zeros)) for u in ids])
+        psi_arr = np.array([psi.get(u, zeros) for u in ids])
         se = mb_variance(residuals, grads, psi_arr)
     else:
         se = fat_variance(residuals)
@@ -514,9 +514,9 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     h = config.h if h is None else int(h)
     treated = panel.treated_blocks
     controls = [b for b in panel.control_blocks if b.tau is not None]
-    skipped = tuple(
-        (u.unit_id, "no adoption date") for u in panel.control_units if u.tau is None
-    )
+    skipped = tuple((u, "no adoption date") for _, u in sorted(
+        (at, u) for b in panel.control_blocks if b.tau is None
+        for at, u in zip(b.positions.tolist(), b.unit_ids)))
     if not treated or not controls:
         raise EstimationError(
             "dfat needs at least one treated unit and one control unit with "
@@ -678,8 +678,10 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     A_all = np.zeros((len(panel), k, k))
     b_all = np.zeros((len(panel), k))
     rows = np.zeros(len(panel), dtype=int)
+    ids = np.empty(len(panel), dtype=object)
     for block in panel.treated_blocks:
         at = block.positions
+        ids[at] = block.unit_ids
         A_all[at], b_all[at], rows[at] = _ah_moments(
             block, block.tau - delta, instrument_lag, detrend, cov_idx)
     contrib = np.flatnonzero(rows)
@@ -689,7 +691,7 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         )
     A_all = A_all[contrib]
     b_all = b_all[contrib]
-    uids = [panel.units[i].unit_id for i in contrib]
+    uids = ids[contrib].tolist()
     n_contrib = len(uids)
     n_rows = int(rows.sum())
 

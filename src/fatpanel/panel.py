@@ -130,6 +130,8 @@ class CohortBlock:
     A unit's window, target period and forecast weights depend only on
     these three, so estimators resolve them once per block and compute
     every unit's forecast as one product over the dense outcome rows.
+    Construction checks the block's shapes, its time grid and its date
+    with the same messages ``UnitSeries`` uses, naming the first unit.
 
     Attributes
     ----------
@@ -138,7 +140,7 @@ class CohortBlock:
     tau : int or None
         Shared treatment (or cohort) date.
     times : ndarray of int
-        Shared observed periods.
+        Shared observed periods, strictly increasing.
     outcomes : ndarray
         (n_block, n_periods) outcomes, one row per unit.
     covariates : ndarray or None
@@ -158,6 +160,39 @@ class CohortBlock:
     positions: np.ndarray
     unit_ids: np.ndarray
 
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=int)
+        outcomes = np.asarray(self.outcomes, dtype=float)
+        positions = np.asarray(self.positions, dtype=int)
+        unit_ids = np.asarray(self.unit_ids, dtype=object)
+        object.__setattr__(self, "is_control", bool(self.is_control))
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "outcomes", outcomes)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "unit_ids", unit_ids)
+        if unit_ids.ndim != 1 or positions.shape != unit_ids.shape:
+            raise PanelFormatError(
+                "cohort block: positions and unit_ids must be 1-D and aligned")
+        if unit_ids.size == 0:
+            raise PanelFormatError("cohort block has no units")
+        first = unit_ids[0]
+        if times.ndim != 1 or outcomes.shape != (unit_ids.size, times.size):
+            raise PanelFormatError(
+                f"unit {first!r}: times and outcomes must be 1-D and aligned")
+        if times.size == 0:
+            raise PanelFormatError(f"unit {first!r}: empty series")
+        if times.size > 1 and not np.all(np.diff(times) > 0):
+            raise PanelFormatError(f"unit {first!r}: times must be strictly increasing")
+        if self.covariates is not None:
+            cov = np.asarray(self.covariates, dtype=float)
+            if cov.ndim != 3 or cov.shape[:2] != outcomes.shape:
+                raise PanelFormatError(f"unit {first!r}: covariates must be (n_obs, k)")
+            object.__setattr__(self, "covariates", cov)
+        if self.tau is None and not self.is_control:
+            raise PanelFormatError(f"unit {first!r}: treated units need a treatment date")
+        if self.tau is not None:
+            object.__setattr__(self, "tau", int(self.tau))
+
 
 def _cohort_block(units: Sequence[UnitSeries], positions: list[int],
                   n_covariates: int) -> CohortBlock:
@@ -171,13 +206,12 @@ def _cohort_block(units: Sequence[UnitSeries], positions: list[int],
     return CohortBlock(
         is_control=first.is_control, tau=first.tau, times=first.times,
         outcomes=np.array([u.outcomes for u in units]), covariates=covariates,
-        positions=np.array(positions, dtype=int),
-        unit_ids=np.array([u.unit_id for u in units], dtype=object),
+        positions=positions, unit_ids=[u.unit_id for u in units],
     )
 
 
 class PanelData:
-    """An immutable ordered collection of ``UnitSeries``.
+    """An immutable ordered collection of unit series, stored as cohort blocks.
 
     Parameters
     ----------
@@ -188,53 +222,112 @@ class PanelData:
         Label for the period unit (informational).
     covariate_names : sequence of str
         Names for the covariate columns carried by the units.
+
+    The units are grouped into ``CohortBlock``s keyed by (control flag,
+    ``tau``, time grid) in order of first appearance.  ``from_blocks``
+    builds a panel from such blocks directly; its ``units`` are then
+    built on first access, as views on the block rows.
     """
 
     def __init__(self, units: Iterable[UnitSeries], time_unit: str = "period",
                  covariate_names: Iterable[str] = ()):
         units = tuple(units)
         names = tuple(covariate_names)
-        seen = set()
-        treated, controls = [], []
         groups: dict[tuple, list[int]] = {}
         for i, u in enumerate(units):
-            if u.unit_id in seen:
-                raise PanelFormatError(f"duplicate unit id {u.unit_id!r}")
-            seen.add(u.unit_id)
-            if u.covariates is not None and u.covariates.shape[1] != len(names):
+            # Keying on the covariate width sends a unit whose width differs
+            # from the declared names to the block check in its own block.
+            k = len(names) if u.covariates is None else u.covariates.shape[1]
+            groups.setdefault((u.is_control, u.tau, u.times.tobytes(), k), []).append(i)
+        self._install([_cohort_block(units, positions, key[-1])
+                       for key, positions in groups.items()], time_unit, names)
+        self._units = units
+
+    @classmethod
+    def from_blocks(cls, blocks: Iterable[CohortBlock], time_unit: str = "period",
+                    covariate_names: Iterable[str] = ()) -> PanelData:
+        """A panel made of ``blocks``, with no ``UnitSeries`` built.
+
+        The blocks' positions must together form a permutation of
+        0..n-1, which fixes panel order, and their ids must be unique.
+        Treated and control blocks keep the order they are given in.
+        """
+        panel = cls.__new__(cls)
+        panel._install(tuple(blocks), time_unit, tuple(covariate_names))
+        panel._units = None
+        return panel
+
+    def _install(self, blocks: Sequence[CohortBlock], time_unit: str,
+                 names: tuple[str, ...]) -> None:
+        if not blocks:
+            raise PanelFormatError("panel has no units")
+        positions = np.concatenate([b.positions for b in blocks])
+        ids = np.concatenate([b.unit_ids for b in blocks])
+        n = positions.size
+        if not np.array_equal(np.sort(positions), np.arange(n)):
+            raise PanelFormatError("block positions must be a permutation of 0..n-1")
+        if len(set(ids.tolist())) != n:
+            seen = set()
+            for uid in ids[np.argsort(positions)]:
+                if uid in seen:
+                    raise PanelFormatError(f"duplicate unit id {uid!r}")
+                seen.add(uid)
+        for b in blocks:
+            k = 0 if b.covariates is None else b.covariates.shape[2]
+            if k != len(names):
                 raise PanelFormatError(
-                    f"unit {u.unit_id!r} carries {u.covariates.shape[1]} covariate "
+                    f"unit {b.unit_ids[0]!r} carries {k} covariate "
                     f"columns but the panel declares {len(names)}"
                 )
-            (controls if u.is_control else treated).append(u)
-            groups.setdefault((u.is_control, u.tau, u.times.tobytes()), []).append(i)
-        if not units:
-            raise PanelFormatError("panel has no units")
-        self.units = units
+        self._n = n
+        self._blocks = tuple(blocks)
+        self._dense = self._treated = self._controls = self._by_id = None
         self.time_unit = str(time_unit)
         self.covariate_names = names
-        self._by_id = {u.unit_id: u for u in units}
-        self._dense = None
-        blocks = [_cohort_block(units, positions, len(names))
-                  for positions in groups.values()]
         #: Cohort blocks of treated and of control units, each in order of
         #: first appearance.
         self.treated_blocks = tuple(b for b in blocks if not b.is_control)
         self.control_blocks = tuple(b for b in blocks if b.is_control)
-        self.treated_units = tuple(treated)
-        self.control_units = tuple(controls)
+
+    @property
+    def units(self) -> tuple[UnitSeries, ...]:
+        """Every unit in panel order; built once from the blocks if need be."""
+        if self._units is None:
+            units = [None] * self._n
+            for b in self._blocks:
+                for row, (at, uid) in enumerate(zip(b.positions.tolist(), b.unit_ids)):
+                    units[at] = UnitSeries(
+                        uid, b.times, b.outcomes[row], tau=b.tau,
+                        is_control=b.is_control,
+                        covariates=None if b.covariates is None else b.covariates[row])
+            self._units = tuple(units)
+        return self._units
+
+    @property
+    def treated_units(self) -> tuple[UnitSeries, ...]:
+        if self._treated is None:
+            self._treated = tuple(u for u in self.units if not u.is_control)
+        return self._treated
+
+    @property
+    def control_units(self) -> tuple[UnitSeries, ...]:
+        if self._controls is None:
+            self._controls = tuple(u for u in self.units if u.is_control)
+        return self._controls
 
     def __iter__(self):
         return iter(self.units)
 
     def __len__(self):
-        return len(self.units)
+        return self._n
 
     @property
     def n_units(self) -> int:
-        return len(self.units)
+        return self._n
 
     def unit(self, unit_id: str) -> UnitSeries:
+        if self._by_id is None:
+            self._by_id = {u.unit_id: u for u in self.units}
         try:
             return self._by_id[unit_id]
         except KeyError:
@@ -242,17 +335,14 @@ class PanelData:
 
     def is_balanced(self) -> bool:
         """True when every unit observes exactly the same periods."""
-        first = self.units[0].times
-        return all(
-            u.times.size == first.size and np.array_equal(u.times, first)
-            for u in self.units[1:]
-        )
+        first = self._blocks[0].times
+        return all(np.array_equal(b.times, first) for b in self._blocks[1:])
 
     def common_tau(self) -> int | None:
         """The shared treatment date, or None when dates differ or are missing."""
-        taus = {u.tau for u in self.units}
+        taus = {b.tau for b in self._blocks}
         if len(taus) == 1 and None not in taus:
-            return self.units[0].tau
+            return taus.pop()
         return None
 
     def as_matrix(self) -> tuple[np.ndarray, np.ndarray]:
@@ -260,8 +350,11 @@ class PanelData:
         if self._dense is None:
             if not self.is_balanced():
                 raise PanelFormatError("as_matrix requires a balanced panel")
-            Y = np.stack([u.outcomes for u in self.units])
-            self._dense = (self.units[0].times.copy(), Y)
+            times = self._blocks[0].times
+            Y = np.empty((self._n, times.size))
+            for b in self._blocks:
+                Y[b.positions] = b.outcomes
+            self._dense = (times.copy(), Y)
         return self._dense
 
 
@@ -433,7 +526,9 @@ def write_panel(panel: PanelData, dest) -> None:
 
     Emits ``unit,time,outcome,treated_at`` plus a ``control_flag`` column
     when any unit is a control, plus one column per covariate.  Numbers are
-    written with ``repr`` so a reload reproduces the exact float values.
+    written with ``repr`` so a reload reproduces the exact float values; a
+    unit without covariates gets blank covariate fields, which
+    ``load_panel`` reads as missing.
     """
     if hasattr(dest, "write"):
         _write_stream(panel, dest)
@@ -444,7 +539,7 @@ def write_panel(panel: PanelData, dest) -> None:
 
 def _write_stream(panel: PanelData, fh: TextIO) -> None:
     writer = csv.writer(fh, lineterminator="\n")
-    has_controls = any(u.is_control for u in panel.units)
+    has_controls = bool(panel.control_blocks)
     header = ["unit", "time", "outcome", "treated_at"]
     if has_controls:
         header.append("control_flag")
@@ -456,7 +551,9 @@ def _write_stream(panel: PanelData, fh: TextIO) -> None:
                    "" if u.tau is None else int(u.tau)]
             if has_controls:
                 row.append(int(u.is_control))
-            if panel.covariate_names:
+            if u.covariates is None:
+                row.extend("" for _ in panel.covariate_names)
+            else:
                 row.extend(repr(float(v)) for v in u.covariates[i])
             writer.writerow(row)
 

@@ -27,7 +27,7 @@ import numpy as np
 from .basis import ForecastConfig
 from .errors import ConfigError, EstimationError, RankDeficiencyError
 from .estimators import MbConfig, dfat, fat, model_based_fat, placebo_fat
-from .panel import PanelData, UnitSeries
+from .panel import CohortBlock, PanelData
 
 # A parameter that is either common to all units or drawn per unit from a
 # uniform interval (lo, hi).
@@ -124,6 +124,10 @@ def simulate_dgp(spec: DgpSpec, seed=None) -> PanelData:
 
     Draw order is fixed (mu, rho, delta, initial values, AR noise, walk
     noise), so identical seeds give bitwise-identical panels.
+
+    The outcomes are written straight into one treated and one control
+    cohort block, whose rows are views on the simulated array; no
+    ``UnitSeries`` is built unless the caller reads ``panel.units``.
     """
     rng = np.random.default_rng(seed)
     N = spec.n + spec.n_control
@@ -172,13 +176,16 @@ def simulate_dgp(spec: DgpSpec, seed=None) -> PanelData:
         Y[:spec.n] += spec.true_att * post[None, :]
 
     width = max(4, len(str(N)))
-    units = []
-    for i in range(spec.n):
-        units.append(UnitSeries(f"t{i + 1:0{width}d}", tgrid, Y[i], tau=tau))
-    for j in range(spec.n_control):
-        units.append(UnitSeries(f"c{j + 1:0{width}d}", tgrid,
-                                Y[spec.n + j], tau=tau, is_control=True))
-    return PanelData(units)
+    blocks = [CohortBlock(
+        is_control=False, tau=tau, times=tgrid, outcomes=Y[:spec.n],
+        covariates=None, positions=np.arange(spec.n),
+        unit_ids=["t" + str(i).zfill(width) for i in range(1, spec.n + 1)])]
+    if spec.n_control:
+        blocks.append(CohortBlock(
+            is_control=True, tau=tau, times=tgrid, outcomes=Y[spec.n:],
+            covariates=None, positions=np.arange(spec.n, N),
+            unit_ids=["c" + str(j).zfill(width) for j in range(1, spec.n_control + 1)]))
+    return PanelData.from_blocks(blocks)
 
 
 def analytic_mean_recursion(rho: float, delta: float, y0_mean: float, T: int,

@@ -5,9 +5,12 @@ import io
 import numpy as np
 import pytest
 
+from fatpanel import panel as panel_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.errors import ConfigError, PanelFormatError
+from fatpanel.estimators import MbConfig, model_based_fat
 from fatpanel.panel import (
+    CohortBlock,
     PanelData,
     UnitSeries,
     apply_anticipation,
@@ -17,6 +20,7 @@ from fatpanel.panel import (
     validate,
     write_panel,
 )
+from fatpanel.simulate import DgpSpec, simulate_dgp
 
 
 def unit(uid="a", times=(1, 2, 3, 4, 5, 6), tau=5, **kw):
@@ -172,6 +176,157 @@ def test_as_matrix_and_structure():
     assert ragged.common_tau() is None
     with pytest.raises(PanelFormatError):
         ragged.as_matrix()
+
+
+# ---------------------------------------------------------------------------
+# panels built from cohort blocks
+
+
+def block(ids=("a",), times=(1, 2, 3, 4, 5, 6), tau=5, is_control=False,
+          positions=None, outcomes=None, covariates=None):
+    times = np.asarray(times)
+    if outcomes is None:
+        outcomes = np.tile(np.arange(times.size, dtype=float), (len(ids), 1))
+    if positions is None:
+        positions = np.arange(len(ids))
+    return CohortBlock(is_control=is_control, tau=tau, times=times,
+                       outcomes=outcomes, covariates=covariates,
+                       positions=positions, unit_ids=list(ids))
+
+
+def refusal(build) -> str:
+    with pytest.raises(PanelFormatError) as info:
+        build()
+    return str(info.value)
+
+
+@pytest.mark.parametrize("per_unit, from_blocks", [
+    (lambda: PanelData([unit("a"), unit("b"), unit("a", is_control=True)]),
+     lambda: PanelData.from_blocks([block(("a", "b")),
+                                    block(("a",), is_control=True, positions=[2])])),
+    (lambda: PanelData([unit("a", times=(1, 3, 2, 4))]),
+     lambda: PanelData.from_blocks([block(times=(1, 3, 2, 4))])),
+    (lambda: PanelData([unit("a", outcomes=np.zeros(5))]),
+     lambda: PanelData.from_blocks([block(outcomes=np.zeros((1, 5)))])),
+    (lambda: PanelData([unit("a"), unit("b", tau=None)]),
+     lambda: PanelData.from_blocks([block(), block(("b",), tau=None, positions=[1])])),
+    (lambda: PanelData([unit("a", covariates=np.zeros((6, 2)))],
+                       covariate_names=("x",)),
+     lambda: PanelData.from_blocks([block(covariates=np.zeros((1, 6, 2)))],
+                                   covariate_names=("x",))),
+    (lambda: PanelData([unit("a", covariates=np.zeros((6, 1)))]),
+     lambda: PanelData.from_blocks([block(covariates=np.zeros((1, 6, 1)))])),
+], ids=["duplicate_id", "times_not_increasing", "misshapen_outcomes",
+        "treated_without_tau", "covariate_width", "undeclared_covariates"])
+def test_from_blocks_refuses_with_the_per_unit_message(per_unit, from_blocks):
+    assert refusal(from_blocks) == refusal(per_unit)
+
+
+@pytest.mark.parametrize("layout", [[[0, 2]], [[0], [0]], [[1], [2]], [[-1, 0]]])
+def test_from_blocks_refuses_positions_that_are_not_a_permutation(layout):
+    blocks = [block([f"u{k}_{p}" for p in positions], positions=positions)
+              for k, positions in enumerate(layout)]
+    with pytest.raises(PanelFormatError, match="permutation of 0..n-1"):
+        PanelData.from_blocks(blocks)
+
+
+def test_from_blocks_refuses_no_blocks():
+    assert refusal(lambda: PanelData.from_blocks([])) == refusal(lambda: PanelData([]))
+
+
+def block_panel():
+    rng = np.random.default_rng(8)
+    cov = rng.normal(size=(2, 6, 1))
+    cov[1] = np.nan
+    return PanelData.from_blocks([
+        block(("t1", "t3"), positions=[0, 3], outcomes=rng.normal(size=(2, 6)),
+              covariates=cov),
+        block(("c1",), is_control=True, tau=None, positions=[1],
+              outcomes=rng.normal(size=(1, 6)), covariates=np.full((1, 6, 1), 1.5)),
+        block(("t2",), times=(2, 3, 4, 5), tau=4, positions=[2],
+              outcomes=rng.normal(size=(1, 4)), covariates=rng.normal(size=(1, 4, 1))),
+    ], covariate_names=("x",))
+
+
+def assert_blocks_equal(a, b):
+    assert len(a) == len(b)
+    for ba, bb in zip(a, b):
+        assert (ba.is_control, ba.tau) == (bb.is_control, bb.tau)
+        assert ba.times.tolist() == bb.times.tolist()
+        assert ba.positions.tolist() == bb.positions.tolist()
+        assert ba.unit_ids.tolist() == bb.unit_ids.tolist()
+        np.testing.assert_array_equal(ba.outcomes, bb.outcomes)
+        if ba.covariates is None:
+            assert bb.covariates is None
+        else:
+            np.testing.assert_array_equal(ba.covariates, bb.covariates)
+
+
+def test_block_panel_units_rebuild_the_same_blocks():
+    panel = block_panel()
+    assert [u.unit_id for u in panel.units] == ["t1", "c1", "t2", "t3"]
+    assert [u.unit_id for u in panel.treated_units] == ["t1", "t2", "t3"]
+    assert [u.unit_id for u in panel.control_units] == ["c1"]
+    t3 = panel.unit("t3")
+    assert np.shares_memory(t3.outcomes, panel.treated_blocks[0].outcomes)
+    assert t3.tau == 5 and not t3.is_control
+    rebuilt = PanelData(panel.units, covariate_names=panel.covariate_names)
+    assert_blocks_equal(rebuilt.treated_blocks, panel.treated_blocks)
+    assert_blocks_equal(rebuilt.control_blocks, panel.control_blocks)
+
+
+def test_unit_panel_keeps_the_given_objects():
+    units = [unit("a"), unit("b", is_control=True), unit("c", tau=4)]
+    panel = PanelData(units)
+    assert all(p is u for p, u in zip(panel.units, units))
+    assert panel.unit("c") is units[2]
+    assert panel.control_units[0] is units[1]
+
+
+def test_block_panel_structure_answers_without_units(monkeypatch):
+    panel = block_panel()
+
+    def refuse(self):
+        raise AssertionError("UnitSeries built")
+
+    monkeypatch.setattr(panel_module.UnitSeries, "__post_init__", refuse)
+    assert len(panel) == panel.n_units == 4
+    assert not panel.is_balanced()
+    assert panel.common_tau() is None
+    balanced = simulate_dgp(DgpSpec(n=3, n_control=2, T=5, tau=3), 4)
+    assert balanced.is_balanced() and balanced.common_tau() == 3
+    times, Y = balanced.as_matrix()
+    assert times.tolist() == [1, 2, 3, 4, 5] and Y.shape == (5, 5)
+    with pytest.raises(AssertionError, match="UnitSeries built"):
+        balanced.units
+
+
+def test_simulated_panel_round_trips_bit_exactly():
+    panel = simulate_dgp(DgpSpec(n=40, n_control=25, T=7, tau=4, include_walk=True,
+                                 include_trend=True, delta=(0.0, 2.0),
+                                 true_att=0.7, common_shock=1.3), 11)
+    text = panel_to_csv_text(panel)
+    loaded = load_panel(io.StringIO(text))
+    assert_blocks_equal(loaded.treated_blocks, panel.treated_blocks)
+    assert_blocks_equal(loaded.control_blocks, panel.control_blocks)
+    assert_panels_equal(loaded, panel)
+    assert panel_to_csv_text(loaded) == text
+
+
+def test_unit_without_covariates_writes_blank_fields():
+    t = np.arange(8.0)
+    units = [UnitSeries("a", np.arange(8), t + np.sin(t), tau=5,
+                        covariates=np.sin(t)[:, None]),
+             UnitSeries("b", np.arange(8), t + 1.0, tau=5)]
+    panel = PanelData(units, covariate_names=("x",))
+    text = panel_to_csv_text(panel)
+    assert text.splitlines()[9] == "b,0,1.0,5,"
+    loaded = load_panel(io.StringIO(text))
+    assert np.isnan(loaded.unit("b").covariates).all()
+    mb = MbConfig(q=1, R=4, covariates=("x",), first_stage="user", beta=(0.3, 1.0))
+    est = model_based_fat(loaded, mb, h=1)
+    assert est.unit_ids == ("a",)
+    assert est.dropped == (("b", "incomplete covariates on the window or target"),)
 
 
 def test_validate_flags_short_and_gapped_windows():

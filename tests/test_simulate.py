@@ -11,9 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from fatpanel import panel as panel_module
+from fatpanel import simulate as simulate_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.errors import ConfigError
 from fatpanel.estimators import fat
+from fatpanel.panel import PanelData, UnitSeries
 from fatpanel.simulate import (
     PRESET_NAMES,
     DgpSpec,
@@ -392,3 +395,112 @@ def test_shock_preset_has_controls_and_differenced_cell():
     assert spec.n == 500 and spec.n_control == 500
     assert spec.common_shock == 2.0 and spec.true_att == 0.0
     assert {c.estimator for c in cells} == {"pr", "dfat"}
+
+
+# ---------------------------------------------------------------------------
+# simulating straight into cohort blocks
+
+
+def simulate_per_unit(spec, seed):
+    """The simulator as one validated ``UnitSeries`` per unit, stacked back
+    into blocks by ``PanelData``: the reference for ``simulate_dgp``."""
+    rng = np.random.default_rng(seed)
+    N = spec.n + spec.n_control
+    T, tau = spec.T, spec.tau
+    law = lambda v: (rng.uniform(v[0], v[1], size=N) if isinstance(v, tuple)
+                     else np.full(N, float(v)))
+    mu, rho, delta = law(spec.mu), law(spec.rho), law(spec.delta)
+    if spec.init_mode == "stationary":
+        init_mean, init_sd = mu / (1.0 - rho), 1.0 / np.sqrt(1.0 - rho ** 2)
+    else:
+        init_mean, init_sd = np.full(N, 1.0), np.full(N, math.sqrt(2.0))
+    y_init = init_mean + init_sd * rng.standard_normal(N)
+    tgrid = np.arange(1, T + 1)
+    trend_vals = tgrid.astype(float) ** spec.trend_power
+    if spec.trend_mode == "recursive":
+        u = rng.standard_normal((N, T))
+        Y = np.empty((N, T))
+        prev = y_init
+        for t in range(1, T + 1):
+            prev = mu + rho * prev + delta * trend_vals[t - 1] + u[:, t - 1]
+            Y[:, t - 1] = prev
+    else:
+        Y = np.zeros((N, T))
+        if spec.include_ar:
+            u = rng.standard_normal((N, T))
+            prev = y_init
+            for t in range(1, T + 1):
+                prev = mu + rho * prev + u[:, t - 1]
+                Y[:, t - 1] += prev
+        if spec.include_walk:
+            Y += np.cumsum(rng.standard_normal((N, T)), axis=1)
+        if spec.include_trend:
+            Y += delta[:, None] * trend_vals[None, :]
+    post = (tgrid > tau).astype(float)
+    if spec.common_shock:
+        Y += spec.common_shock * post[None, :]
+    if spec.true_att:
+        Y[:spec.n] += spec.true_att * post[None, :]
+    width = max(4, len(str(N)))
+    units = [UnitSeries(f"t{i + 1:0{width}d}", tgrid, Y[i], tau=tau)
+             for i in range(spec.n)]
+    units += [UnitSeries(f"c{j + 1:0{width}d}", tgrid, Y[spec.n + j], tau=tau,
+                         is_control=True) for j in range(spec.n_control)]
+    return PanelData(units)
+
+
+def refuse_unit_series(monkeypatch):
+    def refuse(self):
+        raise AssertionError("UnitSeries built")
+
+    monkeypatch.setattr(panel_module.UnitSeries, "__post_init__", refuse)
+
+
+SPECS = {name: preset(name)[0] for name in PRESET_NAMES}
+SPECS["mixed_small"] = DgpSpec(n=7, n_control=3, T=8, tau=3, include_walk=True,
+                               include_trend=True, rho=(0.0, 0.5), true_att=0.25,
+                               common_shock=-1.0, trend_power=2)
+
+
+@pytest.mark.parametrize("name", list(SPECS))
+def test_simulate_dgp_matches_the_per_unit_construction(name, monkeypatch):
+    spec = SPECS[name]
+    expected = simulate_per_unit(spec, 31)
+    refuse_unit_series(monkeypatch)
+    panel = simulate_dgp(spec, 31)
+    got_blocks = panel.treated_blocks + panel.control_blocks
+    want_blocks = expected.treated_blocks + expected.control_blocks
+    assert len(panel.treated_blocks) == 1
+    assert len(panel.control_blocks) == int(spec.n_control > 0)
+    assert len(got_blocks) == len(want_blocks)
+    for got, want in zip(got_blocks, want_blocks):
+        assert (got.is_control, got.tau) == (want.is_control, want.tau)
+        assert got.covariates is None and want.covariates is None
+        assert got.times.tolist() == want.times.tolist()
+        assert got.positions.tolist() == want.positions.tolist()
+        assert got.unit_ids.tolist() == want.unit_ids.tolist()
+        assert got.outcomes.tobytes() == want.outcomes.tobytes()
+        assert got.outcomes.shape == want.outcomes.shape
+    # The blocks are rows of one simulated array, not copies of it.
+    assert all(b.outcomes.base is got_blocks[0].outcomes.base for b in got_blocks)
+    assert len(panel) == len(expected)
+    assert panel.common_tau() == expected.common_tau() == spec.tau
+    assert panel.is_balanced()
+    monkeypatch.undo()
+    assert [(u.unit_id, u.tau, u.is_control) for u in panel.units] == \
+        [(u.unit_id, u.tau, u.is_control) for u in expected.units]
+    assert all(a.outcomes.tobytes() == b.outcomes.tobytes()
+               for a, b in zip(panel.units, expected.units))
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_monte_carlo_report_equals_the_report_on_per_unit_panels(name, monkeypatch):
+    spec, cells = preset(name)
+    with monkeypatch.context() as m:
+        refuse_unit_series(m)
+        report = run_monte_carlo(spec, cells, 3, 5, preset=name)
+    simulate = simulate_module.simulate_dgp
+    monkeypatch.setattr(simulate_module, "simulate_dgp",
+                        lambda s, seed: PanelData(list(simulate(s, seed).units)))
+    rebuilt = run_monte_carlo(spec, cells, 3, 5, preset=name)
+    assert report.to_json() == rebuilt.to_json()

@@ -33,6 +33,7 @@ block of thousands.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
@@ -252,6 +253,13 @@ def mb_variance(residuals, gradients, psi) -> float:
 def _zscore(level: float) -> float:
     if not 0.0 < level < 1.0:
         raise ConfigError("confidence level must be in (0, 1)")
+    return _normal_quantile(level)
+
+
+# ``norm.ppf`` costs far more than the interval it serves; typed, so a
+# float32 level keeps its own float32 quantile.
+@functools.lru_cache(maxsize=32, typed=True)
+def _normal_quantile(level: float) -> float:
     return float(norm.ppf(0.5 * (1.0 + level)))
 
 

@@ -14,7 +14,8 @@ Times and treatment dates are integers, outcomes and covariates decimal
 numbers with "." as the decimal mark, encoding UTF-8.  Outcomes must be
 finite; a blank covariate field means the value is missing.  ``write_panel``
 emits exactly this layout so that a write/load round trip reproduces the
-panel bit for bit.
+panel bit for bit.  ``csvrows`` reads the text into checked, sorted column
+arrays, which ``load_panel`` groups into cohort blocks.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
-import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -30,11 +30,8 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .basis import ForecastConfig
+from .csvrows import read_rows
 from .errors import ConfigError, PanelFormatError
-
-_SCHEMA_KEYS = ("unit", "time", "outcome", "treated_at", "control_flag")
-_TRUE_FLAGS = {"1", "true", "t", "yes"}
-_FALSE_FLAGS = {"0", "false", "f", "no", ""}
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,49 +355,6 @@ class PanelData:
         return self._dense
 
 
-def _resolve_schema(schema: Mapping[str, object] | None, header: list[str]):
-    mapping = {k: k for k in _SCHEMA_KEYS}
-    covariates = None
-    if schema:
-        unknown = set(schema) - set(_SCHEMA_KEYS) - {"covariates"}
-        if unknown:
-            raise ConfigError(f"unknown schema keys: {sorted(unknown)}")
-        for k in _SCHEMA_KEYS:
-            if k in schema:
-                mapping[k] = str(schema[k])
-        if "covariates" in schema:
-            covariates = [str(c) for c in schema["covariates"]]
-    for k in ("unit", "time", "outcome"):
-        if mapping[k] not in header:
-            raise PanelFormatError(f"missing required column {mapping[k]!r}")
-    if mapping["treated_at"] not in header and mapping["control_flag"] not in header:
-        raise PanelFormatError(
-            f"need a {mapping['treated_at']!r} or {mapping['control_flag']!r} column"
-        )
-    if covariates is None:
-        known = {mapping[k] for k in _SCHEMA_KEYS}
-        covariates = [c for c in header if c not in known]
-    else:
-        for c in covariates:
-            if c not in header:
-                raise PanelFormatError(f"missing covariate column {c!r}")
-    return mapping, covariates
-
-
-def _parse_int(value: str, what: str, row: int) -> int:
-    try:
-        return int(value)
-    except ValueError:
-        raise PanelFormatError(f"row {row}: {what} {value!r} is not an integer") from None
-
-
-def _parse_float(value: str, what: str, row: int) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise PanelFormatError(f"row {row}: {what} {value!r} is not a number") from None
-
-
 def load_panel(source, schema: Mapping[str, object] | None = None,
                time_unit: str = "period") -> PanelData:
     """Read a panel from a delimited text file or stream.
@@ -416,13 +370,24 @@ def load_panel(source, schema: Mapping[str, object] | None = None,
     time_unit : str
         Informational label stored on the panel.
 
+    The rows are read in slices of a fixed number of records and turned
+    into columns at once, so a load never holds the text of the whole
+    file.  Each unit's rows are sorted by time and the units grouped into
+    cohort blocks, in order of first appearance, and the panel is built
+    from those blocks: no ``UnitSeries`` is made until ``units`` is read,
+    and then as views on the block rows.  Blank rows are skipped but
+    counted in the row numbers of messages.
+
     Raises
     ------
     PanelFormatError
         On missing columns, non-numeric fields, an outcome that is not
         finite (``nan``, ``inf``), duplicate (unit, time)
         observations, inconsistent treatment dates within a unit, or a unit
-        that has neither a treatment date nor a control flag.
+        that has neither a treatment date nor a control flag.  The error
+        names the first offending row in file order, and a row's checks
+        run in that order: field count, time, outcome, treatment date,
+        control flag, agreement with the unit's earlier rows, covariates.
     """
     if hasattr(source, "read"):
         return _load_stream(source, schema, time_unit)
@@ -431,94 +396,23 @@ def load_panel(source, schema: Mapping[str, object] | None = None,
 
 
 def _load_stream(fh: TextIO, schema, time_unit) -> PanelData:
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise PanelFormatError("empty input: no header row") from None
-    mapping, covariate_cols = _resolve_schema(schema, header)
-    col = {name: i for i, name in enumerate(header)}
-    iu, it, iy = col[mapping["unit"]], col[mapping["time"]], col[mapping["outcome"]]
-    ita = col.get(mapping["treated_at"])
-    icf = col.get(mapping["control_flag"])
-    icov = [col[c] for c in covariate_cols]
-
-    rows_by_unit: dict[str, list] = {}
-    taus: dict[str, int | None] = {}
-    flags: dict[str, bool] = {}
-    seen_times: dict[str, set[int]] = {}
-    for rownum, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) != len(header):
-            raise PanelFormatError(
-                f"row {rownum}: expected {len(header)} fields, got {len(row)}"
-            )
-        uid = row[iu]
-        t = _parse_int(row[it], "time", rownum)
-        y = _parse_float(row[iy], "outcome", rownum)
-        if not math.isfinite(y):
-            raise PanelFormatError(f"row {rownum}: outcome {row[iy]!r} is not finite")
-
-        tau = None
-        if ita is not None and row[ita].strip() != "":
-            tau = _parse_int(row[ita], "treatment date", rownum)
-        ctrl = False
-        if icf is not None:
-            raw = row[icf].strip().lower()
-            if raw in _TRUE_FLAGS:
-                ctrl = True
-            elif raw not in _FALSE_FLAGS:
-                raise PanelFormatError(f"row {rownum}: bad control flag {row[icf]!r}")
-
-        if uid not in rows_by_unit:
-            rows_by_unit[uid] = []
-            taus[uid] = tau
-            flags[uid] = ctrl
-            seen_times[uid] = set()
-        else:
-            if taus[uid] != tau:
-                raise PanelFormatError(
-                    f"row {rownum}: unit {uid!r} has inconsistent treatment dates"
-                )
-            if flags[uid] != ctrl:
-                raise PanelFormatError(
-                    f"row {rownum}: unit {uid!r} has inconsistent control flags"
-                )
-        if t in seen_times[uid]:
-            raise PanelFormatError(f"row {rownum}: duplicate observation ({uid!r}, {t})")
-        seen_times[uid].add(t)
-        cov = None
-        if icov:
-            cov = [
-                _parse_float(row[i], f"covariate {header[i]!r}", rownum)
-                if row[i].strip() != "" else float("nan")
-                for i in icov
-            ]
-        rows_by_unit[uid].append((t, y, cov))
-
-    if not rows_by_unit:
-        raise PanelFormatError("input has a header but no data rows")
-
-    units = []
-    for uid, rows in rows_by_unit.items():
-        if taus[uid] is None and not flags[uid]:
-            raise PanelFormatError(
-                f"unit {uid!r} has no treatment date and is not flagged as control"
-            )
-        rows.sort(key=lambda r: r[0])
-        times = np.array([r[0] for r in rows], dtype=int)
-        outcomes = np.array([r[1] for r in rows], dtype=float)
-        cov = None
-        if icov:
-            cov = np.array([r[2] for r in rows], dtype=float)
-        units.append(
-            UnitSeries(
-                unit_id=uid, times=times, outcomes=outcomes, tau=taus[uid],
-                is_control=flags[uid], covariates=cov,
-            )
-        )
-    return PanelData(units, time_unit=time_unit, covariate_names=covariate_cols)
+    rows = read_rows(fh, schema)
+    lengths = np.diff(np.r_[rows.starts, rows.times.size])
+    groups: dict[tuple, list[int]] = {}
+    for code, (s, m) in enumerate(zip(rows.starts.tolist(), lengths.tolist())):
+        key = (rows.flags[code], rows.taus[code], rows.times[s:s + m].tobytes())
+        groups.setdefault(key, []).append(code)
+    ids = np.array(rows.unit_ids, dtype=object)
+    blocks = []
+    for (is_control, tau, _), codes in groups.items():
+        codes = np.array(codes)
+        at = rows.starts[codes][:, None] + np.arange(lengths[codes[0]])
+        blocks.append(CohortBlock(
+            is_control=is_control, tau=tau, times=rows.times[at[0]],
+            outcomes=rows.outcomes[at],
+            covariates=rows.covariates[at] if rows.covariate_names else None,
+            positions=codes, unit_ids=ids[codes]))
+    return PanelData.from_blocks(blocks, time_unit, rows.covariate_names)
 
 
 def write_panel(panel: PanelData, dest) -> None:
@@ -581,9 +475,7 @@ class UnitDiagnostics:
     messages: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["messages"] = list(self.messages)
-        return d
+        return {**vars(self), "messages": list(self.messages)}
 
 
 @dataclass(frozen=True)

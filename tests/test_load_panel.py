@@ -1,0 +1,436 @@
+"""Property tests: the column-wise ``load_panel`` against a row-by-row oracle.
+
+The oracle below parses the text one record at a time into per-unit lists
+and sets, checks every record as it arrives, and builds one validated
+``UnitSeries`` per unit, exactly as the loader is documented to behave.
+Generated CSV text (quoted ids with commas, blank and whitespace-only
+lines, padded integers, shuffled rows, controls with and without a date,
+blank covariates, faults of every kind spread over the file) is read by
+both with small slice sizes, so slice boundaries fall everywhere.  Valid
+input must give bit-identical cohort blocks, faulty input the same error.
+"""
+
+import csv
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from fatpanel import csvrows
+from fatpanel import panel as panel_module
+from fatpanel.cli import main
+from fatpanel.csvrows import _FALSE_FLAGS, _TRUE_FLAGS, _resolve_schema
+from fatpanel.errors import PanelFormatError
+from fatpanel.panel import (PanelData, UnitSeries, load_panel, panel_to_csv_text,
+                            write_panel)
+from fatpanel.simulate import DgpSpec, simulate_dgp
+
+
+# ---------------------------------------------------------------------------
+# the row-by-row oracle
+
+
+def _parse_int(value: str, what: str, row: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise PanelFormatError(f"row {row}: {what} {value!r} is not an integer") from None
+
+
+def _parse_float(value: str, what: str, row: int) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise PanelFormatError(f"row {row}: {what} {value!r} is not a number") from None
+
+
+def oracle_load(text, schema=None, time_unit="period"):
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise PanelFormatError("empty input: no header row") from None
+    mapping, covariate_cols = _resolve_schema(schema, header)
+    col = {name: i for i, name in enumerate(header)}
+    iu, it, iy = col[mapping["unit"]], col[mapping["time"]], col[mapping["outcome"]]
+    ita = col.get(mapping["treated_at"])
+    icf = col.get(mapping["control_flag"])
+    icov = [col[c] for c in covariate_cols]
+
+    rows_by_unit: dict[str, list] = {}
+    taus: dict[str, int | None] = {}
+    flags: dict[str, bool] = {}
+    seen_times: dict[str, set[int]] = {}
+    for rownum, row in enumerate(reader, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != len(header):
+            raise PanelFormatError(
+                f"row {rownum}: expected {len(header)} fields, got {len(row)}"
+            )
+        uid = row[iu]
+        t = _parse_int(row[it], "time", rownum)
+        y = _parse_float(row[iy], "outcome", rownum)
+        if not math.isfinite(y):
+            raise PanelFormatError(f"row {rownum}: outcome {row[iy]!r} is not finite")
+
+        tau = None
+        if ita is not None and row[ita].strip() != "":
+            tau = _parse_int(row[ita], "treatment date", rownum)
+        ctrl = False
+        if icf is not None:
+            raw = row[icf].strip().lower()
+            if raw in _TRUE_FLAGS:
+                ctrl = True
+            elif raw not in _FALSE_FLAGS:
+                raise PanelFormatError(f"row {rownum}: bad control flag {row[icf]!r}")
+
+        if uid not in rows_by_unit:
+            rows_by_unit[uid] = []
+            taus[uid] = tau
+            flags[uid] = ctrl
+            seen_times[uid] = set()
+        else:
+            if taus[uid] != tau:
+                raise PanelFormatError(
+                    f"row {rownum}: unit {uid!r} has inconsistent treatment dates"
+                )
+            if flags[uid] != ctrl:
+                raise PanelFormatError(
+                    f"row {rownum}: unit {uid!r} has inconsistent control flags"
+                )
+        if t in seen_times[uid]:
+            raise PanelFormatError(f"row {rownum}: duplicate observation ({uid!r}, {t})")
+        seen_times[uid].add(t)
+        cov = None
+        if icov:
+            cov = [
+                _parse_float(row[i], f"covariate {header[i]!r}", rownum)
+                if row[i].strip() != "" else float("nan")
+                for i in icov
+            ]
+        rows_by_unit[uid].append((t, y, cov))
+
+    if not rows_by_unit:
+        raise PanelFormatError("input has a header but no data rows")
+
+    units = []
+    for uid, rows in rows_by_unit.items():
+        if taus[uid] is None and not flags[uid]:
+            raise PanelFormatError(
+                f"unit {uid!r} has no treatment date and is not flagged as control"
+            )
+        rows.sort(key=lambda r: r[0])
+        times = np.array([r[0] for r in rows], dtype=int)
+        outcomes = np.array([r[1] for r in rows], dtype=float)
+        cov = None
+        if icov:
+            cov = np.array([r[2] for r in rows], dtype=float)
+        units.append(
+            UnitSeries(
+                unit_id=uid, times=times, outcomes=outcomes, tau=taus[uid],
+                is_control=flags[uid], covariates=cov,
+            )
+        )
+    return PanelData(units, time_unit=time_unit, covariate_names=covariate_cols)
+
+
+# ---------------------------------------------------------------------------
+# comparison
+
+
+def outcome(load):
+    """The loaded panel, or the (type, message) of what the load raised."""
+    try:
+        return load()
+    except Exception as exc:  # the loaders must fail the same way, whatever the type
+        return type(exc), str(exc)
+
+
+def assert_blocks_identical(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.is_control, a.tau) == (b.is_control, b.tau)
+        assert type(a.tau) is type(b.tau)
+        assert a.unit_ids.tolist() == b.unit_ids.tolist()
+        assert a.positions.tolist() == b.positions.tolist()
+        for x, y in ((a.times, b.times), (a.outcomes, b.outcomes)):
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+        if b.covariates is None:
+            assert a.covariates is None
+        else:
+            assert a.covariates.shape == b.covariates.shape
+            assert a.covariates.tobytes() == b.covariates.tobytes()
+
+
+def assert_same_panel(got, want):
+    assert (got.time_unit, got.covariate_names) == (want.time_unit, want.covariate_names)
+    assert len(got) == len(want)
+    assert_blocks_identical(got.treated_blocks, want.treated_blocks)
+    assert_blocks_identical(got.control_blocks, want.control_blocks)
+
+
+def assert_loads_like_oracle(text, slice_rows):
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csvrows, "_SLICE_ROWS", slice_rows)
+        got = outcome(lambda: load_panel(io.StringIO(text, newline="")))
+    want = outcome(lambda: oracle_load(text))
+    if isinstance(want, PanelData):
+        assert isinstance(got, PanelData), got
+        assert_same_panel(got, want)
+    else:
+        assert got == want
+    return want
+
+
+# ---------------------------------------------------------------------------
+# generated CSV text
+
+IDS = ["a", "b,1", 'q"x', " padded ", "7", "long id with, commas", "", "é"]
+FAULTS = ("width", "time", "outcome", "nonfinite", "date", "flag", "date_mismatch",
+          "flag_mismatch", "duplicate", "covariate", "orphan")
+SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def padded_int(draw, value):
+    text = draw(st.sampled_from([str(value), f"+{value}" if value >= 0 else str(value),
+                                 f"0{value}" if value >= 0 else str(value)]))
+    return draw(SPACES) + text + draw(SPACES)
+
+
+@st.composite
+def number(draw):
+    x = draw(st.floats(allow_nan=False, allow_infinity=False, width=64))
+    text = draw(st.sampled_from([repr(x), f"{x:.6g}", f"{x:e}"]))
+    return draw(SPACES) + text + draw(SPACES)
+
+
+@st.composite
+def csv_cases(draw):
+    """(text, slice_rows): a panel CSV with up to four faults injected."""
+    has_flag = draw(st.booleans())
+    n_cov = draw(st.integers(0, 2))
+    header = ["unit", "time", "outcome", "treated_at"]
+    if has_flag:
+        header.append("control_flag")
+    header += [f"x{k}" for k in range(n_cov)]
+    ids = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=5, unique=True))
+    rows = []
+    for uid in ids:
+        control = has_flag and draw(st.booleans())
+        tau = None if control and draw(st.booleans()) else draw(st.integers(-3, 12))
+        flag = (draw(st.sampled_from(["1", "true", "T", " yes "])) if control else
+                draw(st.sampled_from(["0", "false", "", "No"])))
+        times = draw(st.lists(st.integers(-5, 15), min_size=1, max_size=8, unique=True))
+        for t in times:
+            row = [uid, draw(padded_int(t)), draw(number()),
+                   "" if tau is None else draw(padded_int(tau))]
+            if has_flag:
+                row.append(flag)
+            row += [draw(st.sampled_from(["", " ", "nan"])) if draw(st.booleans())
+                    else draw(number()) for _ in range(n_cov)]
+            rows.append(row)
+    rows = draw(st.permutations(rows))
+    faults = draw(st.lists(st.sampled_from(FAULTS), max_size=4))
+    for kind in faults:
+        i = draw(st.integers(0, len(rows) - 1))
+        row = rows[i] = list(rows[i])
+        if kind == "width":
+            rows[i] = row[:-1] if draw(st.booleans()) else row + ["1"]
+        elif kind == "time":
+            row[1] = draw(st.sampled_from(["1.5", "x", "", " "]))
+        elif kind == "outcome":
+            row[2] = draw(st.sampled_from(["abc", "", "1,5"]))
+        elif kind == "nonfinite":
+            row[2] = draw(st.sampled_from(["nan", " inf", "-Infinity", "1e999"]))
+        elif kind == "date":
+            row[3] = draw(st.sampled_from(["5.0", "z", "1e3"]))
+        elif kind == "flag" and has_flag:
+            row[4] = draw(st.sampled_from(["maybe", "2", "-"]))
+        elif kind == "date_mismatch":
+            row[3] = draw(st.sampled_from(["", "13", "-4"]))
+        elif kind == "flag_mismatch" and has_flag:
+            row[4] = "0" if row[4].strip().lower() in _TRUE_FLAGS else "yes"
+        elif kind == "duplicate":
+            j = draw(st.integers(0, len(rows)))
+            rows.insert(j, row[:1] + [row[1].strip()] + ["0.5"] + row[3:])
+        elif kind == "covariate" and n_cov:
+            row[-1] = draw(st.sampled_from(["q", "1..2"]))
+        elif kind == "orphan":
+            rows.append([draw(st.sampled_from(["orphan", "a"])), "1", "1.0", ""]
+                        + (["0"] if has_flag else []) + [""] * n_cov)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        blank = draw(st.sampled_from([None, None, None, "\n", "   \n", " , ,\n",
+                                      ", " * (len(header) - 1) + "\n"]))
+        if blank is not None:
+            out.write(blank)
+        writer.writerow(row)
+    slice_rows = draw(st.sampled_from([1, 2, 3, 5, 8, 1024]))
+    return out.getvalue(), slice_rows
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=csv_cases())
+def test_load_matches_row_oracle(case):
+    text, slice_rows = case
+    assert_loads_like_oracle(text, slice_rows)
+
+
+# One bad row per fault kind, then rows that break two checks at once.
+BAD_ROWS = {
+    "width": "u11,5,1.0,2,0", "time": "u11,x,1.0,2,0,", "outcome": "u11,5,abc,2,0,",
+    "nonfinite": "u11,5,nan,2,0,", "date": "u11,5,1.0,2.5,0,",
+    "flag": "u11,5,1.0,2,maybe,", "date_mismatch": "u11,5,1.0,3,0,",
+    "flag_mismatch": "u11,5,1.0,2,1,", "duplicate": "u11,3,9.0,2,0,",
+    "covariate": "u11,5,1.0,2,0,q", "orphan": "w,1,1.0,,0,",
+    "time_and_outcome": "u11,x,abc,2,0,", "nonfinite_and_date": "u11,5,inf,2.5,0,",
+    "nonfinite_and_covariate": "u11,5,nan,2,0,q", "date_and_flag_mismatch": "u11,5,1.0,3,1,",
+    "date_mismatch_and_covariate": "u11,5,1.0,3,0,q", "duplicate_and_covariate": "u11,3,1.0,2,0,q",
+    "two_nonfinite": "u11,5,nan,2,0,\nu10,5,-inf,2,0,",
+    "two_orphans": "w,1,1.0,,0,\nv,1,1.0,,0,", "early_date_mismatch": "u11,0,1.0,3,0,",
+    "blank_then_date_mismatch": " , , , , , \nu11,5,1.0,3,0,",
+}
+
+
+def fault_text(bad_row):
+    """A valid 12-unit panel with ``bad_row`` near its end."""
+    lines = ["unit,time,outcome,treated_at,control_flag,x"]
+    for k in range(12):
+        for t in range(1, 4):
+            lines.append(f"u{k},{t},{k + t / 8},{'' if k % 4 == 0 else 2},"
+                         f"{int(k % 4 == 0)},{'' if t == 2 else t}")
+    lines.insert(len(lines) - 2, bad_row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("slice_rows", [1, 4, 1024])
+@pytest.mark.parametrize("kind", BAD_ROWS)
+def test_every_fault_kind_is_refused_like_the_oracle(kind, slice_rows):
+    want = assert_loads_like_oracle(fault_text(BAD_ROWS[kind]), slice_rows)
+    assert want[0] is PanelFormatError
+
+
+def test_the_rows_before_a_parse_failure_are_checked_first():
+    # An inconsistent date in the first slice beats a bad time in the second.
+    n = csvrows._SLICE_ROWS
+    lines = ["unit,time,outcome,treated_at"]
+    lines += [f"u{i // 4},{i % 4},1.0,5" for i in range(n + 20)]
+    lines[11] = "u2,2,1.0,6"
+    lines[n + 6] = "u999,x,1.0,5"
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(PanelFormatError) as info:
+        load_panel(io.StringIO(text))
+    assert str(info.value) == "row 12: unit 'u2' has inconsistent treatment dates"
+    assert outcome(lambda: oracle_load(text)) == (PanelFormatError, str(info.value))
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+def test_a_duplicate_names_its_second_occurrence(slice_rows):
+    text = ("unit,time,outcome,treated_at\n"
+            "a,1,1.0,3\na,2,2.0,3\nb,1,1.0,3\na,1,9.0,3\nb,2,1.0,3\na,1,8.0,3\n")
+    want = assert_loads_like_oracle(text, slice_rows)
+    assert want == (PanelFormatError, "row 5: duplicate observation ('a', 1)")
+
+
+def test_a_reader_error_comes_after_the_rows_before_it():
+    text = ("unit,time,outcome,treated_at\na,1,1.0,3\na,2,2.0,4\n"
+            "a,3," + "9" * (csv.field_size_limit() + 1) + ",3\n")
+    for slice_rows in (1, 1024):
+        assert assert_loads_like_oracle(text, slice_rows) == (
+            PanelFormatError, "row 3: unit 'a' has inconsistent treatment dates")
+    text = text.replace("a,2,2.0,4", "a,2,2.0,3")
+    got = assert_loads_like_oracle(text, 1024)
+    assert got[0] is csv.Error
+
+
+def test_a_load_larger_than_one_slice_matches_the_oracle():
+    panel = simulate_dgp(DgpSpec(n=300, n_control=120, T=6, tau=3), 4)
+    rows = panel_to_csv_text(panel).splitlines()
+    rng = np.random.default_rng(0)
+    body = [rows[i] for i in rng.permutation(np.arange(1, len(rows)))]
+    assert len(body) > csvrows._SLICE_ROWS
+    text = "\n".join([rows[0]] + body) + "\n"
+    assert_loads_like_oracle(text, csvrows._SLICE_ROWS)
+
+
+# ---------------------------------------------------------------------------
+# write_panel -> load_panel round trip
+
+
+@st.composite
+def random_panels(draw):
+    n_cov = draw(st.integers(0, 2))
+    floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    units = []
+    for k in range(draw(st.integers(1, 8))):
+        control = draw(st.booleans())
+        tau = None if control and draw(st.booleans()) else draw(st.integers(-20, 20))
+        times = sorted(draw(st.lists(st.integers(-10, 30), min_size=1, max_size=9,
+                                     unique=True)))
+        n = len(times)
+        cov = None
+        if n_cov and draw(st.integers(0, 3)):
+            cov = np.array(draw(st.lists(st.one_of(floats, st.just(math.nan)),
+                                         min_size=n * n_cov, max_size=n * n_cov)))
+            cov = cov.reshape(n, n_cov)
+        units.append(UnitSeries(
+            draw(st.sampled_from(["u", "v,w", 'x"y', "z z"])) + str(k),
+            np.array(times), np.array(draw(st.lists(floats, min_size=n, max_size=n))),
+            tau=tau, is_control=control, covariates=cov))
+    return PanelData(draw(st.permutations(units)),
+                     covariate_names=[f"x{j}" for j in range(n_cov)])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(panel=random_panels(), slice_rows=st.sampled_from([1, 3, 1024]))
+def test_write_load_round_trip_is_bit_exact(panel, slice_rows, tmp_path_factory):
+    path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
+    write_panel(panel, path)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csvrows, "_SLICE_ROWS", slice_rows)
+        loaded = load_panel(path)
+    assert_same_panel(loaded, panel)
+    for got, want in zip(loaded.units, panel.units):
+        assert got.unit_id == want.unit_id and got.tau == want.tau
+        assert got.outcomes.tobytes() == want.outcomes.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the CLI estimators never build UnitSeries on a loaded panel
+
+
+def test_cli_estimators_run_on_a_loaded_panel_without_unit_series(tmp_path, monkeypatch):
+    panel = simulate_dgp(DgpSpec(n=60, n_control=30, T=9, tau=5, include_ar=True,
+                                 rho=0.3, true_att=0.5), 3)
+    text = panel_to_csv_text(panel).splitlines()
+    # A second, later cohort and a late starter make the panel staggered.
+    text += [f"s{i},{t},{0.1 * i + t},6,0" for i in range(12) for t in range(1, 10)]
+    text += [f"late,{t},{t / 3},6,0" for t in range(5, 10)]
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(text) + "\n", encoding="utf-8")
+
+    def refuse(self):
+        raise AssertionError("UnitSeries built")
+
+    monkeypatch.setattr(panel_module.UnitSeries, "__post_init__", refuse)
+    loaded = load_panel(path)
+    assert len(loaded) == 103 and len(loaded.treated_blocks) == 3
+    for argv in (["estimate", "--q", "1", "--r", "3", "--h", "1", "2"],
+                 ["estimate", "--estimator", "mb", "--q", "1", "--r", "3"],
+                 ["placebo", "--q", "0", "1", "--r", "3", "--lags", "0", "1", "2"],
+                 ["dfat", "--q", "1", "--r", "3", "--h", "1", "2"]):
+        out = tmp_path / "out.json"
+        assert main(argv + ["--input", str(path), "--out-json", str(out),
+                            "--out-csv", str(tmp_path / "out.csv")]) == 0
+        assert out.stat().st_size > 0
+    with pytest.raises(AssertionError, match="UnitSeries built"):
+        main(["validate", "--input", str(path), "--out-json", str(tmp_path / "v.json")])

@@ -12,13 +12,13 @@ shared across units (``model_based_fat``), and a Monte Carlo harness
 
 from .basis import (BasisSpec, ForecastConfig, ForecastWeights,
                     binomial_weights, design_matrix, fit_and_forecast,
-                    forecast_weights, iterative_forecast)
+                    forecast_weights)
 from .errors import (ConfigError, EstimationError, FatpanelError,
                      PanelFormatError, RankDeficiencyError)
 from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
                          anderson_hsiao, covariate_fat_heterogeneous, dfat,
-                         fat, fat_balanced_avg, fat_pooled, fat_variance,
-                         mb_variance, model_based_fat, placebo_fat)
+                         fat, fat_variance, mb_variance, model_based_fat,
+                         placebo_fat)
 from .panel import (PanelData, UnitDiagnostics, UnitSeries, ValidationReport,
                     apply_anticipation, load_panel, panel_to_csv_text,
                     reindex_time_to_adoption, validate, write_panel)
@@ -36,8 +36,7 @@ __all__ = [
     "UnitDiagnostics", "UnitSeries", "ValidationReport",
     "analytic_mean_recursion", "anderson_hsiao", "apply_anticipation",
     "binomial_weights", "covariate_fat_heterogeneous", "design_matrix",
-    "dfat", "fat", "fat_balanced_avg", "fat_pooled", "fat_variance",
-    "fit_and_forecast", "forecast_weights", "iterative_forecast",
+    "dfat", "fat", "fat_variance", "fit_and_forecast", "forecast_weights",
     "load_panel", "mb_variance", "model_based_fat", "panel_to_csv_text",
     "placebo_fat", "preset", "reindex_time_to_adoption", "run_monte_carlo",
     "simulate_dgp", "validate", "write_panel",

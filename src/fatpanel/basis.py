@@ -351,28 +351,3 @@ def fit_and_forecast(y, config: ForecastConfig, target, times=None) -> float:
     Q, Rm = _qr(X)
     coef = solve_triangular(Rm, Q.T @ yv)
     return float(Hrow @ coef)
-
-
-def iterative_forecast(y, q: int) -> float:
-    """One-step forecast of order q built by error-correcting recursion.
-
-    Uses the q+1 most recent outcomes.  Order 0 repeats the last outcome;
-    order q takes the order q-1 forecast and subtracts the error that the
-    order q-1 rule made when forecasting the last observed period.  This
-    reproduces the least-squares polynomial forecast on the minimal window
-    without solving any linear system.
-    """
-    yv = np.asarray(y, dtype=float)
-    if q < 0:
-        raise ConfigError("q must be >= 0")
-    if yv.ndim != 1 or yv.size != q + 1:
-        raise ConfigError(f"iterative forecast of order {q} needs exactly {q + 1} outcomes")
-
-    def one_ahead(win: np.ndarray) -> float:
-        if win.size == 1:
-            return float(win[0])
-        ahead = one_ahead(win[1:])
-        lagged = one_ahead(win[:-1])
-        return ahead - (lagged - float(win[-1]))
-
-    return one_ahead(yv)

@@ -10,12 +10,13 @@ slice, followed by one stable sort by (unit, time).
 
 Errors are those of a reader that takes one record at a time.  The error
 names the first offending row in file order; within a row the checks run
-in this order: field count, time, outcome (a number, then finite),
-treatment date, control flag, agreement with the unit's earlier rows
-(date, flag, an unseen time), covariates.  A reader error from ``csv``
-comes after the rows before it.  Only when every row passes: a header
-without rows, then the first unit with neither a date nor a control flag.
-Blank records are skipped but counted in row numbers.
+in this order: field count, time (an integer, then within 64 bits),
+outcome (a number, then finite), treatment date, control flag, agreement
+with the unit's earlier rows (date, flag, an unseen time), covariates.
+A reader error from ``csv`` comes after the rows before it.  Only when
+every row passes: a header without rows, then the first unit with
+neither a date nor a control flag.  Blank records are skipped but
+counted in row numbers.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .errors import ConfigError, PanelFormatError
 _SCHEMA_KEYS = ("unit", "time", "outcome", "treated_at", "control_flag")
 _TRUE_FLAGS = {"1", "true", "t", "yes"}
 _FALSE_FLAGS = {"0", "false", "f", "no", ""}
+_INT64 = np.iinfo(np.int64)
 
 
 class SortedRows(NamedTuple):
@@ -117,6 +119,13 @@ def _flag(value: str) -> bool:
     raise ValueError(value)
 
 
+def _time(value: str) -> int:
+    t = int(value)
+    if not _INT64.min <= t <= _INT64.max:
+        raise ValueError(value)
+    return t
+
+
 def _date(value: str) -> int | None:
     return int(value) if value.strip() else None
 
@@ -173,7 +182,7 @@ class _RowColumns:
             cols = list(zip(*records))
         n = len(records)
         try:
-            times = _lookup(cols[self.it], int, np.int64)
+            times = _lookup(cols[self.it], _time, np.int64)
             y = np.fromiter(map(float, cols[self.iy]), np.float64, n)
             taus = (np.full(n, self._tau_code("")) if self.ita is None
                     else _lookup(cols[self.ita], self._tau_code, np.intp))
@@ -211,6 +220,8 @@ class _RowColumns:
             t, y = r[self.it], r[self.iy]
             if _fails(int, t):
                 message = f"time {t!r} is not an integer"
+            elif _fails(_time, t):
+                message = f"time {t!r} is outside the 64-bit integer range"
             elif _fails(float, y):
                 message = f"outcome {y!r} is not a number"
             elif not math.isfinite(float(y)):

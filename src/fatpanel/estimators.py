@@ -11,9 +11,6 @@ Variants included here:
 * ``fat``: the plain forecasted effect at horizon h.
 * ``placebo_fat``: the same construction pretending adoption happened
   earlier, so the estimand is zero by design.
-* ``fat_balanced_avg`` and ``fat_pooled``: algebraically equivalent forms
-  on balanced panels (forecast the cross-sectional average; pooled dummy
-  regression with unit-specific trends), useful as cross-checks.
 * ``model_based_fat``: imposes a dynamic model with common coefficients,
   estimated by instrumented first differences, and forecasts the remainder.
 * ``covariate_fat_heterogeneous``: augments each unit's window regression
@@ -541,76 +538,6 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
         horizon=h, point=point, se=se, ci=_interval(point, se, level),
         level=level, treated=est_t, control=est_c,
     )
-
-
-def _single_block(panel: PanelData, name: str) -> CohortBlock:
-    blocks = panel.treated_blocks
-    if not blocks:
-        raise EstimationError("no treated units")
-    if len(blocks) > 1:
-        raise EstimationError(
-            f"{name} requires a balanced panel with a shared adoption date")
-    return blocks[0]
-
-
-def fat_balanced_avg(panel: PanelData, q: int, R: int, h: int) -> float:
-    """Forecast the cross-sectional average series; balanced panels only.
-
-    On a balanced panel with a shared adoption date this equals ``fat``
-    exactly, because the forecast is linear in outcomes.
-    """
-    block = _single_block(panel, "fat_balanced_avg")
-    try:
-        i0, i1, j = _resolve(block, q, int(R), False, block.tau, h)
-    except _DropUnit as d:
-        raise EstimationError(d.reason) from None
-    times = block.times
-    ybar = block.outcomes.mean(axis=0)
-    w = forecast_weights(BasisSpec("polynomial", order=q), times[i0:i1 + 1],
-                         times[j]).weights
-    return float(ybar[j] - w @ ybar[i0:i1 + 1])
-
-
-def fat_pooled(panel: PanelData, q: int, R: int, h: int) -> np.ndarray:
-    """Pooled regression on post-period dummies and unit-specific trends.
-
-    Stacks, for every treated unit, the window periods and the ``h``
-    post-adoption periods; regresses outcomes on one dummy per post period
-    plus a full polynomial trend per unit.  On a balanced panel the dummy
-    coefficients equal ``fat`` at horizons 1..h exactly.
-    """
-    block = _single_block(panel, "fat_pooled")
-    if R < q + 1:
-        raise ConfigError(f"window length R={R} is below q+1={q + 1}")
-    tau, times = block.tau, block.times
-    wanted = np.arange(tau - R + 1, tau + h + 1)
-    idx = np.searchsorted(times, wanted)
-    if np.any(idx >= times.size) or np.any(times[np.minimum(idx, times.size - 1)] != wanted):
-        raise EstimationError(
-            f"pooled regression needs every period in [{wanted[0]}, {wanted[-1]}]"
-        )
-    n = block.unit_ids.size
-    rel = (wanted - tau).astype(float)
-    rows_per = wanted.size
-    dummies = np.zeros((rows_per, h))
-    for k in range(1, h + 1):
-        dummies[rel == k, k - 1] = 1.0
-    trend = np.vander(rel, q + 1, increasing=True)
-    X = np.zeros((n * rows_per, h + n * (q + 1)))
-    y = np.empty(n * rows_per)
-    for i in range(n):
-        r0 = i * rows_per
-        X[r0:r0 + rows_per, :h] = dummies
-        X[r0:r0 + rows_per, h + i * (q + 1):h + (i + 1) * (q + 1)] = trend
-        y[r0:r0 + rows_per] = block.outcomes[i, idx]
-    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
-    if rank < X.shape[1]:
-        raise EstimationError("pooled design is rank deficient")
-    return coef[:h]
-
-
-# ---------------------------------------------------------------------------
-# instrumented first stage and model-based estimator
 
 
 def _ah_moments(block: CohortBlock, eff_tau: int, lag: int, detrend: bool,

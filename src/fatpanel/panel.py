@@ -6,6 +6,11 @@ treatment starts (``tau``), an optional control flag, and optional covariate
 columns.  Times are calendar periods until ``reindex_time_to_adoption``
 re-expresses them relative to each unit's adoption date.
 
+A panel stores its units as cohort blocks, dense arrays of the units that
+share a control flag, ``tau`` and time grid, and validation and both
+transforms work a block at a time.  ``UnitSeries`` are built only when
+``PanelData.units`` is read.
+
 The interchange format is a delimited text file with a header row::
 
     unit,time,outcome,treated_at[,control_flag][,x1,x2,...]
@@ -21,7 +26,6 @@ arrays, which ``load_panel`` groups into cohort blocks.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import os
 from dataclasses import dataclass
@@ -54,8 +58,6 @@ class UnitSeries:
         cohort date used to align them with treated units.
     covariates : ndarray or None
         Optional (n_obs, n_covariates) matrix aligned with ``times``.
-    times_original : ndarray or None
-        Calendar periods before event-time reindexing, kept for reference.
     """
 
     unit_id: str
@@ -64,52 +66,41 @@ class UnitSeries:
     tau: int | None = None
     is_control: bool = False
     covariates: np.ndarray | None = None
-    times_original: np.ndarray | None = None
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=int)
-        outcomes = np.asarray(self.outcomes, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "outcomes", outcomes)
-        if times.ndim != 1 or times.shape != outcomes.shape:
-            raise PanelFormatError(
-                f"unit {self.unit_id!r}: times and outcomes must be 1-D and aligned"
-            )
-        if times.size == 0:
-            raise PanelFormatError(f"unit {self.unit_id!r}: empty series")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise PanelFormatError(
-                f"unit {self.unit_id!r}: times must be strictly increasing"
-            )
-        if self.covariates is not None:
-            cov = np.asarray(self.covariates, dtype=float)
-            if cov.ndim != 2 or cov.shape[0] != times.size:
-                raise PanelFormatError(
-                    f"unit {self.unit_id!r}: covariates must be (n_obs, k)"
-                )
-            object.__setattr__(self, "covariates", cov)
-        if self.tau is None and not self.is_control:
-            raise PanelFormatError(
-                f"unit {self.unit_id!r}: treated units need a treatment date"
-            )
-        if self.tau is not None:
-            object.__setattr__(self, "tau", int(self.tau))
+        _check_series(self, self.unit_id, ())
 
     @property
     def n_obs(self) -> int:
         return self.times.size
 
-    def index_of(self, time: int) -> int | None:
-        """Position of ``time`` in this series, or None when unobserved."""
-        i = int(np.searchsorted(self.times, time))
-        if i < self.times.size and self.times[i] == time:
-            return i
-        return None
 
-    def contiguous_run_ending(self, time: int) -> int:
-        """Length of the unbroken run of consecutive periods ending at ``time``."""
-        i = self.index_of(time)
-        return 0 if i is None else _run_ending(self.times, i)
+def _check_series(series, uid, lead: tuple) -> None:
+    """Convert and check the series fields of a ``UnitSeries`` or ``CohortBlock``.
+
+    ``lead`` is the shape of the axes before time: ``()`` for one unit,
+    ``(n,)`` for a block of n units.  A failed check raises
+    ``PanelFormatError`` naming ``uid``.
+    """
+    times = np.asarray(series.times, dtype=int)
+    outcomes = np.asarray(series.outcomes, dtype=float)
+    covariates, tau = series.covariates, series.tau
+    if times.ndim != 1 or outcomes.shape != lead + times.shape:
+        raise PanelFormatError(f"unit {uid!r}: times and outcomes must be 1-D and aligned")
+    if times.size == 0:
+        raise PanelFormatError(f"unit {uid!r}: empty series")
+    if times.size > 1 and not np.all(np.diff(times) > 0):
+        raise PanelFormatError(f"unit {uid!r}: times must be strictly increasing")
+    if covariates is not None:
+        covariates = np.asarray(covariates, dtype=float)
+        if covariates.ndim != outcomes.ndim + 1 or covariates.shape[:-1] != outcomes.shape:
+            raise PanelFormatError(f"unit {uid!r}: covariates must be (n_obs, k)")
+    if tau is None and not series.is_control:
+        raise PanelFormatError(f"unit {uid!r}: treated units need a treatment date")
+    object.__setattr__(series, "times", times)
+    object.__setattr__(series, "outcomes", outcomes)
+    object.__setattr__(series, "covariates", covariates)
+    object.__setattr__(series, "tau", None if tau is None else int(tau))
 
 
 def _run_ending(times: np.ndarray, i: int) -> int:
@@ -158,13 +149,9 @@ class CohortBlock:
     unit_ids: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=int)
-        outcomes = np.asarray(self.outcomes, dtype=float)
         positions = np.asarray(self.positions, dtype=int)
         unit_ids = np.asarray(self.unit_ids, dtype=object)
         object.__setattr__(self, "is_control", bool(self.is_control))
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "outcomes", outcomes)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "unit_ids", unit_ids)
         if unit_ids.ndim != 1 or positions.shape != unit_ids.shape:
@@ -172,23 +159,7 @@ class CohortBlock:
                 "cohort block: positions and unit_ids must be 1-D and aligned")
         if unit_ids.size == 0:
             raise PanelFormatError("cohort block has no units")
-        first = unit_ids[0]
-        if times.ndim != 1 or outcomes.shape != (unit_ids.size, times.size):
-            raise PanelFormatError(
-                f"unit {first!r}: times and outcomes must be 1-D and aligned")
-        if times.size == 0:
-            raise PanelFormatError(f"unit {first!r}: empty series")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
-            raise PanelFormatError(f"unit {first!r}: times must be strictly increasing")
-        if self.covariates is not None:
-            cov = np.asarray(self.covariates, dtype=float)
-            if cov.ndim != 3 or cov.shape[:2] != outcomes.shape:
-                raise PanelFormatError(f"unit {first!r}: covariates must be (n_obs, k)")
-            object.__setattr__(self, "covariates", cov)
-        if self.tau is None and not self.is_control:
-            raise PanelFormatError(f"unit {first!r}: treated units need a treatment date")
-        if self.tau is not None:
-            object.__setattr__(self, "tau", int(self.tau))
+        _check_series(self, unit_ids[0], unit_ids.shape)
 
 
 def _cohort_block(units: Sequence[UnitSeries], positions: list[int],
@@ -381,8 +352,8 @@ def load_panel(source, schema: Mapping[str, object] | None = None,
     Raises
     ------
     PanelFormatError
-        On missing columns, non-numeric fields, an outcome that is not
-        finite (``nan``, ``inf``), duplicate (unit, time)
+        On missing columns, non-numeric fields, a time outside 64 bits, an
+        outcome that is not finite (``nan``, ``inf``), duplicate (unit, time)
         observations, inconsistent treatment dates within a unit, or a unit
         that has neither a treatment date nor a control flag.  The error
         names the first offending row in file order, and a row's checks
@@ -509,12 +480,6 @@ class ValidationReport:
         }
 
 
-def _delta_for(unit_id: str, delta) -> int:
-    if isinstance(delta, Mapping):
-        return int(delta.get(unit_id, 0))
-    return int(delta)
-
-
 def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
     """Check every unit against the window requirements of ``config``.
 
@@ -525,59 +490,53 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
     incomplete covariates; never raises on content.
     """
     q = config.basis.order
-    diags = []
-    for u in panel.units:
+    required = config.R if isinstance(config.R, int) else None
+    needed = required if required is not None else q + 1
+    diags = [None] * len(panel)
+    for b in panel._blocks:
         messages = []
         fatal = False
         eff_tau = None
         run = 0
-        required = config.R if isinstance(config.R, int) else None
-        if u.tau is None:
+        window_gap = False
+        if b.tau is None:  # only a control block may lack a date
             messages.append("no treatment date")
-            if not u.is_control:
-                fatal = True
         else:
-            eff_tau = u.tau - _delta_for(u.unit_id, config.delta)
-            run = u.contiguous_run_ending(eff_tau)
+            eff_tau = b.tau - int(config.delta)
+            i = int(np.searchsorted(b.times, eff_tau))
+            if i < b.times.size and b.times[i] == eff_tau:
+                run = _run_ending(b.times, i)
             if run == 0:
                 messages.append(f"no observation at effective treatment date {eff_tau}")
-        short = u.tau is not None and required is not None and run < required
-        needed = required if required is not None else q + 1
-        window_gap = False
-        if u.tau is not None and run < needed and run > 0:
-            # A gap only exists when older observations lie beyond the run.
-            window_gap = bool(u.times.min() < eff_tau - run + 1)
+            elif run < needed:
+                # A gap only exists when older observations lie beyond the run.
+                window_gap = bool(b.times[0] < eff_tau - run + 1)
+        short = b.tau is not None and required is not None and run < required
         if short:
             messages.append(
                 f"contiguous pre-treatment run of {run} is shorter than R={required}"
             )
-        if u.tau is not None and run < q + 1:
+        if b.tau is not None and run < q + 1:
             fatal = True
             messages.append(f"fewer than q+1={q + 1} usable pre-treatment periods")
-        series_gaps = bool(
-            u.times.size > 1 and np.any(np.diff(u.times) > 1)
-        )
-        if u.covariates is None:
-            cov_complete = panel.covariate_names == ()
-        else:
-            cov_complete = not np.isnan(u.covariates).any()
-        if not cov_complete:
-            messages.append("incomplete covariates")
-        diags.append(
-            UnitDiagnostics(
-                unit_id=u.unit_id,
-                tau=u.tau,
+        series_gaps = bool(np.any(np.diff(b.times) > 1))
+        complete = (np.ones(b.unit_ids.size, bool) if b.covariates is None
+                    else ~np.isnan(b.covariates).any(axis=(1, 2)))
+        messages = tuple(messages)
+        for at, uid, ok in zip(b.positions.tolist(), b.unit_ids.tolist(), complete.tolist()):
+            diags[at] = UnitDiagnostics(
+                unit_id=uid,
+                tau=b.tau,
                 effective_tau=eff_tau,
                 pre_treatment_run=run,
                 required_window=required,
                 short_window=short,
                 window_gap=window_gap,
                 series_gaps=series_gaps,
-                covariates_complete=cov_complete,
+                covariates_complete=ok,
                 fatal=fatal,
-                messages=tuple(messages),
+                messages=messages if ok else messages + ("incomplete covariates",),
             )
-        )
     return ValidationReport(
         units=tuple(diags),
         balanced=panel.is_balanced(),
@@ -585,31 +544,50 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
     )
 
 
+def _regrouped(pieces: list[tuple], panel: PanelData, time_unit: str) -> PanelData:
+    """A panel of ``pieces``, grouped into blocks as ``PanelData(units)`` would.
+
+    A piece is (block, rows, tau, times): the ``rows`` of ``block``, to carry
+    the date ``tau`` and the time grid ``times``.  Pieces that then share a
+    control flag, date and grid make one block, its rows in panel order, and
+    the blocks follow the panel order of their first units.
+    """
+    groups: dict[tuple, list] = {}
+    for b, rows, tau, times in pieces:
+        groups.setdefault((b.is_control, tau, times.tobytes()), []).append((b, rows, times))
+    blocks = []
+    for (is_control, tau, _), parts in groups.items():
+
+        def gather(field):
+            return np.concatenate([getattr(b, field)[rows] for b, rows, _ in parts])
+
+        positions = gather("positions")
+        order = np.argsort(positions)
+        blocks.append(CohortBlock(
+            is_control=is_control, tau=tau, times=parts[0][2],
+            outcomes=gather("outcomes")[order],
+            covariates=gather("covariates")[order] if panel.covariate_names else None,
+            positions=positions[order], unit_ids=gather("unit_ids")[order]))
+    blocks.sort(key=lambda b: b.positions[0])
+    return PanelData.from_blocks(blocks, time_unit, panel.covariate_names)
+
+
 def reindex_time_to_adoption(panel: PanelData) -> PanelData:
     """Re-express every unit's clock relative to its own adoption date.
 
     Time t becomes t - tau, so the last untreated period of every unit sits
-    at 0.  Original calendar periods are kept on ``times_original``.
-    Applying the function twice is the same as applying it once.
+    at 0.  Applying the function twice is the same as applying it once.
     """
-    missing = [u.unit_id for u in panel.units if u.tau is None]
+    missing = sorted((at, uid) for b in panel._blocks if b.tau is None
+                     for at, uid in zip(b.positions.tolist(), b.unit_ids.tolist()))
     if missing:
         raise PanelFormatError(
-            f"cannot reindex: units without a treatment date: {missing}"
+            f"cannot reindex: units without a treatment date: {[uid for _, uid in missing]}"
         )
-    units = []
-    for u in panel.units:
-        units.append(
-            dataclasses.replace(
-                u,
-                times=u.times - u.tau,
-                tau=0,
-                times_original=u.times_original if u.times_original is not None else u.times,
-            )
-        )
-    return PanelData(units, time_unit=f"{panel.time_unit} (event time)"
-                     if "(event time)" not in panel.time_unit else panel.time_unit,
-                     covariate_names=panel.covariate_names)
+    return _regrouped(
+        [(b, slice(None), 0, b.times - b.tau) for b in panel._blocks], panel,
+        f"{panel.time_unit} (event time)"
+        if "(event time)" not in panel.time_unit else panel.time_unit)
 
 
 def apply_anticipation(panel: PanelData, delta) -> PanelData:
@@ -618,24 +596,28 @@ def apply_anticipation(panel: PanelData, delta) -> PanelData:
     ``delta`` is a non-negative integer, or a mapping from unit id to one.
     Each unit's date becomes tau - delta, so estimation windows end before
     any anticipatory response, and horizons count from the shifted date.
+    An invalid shift raises for the first offending unit in panel order.
     """
-    units = []
-    for u in panel.units:
-        d = _delta_for(u.unit_id, delta)
-        if d < 0:
-            raise ConfigError(f"unit {u.unit_id!r}: anticipation must be >= 0")
-        if d == 0:
-            units.append(u)
-            continue
-        if u.tau is None:
-            raise PanelFormatError(
-                f"unit {u.unit_id!r}: anticipation needs a treatment date"
-            )
-        new_tau = u.tau - d
-        if not np.any(u.times <= new_tau):
-            raise PanelFormatError(
-                f"unit {u.unit_id!r}: anticipation {d} leaves no pre-treatment data"
-            )
-        units.append(dataclasses.replace(u, tau=new_tau))
-    return PanelData(units, time_unit=panel.time_unit,
-                     covariate_names=panel.covariate_names)
+    pieces, faults = [], []
+    for b in panel._blocks:
+        ids = b.unit_ids.tolist()
+        shifts = (np.array([int(delta.get(uid, 0)) for uid in ids])
+                  if isinstance(delta, Mapping) else np.full(len(ids), int(delta)))
+        for d in np.unique(shifts).tolist():
+            rows = np.flatnonzero(shifts == d)
+            fault = None
+            if d < 0:
+                fault = ConfigError, "anticipation must be >= 0"
+            elif d > 0 and b.tau is None:
+                fault = PanelFormatError, "anticipation needs a treatment date"
+            elif d > 0 and b.times[0] > b.tau - d:
+                fault = PanelFormatError, f"anticipation {d} leaves no pre-treatment data"
+            if fault is None:
+                pieces.append((b, rows, b.tau if d == 0 else b.tau - d, b.times))
+            else:
+                k = rows[np.argmin(b.positions[rows])]
+                faults.append((int(b.positions[k]), ids[k], *fault))
+    if faults:
+        _, uid, error, message = min(faults, key=lambda f: f[0])
+        raise error(f"unit {uid!r}: {message}")
+    return _regrouped(pieces, panel, panel.time_unit)

@@ -1,0 +1,115 @@
+"""Reference forms the tests compare the package against.
+
+These are algebraically equivalent, slower ways to compute what the
+package computes, kept here as oracles:
+
+* ``iterative_forecast``: the minimal-window polynomial forecast by an
+  error-correcting recursion (2^q calls), with no linear solve;
+* ``fat_balanced_avg``: on a balanced panel with one adoption date, the
+  forecast of the cross-sectional average series;
+* ``fat_pooled``: the pooled regression on post-period dummies and
+  unit-specific trends, whose dummy coefficients are ``fat`` at horizons
+  1..h on such a panel.
+"""
+
+import numpy as np
+
+from fatpanel.basis import BasisSpec, forecast_weights
+from fatpanel.errors import ConfigError, EstimationError
+from fatpanel.estimators import _DropUnit, _resolve
+from fatpanel.panel import CohortBlock, PanelData
+
+
+def iterative_forecast(y, q: int) -> float:
+    """One-step forecast of order q built by error-correcting recursion.
+
+    Uses the q+1 most recent outcomes.  Order 0 repeats the last outcome;
+    order q takes the order q-1 forecast and subtracts the error that the
+    order q-1 rule made when forecasting the last observed period.  This
+    reproduces the least-squares polynomial forecast on the minimal window
+    without solving any linear system.
+    """
+    yv = np.asarray(y, dtype=float)
+    if q < 0:
+        raise ConfigError("q must be >= 0")
+    if yv.ndim != 1 or yv.size != q + 1:
+        raise ConfigError(f"iterative forecast of order {q} needs exactly {q + 1} outcomes")
+
+    def one_ahead(win: np.ndarray) -> float:
+        if win.size == 1:
+            return float(win[0])
+        ahead = one_ahead(win[1:])
+        lagged = one_ahead(win[:-1])
+        return ahead - (lagged - float(win[-1]))
+
+    return one_ahead(yv)
+
+
+def _single_block(panel: PanelData, name: str) -> CohortBlock:
+    blocks = panel.treated_blocks
+    if not blocks:
+        raise EstimationError("no treated units")
+    if len(blocks) > 1:
+        raise EstimationError(
+            f"{name} requires a balanced panel with a shared adoption date")
+    return blocks[0]
+
+
+def fat_balanced_avg(panel: PanelData, q: int, R: int, h: int) -> float:
+    """Forecast the cross-sectional average series; balanced panels only.
+
+    On a balanced panel with a shared adoption date this equals ``fat``
+    exactly, because the forecast is linear in outcomes.
+    """
+    block = _single_block(panel, "fat_balanced_avg")
+    try:
+        i0, i1, j = _resolve(block, q, int(R), False, block.tau, h)
+    except _DropUnit as d:
+        raise EstimationError(d.reason) from None
+    times = block.times
+    ybar = block.outcomes.mean(axis=0)
+    w = forecast_weights(BasisSpec("polynomial", order=q), times[i0:i1 + 1],
+                         times[j]).weights
+    return float(ybar[j] - w @ ybar[i0:i1 + 1])
+
+
+def fat_pooled(panel: PanelData, q: int, R: int, h: int) -> np.ndarray:
+    """Pooled regression on post-period dummies and unit-specific trends.
+
+    Stacks, for every treated unit, the window periods and the ``h``
+    post-adoption periods; regresses outcomes on one dummy per post period
+    plus a full polynomial trend per unit.  On a balanced panel the dummy
+    coefficients equal ``fat`` at horizons 1..h exactly.
+    """
+    block = _single_block(panel, "fat_pooled")
+    if R < q + 1:
+        raise ConfigError(f"window length R={R} is below q+1={q + 1}")
+    tau, times = block.tau, block.times
+    wanted = np.arange(tau - R + 1, tau + h + 1)
+    idx = np.searchsorted(times, wanted)
+    if np.any(idx >= times.size) or np.any(times[np.minimum(idx, times.size - 1)] != wanted):
+        raise EstimationError(
+            f"pooled regression needs every period in [{wanted[0]}, {wanted[-1]}]"
+        )
+    n = block.unit_ids.size
+    rel = (wanted - tau).astype(float)
+    rows_per = wanted.size
+    dummies = np.zeros((rows_per, h))
+    for k in range(1, h + 1):
+        dummies[rel == k, k - 1] = 1.0
+    trend = np.vander(rel, q + 1, increasing=True)
+    X = np.zeros((n * rows_per, h + n * (q + 1)))
+    y = np.empty(n * rows_per)
+    for i in range(n):
+        r0 = i * rows_per
+        X[r0:r0 + rows_per, :h] = dummies
+        X[r0:r0 + rows_per, h + i * (q + 1):h + (i + 1) * (q + 1)] = trend
+        y[r0:r0 + rows_per] = block.outcomes[i, idx]
+    coef, _, rank, _ = np.linalg.lstsq(X, y, rcond=None)
+    if rank < X.shape[1]:
+        raise EstimationError("pooled design is rank deficient")
+    return coef[:h]
+
+
+# ---------------------------------------------------------------------------
+# instrumented first stage and model-based estimator

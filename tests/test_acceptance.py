@@ -17,12 +17,12 @@ from math import sqrt
 import numpy as np
 
 from fatpanel.basis import (BasisSpec, ForecastConfig, binomial_weights,
-                            fit_and_forecast, forecast_weights,
-                            iterative_forecast)
-from fatpanel.estimators import fat, fat_balanced_avg, fat_pooled
+                            fit_and_forecast, forecast_weights)
+from fatpanel.estimators import fat
 from fatpanel.panel import PanelData, UnitSeries
 from fatpanel.simulate import (DgpSpec, GridCell, analytic_mean_recursion,
                                preset, run_monte_carlo)
+from oracles import fat_balanced_avg, fat_pooled, iterative_forecast
 
 REPS = 1000
 SEEDS = {

@@ -10,9 +10,9 @@ from fatpanel.basis import (
     design_matrix,
     fit_and_forecast,
     forecast_weights,
-    iterative_forecast,
 )
 from fatpanel.errors import ConfigError, RankDeficiencyError
+from oracles import iterative_forecast
 
 # Hand-derived one-step weights on the minimal window (oldest time first):
 # order 0 repeats the last value; order 1 extends the line through the last

@@ -355,6 +355,15 @@ def test_non_finite_outcome_is_data_error(tmp_path, capsys, value):
     assert "row 3" in capsys.readouterr().err
 
 
+def test_time_outside_int64_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("unit,time,outcome,treated_at\n"
+                   "a,1,1.0,2\na,99999999999999999999,2.0,2\na,3,3.0,2\n")
+    assert main(["estimate", "--input", str(bad), "--q", "0"]) == 2
+    assert capsys.readouterr().err == ("fatpanel: error: row 3: time '99999999999999999999'"
+                                       " is outside the 64-bit integer range\n")
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["estimate", "--badflag"]) == 1
     capsys.readouterr()

@@ -255,6 +255,13 @@ def _same(actual, expected, atol):
     assert est.se == pytest.approx(se, rel=TOL, abs=atol)
 
 
+def _config(s):
+    basis = (BasisSpec("polynomial", order=s["q"]) if s["fourier_period"] is None
+             else BasisSpec("fourier", order=s["q"], period=s["fourier_period"]))
+    return ForecastConfig(R=s["R"], delta=s["delta"], basis=basis,
+                          shrink_window=s["shrink"])
+
+
 def _fat_oracle(units, config, h, shift):
     def run():
         ids, res, _, dropped = oracle_residuals(units, config, h, shift)
@@ -268,10 +275,7 @@ def _fat_oracle(units, config, h, shift):
 @given(case=cases())
 def test_blocks_match_per_unit_oracle(case):
     panel, s = case
-    basis = (BasisSpec("polynomial", order=s["q"]) if s["fourier_period"] is None
-             else BasisSpec("fourier", order=s["q"], period=s["fourier_period"]))
-    config = ForecastConfig(R=s["R"], delta=s["delta"], basis=basis,
-                            shrink_window=s["shrink"])
+    config = _config(s)
     h, lag = s["h"], s["lag"]
     atol = _scale(panel)
     treated = [u for u in panel.units if not u.is_control]
@@ -359,6 +363,62 @@ def test_model_based_blocks_match_per_unit_oracle(case):
     _same(_outcome(lambda: model_based_fat(panel, ah, s["h"])),
           _outcome(lambda: _mb_oracle(panel, ah, s["h"])),
           _scale(panel, beta))
+
+
+# ---------------------------------------------------------------------------
+# identities
+
+
+def _estimate(est):
+    if isinstance(est, Exception):
+        return type(est), str(est)
+    return (est.unit_ids, est.dropped, est.residuals.tobytes(), est.point, est.se,
+            est.ci, est.horizon)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(case=cases(), shift=st.integers(-40, 40))
+def test_identities_on_random_panels(case, shift):
+    panel, s = case
+    config, h = _config(s), s["h"]
+    q = config.basis.order
+    if s["fourier_period"] is not None:
+        # A Fourier span is shift-invariant only under whole periods.
+        shift *= int(s["fourier_period"])
+    for u in panel.units:
+        if u.is_control:
+            continue
+        try:
+            win = _window(u, u.tau - s["delta"], q, s["R"], s["shrink"])
+        except EstimationError:
+            continue
+        if isinstance(win, str):
+            continue
+        times, target = u.times[win[0]:win[1] + 1], u.tau - s["delta"] + h
+        try:
+            w = forecast_weights(config.basis, times, target).weights
+        except RankDeficiencyError:
+            with pytest.raises(RankDeficiencyError):
+                forecast_weights(config.basis, times + shift, target + shift)
+            continue
+        # Weights sum to one and depend only on the window relative to the target.
+        assert math.fsum(w.tolist()) == pytest.approx(1.0, abs=1e-12)
+        moved = forecast_weights(config.basis, times + shift, target + shift).weights
+        np.testing.assert_allclose(moved, w, rtol=0, atol=1e-10)
+
+    estimate = _estimate(_outcome(lambda: fat(panel, config, h)))
+    assert _estimate(_outcome(lambda: placebo_fat(panel, config, 0, h))) == estimate
+    mb = MbConfig(q=s["q"], R=s["R"], delta=s["delta"], lagged_outcome=False,
+                  first_stage="user", beta=())
+    model_based = _outcome(lambda: model_based_fat(panel, mb, h))
+    if not panel.treated_blocks:
+        # Both refuse a panel without treated units, each in its own words.
+        assert isinstance(model_based, EstimationError)
+        assert isinstance(estimate, tuple) and estimate[0] is EstimationError
+        return
+    assert (_estimate(model_based)
+            == _estimate(_outcome(lambda: fat(panel, mb.forecast_config(), h))))
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,13 @@ from fatpanel.estimators import (
     covariate_fat_heterogeneous,
     dfat,
     fat,
-    fat_balanced_avg,
-    fat_pooled,
     fat_variance,
     mb_variance,
     model_based_fat,
     placebo_fat,
 )
 from fatpanel.panel import PanelData, UnitSeries, apply_anticipation
+from oracles import fat_balanced_avg, fat_pooled
 
 
 def make_panel(Y, times, tau, control=None, covs=None, names=()):

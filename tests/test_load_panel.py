@@ -24,8 +24,8 @@ from fatpanel import panel as panel_module
 from fatpanel.cli import main
 from fatpanel.csvrows import _FALSE_FLAGS, _TRUE_FLAGS, _resolve_schema
 from fatpanel.errors import PanelFormatError
-from fatpanel.panel import (PanelData, UnitSeries, load_panel, panel_to_csv_text,
-                            write_panel)
+from fatpanel.panel import (PanelData, UnitSeries, apply_anticipation, load_panel,
+                            panel_to_csv_text, reindex_time_to_adoption, write_panel)
 from fatpanel.simulate import DgpSpec, simulate_dgp
 
 
@@ -73,6 +73,9 @@ def oracle_load(text, schema=None, time_unit="period"):
             )
         uid = row[iu]
         t = _parse_int(row[it], "time", rownum)
+        if not -2 ** 63 <= t < 2 ** 63:
+            raise PanelFormatError(
+                f"row {rownum}: time {row[it]!r} is outside the 64-bit integer range")
         y = _parse_float(row[iy], "outcome", rownum)
         if not math.isfinite(y):
             raise PanelFormatError(f"row {rownum}: outcome {row[iy]!r} is not finite")
@@ -190,8 +193,8 @@ def assert_loads_like_oracle(text, slice_rows):
 # generated CSV text
 
 IDS = ["a", "b,1", 'q"x', " padded ", "7", "long id with, commas", "", "é"]
-FAULTS = ("width", "time", "outcome", "nonfinite", "date", "flag", "date_mismatch",
-          "flag_mismatch", "duplicate", "covariate", "orphan")
+FAULTS = ("width", "time", "time_range", "outcome", "nonfinite", "date", "flag",
+          "date_mismatch", "flag_mismatch", "duplicate", "covariate", "orphan")
 SPACES = st.sampled_from(["", " ", "  ", "\t"])
 
 
@@ -243,6 +246,9 @@ def csv_cases(draw):
             rows[i] = row[:-1] if draw(st.booleans()) else row + ["1"]
         elif kind == "time":
             row[1] = draw(st.sampled_from(["1.5", "x", "", " "]))
+        elif kind == "time_range":
+            row[1] = draw(st.sampled_from(["99999999999999999999", " 9223372036854775808",
+                                           "-9223372036854775809"]))
         elif kind == "outcome":
             row[2] = draw(st.sampled_from(["abc", "", "1,5"]))
         elif kind == "nonfinite":
@@ -286,12 +292,14 @@ def test_load_matches_row_oracle(case):
 
 # One bad row per fault kind, then rows that break two checks at once.
 BAD_ROWS = {
-    "width": "u11,5,1.0,2,0", "time": "u11,x,1.0,2,0,", "outcome": "u11,5,abc,2,0,",
+    "width": "u11,5,1.0,2,0", "time": "u11,x,1.0,2,0,",
+    "time_range": "u11,99999999999999999999,1.0,2,0,", "outcome": "u11,5,abc,2,0,",
     "nonfinite": "u11,5,nan,2,0,", "date": "u11,5,1.0,2.5,0,",
     "flag": "u11,5,1.0,2,maybe,", "date_mismatch": "u11,5,1.0,3,0,",
     "flag_mismatch": "u11,5,1.0,2,1,", "duplicate": "u11,3,9.0,2,0,",
     "covariate": "u11,5,1.0,2,0,q", "orphan": "w,1,1.0,,0,",
-    "time_and_outcome": "u11,x,abc,2,0,", "nonfinite_and_date": "u11,5,inf,2.5,0,",
+    "time_and_outcome": "u11,x,abc,2,0,",
+    "time_range_and_date_mismatch": "u11,-9223372036854775809,1.0,3,0,", "nonfinite_and_date": "u11,5,inf,2.5,0,",
     "nonfinite_and_covariate": "u11,5,nan,2,0,q", "date_and_flag_mismatch": "u11,5,1.0,3,1,",
     "date_mismatch_and_covariate": "u11,5,1.0,3,0,q", "duplicate_and_covariate": "u11,3,1.0,2,0,q",
     "two_nonfinite": "u11,5,nan,2,0,\nu10,5,-inf,2,0,",
@@ -405,7 +413,7 @@ def test_write_load_round_trip_is_bit_exact(panel, slice_rows, tmp_path_factory)
 
 
 # ---------------------------------------------------------------------------
-# the CLI estimators never build UnitSeries on a loaded panel
+# the CLI commands and the panel transforms never build UnitSeries on a loaded panel
 
 
 def test_cli_estimators_run_on_a_loaded_panel_without_unit_series(tmp_path, monkeypatch):
@@ -427,10 +435,14 @@ def test_cli_estimators_run_on_a_loaded_panel_without_unit_series(tmp_path, monk
     for argv in (["estimate", "--q", "1", "--r", "3", "--h", "1", "2"],
                  ["estimate", "--estimator", "mb", "--q", "1", "--r", "3"],
                  ["placebo", "--q", "0", "1", "--r", "3", "--lags", "0", "1", "2"],
-                 ["dfat", "--q", "1", "--r", "3", "--h", "1", "2"]):
+                 ["dfat", "--q", "1", "--r", "3", "--h", "1", "2"],
+                 ["validate", "--q", "1", "--r", "4", "--delta", "1"]):
         out = tmp_path / "out.json"
         assert main(argv + ["--input", str(path), "--out-json", str(out),
                             "--out-csv", str(tmp_path / "out.csv")]) == 0
         assert out.stat().st_size > 0
-    with pytest.raises(AssertionError, match="UnitSeries built"):
-        main(["validate", "--input", str(path), "--out-json", str(tmp_path / "v.json")])
+    # s3's shifted date joins it to the simulated cohort.
+    shifted = apply_anticipation(loaded, {"s3": 1, "late": 1})
+    assert [b.unit_ids.size for b in shifted.treated_blocks] == [61, 11, 1]
+    event_time = reindex_time_to_adoption(shifted)
+    assert [b.times[0] for b in event_time.treated_blocks] == [-4, -5, 0]

@@ -138,13 +138,6 @@ def test_unit_series_invariants():
         UnitSeries("a", times=np.array([1, 2]), outcomes=np.zeros(3), tau=1)
 
 
-def test_contiguous_run_ending():
-    u = UnitSeries("a", times=np.array([1, 2, 4, 5, 6]), outcomes=np.zeros(5), tau=6)
-    assert u.contiguous_run_ending(6) == 3
-    assert u.contiguous_run_ending(2) == 2
-    assert u.contiguous_run_ending(3) == 0
-
-
 def test_panel_duplicate_ids_rejected():
     with pytest.raises(PanelFormatError, match="duplicate unit id"):
         PanelData([unit("a"), unit("a")])
@@ -387,10 +380,8 @@ def test_reindex_to_adoption():
     assert r.unit("a").times.tolist() == [-4, -3, -2, -1, 0, 1]
     assert r.unit("b").times.tolist() == [-4, -3, -2, -1, 0, 1]
     assert r.unit("a").tau == 0 and r.unit("b").tau == 0
-    assert r.unit("b").times_original.tolist() == [3, 4, 5, 6, 7, 8]
     again = reindex_time_to_adoption(r)
     assert_panels_equal(again, r)
-    assert again.unit("b").times_original.tolist() == [3, 4, 5, 6, 7, 8]
 
 
 def test_reindex_requires_dates():

@@ -35,6 +35,13 @@ MAX_POLY_ORDER = 8
 _RANK_RTOL = 1e-10
 
 
+def as_integer(name: str, value, what: str = "an integer") -> int:
+    """``value`` as an int; ``ConfigError`` unless an int or NumPy integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Family of time-basis functions used for counterfactual forecasting.
@@ -67,6 +74,7 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in ("polynomial", "fourier", "custom"):
             raise ConfigError(f"unknown basis family {self.family!r}")
+        object.__setattr__(self, "order", as_integer("basis order", self.order))
         if self.order < 0:
             raise ConfigError("basis order must be >= 0")
         if self.family == "polynomial":
@@ -156,11 +164,12 @@ class ForecastConfig:
         elif self.q is not None and self.q != self.basis.order:
             raise ConfigError(f"q={self.q} conflicts with basis order {self.basis.order}")
         object.__setattr__(self, "q", self.basis.order)
-        if isinstance(self.R, str):
-            if self.R != "all":
-                raise ConfigError(f"R must be an integer or 'all', got {self.R!r}")
-        elif self.R < self.q + 1:
-            raise ConfigError(f"window length R={self.R} is below q+1={self.q + 1}")
+        if self.R != "all":
+            object.__setattr__(self, "R", as_integer("R", self.R, "an integer or 'all'"))
+            if self.R < self.q + 1:
+                raise ConfigError(f"window length R={self.R} is below q+1={self.q + 1}")
+        for name in ("h", "delta"):
+            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
         if self.h < 1:
             raise ConfigError("horizon h must be >= 1")
         if self.delta < 0:

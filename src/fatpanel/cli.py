@@ -1,17 +1,31 @@
 """Command-line front end for estimation, placebo analysis, and simulation.
 
-Subcommands
------------
-estimate  : forecasted-effect estimates per (q, horizon) from a panel CSV
-placebo   : pre-treatment placebo estimates over a lag grid
-dfat      : treated-minus-control differenced estimates
-simulate  : Monte Carlo study from a named preset or an inline process spec
-validate  : per-unit data diagnostics without estimating anything
+Each subcommand takes only the settings it reads: its flags, and in a JSON
+file named with ``--config`` the same fields (``r`` or ``R``, ``horizons``
+or ``h``, ``instrument_lag``, ``reps`` or ``n_reps``) plus a few that only
+a file can set.  Every subcommand also takes ``--config``, ``--out-json``
+and ``--out-csv``.  Any other flag or config key is a usage error.
 
-Configuration is taken from flags, or from a JSON file named with
-``--config``; values in the file win over flags so that a single artifact
-reproduces a run.  All JSON outputs carry ``"schema": 1`` and are
-byte-identical across reruns with the same configuration and inputs.
+=========  ================================================  ==============
+command    flags                                             file-only keys
+=========  ================================================  ==============
+estimate   --input --q --r --h --delta --level --estimator   schema detrend
+           --instrument-lag                                  mb_covariates
+placebo    --input --q --r --h --lags --delta --level        schema
+dfat       --input --q --r --h --delta --level               schema
+simulate   --preset --reps --seed                            dgp cells
+validate   --input --q --r --delta                           schema
+=========  ================================================  ==============
+
+``estimate`` gives effects per (q, horizon), ``placebo`` pre-treatment
+placebo estimates over a lag grid, ``dfat`` treated-minus-control
+differences, ``simulate`` a Monte Carlo study from a named preset or an
+inline process spec, and ``validate`` per-unit data diagnostics.
+
+Defaults are those of ``RunConfig``; config-file values win over flags so
+that a single artifact reproduces a run.  All JSON outputs carry
+``"schema": 1`` and are byte-identical across reruns with the same
+configuration and inputs.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 input data or
 I/O problem, 3 estimation failure.
@@ -26,9 +40,9 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
-from .basis import ForecastConfig
-from .errors import (ConfigError, EstimationError, FatpanelError,
-                     PanelFormatError, RankDeficiencyError)
+from .basis import ForecastConfig, as_integer
+from .errors import (ConfigError, EstimationError, PanelFormatError,
+                     RankDeficiencyError)
 from .estimators import (FatEstimate, MbConfig, covariate_fat_heterogeneous,
                          dfat, fat, model_based_fat, placebo_fat)
 from .panel import PanelData, load_panel, validate
@@ -50,12 +64,13 @@ _ESTIMATORS = ("pr", "mb", "covariate_het")
 class RunConfig:
     """Everything one batch invocation needs, flags and file merged.
 
-    ``r`` is the estimation window length (integer or ``"all"``), ``q`` the
-    polynomial orders to run, ``horizons`` the forecast horizons, ``lags``
-    the placebo lag grid, and ``delta`` the anticipation offset.  ``schema``
-    optionally remaps input CSV column names and can only be given through
-    a config file.  ``dgp`` and ``cells`` define an inline simulation study
-    when no preset is named.
+    Its defaults are the CLI's only defaults.  ``r`` is the estimation
+    window length (integer or ``"all"``), ``q`` the polynomial orders to
+    run, ``horizons`` the forecast horizons, ``lags`` the placebo lag grid,
+    and ``delta`` the anticipation offset.  ``schema`` optionally remaps
+    input CSV column names and can only be given through a config file.
+    ``dgp`` and ``cells`` define an inline simulation study when no preset
+    is named.
     """
 
     command: str
@@ -89,8 +104,6 @@ class RunConfig:
         if self.estimator not in _ESTIMATORS:
             raise ConfigError(
                 f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
-        if isinstance(self.r, str) and self.r != "all":
-            raise ConfigError(f"r must be an integer or 'all', got {self.r!r}")
 
     def forecast_config(self, q: int) -> ForecastConfig:
         return ForecastConfig(q=q, R=self.r, delta=self.delta)
@@ -102,42 +115,31 @@ class RunConfig:
                         detrend=self.detrend)
 
 
-def _as_tuple(value, *, what: str, cast=int) -> tuple:
-    if isinstance(value, (list, tuple)):
-        items = value
-    else:
-        items = [value]
-    try:
-        return tuple(cast(v) for v in items)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{what} must be a list of {cast.__name__}s") from exc
-
-
-def _parse_r(value) -> Union[int, str]:
-    if isinstance(value, str):
-        if value == "all":
-            return "all"
-        try:
-            return int(value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"r must be an integer or 'all', got {value!r}") from exc
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"r must be an integer or 'all', got {value!r}")
-    return value
-
-
-_CONFIG_KEYS = {
-    "command", "input", "schema", "q", "r", "horizons", "lags", "delta",
-    "level", "estimator", "instrument_lag", "detrend", "mb_covariates",
-    "preset", "dgp", "cells", "reps", "seed", "out_json", "out_csv",
-}
-
 # Aliases so the file can use the same spelling as the flag.
 _CONFIG_ALIASES = {"R": "r", "h": "horizons", "n_reps": "reps"}
 
 
-def _load_config_file(path: str) -> dict:
+def _window_length(text: str) -> Union[int, str]:
+    return text if text == "all" else int(text)
+
+
+def _normalised(key: str, value):
+    """A flag or config-file value in the form ``RunConfig`` holds."""
+    listed = value if isinstance(value, (list, tuple)) else [value]
+    if key in ("q", "horizons", "lags"):
+        return tuple(as_integer(key, v) for v in listed)
+    if key in ("delta", "instrument_lag", "reps", "seed"):
+        return as_integer(key, value)
+    if key == "r" and value != "all":
+        return as_integer("r", value, "an integer or 'all'")
+    if key == "mb_covariates":
+        return tuple(str(v) for v in listed)
+    if key == "cells" and value is not None:
+        return tuple(value)
+    return value
+
+
+def _load_config_file(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -147,52 +149,32 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a JSON object")
+    _, _, flags, file_only = _SUBCOMMANDS[command]
+    known = {"command", *flags, *_OUTPUTS, *file_only}
     merged = {}
     for key, value in raw.items():
-        key = _CONFIG_ALIASES.get(key, key)
-        if key not in _CONFIG_KEYS:
-            raise ConfigError(f"unknown config key {key!r}")
-        merged[key] = value
+        field = _CONFIG_ALIASES.get(key, key)
+        if field not in known:
+            raise ConfigError(f"{command} takes no config key {key!r}")
+        merged[field] = value
     return merged
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    """Merge parsed flags with an optional JSON config file (file wins)."""
-    values = {
-        "command": args.command,
-        "input": args.input,
-        "q": tuple(args.q) if args.q is not None else (1,),
-        "r": _parse_r(args.r),
-        "horizons": tuple(args.h) if args.h is not None else (1,),
-        "lags": tuple(args.lags) if args.lags is not None else (0, 1, 2, 3),
-        "delta": args.delta,
-        "level": args.level,
-        "estimator": args.estimator,
-        "instrument_lag": args.instrument_lag,
-        "preset": args.preset,
-        "reps": args.reps,
-        "seed": args.seed,
-        "out_json": args.out_json,
-        "out_csv": args.out_csv,
-    }
-    if args.config is not None:
-        overrides = _load_config_file(args.config)
+    """Layer the ``RunConfig`` defaults, the flags given, then the config
+    file, so that file values win."""
+    values = vars(args).copy()
+    path = values.pop("config", None)
+    if path is not None:
+        overrides = _load_config_file(path, args.command)
         file_command = overrides.pop("command", None)
         if file_command is not None and file_command != args.command:
             raise ConfigError(
                 f"config file says command={file_command!r} but "
                 f"{args.command!r} was invoked")
         values.update(overrides)
-    values["q"] = _as_tuple(values["q"], what="q")
-    values["horizons"] = _as_tuple(values["horizons"], what="horizons")
-    values["lags"] = _as_tuple(values["lags"], what="lags")
-    values["mb_covariates"] = _as_tuple(
-        values.get("mb_covariates", ()), what="mb_covariates", cast=str)
-    values["r"] = _parse_r(values["r"])
-    if values.get("cells") is not None:
-        values["cells"] = tuple(values["cells"])
     try:
-        return RunConfig(**values)
+        return RunConfig(**{k: _normalised(k, v) for k, v in values.items()})
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -211,19 +193,10 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_line(fields: Sequence[object]) -> str:
-    out = []
-    for f in fields:
-        if isinstance(f, float):
-            out.append(repr(f))
-        else:
-            out.append(str(f))
-    return ",".join(out)
-
-
 def _residual_csv(rows: Sequence[tuple], header: Sequence[str]) -> str:
+    # str(float) is repr(float): the shortest text that reads back exactly.
     lines = [",".join(header)]
-    lines.extend(_csv_line(row) for row in rows)
+    lines.extend(",".join(map(str, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -296,7 +269,7 @@ def cmd_placebo(cfg: RunConfig) -> int:
         for lag in cfg.lags:
             try:
                 est = placebo_fat(panel, config, lag, h, level=cfg.level)
-            except FatpanelError as exc:
+            except (EstimationError, RankDeficiencyError) as exc:
                 results.append({"q": q, "R": cfg.r, "lag": lag,
                                 "error": str(exc)})
                 continue
@@ -307,7 +280,6 @@ def cmd_placebo(cfg: RunConfig) -> int:
             for unit_id, resid in zip(est.unit_ids, est.residuals):
                 residual_rows.append((q, cfg.r, lag, h, unit_id, float(resid)))
     payload = _base_payload(cfg, "placebo")
-    payload["estimator"] = "pr"
     payload["results"] = results
     csv_text = _residual_csv(residual_rows,
                              ("q", "R", "lag", "horizon", "unit", "residual"))
@@ -334,7 +306,6 @@ def cmd_dfat(cfg: RunConfig) -> int:
                     residual_rows.append(
                         (q, cfg.r, h, group, unit_id, float(resid)))
     payload = _base_payload(cfg, "dfat")
-    payload["estimator"] = "pr"
     payload["results"] = results
     csv_text = _residual_csv(
         residual_rows, ("q", "R", "horizon", "group", "unit", "residual"))
@@ -402,13 +373,52 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "estimate": cmd_estimate,
-    "placebo": cmd_placebo,
-    "dfat": cmd_dfat,
-    "simulate": cmd_simulate,
-    "validate": cmd_validate,
+# Every RunConfig field a flag sets: its flag, help text and argparse
+# keywords.  The defaults are RunConfig's alone; the help quotes them.
+_FLAGS = {
+    "input": ("--input", "panel CSV file", dict(metavar="FILE")),
+    "q": ("--q", "polynomial order(s)", dict(nargs="+", type=int, metavar="Q")),
+    "r": ("--r", "window length, an integer or 'all'",
+          dict(type=_window_length, metavar="R")),
+    "horizons": ("--h", "forecast horizon(s)",
+                 dict(nargs="+", type=int, metavar="H")),
+    "lags": ("--lags", "placebo lag grid",
+             dict(nargs="+", type=int, metavar="LAG")),
+    "delta": ("--delta", "anticipation offset in periods",
+              dict(type=int, metavar="D")),
+    "level": ("--level", "confidence level", dict(type=float, metavar="P")),
+    "estimator": ("--estimator", "point estimator", dict(choices=_ESTIMATORS)),
+    "instrument_lag": ("--instrument-lag",
+                       "instrument depth for the model-based first stage",
+                       dict(type=int, choices=(2, 3))),
+    "preset": ("--preset", "named simulation study", dict(metavar="NAME")),
+    "reps": ("--reps", "Monte Carlo replications", dict(type=int, metavar="N")),
+    "seed": ("--seed", "master seed", dict(type=int, metavar="S")),
+    "out_json": ("--out-json", "write the JSON report here instead of stdout",
+                 dict(metavar="FILE")),
+    "out_csv": ("--out-csv", "also write a plot-ready CSV here",
+                dict(metavar="FILE")),
 }
+
+# Every subcommand: its handler, a one-line description, the fields its
+# flags set, and the fields only a config file sets.  Every subcommand also
+# takes --config and the two output flags.
+_SUBCOMMANDS = {
+    "estimate": (cmd_estimate, "estimate effects per (q, horizon)",
+                 ("input", "q", "r", "horizons", "delta", "level", "estimator",
+                  "instrument_lag"),
+                 ("schema", "detrend", "mb_covariates")),
+    "placebo": (cmd_placebo, "pre-treatment placebo estimates over a lag grid",
+                ("input", "q", "r", "horizons", "lags", "delta", "level"),
+                ("schema",)),
+    "dfat": (cmd_dfat, "treated-minus-control differenced estimates",
+             ("input", "q", "r", "horizons", "delta", "level"), ("schema",)),
+    "simulate": (cmd_simulate, "run a Monte Carlo study",
+                 ("preset", "reps", "seed"), ("dgp", "cells")),
+    "validate": (cmd_validate, "report per-unit data diagnostics",
+                 ("input", "q", "r", "delta"), ("schema",)),
+}
+_OUTPUTS = ("out_json", "out_csv")
 
 
 # --------------------------------------------------------------------------
@@ -423,53 +433,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", metavar="FILE",
-                   help="JSON config file; its values win over flags")
-    p.add_argument("--input", metavar="FILE", help="panel CSV file")
-    p.add_argument("--q", nargs="+", type=int, metavar="Q",
-                   help="polynomial order(s), default 1")
-    p.add_argument("--r", default="all", metavar="R",
-                   help="window length (integer or 'all', default all)")
-    p.add_argument("--h", nargs="+", type=int, metavar="H",
-                   help="forecast horizon(s), default 1")
-    p.add_argument("--lags", nargs="+", type=int, metavar="LAG",
-                   help="placebo lag grid, default 0 1 2 3")
-    p.add_argument("--delta", type=int, default=0, metavar="D",
-                   help="anticipation offset in periods, default 0")
-    p.add_argument("--level", type=float, default=0.95, metavar="P",
-                   help="confidence level, default 0.95")
-    p.add_argument("--estimator", choices=_ESTIMATORS, default="pr",
-                   help="point estimator, default pr")
-    p.add_argument("--instrument-lag", type=int, choices=(2, 3), default=3,
-                   dest="instrument_lag",
-                   help="instrument depth for the model-based first stage")
-    p.add_argument("--preset", metavar="NAME",
-                   help="named simulation study (simulate only)")
-    p.add_argument("--reps", type=int, default=200, metavar="N",
-                   help="Monte Carlo replications, default 200")
-    p.add_argument("--seed", type=int, default=0, metavar="S",
-                   help="master seed for simulate, default 0")
-    p.add_argument("--out-json", metavar="FILE", dest="out_json",
-                   help="write the JSON report here instead of stdout")
-    p.add_argument("--out-csv", metavar="FILE", dest="out_csv",
-                   help="also write a plot-ready CSV here")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fatpanel",
+    # No abbreviations: a prefix of a flag the subcommand lacks could
+    # otherwise resolve to another one (``simulate --r`` to ``--reps``).
+    parser = _Parser(prog="fatpanel", allow_abbrev=False,
                      description="Forecasted average treatment effects "
                                  "from panel data.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     sub.required = True
-    for name, blurb in (
-            ("estimate", "estimate effects per (q, horizon)"),
-            ("placebo", "pre-treatment placebo estimates over a lag grid"),
-            ("dfat", "treated-minus-control differenced estimates"),
-            ("simulate", "run a Monte Carlo study"),
-            ("validate", "report per-unit data diagnostics")):
-        p = sub.add_parser(name, help=blurb, description=blurb)
-        _add_common_flags(p)
+    defaults = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+    for name, (_, blurb, fields, _) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=blurb, description=blurb,
+                           allow_abbrev=False,
+                           argument_default=argparse.SUPPRESS)
+        p.add_argument("--config", metavar="FILE",
+                       help="JSON config file; its values win over flags")
+        for field in fields + _OUTPUTS:
+            flag, text, kwargs = _FLAGS[field]
+            default = defaults[field]
+            if isinstance(default, tuple):
+                default = " ".join(map(str, default))
+            if default is not None:
+                text = f"{text}, default {default}"
+            p.add_argument(flag, dest=field, help=text, **kwargs)
     return parser
 
 
@@ -481,7 +467,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         cfg = build_run_config(args)
-        return _COMMANDS[cfg.command](cfg)
+        return _SUBCOMMANDS[cfg.command][0](cfg)
     except ConfigError as exc:
         print(f"fatpanel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

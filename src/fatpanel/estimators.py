@@ -40,7 +40,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
-from .basis import BasisSpec, ForecastConfig, _qr, _solver_design, forecast_weights
+from .basis import BasisSpec, ForecastConfig, _qr, _solver_design, as_integer, forecast_weights
 from .errors import ConfigError, EstimationError, RankDeficiencyError
 from .panel import CohortBlock, PanelData, _run_ending
 
@@ -85,9 +85,6 @@ class FatEstimate:
     unit_ids: tuple[str, ...]
     residuals: np.ndarray
     dropped: tuple[tuple[str, str], ...] = ()
-
-    def residuals_by_unit(self) -> dict[str, float]:
-        return {u: float(r) for u, r in zip(self.unit_ids, self.residuals)}
 
     def to_dict(self) -> dict:
         return {
@@ -248,8 +245,8 @@ def mb_variance(residuals, gradients, psi) -> float:
 
 
 def _zscore(level: float) -> float:
-    if not 0.0 < level < 1.0:
-        raise ConfigError("confidence level must be in (0, 1)")
+    if not isinstance(level, (float, np.floating)) or not 0.0 < level < 1.0:
+        raise ConfigError(f"confidence level must be in (0, 1), got {level!r}")
     return _normal_quantile(level)
 
 
@@ -484,7 +481,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     -------
     FatEstimate
     """
-    h = config.h if h is None else int(h)
+    h = config.h if h is None else as_integer("h", h)
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
     ids, residuals, _, dropped = _fat_residuals(panel.treated_blocks, config, h)
@@ -499,7 +496,7 @@ def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
     is zero and the estimate diagnoses forecast bias.  ``lag=0`` reproduces
     ``fat`` exactly.
     """
-    if lag < 0:
+    if as_integer("lag", lag) < 0:
         raise ConfigError("placebo lag must be >= 0")
     ids, residuals, _, dropped = _fat_residuals(panel.treated_blocks, config, h,
                                                 tau_shift=lag)
@@ -516,7 +513,7 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     cancels from the difference.  The two groups may use different window
     settings via ``config_control``.
     """
-    h = config.h if h is None else int(h)
+    h = config.h if h is None else as_integer("h", h)
     treated = panel.treated_blocks
     controls = [b for b in panel.control_blocks if b.tau is not None]
     skipped = tuple((u, "no adoption date") for _, u in sorted(
@@ -671,7 +668,7 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int | None = None,
     With no lagged outcome, no covariates, and beta empty this reproduces
     ``fat`` residual for residual.
     """
-    h = mb.h if h is None else int(h)
+    h = mb.h if h is None else as_integer("h", h)
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
     if mb.first_stage == "user":
@@ -701,7 +698,7 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
     forecast plugs in the covariates observed at the target period.  Units
     whose augmented design is rank deficient on their window are dropped.
     """
-    h = config.h if h is None else int(h)
+    h = config.h if h is None else as_integer("h", h)
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
     names = panel.covariate_names if covariates is None else tuple(covariates)

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .basis import ForecastConfig
+from .basis import ForecastConfig, as_integer
 from .csvrows import read_rows
 from .errors import ConfigError, PanelFormatError
 
@@ -502,7 +502,7 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
         if b.tau is None:  # only a control block may lack a date
             messages.append("no treatment date")
         else:
-            eff_tau = b.tau - int(config.delta)
+            eff_tau = b.tau - config.delta
             i = int(np.searchsorted(b.times, eff_tau))
             if i < b.times.size and b.times[i] == eff_tau:
                 run = _run_ending(b.times, i)
@@ -596,13 +596,15 @@ def apply_anticipation(panel: PanelData, delta) -> PanelData:
     ``delta`` is a non-negative integer, or a mapping from unit id to one.
     Each unit's date becomes tau - delta, so estimation windows end before
     any anticipatory response, and horizons count from the shifted date.
-    An invalid shift raises for the first offending unit in panel order.
+    A shift that is not an integer raises ``ConfigError``; any other invalid
+    shift raises for the first offending unit in panel order.
     """
     pieces, faults = [], []
     for b in panel._blocks:
         ids = b.unit_ids.tolist()
-        shifts = (np.array([int(delta.get(uid, 0)) for uid in ids])
-                  if isinstance(delta, Mapping) else np.full(len(ids), int(delta)))
+        shifts = (np.array([as_integer("anticipation", delta.get(uid, 0)) for uid in ids])
+                  if isinstance(delta, Mapping)
+                  else np.full(len(ids), as_integer("anticipation", delta)))
         for d in np.unique(shifts).tolist():
             rows = np.flatnonzero(shifts == d)
             fault = None

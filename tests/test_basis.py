@@ -253,3 +253,23 @@ def test_forecast_config_validation():
         ForecastConfig(q=2, R=5, basis=BasisSpec("polynomial", order=1))
     cfg = ForecastConfig(q=0, R="all")
     assert cfg.basis.order == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("R", 2.5), ("R", 3.0), ("R", True), ("R", "3"),
+    ("delta", 1.5), ("delta", {"a": 1}), ("delta", False),
+    ("h", 1.5), ("h", np.float64(2.0)),
+    ("q", 1.5), ("q", True),
+])
+def test_forecast_config_refuses_non_integers(field, value):
+    kw = {"q": 0, "R": 3, field: value}
+    name = "basis order" if field == "q" else field
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        ForecastConfig(**kw)
+
+
+def test_forecast_config_takes_numpy_integers_as_python_ints():
+    cfg = ForecastConfig(q=np.int64(1), R=np.int32(3), h=np.int64(2),
+                         delta=np.uint8(1))
+    assert (cfg.q, cfg.R, cfg.h, cfg.delta) == (1, 3, 2, 1)
+    assert all(type(v) is int for v in (cfg.q, cfg.R, cfg.h, cfg.delta))

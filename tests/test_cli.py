@@ -6,6 +6,7 @@ beyond argument plumbing and serialization.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ def test_placebo_bad_lag_keeps_going(tmp_path):
     good, bad = payload["results"]
     assert "point" in good and "error" not in good
     assert bad["lag"] == 9 and "error" in bad and "point" not in bad
+
+
+@pytest.mark.parametrize("flags", [["--lags", "-1", "0"], ["--level", "1.5"]])
+def test_placebo_configuration_error_is_usage_error(tmp_path, capsys, flags):
+    path = sim_panel_csv(tmp_path)
+    out = tmp_path / "o.json"
+    assert main(["placebo", "--input", path, "--q", "0", "--r", "2", *flags,
+                 "--out-json", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith("fatpanel: error: ")
 
 
 def test_placebo_all_lags_failing_is_estimation_error(tmp_path):
@@ -383,6 +394,114 @@ def test_bad_r_value_is_usage_error(tmp_path):
     assert main(["estimate", "--input", path, "--r", "half"]) == 1
 
 
+@pytest.mark.parametrize("command, setting", [
+    ("estimate", {"r": 2.5}), ("estimate", {"r": "3"}),
+    ("estimate", {"q": [1.5]}), ("estimate", {"q": ["1"]}),
+    ("estimate", {"h": [True]}), ("estimate", {"delta": 1.5}),
+    ("estimate", {"delta": {"a": 1}}), ("placebo", {"lags": [0, 1.5]}),
+    ("estimate", {"instrument_lag": 3.0, "estimator": "mb"}),
+    ("estimate", {"level": "0.9"}), ("placebo", {"level": None}),
+    ("simulate", {"preset": "stationary", "reps": 2.5}),
+    ("simulate", {"preset": "stationary", "reps": 2, "seed": 1.5}),
+])
+def test_non_integer_config_value_is_usage_error(tmp_path, capsys, command,
+                                                 setting):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(setting))
+    argv = [command, "--config", str(cfg_path)]
+    if command != "simulate":
+        argv += ["--input", sim_panel_csv(tmp_path)]
+    assert main(argv + ["--out-json", str(tmp_path / "o.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fatpanel: error: ") and err.count("\n") == 1
+
+
 def test_bad_level_is_usage_error(tmp_path):
     path = sim_panel_csv(tmp_path)
     assert main(["estimate", "--input", path, "--level", "1.5"]) == 1
+
+
+# -- option tables -----------------------------------------------------------
+
+# Written out by hand, not read from the CLI, so that a change to either
+# side shows up here.
+OWN_FLAGS = {
+    "estimate": {"--input", "--q", "--r", "--h", "--delta", "--level",
+                 "--estimator", "--instrument-lag"},
+    "placebo": {"--input", "--q", "--r", "--h", "--lags", "--delta", "--level"},
+    "dfat": {"--input", "--q", "--r", "--h", "--delta", "--level"},
+    "simulate": {"--preset", "--reps", "--seed"},
+    "validate": {"--input", "--q", "--r", "--delta"},
+}
+SHARED_FLAGS = {"--config", "--out-json", "--out-csv"}
+FLAG_VALUE = {"--input": "x.csv", "--q": "1", "--r": "3", "--h": "1",
+              "--lags": "0", "--delta": "0", "--level": "0.9",
+              "--estimator": "pr", "--instrument-lag": "3",
+              "--preset": "stationary", "--reps": "2", "--seed": "1"}
+OWN_KEYS = {
+    "estimate": {"input", "q", "r", "R", "horizons", "h", "delta", "level",
+                 "estimator", "instrument_lag", "schema", "detrend",
+                 "mb_covariates"},
+    "placebo": {"input", "q", "r", "R", "horizons", "h", "lags", "delta",
+                "level", "schema"},
+    "dfat": {"input", "q", "r", "R", "horizons", "h", "delta", "level",
+             "schema"},
+    "simulate": {"preset", "reps", "n_reps", "seed", "dgp", "cells"},
+    "validate": {"input", "q", "r", "R", "delta", "schema"},
+}
+KEY_VALUE = {"input": "absent.csv", "q": 1, "r": 3, "R": 3, "horizons": 1,
+             "h": 1, "lags": 0, "delta": 0, "level": 0.9, "estimator": "pr",
+             "instrument_lag": 3, "schema": {}, "detrend": True,
+             "mb_covariates": [], "preset": "nope", "reps": 2, "n_reps": 2,
+             "seed": 1, "dgp": {}, "cells": []}
+
+
+@pytest.mark.parametrize("command, flag", [
+    (c, f) for c in OWN_FLAGS for f in sorted(FLAG_VALUE) if f not in OWN_FLAGS[c]])
+def test_foreign_flag_is_usage_error(tmp_path, capsys, command, flag):
+    out = tmp_path / "o.json"
+    assert main([command, flag, FLAG_VALUE[flag], "--out-json", str(out)]) == 1
+    assert not out.exists()
+    assert f"unrecognized arguments: {flag} " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key", [
+    (c, k) for c in OWN_KEYS for k in sorted(KEY_VALUE) if k not in OWN_KEYS[c]])
+def test_foreign_config_key_is_usage_error(tmp_path, capsys, command, key):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: KEY_VALUE[key]}))
+    out = tmp_path / "o.json"
+    assert main([command, "--config", str(cfg_path), "--out-json", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"fatpanel: error: {command} takes no config key {key!r}\n")
+
+
+@pytest.mark.parametrize("command, key", [
+    (c, k) for c in OWN_KEYS for k in sorted(OWN_KEYS[c])])
+def test_own_config_key_passes_the_key_check(tmp_path, capsys, command, key):
+    # Each run then stops at once: no input file, or no complete study.
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({key: KEY_VALUE[key]}))
+    argv = [command, "--config", str(cfg_path)]
+    if command != "simulate":
+        argv += ["--input", str(tmp_path / "absent.csv")]
+    assert main(argv) == (1 if command == "simulate" else 2)
+    assert "config key" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(OWN_FLAGS))
+def test_help_lists_exactly_the_own_flags(capsys, command):
+    assert main([command, "--help"]) == 0
+    listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert listed == OWN_FLAGS[command] | SHARED_FLAGS | {"--help"}
+
+
+def test_help_quotes_the_defaults(capsys):
+    assert main(["placebo", "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for fragment in ("order(s), default 1 ", "or 'all', default all ",
+                     "horizon(s), default 1 ", "lag grid, default 0 1 2 3 ",
+                     "in periods, default 0 ", "level, default 0.95 ",
+                     "instead of stdout --out-csv"):
+        assert fragment in text

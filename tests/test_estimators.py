@@ -195,6 +195,20 @@ def test_placebo_rejects_negative_lag():
         placebo_fat(panel, ForecastConfig(q=0, R=2), lag=-1)
 
 
+@pytest.mark.parametrize("call", [
+    lambda p, c: fat(p, c, h=1.5),
+    lambda p, c: fat(p, c, h=True),
+    lambda p, c: dfat(p, c, h=2.0),
+    lambda p, c: model_based_fat(p, MbConfig(q=0, R=2), h=1.5),
+    lambda p, c: covariate_fat_heterogeneous(p, c, h=1.5),
+    lambda p, c: placebo_fat(p, c, lag=1.5),
+])
+def test_estimators_refuse_non_integer_horizon_or_lag(call):
+    panel = random_balanced_panel(np.random.default_rng(1))
+    with pytest.raises(ConfigError, match="must be an integer"):
+        call(panel, ForecastConfig(q=0, R=2))
+
+
 # ---------------------------------------------------------------------------
 # dropped-unit policy and window handling
 

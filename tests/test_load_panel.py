@@ -239,7 +239,8 @@ def csv_cases(draw):
             rows.append(row)
     rows = draw(st.permutations(rows))
     faults = draw(st.lists(st.sampled_from(FAULTS), max_size=4))
-    for kind in faults:
+    # Width faults go last: every other fault indexes a full-width row.
+    for kind in sorted(faults, key=lambda kind: kind == "width"):
         i = draw(st.integers(0, len(rows) - 1))
         row = rows[i] = list(rows[i])
         if kind == "width":

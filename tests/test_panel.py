@@ -405,3 +405,15 @@ def test_apply_anticipation():
                    tau=None, is_control=True)
     with pytest.raises(PanelFormatError, match="needs a treatment date"):
         apply_anticipation(PanelData([c]), 1)
+
+
+@pytest.mark.parametrize("delta", [1.5, 1.0, True, "1", {"a": 1.5}, {"b": True}])
+def test_apply_anticipation_refuses_non_integer_shifts(delta):
+    with pytest.raises(ConfigError, match="must be an integer"):
+        apply_anticipation(PanelData([unit("a"), unit("b")]), delta)
+
+
+def test_apply_anticipation_takes_numpy_integers():
+    p = PanelData([unit("a"), unit("b")])
+    assert apply_anticipation(p, np.int64(1)).unit("a").tau == 4
+    assert apply_anticipation(p, {"b": np.int32(2)}).unit("b").tau == 3

@@ -18,9 +18,10 @@ validate   --input --q --r --delta                           schema
 =========  ================================================  ==============
 
 ``estimate`` gives effects per (q, horizon), ``placebo`` pre-treatment
-placebo estimates over a lag grid, ``dfat`` treated-minus-control
-differences, ``simulate`` a Monte Carlo study from a named preset or an
-inline process spec, and ``validate`` per-unit data diagnostics.
+placebo estimates over a lag grid at one horizon, ``dfat`` treated-minus-
+control differences, ``simulate`` a Monte Carlo study from a named preset
+or an inline process spec, and ``validate`` per-unit data diagnostics for
+one q.
 
 Defaults are those of ``RunConfig``; config-file values win over flags so
 that a single artifact reproduces a run.  All JSON outputs carry
@@ -189,6 +190,15 @@ def _read_panel(cfg: RunConfig) -> PanelData:
     return load_panel(cfg.input, schema=cfg.schema)
 
 
+def _single(cfg: RunConfig, field: str):
+    """The value of a list setting of which the command takes exactly one."""
+    values = getattr(cfg, field)
+    if len(values) != 1:
+        raise ConfigError(f"{cfg.command} takes one {_FLAGS[field][0]} (config key "
+                          f"{field!r}), got {list(values)}")
+    return values[0]
+
+
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -259,8 +269,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_placebo(cfg: RunConfig) -> int:
+    h = _single(cfg, "horizons")
     panel = _read_panel(cfg)
-    h = cfg.horizons[0]
     results = []
     residual_rows = []
     n_ok = 0
@@ -353,15 +363,16 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def cmd_validate(cfg: RunConfig) -> int:
+    q = _single(cfg, "q")
     panel = _read_panel(cfg)
-    report = validate(panel, cfg.forecast_config(cfg.q[0]))
+    report = validate(panel, cfg.forecast_config(q))
     payload = {
         "schema": 1,
         "kind": "validation",
         "command": cfg.command,
         "input": cfg.input,
         "R": cfg.r,
-        "q": cfg.q[0],
+        "q": q,
         "delta": cfg.delta,
     }
     payload.update(report.to_dict())

@@ -206,6 +206,8 @@ class MbConfig:
                 )
         if self.detrend is None:
             object.__setattr__(self, "detrend", self.instrument_lag == 3)
+        elif not isinstance(self.detrend, bool):
+            raise ConfigError(f"detrend must be true, false or None, got {self.detrend!r}")
 
     def forecast_config(self) -> ForecastConfig:
         """Window settings of the polynomial remainder fit."""
@@ -579,6 +581,14 @@ def _ah_moments(block: CohortBlock, eff_tau: int, lag: int, detrend: bool,
     return A, b, rows.sum(axis=1)
 
 
+def _covariate_columns(panel: PanelData, names: Sequence[str]) -> list[int]:
+    unknown = [c for c in names if c not in panel.covariate_names]
+    if unknown:
+        raise ConfigError(f"unknown covariates {unknown}; the panel has "
+                          f"{list(panel.covariate_names)}")
+    return [panel.covariate_names.index(c) for c in names]
+
+
 def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
                    detrend: bool | None = None,
                    covariates: Sequence[str] = (), delta: int = 0) -> AhEstimate:
@@ -603,7 +613,7 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         raise ConfigError("instrument_lag must be 2 or 3")
     if detrend is None:
         detrend = instrument_lag == 3
-    cov_idx = [panel.covariate_names.index(c) for c in covariates]
+    cov_idx = _covariate_columns(panel, covariates)
     if not panel.treated_blocks:
         raise EstimationError("no treated units")
     k = 1 + len(cov_idx) + (1 if detrend else 0)
@@ -678,7 +688,7 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int | None = None,
         first = anderson_hsiao(panel, mb.instrument_lag, mb.detrend,
                                mb.covariates, mb.delta)
         beta, psi = first.beta, first.psi
-    cov_idx = [panel.covariate_names.index(c) for c in mb.covariates]
+    cov_idx = _covariate_columns(panel, mb.covariates)
     if not panel.treated_blocks:
         raise EstimationError("no treated units")
     ids, residuals, grads, dropped = _fat_residuals(
@@ -702,7 +712,7 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
     names = panel.covariate_names if covariates is None else tuple(covariates)
-    cov_idx = [panel.covariate_names.index(c) for c in names]
+    cov_idx = _covariate_columns(panel, names)
     if not cov_idx:
         raise ConfigError("no covariates selected")
     q = config.basis.order

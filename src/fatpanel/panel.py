@@ -358,7 +358,11 @@ def load_panel(source, schema: Mapping[str, object] | None = None,
         that has neither a treatment date nor a control flag.  The error
         names the first offending row in file order, and a row's checks
         run in that order: field count, time, outcome, treatment date,
-        control flag, agreement with the unit's earlier rows, covariates.
+        control flag, agreement with the unit's first row, an unseen time,
+        covariates in column order.
+    ConfigError
+        When ``schema`` is not a mapping, a column name in it is not a
+        string, or its ``covariates`` is not a list of strings.
     """
     if hasattr(source, "read"):
         return _load_stream(source, schema, time_unit)

@@ -421,6 +421,34 @@ def test_bad_level_is_usage_error(tmp_path):
     assert main(["estimate", "--input", path, "--level", "1.5"]) == 1
 
 
+@pytest.mark.parametrize("command, setting, flags, message", [
+    ("estimate", {"schema": 5}, [], "schema must be a mapping, got 5"),
+    ("estimate", {"schema": {"covariates": 7}}, [], "'covariates' a list of them"),
+    ("estimate", {"schema": {"unit": 3}}, [], "column names must be strings"),
+    ("estimate", {"mb_covariates": ["nope"], "estimator": "mb"}, ["--r", "3"],
+     "unknown covariates ['nope']"),
+    ("estimate", {"detrend": "yes", "estimator": "mb"}, ["--r", "3"],
+     "detrend must be true, false or None, got 'yes'"),
+    ("placebo", {}, ["--h", "1", "2", "--lags", "1"],
+     "placebo takes one --h (config key 'horizons'), got [1, 2]"),
+    ("placebo", {"h": [1, 2]}, [], "placebo takes one --h"),
+    ("validate", {}, ["--q", "0", "1"],
+     "validate takes one --q (config key 'q'), got [0, 1]"),
+    ("validate", {"q": [0, 1]}, [], "validate takes one --q"),
+])
+def test_malformed_setting_is_usage_error(tmp_path, capsys, command, setting,
+                                          flags, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(setting))
+    out = tmp_path / "o.json"
+    assert main([command, "--input", sim_panel_csv(tmp_path), "--config",
+                 str(cfg_path), *flags, "--out-json", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("fatpanel: error: ") and err.count("\n") == 1
+    assert message in err
+
+
 # -- option tables -----------------------------------------------------------
 
 # Written out by hand, not read from the CLI, so that a change to either

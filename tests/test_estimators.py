@@ -441,6 +441,8 @@ def test_mb_config_validation():
         MbConfig(lagged_outcome=False)             # built-in stage needs the lag
     with pytest.raises(ConfigError):
         MbConfig(instrument_lag=4)
+    with pytest.raises(ConfigError, match="detrend must be"):
+        MbConfig(detrend="yes")
     assert MbConfig(instrument_lag=3).detrend is True
     assert MbConfig(instrument_lag=2).detrend is False
 
@@ -577,3 +579,19 @@ def test_unit_without_covariates_is_dropped_as_incomplete():
     assert het.unit_ids == ("a",) and het.dropped == (reason,)
     mb = MbConfig(q=1, R=4, covariates=("x",), first_stage="user", beta=(0.3, 1.0))
     assert model_based_fat(panel, mb, h=1).dropped == (reason,)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: anderson_hsiao(p, covariates=("x", "nope")),
+    lambda p: model_based_fat(p, MbConfig(q=1, R=4, covariates=("nope",),
+                                          first_stage="user", beta=(0.3, 1.0)), h=1),
+    lambda p: covariate_fat_heterogeneous(p, ForecastConfig(q=1, R=5), h=1,
+                                          covariates=("nope",)),
+])
+def test_an_unknown_covariate_is_a_config_error_naming_it(call):
+    t = np.arange(8.0)
+    panel = PanelData([UnitSeries("a", np.arange(8), t + np.sin(t), tau=5,
+                                  covariates=np.sin(t)[:, None])],
+                      covariate_names=("x",))
+    with pytest.raises(ConfigError, match=r"unknown covariates \['nope'\]"):
+        call(panel)

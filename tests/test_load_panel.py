@@ -23,7 +23,7 @@ from fatpanel import csvrows
 from fatpanel import panel as panel_module
 from fatpanel.cli import main
 from fatpanel.csvrows import _FALSE_FLAGS, _TRUE_FLAGS, _resolve_schema
-from fatpanel.errors import PanelFormatError
+from fatpanel.errors import ConfigError, PanelFormatError
 from fatpanel.panel import (PanelData, UnitSeries, apply_anticipation, load_panel,
                             panel_to_csv_text, reindex_time_to_adoption, write_panel)
 from fatpanel.simulate import DgpSpec, simulate_dgp
@@ -266,7 +266,7 @@ def csv_cases(draw):
             j = draw(st.integers(0, len(rows)))
             rows.insert(j, row[:1] + [row[1].strip()] + ["0.5"] + row[3:])
         elif kind == "covariate" and n_cov:
-            row[-1] = draw(st.sampled_from(["q", "1..2"]))
+            row[draw(st.integers(-n_cov, -1))] = draw(st.sampled_from(["q", "1..2"]))
         elif kind == "orphan":
             rows.append([draw(st.sampled_from(["orphan", "a"])), "1", "1.0", ""]
                         + (["0"] if has_flag else []) + [""] * n_cov)
@@ -325,6 +325,22 @@ def fault_text(bad_row):
 def test_every_fault_kind_is_refused_like_the_oracle(kind, slice_rows):
     want = assert_loads_like_oracle(fault_text(BAD_ROWS[kind]), slice_rows)
     assert want[0] is PanelFormatError
+
+
+@pytest.mark.parametrize("slice_rows", [1, 1024])
+def test_covariate_faults_rank_in_column_order(slice_rows):
+    text = "unit,time,outcome,treated_at,z,a\nu,1,1.0,2,1,1\nu,2,1.0,2,q,r\n"
+    want = assert_loads_like_oracle(text, slice_rows)
+    assert want == (PanelFormatError, "row 3: covariate 'z' 'q' is not a number")
+
+
+@pytest.mark.parametrize("schema", [5, ["unit"], {"unit": 3}, {"time": None},
+                                    {"covariates": 7}, {"covariates": "x"},
+                                    {"covariates": ["x", 1]}])
+def test_a_malformed_schema_is_a_config_error(schema):
+    text = "unit,time,outcome,treated_at,x\na,1,1.0,2,\n"
+    with pytest.raises(ConfigError, match="schema"):
+        load_panel(io.StringIO(text), schema=schema)
 
 
 def test_the_rows_before_a_parse_failure_are_checked_first():

@@ -97,6 +97,8 @@ class _Fault(Exception):
 
 def _convert(kind: type, value: str, what: str, rank: int):
     try:
+        if "_" in value:  # ``int`` and ``float`` take digit-group underscores
+            raise ValueError
         return kind(value)
     except ValueError:
         noun = "an integer" if kind is int else "a number"
@@ -193,7 +195,9 @@ class _RowColumns:
             cols = list(zip(*records))
         n = len(records)
         times = self._lookup(cols[self.it], _time, np.int64, rownums)
-        try:
+        try:  # one scan of the slice's text keeps underscores from ``float``
+            if "_" in "".join(cols[self.iy]):
+                raise ValueError
             y = np.fromiter(map(float, cols[self.iy]), np.float64, n)
         except ValueError:
             y = self._lookup(cols[self.iy], _outcome, np.float64, rownums)

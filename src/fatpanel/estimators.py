@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -127,14 +127,18 @@ class AhEstimate:
     """First-differenced instrumental-variable fit of the dynamic model.
 
     ``beta`` stacks the lagged-outcome coefficient first, then covariate
-    coefficients.  ``psi`` holds one influence vector per contributing
-    unit: the estimation error of ``beta`` is the average of these, so they
-    feed the variance correction of the model-based estimator.
+    coefficients.  ``psi`` is an ``(n_units, k)`` array of influence
+    vectors, row i for the contributing unit at panel position
+    ``positions[i]`` (increasing): the estimation error of ``beta`` is their
+    average, so the model-based variance correction gathers them by
+    position.  ``run_monte_carlo`` fits once per replication for all cells
+    sharing (``instrument_lag``, ``detrend``, covariates, ``delta``).
     """
 
     beta: np.ndarray
     intercept: float | None
-    psi: dict[str, np.ndarray]
+    psi: np.ndarray
+    positions: np.ndarray
     weak: bool
     n_units: int
     n_obs: int
@@ -204,14 +208,20 @@ class MbConfig:
                     "the built-in first stage estimates the lagged-outcome "
                     "model; pass first_stage='user' with beta otherwise"
                 )
-        if self.detrend is None:
-            object.__setattr__(self, "detrend", self.instrument_lag == 3)
-        elif not isinstance(self.detrend, bool):
-            raise ConfigError(f"detrend must be true, false or None, got {self.detrend!r}")
+        object.__setattr__(self, "detrend", _detrend(self.instrument_lag, self.detrend))
 
     def forecast_config(self) -> ForecastConfig:
         """Window settings of the polynomial remainder fit."""
         return ForecastConfig(q=self.q, R=self.R, h=self.h, delta=self.delta)
+
+
+def _detrend(instrument_lag: int, detrend) -> bool:
+    """``detrend`` with None resolved to ``instrument_lag == 3``."""
+    if detrend is None:
+        return instrument_lag == 3
+    if not isinstance(detrend, bool):
+        raise ConfigError(f"detrend must be true, false or None, got {detrend!r}")
+    return detrend
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +233,12 @@ def fat_variance(residuals) -> float:
     u = np.asarray(residuals, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ConfigError("residuals must be a non-empty 1-D array")
-    n = u.size
-    mean = math.fsum(u.tolist()) / n
-    var = math.fsum(((u - mean) ** 2).tolist()) / n
-    return math.sqrt(var / n)
+    return _se(u, math.fsum(u.tolist()) / u.size)
+
+
+def _se(u: np.ndarray, mean: float) -> float:
+    var = math.fsum(((u - mean) ** 2).tolist()) / u.size
+    return math.sqrt(var / u.size)
 
 
 def mb_variance(residuals, gradients, psi) -> float:
@@ -315,26 +327,34 @@ def _resolve(block: CohortBlock, q: int, R, shrink: bool, eff_tau: int,
     return i_tau - R_i + 1, i_tau, j
 
 
-def _weights(cache: dict, basis: BasisSpec, window: np.ndarray, target,
-             h: int) -> np.ndarray:
-    """Forecast weights for a contiguous window, reused within one call.
+def _weights(basis: BasisSpec, window: np.ndarray, h: int) -> np.ndarray:
+    """Forecast weights for a contiguous window, ``h`` periods past its end."""
+    if basis.family == "custom":
+        return forecast_weights(basis, window, window[-1] + h).weights
+    start = int(window[0]) if basis.family == "fourier" else 0
+    return _cached_weights(basis, window.size, h, start)
 
-    Polynomial weights depend only on the window length and the horizon,
-    Fourier weights also on the window's phase; custom bases are not
-    cached.
-    """
-    if basis.family == "polynomial":
-        key = (window.size, h)
-    elif basis.family == "fourier":
-        key = (window.size, h, int(window[0]))
-    else:
-        key = None
-    if key in cache:
-        return cache[key]
-    w = forecast_weights(basis, window, target).weights
-    if key is not None:
-        cache[key] = w
+
+# Polynomial weights depend only on the window length and the horizon (the
+# Legendre map of an integer window is exact, so any start gives the same
+# bits), Fourier weights also on the window's phase.  Kept for the life of
+# the process and shared by every caller, so they are read-only.
+@functools.lru_cache(maxsize=1024)
+def _cached_weights(basis: BasisSpec, R: int, h: int, start: int) -> np.ndarray:
+    w = forecast_weights(basis, np.arange(start, start + R), start + R - 1 + h).weights
+    w.flags.writeable = False
     return w
+
+
+class _Residuals(NamedTuple):
+    """Kernel output in panel order; ``grads`` row i is the derivative of
+    unit i's forecast in the model coefficients."""
+
+    positions: np.ndarray
+    ids: tuple
+    residuals: np.ndarray
+    grads: np.ndarray
+    dropped: tuple
 
 
 class _PanelOrder:
@@ -357,13 +377,13 @@ class _PanelOrder:
         self.residuals.append(residuals)
         self.grads.append(grads)
 
-    def result(self):
-        """(unit_ids, residuals, gradients, dropped), all in panel order."""
-        order = np.argsort(np.concatenate(self.positions))
-        return (tuple(np.concatenate(self.ids)[order]),
-                np.concatenate(self.residuals)[order],
-                np.concatenate(self.grads)[order],
-                tuple((u, r) for _, u, r in sorted(self.dropped)))
+    def result(self) -> _Residuals:
+        positions = np.concatenate(self.positions)
+        order = np.argsort(positions)
+        return _Residuals(positions[order], tuple(np.concatenate(self.ids)[order]),
+                          np.concatenate(self.residuals)[order],
+                          np.concatenate(self.grads)[order],
+                          tuple((u, r) for _, u, r in sorted(self.dropped)))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +392,7 @@ class _PanelOrder:
 
 def _fat_residuals(blocks: Sequence[CohortBlock], config: ForecastConfig,
                    h: int, tau_shift: int = 0, lagged: bool = False,
-                   cov_idx: Sequence[int] = (), beta=()):
+                   cov_idx: Sequence[int] = (), beta=()) -> _Residuals:
     """Forecast residuals y(tau_eff + h) - forecast of every unit in ``blocks``.
 
     Each block's window, target and weights are resolved once, and its
@@ -383,15 +403,13 @@ def _fat_residuals(blocks: Sequence[CohortBlock], config: ForecastConfig,
     With ``lagged``, ``R="all"`` leaves the run's first period to serve
     as the window's first lag.
 
-    Returns (unit_ids, residuals, gradients, dropped) in panel order; row
-    i of the gradients is the derivative of unit i's forecast in ``beta``.
+    The weights of a window come from a per-process memo.
     """
     if not blocks:
         raise EstimationError("no units to estimate on")
     q = config.basis.order
     shift = config.delta + tau_shift
     out = _PanelOrder(int(lagged) + len(cov_idx))
-    cache: dict = {}
     for b in blocks:
         try:
             i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
@@ -412,7 +430,7 @@ def _fat_residuals(blocks: Sequence[CohortBlock], config: ForecastConfig,
             if not rows.size:
                 continue
         try:
-            w = _weights(cache, config.basis, b.times[i0:i1 + 1], b.times[j], h)
+            w = _weights(config.basis, b.times[i0:i1 + 1], h)
         except RankDeficiencyError:
             out.drop(b, "window design is rank deficient", rows)
             continue
@@ -430,25 +448,25 @@ def _fat_residuals(blocks: Sequence[CohortBlock], config: ForecastConfig,
     return out.result()
 
 
-def _summarize(ids, residuals, dropped, h, level, grads=None,
-               psi: Mapping[str, np.ndarray] | None = None) -> FatEstimate:
-    """Point, standard error and interval; with first-stage influence
-    vectors ``psi`` the error is corrected through ``grads``."""
-    n = len(ids)
+def _summarize(res: _Residuals, h, level, first: AhEstimate | None = None) -> FatEstimate:
+    """Point, standard error and interval; with a fitted first stage the
+    error is corrected through the gradients and its influence vectors,
+    gathered by panel position (zero for a unit the fit did not use)."""
+    n = len(res.ids)
     if n == 0:
-        detail = "; ".join(f"{u}: {r}" for u, r in dropped[:3])
+        detail = "; ".join(f"{u}: {r}" for u, r in res.dropped[:3])
         raise EstimationError(f"no usable units ({detail})")
-    point = math.fsum(residuals.tolist()) / n
-    if psi:
-        zeros = np.zeros(grads.shape[1])
-        psi_arr = np.array([psi.get(u, zeros) for u in ids])
-        se = mb_variance(residuals, grads, psi_arr)
+    point = math.fsum(res.residuals.tolist()) / n
+    if first is None:
+        se = _se(res.residuals, point)
     else:
-        se = fat_variance(residuals)
+        psi = np.zeros((max(first.positions[-1], res.positions[-1]) + 1, first.psi.shape[1]))
+        psi[first.positions] = first.psi
+        se = mb_variance(res.residuals, res.grads, psi[res.positions])
     return FatEstimate(
         horizon=h, point=point, se=se, ci=_interval(point, se, level),
-        level=level, n_used=n, unit_ids=tuple(ids),
-        residuals=np.asarray(residuals, dtype=float), dropped=tuple(dropped),
+        level=level, n_used=n, unit_ids=res.ids, residuals=res.residuals,
+        dropped=res.dropped,
     )
 
 
@@ -486,8 +504,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     h = config.h if h is None else as_integer("h", h)
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
-    ids, residuals, _, dropped = _fat_residuals(panel.treated_blocks, config, h)
-    return _summarize(ids, residuals, dropped, h, level)
+    return _summarize(_fat_residuals(panel.treated_blocks, config, h), h, level)
 
 
 def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
@@ -500,9 +517,8 @@ def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
     """
     if as_integer("lag", lag) < 0:
         raise ConfigError("placebo lag must be >= 0")
-    ids, residuals, _, dropped = _fat_residuals(panel.treated_blocks, config, h,
-                                                tau_shift=lag)
-    return _summarize(ids, residuals, dropped, h, level)
+    return _summarize(_fat_residuals(panel.treated_blocks, config, h, tau_shift=lag),
+                      h, level)
 
 
 def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
@@ -527,10 +543,10 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
             "an adoption date"
         )
     cc = config if config_control is None else config_control
-    t_ids, t_res, _, t_drop = _fat_residuals(treated, config, h)
-    c_ids, c_res, _, c_drop = _fat_residuals(controls, cc, h)
-    est_t = _summarize(t_ids, t_res, t_drop, h, level)
-    est_c = _summarize(c_ids, c_res, c_drop + skipped, h, level)
+    t = _fat_residuals(treated, config, h)
+    c = _fat_residuals(controls, cc, h)
+    est_t = _summarize(t, h, level)
+    est_c = _summarize(c._replace(dropped=c.dropped + skipped), h, level)
     point = est_t.point - est_c.point
     se = math.hypot(est_t.se, est_c.se)
     return DfatEstimate(
@@ -607,12 +623,12 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     Returns
     -------
     AhEstimate
-        Coefficients, optional intercept, and per-unit influence vectors.
+        Coefficients, optional intercept, and the influence vectors of the
+        contributing units with their panel positions.
     """
     if instrument_lag not in (2, 3):
         raise ConfigError("instrument_lag must be 2 or 3")
-    if detrend is None:
-        detrend = instrument_lag == 3
+    detrend = _detrend(instrument_lag, detrend)
     cov_idx = _covariate_columns(panel, covariates)
     if not panel.treated_blocks:
         raise EstimationError("no treated units")
@@ -620,10 +636,8 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     A_all = np.zeros((len(panel), k, k))
     b_all = np.zeros((len(panel), k))
     rows = np.zeros(len(panel), dtype=int)
-    ids = np.empty(len(panel), dtype=object)
     for block in panel.treated_blocks:
         at = block.positions
-        ids[at] = block.unit_ids
         A_all[at], b_all[at], rows[at] = _ah_moments(
             block, block.tau - delta, instrument_lag, detrend, cov_idx)
     contrib = np.flatnonzero(rows)
@@ -633,8 +647,6 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         )
     A_all = A_all[contrib]
     b_all = b_all[contrib]
-    uids = ids[contrib].tolist()
-    n_contrib = len(uids)
     n_rows = int(rows.sum())
 
     ZtW = A_all.sum(axis=0)
@@ -645,20 +657,20 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         beta_full = np.linalg.solve(ZtW, Ztdy)
     except np.linalg.LinAlgError:
         raise EstimationError("first-stage moment matrix is exactly singular") from None
-    Abar = ZtW / n_contrib
+    Abar = ZtW / contrib.size
     keep = k - (1 if detrend else 0)
     m = b_all - A_all @ beta_full
     try:
-        psi_rows = np.linalg.solve(Abar, m.T).T[:, :keep]
+        psi = np.linalg.solve(Abar, m.T).T[:, :keep]
     except np.linalg.LinAlgError:
         raise EstimationError("first-stage moment matrix is exactly singular") from None
-    psi = {uid: psi_rows[i] for i, uid in enumerate(uids)}
     return AhEstimate(
         beta=beta_full[:keep],
         intercept=float(beta_full[-1]) if detrend else None,
         psi=psi,
+        positions=contrib,
         weak=weak,
-        n_units=n_contrib,
+        n_units=contrib.size,
         n_obs=n_rows,
         covariate_names=tuple(covariates),
     )
@@ -681,20 +693,26 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int | None = None,
     h = mb.h if h is None else as_integer("h", h)
     if h < 1:
         raise ConfigError("horizon h must be >= 1")
+    return _model_based(panel, mb, _first_stage(panel, mb), h, level)
+
+
+def _first_stage(panel: PanelData, mb: MbConfig) -> AhEstimate | None:
+    """The first stage ``mb`` fits on ``panel``; None when beta is the user's."""
     if mb.first_stage == "user":
-        beta = np.asarray(mb.beta, dtype=float)
-        psi: Mapping[str, np.ndarray] = {}
-    else:
-        first = anderson_hsiao(panel, mb.instrument_lag, mb.detrend,
-                               mb.covariates, mb.delta)
-        beta, psi = first.beta, first.psi
+        return None
+    return anderson_hsiao(panel, mb.instrument_lag, mb.detrend, mb.covariates, mb.delta)
+
+
+def _model_based(panel: PanelData, mb: MbConfig, first: AhEstimate | None,
+                 h: int, level: float = 0.95) -> FatEstimate:
+    """``model_based_fat`` at a checked ``h`` on ``first = _first_stage(panel, mb)``."""
+    beta = np.asarray(mb.beta, dtype=float) if first is None else first.beta
     cov_idx = _covariate_columns(panel, mb.covariates)
     if not panel.treated_blocks:
         raise EstimationError("no treated units")
-    ids, residuals, grads, dropped = _fat_residuals(
-        panel.treated_blocks, mb.forecast_config(), h,
-        lagged=mb.lagged_outcome, cov_idx=cov_idx, beta=beta)
-    return _summarize(ids, residuals, dropped, h, level, grads, psi)
+    res = _fat_residuals(panel.treated_blocks, mb.forecast_config(), h,
+                         lagged=mb.lagged_outcome, cov_idx=cov_idx, beta=beta)
+    return _summarize(res, h, level, first)
 
 
 def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
@@ -749,5 +767,4 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
             rows.append(row)
             residuals.append(float(y[j]) - float(drow @ coef))
         out.use(b, rows, np.asarray(residuals, dtype=float), np.empty((len(rows), 0)))
-    ids, residuals, _, dropped = out.result()
-    return _summarize(ids, residuals, dropped, h, level)
+    return _summarize(out.result(), h, level)

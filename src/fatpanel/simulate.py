@@ -17,6 +17,7 @@ earlier draws.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -26,7 +27,9 @@ import numpy as np
 
 from .basis import ForecastConfig
 from .errors import ConfigError, EstimationError, RankDeficiencyError
-from .estimators import MbConfig, dfat, fat, model_based_fat, placebo_fat
+# ``model_based_fat`` is not called here, but perfbench/spans.py wraps it.
+from .estimators import (MbConfig, _first_stage, _model_based, dfat, fat,
+                         model_based_fat, placebo_fat)  # noqa: F401
 from .panel import CohortBlock, PanelData
 
 # A parameter that is either common to all units or drawn per unit from a
@@ -179,13 +182,21 @@ def simulate_dgp(spec: DgpSpec, seed=None) -> PanelData:
     blocks = [CohortBlock(
         is_control=False, tau=tau, times=tgrid, outcomes=Y[:spec.n],
         covariates=None, positions=np.arange(spec.n),
-        unit_ids=["t" + str(i).zfill(width) for i in range(1, spec.n + 1)])]
+        unit_ids=_unit_ids("t", spec.n, width))]
     if spec.n_control:
         blocks.append(CohortBlock(
             is_control=True, tau=tau, times=tgrid, outcomes=Y[spec.n:],
             covariates=None, positions=np.arange(spec.n, N),
-            unit_ids=["c" + str(j).zfill(width) for j in range(1, spec.n_control + 1)]))
+            unit_ids=_unit_ids("c", spec.n_control, width)))
     return PanelData.from_blocks(blocks)
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_ids(prefix: str, count: int, width: int) -> np.ndarray:
+    """``prefix`` + 1..count zero-padded to ``width``; shared, so read-only."""
+    ids = np.array([prefix + str(i).zfill(width) for i in range(1, count + 1)], dtype=object)
+    ids.flags.writeable = False
+    return ids
 
 
 def analytic_mean_recursion(rho: float, delta: float, y0_mean: float, T: int,
@@ -304,47 +315,36 @@ class McReport:
 
     def to_csv_text(self) -> str:
         """Table-style text: one block row per (label, q), columns by R."""
-        r_values = []
-        for c in self.cells:
-            if c.R not in r_values:
-                r_values.append(c.R)
-        rows = []
-        seen = []
-        for c in self.cells:
-            key = (c.label, c.q, c.h)
-            if key not in seen:
-                seen.append(key)
+        r_values = list(dict.fromkeys(c.R for c in self.cells))
+        by_key = {(c.label, c.q, c.h, c.R): c for c in self.cells}
         lines = ["label,q,metric," + ",".join(f"R={r}" for r in r_values)]
-        by_key = {}
-        for c in self.cells:
-            by_key[(c.label, c.q, c.h, c.R)] = c
-        for label, q, h in seen:
+        for label, q, h in dict.fromkeys((c.label, c.q, c.h) for c in self.cells):
             for metric in ("bias", "mc_se", "coverage"):
-                vals = []
-                for r in r_values:
-                    c = by_key.get((label, q, h, r))
-                    if c is None:
-                        vals.append("")
-                    else:
-                        v = getattr(c, metric)
-                        vals.append("" if math.isnan(v) else repr(v))
-                lines.append(f"{label},{q},{metric}," + ",".join(vals))
+                vals = (getattr(by_key[label, q, h, r], metric)
+                        if (label, q, h, r) in by_key else math.nan for r in r_values)
+                lines.append(f"{label},{q},{metric},"
+                             + ",".join("" if math.isnan(v) else repr(v) for v in vals))
         return "\n".join(lines) + "\n"
 
 
-def _evaluate_cell(panel: PanelData, cell: GridCell):
+def _evaluate_cell(panel: PanelData, cell: GridCell, config, first_stages: dict):
+    """The cell's estimate on ``panel``; mb cells share the fits (or the
+    errors) kept by group in ``first_stages``."""
     if cell.estimator == "pr":
-        est = fat(panel, ForecastConfig(q=cell.q, R=cell.R), h=cell.h)
-    elif cell.estimator == "placebo":
-        est = placebo_fat(panel, ForecastConfig(q=cell.q, R=cell.R),
-                          lag=cell.lag, h=cell.h)
-    elif cell.estimator == "dfat":
-        est = dfat(panel, ForecastConfig(q=cell.q, R=cell.R), h=cell.h)
-    else:
-        mb = MbConfig(q=cell.q, R=cell.R, instrument_lag=cell.instrument_lag,
-                      detrend=cell.detrend)
-        est = model_based_fat(panel, mb, h=cell.h)
-    return est.point, est.se, est.ci
+        return fat(panel, config, h=cell.h)
+    if cell.estimator == "placebo":
+        return placebo_fat(panel, config, lag=cell.lag, h=cell.h)
+    if cell.estimator == "dfat":
+        return dfat(panel, config, h=cell.h)
+    key = (config.instrument_lag, config.detrend, config.covariates, config.delta)
+    if key not in first_stages:
+        try:
+            first_stages[key] = _first_stage(panel, config)
+        except (EstimationError, RankDeficiencyError) as exc:
+            first_stages[key] = exc
+    if isinstance(first_stages[key], Exception):
+        raise first_stages[key]
+    return _model_based(panel, config, first_stages[key], config.h)
 
 
 def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
@@ -355,6 +355,12 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     (r,), so results do not depend on execution order and extending the
     run leaves earlier replications unchanged.  A cell whose estimator
     raises in more than half of the replications is marked degenerate.
+
+    Work that does not depend on the outcomes is done once: cell settings
+    before the first replication, forecast weights once per process (the
+    estimators' memo), and per replication one first stage for each
+    (``instrument_lag``, ``detrend``, covariates, ``delta``) group of mb
+    cells, which fails every cell of its group if it raises.
 
     Summaries per cell: ``bias`` (mean point estimate minus the truth),
     ``mc_se`` (standard deviation of point estimates across replications,
@@ -370,47 +376,37 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     if len(set(names)) != len(names):
         raise ConfigError("grid cell names collide; set distinct group labels")
 
-    points: list[list[float]] = [[] for _ in cells]
-    ses: list[list[float]] = [[] for _ in cells]
-    hits: list[int] = [0 for _ in cells]
-    fails: list[int] = [0 for _ in cells]
     truths = [0.0 if c.estimator == "placebo" else spec.true_att for c in cells]
-
+    configs = [MbConfig(q=c.q, R=c.R, h=c.h, instrument_lag=c.instrument_lag,
+                        detrend=c.detrend) if c.estimator == "mb"
+               else ForecastConfig(q=c.q, R=c.R) for c in cells]
+    # (point, se, interval covers the truth) of each replication a cell ran
+    done: list[list[tuple]] = [[] for _ in cells]
     for r in range(n_reps):
         child = np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
         panel = simulate_dgp(spec, child)
-        for j, cell in enumerate(cells):
+        first_stages: dict = {}
+        for j, (cell, config) in enumerate(zip(cells, configs)):
             try:
-                point, se, ci = _evaluate_cell(panel, cell)
+                est = _evaluate_cell(panel, cell, config, first_stages)
             except (EstimationError, RankDeficiencyError):
-                fails[j] += 1
                 continue
-            points[j].append(point)
-            ses[j].append(se)
-            if ci[0] <= truths[j] <= ci[1]:
-                hits[j] += 1
+            done[j].append((est.point, est.se, est.ci[0] <= truths[j] <= est.ci[1]))
 
     results = []
-    for j, cell in enumerate(cells):
-        n_ok = len(points[j])
-        if n_ok:
-            mean = math.fsum(points[j]) / n_ok
-            bias = mean - truths[j]
-            cov = hits[j] / n_ok
-            se_mean = math.fsum(ses[j]) / n_ok
-        else:
-            mean = bias = cov = se_mean = math.nan
-        if n_ok >= 2:
-            var = math.fsum((p - mean) ** 2 for p in points[j]) / (n_ok - 1)
-            mc_se = math.sqrt(var)
-        else:
-            mc_se = math.nan
+    for cell, truth, ok in zip(cells, truths, done):
+        n_ok, n_failed = len(ok), n_reps - len(ok)
+        points, ses, covers = zip(*ok) if ok else ((), (), ())
+        mean = math.fsum(points) / n_ok if n_ok else math.nan
+        mc_se = (math.sqrt(math.fsum((p - mean) ** 2 for p in points) / (n_ok - 1))
+                 if n_ok >= 2 else math.nan)
         results.append(McCellResult(
             name=cell.name, estimator=cell.estimator, label=cell.label,
-            q=cell.q, R=cell.R, h=cell.h, truth=truths[j], n_reps=n_reps,
-            n_ok=n_ok, n_failed=fails[j],
-            degenerate=fails[j] > n_reps // 2,
-            bias=bias, mc_se=mc_se, coverage=cov, se_est_mean=se_mean,
+            q=cell.q, R=cell.R, h=cell.h, truth=truth, n_reps=n_reps,
+            n_ok=n_ok, n_failed=n_failed, degenerate=n_failed > n_reps // 2,
+            bias=mean - truth, mc_se=mc_se,
+            coverage=sum(covers) / n_ok if n_ok else math.nan,
+            se_est_mean=math.fsum(ses) / n_ok if n_ok else math.nan,
         ))
     return McReport(spec=spec, master_seed=int(master_seed), n_reps=n_reps,
                     cells=tuple(results), preset=preset)
@@ -457,48 +453,30 @@ def preset(name: str):
     * ``common_shock``: half treated, half control, a post-adoption shock
       common to all units; forecast-only and differenced estimators.
     """
-    base = dict(n=1000, T=6, tau=5)
-    if name == "nonstationary_init":
-        spec = DgpSpec(**base, trend_mode="recursive", init_mode="fixed",
-                       rho=0.2, mu=(-1.0, 1.0), delta=1.0)
-        return spec, _nonstationary_grid()
-    if name == "nonstationary_init_rho09":
-        spec = DgpSpec(**base, trend_mode="recursive", init_mode="fixed",
-                       rho=0.9, mu=(-1.0, 1.0), delta=1.0)
-        return spec, _nonstationary_grid()
-    if name == "stationary":
-        spec = DgpSpec(**base, include_ar=True, rho=0.2)
-        return spec, _pr_grid()
-    if name == "unit_root":
-        spec = DgpSpec(**base, include_ar=True, include_walk=True, rho=0.2)
-        return spec, _pr_grid()
-    if name == "trend":
-        spec = DgpSpec(**base, include_ar=True, include_trend=True,
-                       rho=0.2, delta=1.0)
-        return spec, _pr_grid()
-    if name == "components_all":
-        spec = DgpSpec(**base, include_ar=True, include_walk=True,
-                       include_trend=True, rho=0.2, delta=1.0)
-        return spec, _pr_grid()
-    if name == "heterogeneous_trend":
-        spec = DgpSpec(**base, include_ar=True, include_walk=True,
-                       include_trend=True, rho=0.2, delta=(0.0, 2.0))
-        return spec, _pr_grid()
-    if name == "heterogeneous_both":
-        spec = DgpSpec(**base, include_ar=True, include_walk=True,
-                       include_trend=True, rho=(0.0, 0.99), delta=(0.0, 2.0))
-        return spec, _pr_grid()
-    if name == "common_shock":
-        spec = DgpSpec(n=500, n_control=500, T=6, tau=5, include_ar=True,
-                       rho=0.2, common_shock=2.0)
-        cells = (GridCell(estimator="pr", q=0, R=5),
-                 GridCell(estimator="dfat", q=0, R=5))
-        return spec, cells
-    raise ConfigError(f"unknown preset {name!r}")
+    if not isinstance(name, str) or name not in _PRESETS:
+        raise ConfigError(f"unknown preset {name!r}")
+    spec, grid = _PRESETS[name]
+    return DgpSpec(**spec), grid()
 
 
-PRESET_NAMES = (
-    "nonstationary_init", "nonstationary_init_rho09",
-    "stationary", "unit_root", "trend", "components_all",
-    "heterogeneous_trend", "heterogeneous_both", "common_shock",
-)
+_BASE = dict(n=1000, T=6, tau=5)
+_RECURSIVE = dict(_BASE, trend_mode="recursive", init_mode="fixed", mu=(-1.0, 1.0),
+                  delta=1.0)
+_COMPONENTS = dict(_BASE, include_ar=True, include_walk=True, include_trend=True, rho=0.2)
+# name: (DgpSpec arguments, estimator grid)
+_PRESETS = {
+    "nonstationary_init": (dict(_RECURSIVE, rho=0.2), _nonstationary_grid),
+    "nonstationary_init_rho09": (dict(_RECURSIVE, rho=0.9), _nonstationary_grid),
+    "stationary": (dict(_BASE, include_ar=True, rho=0.2), _pr_grid),
+    "unit_root": (dict(_BASE, include_ar=True, include_walk=True, rho=0.2), _pr_grid),
+    "trend": (dict(_BASE, include_ar=True, include_trend=True, rho=0.2, delta=1.0),
+              _pr_grid),
+    "components_all": (dict(_COMPONENTS, delta=1.0), _pr_grid),
+    "heterogeneous_trend": (dict(_COMPONENTS, delta=(0.0, 2.0)), _pr_grid),
+    "heterogeneous_both": (dict(_COMPONENTS, rho=(0.0, 0.99), delta=(0.0, 2.0)), _pr_grid),
+    "common_shock": (dict(n=500, n_control=500, T=6, tau=5, include_ar=True, rho=0.2,
+                          common_shock=2.0),
+                     lambda: (GridCell(estimator="pr", q=0, R=5),
+                              GridCell(estimator="dfat", q=0, R=5))),
+}
+PRESET_NAMES = tuple(_PRESETS)

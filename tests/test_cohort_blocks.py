@@ -356,9 +356,10 @@ def test_model_based_blocks_match_per_unit_oracle(case):
     # Moments are accumulated in the same order, so the fit is exact.
     np.testing.assert_array_equal(first.beta, beta)
     assert first.intercept == intercept
-    assert list(first.psi) == list(psi)
-    for uid in psi:
-        np.testing.assert_array_equal(first.psi[uid], psi[uid])
+    # psi rows are aligned with the contributing units' panel positions.
+    units = panel.units
+    assert [units[p].unit_id for p in first.positions] == list(psi)
+    np.testing.assert_array_equal(first.psi, np.vstack(list(psi.values())))
     assert (first.n_units, first.n_obs) == (n_units, n_obs)
     _same(_outcome(lambda: model_based_fat(panel, ah, s["h"])),
           _outcome(lambda: _mb_oracle(panel, ah, s["h"])),

@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from fatpanel.basis import BasisSpec, ForecastConfig
+from fatpanel import estimators as estimators_module
+from fatpanel.basis import BasisSpec, ForecastConfig, forecast_weights
 from fatpanel.errors import ConfigError, EstimationError
 from fatpanel.estimators import (
     AhEstimate,
@@ -282,6 +283,60 @@ def test_anticipation_config_matches_shifted_panel():
 
 
 # ---------------------------------------------------------------------------
+# the per-process forecast-weight memo
+
+
+def _outcome(f):
+    try:
+        return f().tobytes()
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("family", ["polynomial", "fourier"])
+def test_cached_weights_equal_uncached_weights_bit_for_bit(family):
+    for q in range(4):
+        basis = (BasisSpec("polynomial", order=q) if family == "polynomial"
+                 else BasisSpec("fourier", order=q, period=5.5))
+        for R in range(q + 1, q + 5):
+            for h in (1, 2, 3):
+                for start in (-7, 0, 1, 4, 19):
+                    window = np.arange(start, start + R)
+                    expected = _outcome(lambda: forecast_weights(
+                        basis, window, start + R - 1 + h).weights)
+                    got = _outcome(lambda: estimators_module._weights(basis, window, h))
+                    assert got == expected, (q, R, h, start)
+
+
+def test_cached_weights_are_read_only_and_shared():
+    basis = BasisSpec("polynomial", order=2)
+    w = estimators_module._weights(basis, np.arange(3, 8), 2)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    # Polynomial weights do not depend on where the window starts.
+    assert estimators_module._weights(basis, np.arange(-4, 1), 2) is w
+
+
+def test_estimators_solve_each_window_once_per_process(monkeypatch):
+    solves = []
+    solve = estimators_module.forecast_weights
+    monkeypatch.setattr(estimators_module, "forecast_weights",
+                        lambda *a: solves.append(a) or solve(*a))
+    estimators_module._cached_weights.cache_clear()
+    rng = np.random.default_rng(5)
+    panel = make_panel(rng.normal(size=(6, 8)), np.arange(1, 9), tau=5)
+    first = fat(panel, ForecastConfig(q=1, R=3), h=2)
+    assert len(solves) == 1
+    again = fat(panel, ForecastConfig(q=1, R=3), h=2)
+    placebo_fat(panel, ForecastConfig(q=1, R=3), lag=1, h=2)
+    assert len(solves) == 1
+    assert again.residuals.tobytes() == first.residuals.tobytes()
+    fat(panel, ForecastConfig(q=1, R=3), h=1)
+    assert len(solves) == 2
+
+
+# ---------------------------------------------------------------------------
 # instrumented first stage
 
 
@@ -327,8 +382,11 @@ def test_influence_vectors_average_to_zero():
     rng = np.random.default_rng(20)
     panel = _dynamic_panel(rng, n=60, T=7, rho=0.4, trend=0.2, noise=1.0, tau=6)
     est = anderson_hsiao(panel, instrument_lag=3)
-    total = math.fsum(float(p[0]) for p in est.psi.values())
-    scale = max(abs(float(p[0])) for p in est.psi.values())
+    # One row per contributing unit, aligned with its panel position.
+    assert est.psi.shape == (est.n_units, 1)
+    np.testing.assert_array_equal(est.positions, np.arange(60))
+    total = math.fsum(est.psi[:, 0].tolist())
+    scale = float(np.abs(est.psi[:, 0]).max())
     assert abs(total) <= 1e-8 * max(scale, 1.0)
 
 
@@ -337,6 +395,31 @@ def test_default_detrend_follows_instrument_lag():
     panel = _dynamic_panel(rng, n=30, T=7, rho=0.4, noise=0.5, tau=6)
     assert anderson_hsiao(panel, instrument_lag=3).intercept is not None
     assert anderson_hsiao(panel, instrument_lag=2).intercept is None
+
+
+@pytest.mark.parametrize("detrend", ["yes", "", 1, 0, np.True_])
+def test_first_stage_refuses_non_bool_detrend(detrend):
+    # A truthy string used to fit the intercept and an empty one not to.
+    rng = np.random.default_rng(22)
+    panel = _dynamic_panel(rng, n=30, T=7, rho=0.4, noise=0.5, tau=6)
+    message = f"detrend must be true, false or None, got {detrend!r}"
+    with pytest.raises(ConfigError) as excinfo:
+        anderson_hsiao(panel, instrument_lag=3, detrend=detrend)
+    assert str(excinfo.value) == message
+    with pytest.raises(ConfigError) as excinfo:
+        MbConfig(detrend=detrend)
+    assert str(excinfo.value) == message
+
+
+def test_first_stage_detrend_none_follows_instrument_lag():
+    rng = np.random.default_rng(22)
+    panel = _dynamic_panel(rng, n=30, T=7, rho=0.4, noise=0.5, tau=6)
+    for lag, detrend in ((3, True), (2, False)):
+        default = anderson_hsiao(panel, instrument_lag=lag, detrend=None)
+        explicit = anderson_hsiao(panel, instrument_lag=lag, detrend=detrend)
+        assert (default.intercept is None) is not detrend
+        np.testing.assert_array_equal(default.beta, explicit.beta)
+        np.testing.assert_array_equal(default.psi, explicit.psi)
 
 
 def test_near_constant_outcomes_flag_weak_instruments():
@@ -449,6 +532,18 @@ def test_mb_config_validation():
 
 # ---------------------------------------------------------------------------
 # difference of forecasted effects
+
+
+def test_dfat_resolves_both_groups_before_summarizing_either():
+    # Every treated unit is dropped and a control's window has a hole: the
+    # hole is reported, not the empty treated group.
+    units = [
+        UnitSeries("t", np.arange(4, 8), np.arange(4.0), tau=5),
+        UnitSeries("c", np.array([1, 2, 4, 5, 6, 7]), np.arange(6.0), tau=5,
+                   is_control=True),
+    ]
+    with pytest.raises(EstimationError, match="missing periods inside"):
+        dfat(PanelData(units), ForecastConfig(q=0, R=3), h=1)
 
 
 def test_dfat_cancels_a_common_post_period_shock():

@@ -33,8 +33,12 @@ from fatpanel.simulate import DgpSpec, simulate_dgp
 # the row-by-row oracle
 
 
+# The format has plain integers and decimals: no digit-group underscores,
+# which Python's ``int`` and ``float`` would take.
 def _parse_int(value: str, what: str, row: int) -> int:
     try:
+        if "_" in value:
+            raise ValueError
         return int(value)
     except ValueError:
         raise PanelFormatError(f"row {row}: {what} {value!r} is not an integer") from None
@@ -42,6 +46,8 @@ def _parse_int(value: str, what: str, row: int) -> int:
 
 def _parse_float(value: str, what: str, row: int) -> float:
     try:
+        if "_" in value:
+            raise ValueError
         return float(value)
     except ValueError:
         raise PanelFormatError(f"row {row}: {what} {value!r} is not a number") from None
@@ -246,16 +252,16 @@ def csv_cases(draw):
         if kind == "width":
             rows[i] = row[:-1] if draw(st.booleans()) else row + ["1"]
         elif kind == "time":
-            row[1] = draw(st.sampled_from(["1.5", "x", "", " "]))
+            row[1] = draw(st.sampled_from(["1.5", "x", "", " ", "1_0"]))
         elif kind == "time_range":
             row[1] = draw(st.sampled_from(["99999999999999999999", " 9223372036854775808",
                                            "-9223372036854775809"]))
         elif kind == "outcome":
-            row[2] = draw(st.sampled_from(["abc", "", "1,5"]))
+            row[2] = draw(st.sampled_from(["abc", "", "1,5", "1_0.5"]))
         elif kind == "nonfinite":
             row[2] = draw(st.sampled_from(["nan", " inf", "-Infinity", "1e999"]))
         elif kind == "date":
-            row[3] = draw(st.sampled_from(["5.0", "z", "1e3"]))
+            row[3] = draw(st.sampled_from(["5.0", "z", "1e3", "2_0"]))
         elif kind == "flag" and has_flag:
             row[4] = draw(st.sampled_from(["maybe", "2", "-"]))
         elif kind == "date_mismatch":
@@ -266,7 +272,7 @@ def csv_cases(draw):
             j = draw(st.integers(0, len(rows)))
             rows.insert(j, row[:1] + [row[1].strip()] + ["0.5"] + row[3:])
         elif kind == "covariate" and n_cov:
-            row[draw(st.integers(-n_cov, -1))] = draw(st.sampled_from(["q", "1..2"]))
+            row[draw(st.integers(-n_cov, -1))] = draw(st.sampled_from(["q", "1..2", "1_0"]))
         elif kind == "orphan":
             rows.append([draw(st.sampled_from(["orphan", "a"])), "1", "1.0", ""]
                         + (["0"] if has_flag else []) + [""] * n_cov)
@@ -306,6 +312,8 @@ BAD_ROWS = {
     "two_nonfinite": "u11,5,nan,2,0,\nu10,5,-inf,2,0,",
     "two_orphans": "w,1,1.0,,0,\nv,1,1.0,,0,", "early_date_mismatch": "u11,0,1.0,3,0,",
     "blank_then_date_mismatch": " , , , , , \nu11,5,1.0,3,0,",
+    "time_underscore": "u11,1_0,1.0,2,0,", "outcome_underscore": "u11,5,1_0.5,2,0,",
+    "date_underscore": "u11,5,1.0,2_0,0,", "covariate_underscore": "u11,5,1.0,2,0,1_0",
 }
 
 
@@ -325,6 +333,22 @@ def fault_text(bad_row):
 def test_every_fault_kind_is_refused_like_the_oracle(kind, slice_rows):
     want = assert_loads_like_oracle(fault_text(BAD_ROWS[kind]), slice_rows)
     assert want[0] is PanelFormatError
+
+
+@pytest.mark.parametrize("slice_rows", [1, 1024])
+@pytest.mark.parametrize("row, message", [
+    ("u,1_0,1.0,2,1", "time '1_0' is not an integer"),
+    ("u,2,1_0.5,2,1", "outcome '1_0.5' is not a number"),
+    ("u,2,1.0,2_0,1", "treatment date '2_0' is not an integer"),
+    ("u,2,1.0,2,1_0", "covariate 'x' '1_0' is not a number"),
+    ("u,1_0,1_0.5,2_0,1_0", "time '1_0' is not an integer"),
+    ("u,2,1_0.5,2_0,1_0", "outcome '1_0.5' is not a number"),
+])
+def test_digit_group_underscores_are_refused(row, message, slice_rows):
+    # Python's int and float read "1_0" as 10; the format does not.
+    text = f"unit,time,outcome,treated_at,x\nu,1,1.0,2,1\n{row}\n"
+    want = assert_loads_like_oracle(text, slice_rows)
+    assert want == (PanelFormatError, f"row 3: {message}")
 
 
 @pytest.mark.parametrize("slice_rows", [1, 1024])

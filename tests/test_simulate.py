@@ -11,16 +11,18 @@ import math
 import numpy as np
 import pytest
 
+from fatpanel import estimators as estimators_module
 from fatpanel import panel as panel_module
 from fatpanel import simulate as simulate_module
 from fatpanel.basis import ForecastConfig
-from fatpanel.errors import ConfigError
-from fatpanel.estimators import fat
+from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
+from fatpanel.estimators import MbConfig, dfat, fat, model_based_fat, placebo_fat
 from fatpanel.panel import PanelData, UnitSeries
 from fatpanel.simulate import (
     PRESET_NAMES,
     DgpSpec,
     GridCell,
+    McCellResult,
     analytic_mean_recursion,
     preset,
     run_monte_carlo,
@@ -232,30 +234,131 @@ def test_monte_carlo_rejects_bad_arguments():
         run_monte_carlo(spec, cells + cells, n_reps=2, master_seed=0)
 
 
-def test_monte_carlo_matches_direct_estimation():
-    # The driver must equal a hand-rolled loop over child seeds split
-    # from the master seed by replication index.
-    spec = DgpSpec(n=12, T=6, tau=5, include_ar=True, rho=0.2)
-    cell = GridCell(estimator="pr", q=1, R=3)
-    n_reps = 5
-    report = run_monte_carlo(spec, (cell,), n_reps=n_reps, master_seed=99)
-
-    points = []
-    hits = 0
+def _direct_cells(spec, cells, n_reps, master_seed):
+    """The report's cell rows from a loop over the public estimators, with
+    every estimator and configuration built afresh in every replication."""
+    points = [[] for _ in cells]
+    ses = [[] for _ in cells]
+    hits = [0] * len(cells)
+    fails = [0] * len(cells)
+    truths = [0.0 if c.estimator == "placebo" else spec.true_att for c in cells]
     for r in range(n_reps):
-        child = np.random.SeedSequence(entropy=99, spawn_key=(r,))
-        est = fat(simulate_dgp(spec, child), ForecastConfig(q=1, R=3))
-        points.append(est.point)
-        if est.ci[0] <= 0.0 <= est.ci[1]:
-            hits += 1
-    row = report.cell("pr_q1_R3")
-    assert row.bias == math.fsum(points) / n_reps
-    mean = math.fsum(points) / n_reps
-    var = math.fsum((p - mean) ** 2 for p in points) / (n_reps - 1)
-    assert row.mc_se == pytest.approx(math.sqrt(var), rel=1e-15)
-    assert row.coverage == hits / n_reps
-    assert row.n_ok == n_reps and row.n_failed == 0
-    assert not row.degenerate
+        child = np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
+        panel = simulate_dgp(spec, child)
+        for j, c in enumerate(cells):
+            config = ForecastConfig(q=c.q, R=c.R)
+            try:
+                if c.estimator == "pr":
+                    est = fat(panel, config, h=c.h)
+                elif c.estimator == "placebo":
+                    est = placebo_fat(panel, config, lag=c.lag, h=c.h)
+                elif c.estimator == "dfat":
+                    est = dfat(panel, config, h=c.h)
+                else:
+                    est = model_based_fat(panel, MbConfig(
+                        q=c.q, R=c.R, instrument_lag=c.instrument_lag,
+                        detrend=c.detrend), h=c.h)
+            except (EstimationError, RankDeficiencyError):
+                fails[j] += 1
+                continue
+            points[j].append(est.point)
+            ses[j].append(est.se)
+            hits[j] += est.ci[0] <= truths[j] <= est.ci[1]
+    rows = []
+    for j, c in enumerate(cells):
+        n_ok = len(points[j])
+        mean = math.fsum(points[j]) / n_ok if n_ok else math.nan
+        mc_se = (math.sqrt(math.fsum((p - mean) ** 2 for p in points[j]) / (n_ok - 1))
+                 if n_ok >= 2 else math.nan)
+        rows.append(McCellResult(
+            name=c.name, estimator=c.estimator, label=c.label, q=c.q, R=c.R, h=c.h,
+            truth=truths[j], n_reps=n_reps, n_ok=n_ok, n_failed=fails[j],
+            degenerate=fails[j] > n_reps // 2, bias=mean - truths[j],
+            mc_se=mc_se, coverage=hits[j] / n_ok if n_ok else math.nan,
+            se_est_mean=math.fsum(ses[j]) / n_ok if n_ok else math.nan))
+    return [row.to_dict() for row in rows]
+
+
+_PANEL = DgpSpec(n=12, n_control=9, T=7, tau=5, include_ar=True, rho=0.2, true_att=0.3)
+_DYNAMIC = DgpSpec(n=40, T=8, tau=6, trend_mode="recursive", init_mode="fixed",
+                   rho=0.4, mu=(-1.0, 1.0), delta=0.5)
+DIRECT_CASES = {
+    "pr": (_PANEL, (GridCell(estimator="pr", q=1, R=3),
+                    GridCell(estimator="pr", q=0, R="all", h=1),
+                    GridCell(estimator="pr", q=0, R=2, h=2))),
+    "placebo": (_PANEL, (GridCell(estimator="placebo", q=1, R=3, lag=1),
+                         GridCell(estimator="placebo", q=0, R=2, lag=2, h=2))),
+    "dfat": (_PANEL, (GridCell(estimator="dfat", q=1, R=3),
+                      GridCell(estimator="dfat", q=0, R=1, h=2))),
+    # Two first-stage groups with several cells each (detrend=None with
+    # instrument lag 3 joins the detrended one), and a third that differs
+    # from the first in detrend alone.
+    "mb": (_DYNAMIC, (GridCell(estimator="mb", q=0, R=1, instrument_lag=3,
+                               detrend=True, group="mb"),
+                      GridCell(estimator="mb", q=0, R=1, instrument_lag=3,
+                               detrend=False, group="mb_flat"),
+                      GridCell(estimator="mb", q=1, R=2, instrument_lag=2,
+                               detrend=False, group="mb_missp"),
+                      GridCell(estimator="mb", q=1, R=2, instrument_lag=3,
+                               detrend=None, group="mb"),
+                      GridCell(estimator="mb", q=0, R=1, instrument_lag=2,
+                               detrend=False, group="mb_missp", h=2),
+                      GridCell(estimator="pr", q=1, R=2))),
+}
+
+
+@pytest.mark.parametrize("kind", DIRECT_CASES)
+def test_monte_carlo_matches_direct_estimation(kind):
+    # Every cell row must equal a hand-rolled loop over child seeds split
+    # from the master seed by replication index, through the public
+    # estimators, bit for bit.
+    spec, cells = DIRECT_CASES[kind]
+    report = run_monte_carlo(spec, cells, n_reps=6, master_seed=99)
+    assert [c.to_dict() for c in report.cells] == _direct_cells(spec, cells, 6, 99)
+    assert all(c.n_ok == 6 and c.n_failed == 0 for c in report.cells)
+
+
+def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():
+    # With adoption after period 3, no period has its outcome three lags
+    # back, so the lag-3 first stage fails in every replication: each of
+    # its cells counts every failure and is degenerate, as when each cell
+    # fitted its own first stage; the lag-2 group is unaffected.
+    spec = DgpSpec(n=30, T=5, tau=3, trend_mode="recursive", init_mode="fixed")
+    cells = (GridCell(estimator="mb", q=0, R=1, instrument_lag=3, group="a"),
+             GridCell(estimator="mb", q=0, R=1, instrument_lag=2, group="b"),
+             GridCell(estimator="mb", q=1, R=2, instrument_lag=3, group="a"))
+    report = run_monte_carlo(spec, cells, n_reps=4, master_seed=5)
+    assert [c.to_dict() for c in report.cells] == _direct_cells(spec, cells, 4, 5)
+    for name in ("a_q0_R1", "a_q1_R2"):
+        row = report.cell(name)
+        assert (row.n_ok, row.n_failed, row.degenerate) == (0, 4, True)
+    assert report.cell("b_q0_R1").n_ok == 4
+
+
+def test_monte_carlo_fits_one_first_stage_per_group(monkeypatch):
+    # nonstationary_init has 8 model-based cells in 2 first-stage groups.
+    fits = []
+    fit = estimators_module.anderson_hsiao
+    monkeypatch.setattr(estimators_module, "anderson_hsiao",
+                        lambda *a, **k: fits.append(a[1:]) or fit(*a, **k))
+    spec, cells = preset("nonstationary_init")
+    assert sum(c.estimator == "mb" for c in cells) == 8
+    run_monte_carlo(spec, cells, n_reps=3, master_seed=0)
+    assert fits == [(3, True, (), 0), (2, False, (), 0)] * 3
+
+
+def test_monte_carlo_solves_each_window_once_per_process(monkeypatch):
+    # The pr and mb cells of nonstationary_init share four (q, R, h)
+    # windows; later replications and runs reuse their weights.
+    solves = []
+    solve = estimators_module.forecast_weights
+    monkeypatch.setattr(estimators_module, "forecast_weights",
+                        lambda *a: solves.append(a[0].order) or solve(*a))
+    estimators_module._cached_weights.cache_clear()
+    spec, cells = preset("nonstationary_init")
+    run_monte_carlo(spec, cells, n_reps=3, master_seed=0)
+    run_monte_carlo(spec, cells, n_reps=2, master_seed=1)
+    assert solves == [0, 1, 2, 3]
 
 
 def test_monte_carlo_truth_uses_injected_effect_but_zero_for_placebo():
@@ -491,6 +594,17 @@ def test_simulate_dgp_matches_the_per_unit_construction(name, monkeypatch):
         [(u.unit_id, u.tau, u.is_control) for u in expected.units]
     assert all(a.outcomes.tobytes() == b.outcomes.tobytes()
                for a, b in zip(panel.units, expected.units))
+
+
+def test_simulated_panels_share_read_only_unit_ids():
+    spec = DgpSpec(n=7, n_control=3, T=6, tau=4)
+    a, b = simulate_dgp(spec, 1), simulate_dgp(spec, 2)
+    for x, y in zip(a.treated_blocks + a.control_blocks,
+                    b.treated_blocks + b.control_blocks):
+        assert x.unit_ids is y.unit_ids
+        assert not x.unit_ids.flags.writeable
+    with pytest.raises(ValueError):
+        a.treated_blocks[0].unit_ids[0] = "c0001"
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)

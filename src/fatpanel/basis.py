@@ -42,6 +42,15 @@ def as_integer(name: str, value, what: str = "an integer") -> int:
     return int(value)
 
 
+def as_count(name: str, value, least: int) -> int:
+    """``value`` as an int no smaller than ``least``; ``ConfigError`` otherwise."""
+    what = f"an integer >= {least}"
+    n = as_integer(name, value, what)
+    if n < least:
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    return n
+
+
 @dataclass(frozen=True)
 class BasisSpec:
     """Family of time-basis functions used for counterfactual forecasting.
@@ -74,9 +83,7 @@ class BasisSpec:
     def __post_init__(self):
         if self.family not in ("polynomial", "fourier", "custom"):
             raise ConfigError(f"unknown basis family {self.family!r}")
-        object.__setattr__(self, "order", as_integer("basis order", self.order))
-        if self.order < 0:
-            raise ConfigError("basis order must be >= 0")
+        object.__setattr__(self, "order", as_count("basis order", self.order, 0))
         if self.family == "polynomial":
             if self.order > MAX_POLY_ORDER and not self.allow_high_order:
                 raise ConfigError(
@@ -137,8 +144,6 @@ class ForecastConfig:
     R : int or "all"
         Estimation window length (number of pre-treatment periods used).
         ``"all"`` uses each unit's full contiguous pre-treatment run.
-    h : int
-        Default forecast horizon, in periods past the last pre-treatment one.
     delta : int
         Anticipation offset: estimation windows end ``delta`` periods before
         the recorded treatment date, and horizons are measured from there.
@@ -151,7 +156,6 @@ class ForecastConfig:
 
     q: int | None = None
     R: int | str = "all"
-    h: int = 1
     delta: int = 0
     basis: BasisSpec | None = None
     shrink_window: bool = False
@@ -168,12 +172,7 @@ class ForecastConfig:
             object.__setattr__(self, "R", as_integer("R", self.R, "an integer or 'all'"))
             if self.R < self.q + 1:
                 raise ConfigError(f"window length R={self.R} is below q+1={self.q + 1}")
-        for name in ("h", "delta"):
-            object.__setattr__(self, name, as_integer(name, getattr(self, name)))
-        if self.h < 1:
-            raise ConfigError("horizon h must be >= 1")
-        if self.delta < 0:
-            raise ConfigError("anticipation delta must be >= 0")
+        object.__setattr__(self, "delta", as_count("delta", self.delta, 0))
 
 
 @dataclass(frozen=True)
@@ -316,7 +315,7 @@ def binomial_weights(q: int, tau: int = 0) -> ForecastWeights:
     return ForecastWeights(times=times, weights=w, target=float(tau + 1))
 
 
-def fit_and_forecast(y, config: ForecastConfig, target, times=None) -> float:
+def fit_and_forecast(y, config: ForecastConfig, target, times) -> float:
     """Fit the window regression and evaluate it at ``target``.
 
     Parameters
@@ -324,13 +323,11 @@ def fit_and_forecast(y, config: ForecastConfig, target, times=None) -> float:
     y : array-like
         Outcomes over the estimation window, oldest first.
     config : ForecastConfig
-        Basis and window settings; ``config.R`` must match ``len(y)`` when
-        it is an integer and ``times`` is omitted.
+        Basis settings.
     target : int or float
         Period to forecast.
-    times : array-like, optional
-        Window periods.  Defaults to the ``len(y)`` consecutive integers
-        ending ``config.h`` periods before ``target``.
+    times : array-like
+        Window periods, one per outcome.
 
     Returns
     -------
@@ -342,11 +339,6 @@ def fit_and_forecast(y, config: ForecastConfig, target, times=None) -> float:
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 1 or yv.size == 0:
         raise ConfigError("y must be a non-empty 1-D array")
-    if times is None:
-        end = int(target) - config.h
-        times = np.arange(end - yv.size + 1, end + 1)
-        if isinstance(config.R, int) and config.R != yv.size:
-            raise ConfigError(f"window length {yv.size} does not match R={config.R}")
     t = _window_array(times)
     if t.size != yv.size:
         raise ConfigError("times and y must have the same length")

@@ -44,8 +44,9 @@ from typing import Mapping, Sequence, Union
 from .basis import ForecastConfig, as_integer
 from .errors import (ConfigError, EstimationError, PanelFormatError,
                      RankDeficiencyError)
-from .estimators import (FatEstimate, MbConfig, covariate_fat_heterogeneous,
-                         dfat, fat, model_based_fat, placebo_fat)
+from .estimators import (AhEstimate, FatEstimate, MbConfig, _first_stage,
+                         covariate_fat_heterogeneous, dfat, fat, model_based_fat,
+                         placebo_fat)
 from .panel import PanelData, load_panel, validate
 from .simulate import DgpSpec, GridCell, preset, run_monte_carlo
 
@@ -222,11 +223,12 @@ def _emit(cfg: RunConfig, payload: dict, csv_text: Union[str, None]) -> None:
             fh.write(csv_text)
 
 
-def _estimate_one(panel: PanelData, cfg: RunConfig, q: int, h: int) -> FatEstimate:
+def _estimate_one(panel: PanelData, cfg: RunConfig, q: int, h: int,
+                  first: Union[AhEstimate, None]) -> FatEstimate:
     if cfg.estimator == "pr":
         return fat(panel, cfg.forecast_config(q), h, level=cfg.level)
     if cfg.estimator == "mb":
-        return model_based_fat(panel, cfg.mb_config(q), h, level=cfg.level)
+        return model_based_fat(panel, cfg.mb_config(q), h, level=cfg.level, first=first)
     return covariate_fat_heterogeneous(
         panel, cfg.forecast_config(q), h, level=cfg.level)
 
@@ -250,11 +252,13 @@ def _base_payload(cfg: RunConfig, kind: str) -> dict:
 
 def cmd_estimate(cfg: RunConfig) -> int:
     panel = _read_panel(cfg)
+    # The first stage depends on neither q nor h: one fit serves every pair.
+    first = _first_stage(panel, cfg.mb_config(cfg.q[0])) if cfg.estimator == "mb" else None
     results = []
     residual_rows = []
     for q in cfg.q:
         for h in cfg.horizons:
-            est = _estimate_one(panel, cfg, q, h)
+            est = _estimate_one(panel, cfg, q, h, first)
             entry = {"q": q, "R": cfg.r}
             entry.update(est.to_dict())
             results.append(entry)

@@ -40,7 +40,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.stats import norm
 
-from .basis import BasisSpec, ForecastConfig, _qr, _solver_design, as_integer, forecast_weights
+from .basis import (BasisSpec, ForecastConfig, _qr, _solver_design, as_count,
+                    forecast_weights)
 from .errors import ConfigError, EstimationError, RankDeficiencyError
 from .panel import CohortBlock, PanelData, _run_ending
 
@@ -131,8 +132,9 @@ class AhEstimate:
     vectors, row i for the contributing unit at panel position
     ``positions[i]`` (increasing): the estimation error of ``beta`` is their
     average, so the model-based variance correction gathers them by
-    position.  ``run_monte_carlo`` fits once per replication for all cells
-    sharing (``instrument_lag``, ``detrend``, covariates, ``delta``).
+    position.  ``covariate_names``, ``instrument_lag``, ``detrend`` and
+    ``delta`` are the fit's settings, which ``model_based_fat`` checks
+    against its ``MbConfig`` when given the fit as ``first``.
     """
 
     beta: np.ndarray
@@ -142,7 +144,10 @@ class AhEstimate:
     weak: bool
     n_units: int
     n_obs: int
-    covariate_names: tuple[str, ...] = ()
+    covariate_names: tuple[str, ...]
+    instrument_lag: int
+    detrend: bool
+    delta: int
 
     @property
     def rho(self) -> float:
@@ -155,9 +160,9 @@ class MbConfig:
 
     Parameters
     ----------
-    q, R, h, delta : as in ``ForecastConfig``
-        Polynomial order, window length, default horizon, anticipation.
-        With ``lagged_outcome``, ``R="all"`` takes each unit's contiguous
+    q, R, delta : as in ``ForecastConfig``
+        Polynomial order, window length, anticipation.  With
+        ``lagged_outcome``, ``R="all"`` takes each unit's contiguous
         pre-treatment run less its first period, whose outcome is the
         window's first lag.
     lagged_outcome : bool
@@ -165,10 +170,6 @@ class MbConfig:
     covariates : tuple of str
         Panel covariate columns entering the model with common
         coefficients.
-    first_stage : {"anderson_hsiao", "user"}
-        How the common coefficients are obtained.  The built-in first
-        stage requires ``lagged_outcome=True``; ``"user"`` takes ``beta``
-        as known and skips the variance correction.
     instrument_lag : {2, 3}
         Outcome lag used to instrument the differenced lagged outcome.
     detrend : bool or None
@@ -176,43 +177,40 @@ class MbConfig:
         a linear time trend in levels.  Defaults to True exactly when
         ``instrument_lag`` is 3 (a trend-robust instrument choice).
     beta : tuple of float, optional
-        Known model coefficients when ``first_stage="user"``.
+        Known common coefficients, lagged outcome first; the plain variance
+        applies.  None (the default) fits them with ``anderson_hsiao``, which
+        needs ``lagged_outcome``, and corrects the variance for the fit.
     """
 
     q: int = 1
     R: int | str = "all"
-    h: int = 1
     delta: int = 0
     lagged_outcome: bool = True
     covariates: tuple[str, ...] = ()
-    first_stage: str = "anderson_hsiao"
     instrument_lag: int = 3
     detrend: bool | None = None
     beta: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        self.forecast_config()  # refuses bad q, R, h and delta
-        if self.first_stage not in ("anderson_hsiao", "user"):
-            raise ConfigError(f"unknown first stage {self.first_stage!r}")
+        self.forecast_config()  # refuses bad q, R and delta
         if self.instrument_lag not in (2, 3):
             raise ConfigError("instrument_lag must be 2 or 3")
         object.__setattr__(self, "covariates", tuple(self.covariates))
         k = int(self.lagged_outcome) + len(self.covariates)
-        if self.first_stage == "user":
-            if self.beta is None or len(self.beta) != k:
-                raise ConfigError(f"user first stage needs beta of length {k}")
+        if self.beta is not None:
+            if len(self.beta) != k:
+                raise ConfigError(f"known beta needs length {k}, got {len(self.beta)}")
             object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        else:
-            if not self.lagged_outcome:
-                raise ConfigError(
-                    "the built-in first stage estimates the lagged-outcome "
-                    "model; pass first_stage='user' with beta otherwise"
-                )
+        elif not self.lagged_outcome:
+            raise ConfigError(
+                "the built-in first stage estimates the lagged-outcome "
+                "model; pass a known beta otherwise"
+            )
         object.__setattr__(self, "detrend", _detrend(self.instrument_lag, self.detrend))
 
     def forecast_config(self) -> ForecastConfig:
         """Window settings of the polynomial remainder fit."""
-        return ForecastConfig(q=self.q, R=self.R, h=self.h, delta=self.delta)
+        return ForecastConfig(q=self.q, R=self.R, delta=self.delta)
 
 
 def _detrend(instrument_lag: int, detrend) -> bool:
@@ -474,7 +472,7 @@ def _summarize(res: _Residuals, h, level, first: AhEstimate | None = None) -> Fa
 # public estimators
 
 
-def fat(panel: PanelData, config: ForecastConfig, h: int | None = None,
+def fat(panel: PanelData, config: ForecastConfig, h: int = 1,
         level: float = 0.95) -> FatEstimate:
     """Forecasted average treatment effect at horizon ``h``.
 
@@ -492,8 +490,8 @@ def fat(panel: PanelData, config: ForecastConfig, h: int | None = None,
         Panel with treated units; control units are ignored here.
     config : ForecastConfig
         Basis, window length, and anticipation settings.
-    h : int, optional
-        Forecast horizon, defaulting to ``config.h``.
+    h : int
+        Forecast horizon, an integer >= 1.
     level : float
         Confidence level for the normal interval.
 
@@ -501,9 +499,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     -------
     FatEstimate
     """
-    h = config.h if h is None else as_integer("h", h)
-    if h < 1:
-        raise ConfigError("horizon h must be >= 1")
+    h = as_count("h", h, 1)
     return _summarize(_fat_residuals(panel.treated_blocks, config, h), h, level)
 
 
@@ -515,13 +511,13 @@ def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
     is zero and the estimate diagnoses forecast bias.  ``lag=0`` reproduces
     ``fat`` exactly.
     """
-    if as_integer("lag", lag) < 0:
-        raise ConfigError("placebo lag must be >= 0")
+    lag = as_count("lag", lag, 0)
+    h = as_count("h", h, 1)
     return _summarize(_fat_residuals(panel.treated_blocks, config, h, tau_shift=lag),
                       h, level)
 
 
-def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
+def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
          config_control: ForecastConfig | None = None,
          level: float = 0.95) -> DfatEstimate:
     """Treated-minus-control difference of forecasted effects.
@@ -531,7 +527,7 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int | None = None,
     cancels from the difference.  The two groups may use different window
     settings via ``config_control``.
     """
-    h = config.h if h is None else as_integer("h", h)
+    h = as_count("h", h, 1)
     treated = panel.treated_blocks
     controls = [b for b in panel.control_blocks if b.tau is not None]
     skipped = tuple((u, "no adoption date") for _, u in sorted(
@@ -629,6 +625,7 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     if instrument_lag not in (2, 3):
         raise ConfigError("instrument_lag must be 2 or 3")
     detrend = _detrend(instrument_lag, detrend)
+    delta = as_count("delta", delta, 0)
     cov_idx = _covariate_columns(panel, covariates)
     if not panel.treated_blocks:
         raise EstimationError("no treated units")
@@ -673,39 +670,39 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         n_units=contrib.size,
         n_obs=n_rows,
         covariate_names=tuple(covariates),
+        instrument_lag=instrument_lag,
+        detrend=detrend,
+        delta=delta,
     )
 
 
-def model_based_fat(panel: PanelData, mb: MbConfig, h: int | None = None,
-                    level: float = 0.95) -> FatEstimate:
+def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
+                    level: float = 0.95, first: AhEstimate | None = None) -> FatEstimate:
     """Forecasted effect under a dynamic model with common coefficients.
 
     Removes the modeled part x_t' beta from each unit's window outcomes,
     fits the unit's polynomial remainder, and forecasts
     x_{target}' beta + remainder(target).  The standard error corrects for
     the estimation error of beta through the first stage's per-unit
-    influence vectors; with user-supplied beta the correction is zero and
+    influence vectors; with a known ``mb.beta`` the correction is zero and
     the plain variance applies.
+
+    ``first``, the ``anderson_hsiao`` fit of ``panel`` with ``mb``'s
+    settings, is fitted here when omitted, so that callers can share one
+    fit; one with other settings, or beside a known beta, is refused.
 
     With no lagged outcome, no covariates, and beta empty this reproduces
     ``fat`` residual for residual.
     """
-    h = mb.h if h is None else as_integer("h", h)
-    if h < 1:
-        raise ConfigError("horizon h must be >= 1")
-    return _model_based(panel, mb, _first_stage(panel, mb), h, level)
-
-
-def _first_stage(panel: PanelData, mb: MbConfig) -> AhEstimate | None:
-    """The first stage ``mb`` fits on ``panel``; None when beta is the user's."""
-    if mb.first_stage == "user":
-        return None
-    return anderson_hsiao(panel, mb.instrument_lag, mb.detrend, mb.covariates, mb.delta)
-
-
-def _model_based(panel: PanelData, mb: MbConfig, first: AhEstimate | None,
-                 h: int, level: float = 0.95) -> FatEstimate:
-    """``model_based_fat`` at a checked ``h`` on ``first = _first_stage(panel, mb)``."""
+    h = as_count("h", h, 1)
+    if first is None:
+        first = _first_stage(panel, mb)
+    elif mb.beta is not None:
+        raise ConfigError("a known beta takes no fitted first stage")
+    elif ((first.instrument_lag, first.detrend, first.covariate_names, first.delta)
+          != (mb.instrument_lag, mb.detrend, mb.covariates, mb.delta)):
+        raise ConfigError("the first stage was fitted with other instrument_lag, "
+                          "detrend, covariates or delta than mb")
     beta = np.asarray(mb.beta, dtype=float) if first is None else first.beta
     cov_idx = _covariate_columns(panel, mb.covariates)
     if not panel.treated_blocks:
@@ -715,8 +712,15 @@ def _model_based(panel: PanelData, mb: MbConfig, first: AhEstimate | None,
     return _summarize(res, h, level, first)
 
 
+def _first_stage(panel: PanelData, mb: MbConfig) -> AhEstimate | None:
+    """The first stage ``mb`` fits on ``panel``; None when beta is known."""
+    if mb.beta is not None:
+        return None
+    return anderson_hsiao(panel, mb.instrument_lag, mb.detrend, mb.covariates, mb.delta)
+
+
 def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
-                                h: int | None = None,
+                                h: int = 1,
                                 covariates: Sequence[str] | None = None,
                                 level: float = 0.95) -> FatEstimate:
     """Forecasted effect with unit-specific covariate coefficients.
@@ -726,9 +730,7 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
     forecast plugs in the covariates observed at the target period.  Units
     whose augmented design is rank deficient on their window are dropped.
     """
-    h = config.h if h is None else as_integer("h", h)
-    if h < 1:
-        raise ConfigError("horizon h must be >= 1")
+    h = as_count("h", h, 1)
     names = panel.covariate_names if covariates is None else tuple(covariates)
     cov_idx = _covariate_columns(panel, names)
     if not cov_idx:

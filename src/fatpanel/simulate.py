@@ -25,11 +25,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .basis import ForecastConfig
+from .basis import ForecastConfig, as_count
 from .errors import ConfigError, EstimationError, RankDeficiencyError
-# ``model_based_fat`` is not called here, but perfbench/spans.py wraps it.
-from .estimators import (MbConfig, _first_stage, _model_based, dfat, fat,
-                         model_based_fat, placebo_fat)  # noqa: F401
+from .estimators import MbConfig, _first_stage, dfat, fat, model_based_fat, placebo_fat
 from .panel import CohortBlock, PanelData
 
 # A parameter that is either common to all units or drawn per unit from a
@@ -239,6 +237,8 @@ class GridCell:
     def __post_init__(self):
         if self.estimator not in ("pr", "mb", "placebo", "dfat"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        object.__setattr__(self, "h", as_count("h", self.h, 1))
+        object.__setattr__(self, "lag", as_count("lag", self.lag, 0))
 
     @property
     def label(self) -> str:
@@ -344,7 +344,7 @@ def _evaluate_cell(panel: PanelData, cell: GridCell, config, first_stages: dict)
             first_stages[key] = exc
     if isinstance(first_stages[key], Exception):
         raise first_stages[key]
-    return _model_based(panel, config, first_stages[key], config.h)
+    return model_based_fat(panel, config, cell.h, first=first_stages[key])
 
 
 def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
@@ -360,7 +360,8 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     before the first replication, forecast weights once per process (the
     estimators' memo), and per replication one first stage for each
     (``instrument_lag``, ``detrend``, covariates, ``delta``) group of mb
-    cells, which fails every cell of its group if it raises.
+    cells, shared through ``model_based_fat(first=...)``; a failed fit
+    fails them all.
 
     Summaries per cell: ``bias`` (mean point estimate minus the truth),
     ``mc_se`` (standard deviation of point estimates across replications,
@@ -377,7 +378,7 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
         raise ConfigError("grid cell names collide; set distinct group labels")
 
     truths = [0.0 if c.estimator == "placebo" else spec.true_att for c in cells]
-    configs = [MbConfig(q=c.q, R=c.R, h=c.h, instrument_lag=c.instrument_lag,
+    configs = [MbConfig(q=c.q, R=c.R, instrument_lag=c.instrument_lag,
                         detrend=c.detrend) if c.estimator == "mb"
                else ForecastConfig(q=c.q, R=c.R) for c in cells]
     # (point, se, interval covers the truth) of each replication a cell ran

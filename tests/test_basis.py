@@ -128,7 +128,8 @@ def test_quadratic_interpolation_forecast():
     # y = t^2/2 - t/2 + 1 passes through (1,1), (2,2), (3,4); its value at
     # t=4 is 7, and the minimal-window quadratic fit must reproduce it.
     cfg = ForecastConfig(q=2, R=3)
-    assert fit_and_forecast([1.0, 2.0, 4.0], cfg, 4) == pytest.approx(7.0, abs=1e-10)
+    assert fit_and_forecast([1.0, 2.0, 4.0], cfg, 4, times=[1, 2, 3]) == pytest.approx(
+        7.0, abs=1e-10)
 
 
 def test_linear_trend_forecast():
@@ -246,8 +247,6 @@ def test_forecast_config_validation():
     with pytest.raises(ConfigError):
         ForecastConfig(q=2, R=2)
     with pytest.raises(ConfigError):
-        ForecastConfig(q=1, R=3, h=0)
-    with pytest.raises(ConfigError):
         ForecastConfig(q=1, R=3, delta=-1)
     with pytest.raises(ConfigError):
         ForecastConfig(q=2, R=5, basis=BasisSpec("polynomial", order=1))
@@ -258,7 +257,6 @@ def test_forecast_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("R", 2.5), ("R", 3.0), ("R", True), ("R", "3"),
     ("delta", 1.5), ("delta", {"a": 1}), ("delta", False),
-    ("h", 1.5), ("h", np.float64(2.0)),
     ("q", 1.5), ("q", True),
 ])
 def test_forecast_config_refuses_non_integers(field, value):
@@ -269,7 +267,6 @@ def test_forecast_config_refuses_non_integers(field, value):
 
 
 def test_forecast_config_takes_numpy_integers_as_python_ints():
-    cfg = ForecastConfig(q=np.int64(1), R=np.int32(3), h=np.int64(2),
-                         delta=np.uint8(1))
-    assert (cfg.q, cfg.R, cfg.h, cfg.delta) == (1, 3, 2, 1)
-    assert all(type(v) is int for v in (cfg.q, cfg.R, cfg.h, cfg.delta))
+    cfg = ForecastConfig(q=np.int64(1), R=np.int32(3), delta=np.uint8(1))
+    assert (cfg.q, cfg.R, cfg.delta) == (1, 3, 1)
+    assert all(type(v) is int for v in (cfg.q, cfg.R, cfg.delta))

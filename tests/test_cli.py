@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from fatpanel import estimators as estimators_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.cli import main
 from fatpanel.estimators import MbConfig, fat, model_based_fat, placebo_fat
@@ -117,6 +118,40 @@ def test_estimate_mb_default_window_exits_zero(tmp_path):
                          "--r", "4"], tmp_path, name="four.json")
     assert every["results"][0]["point"] == fixed["results"][0]["point"]
     assert every["results"][0]["se"] == fixed["results"][0]["se"]
+
+
+def test_estimate_mb_fits_one_first_stage_for_every_q_and_h(tmp_path, monkeypatch):
+    path = sim_panel_csv(tmp_path, name="mb.csv", n=200, T=7, tau=5,
+                         include_ar=True, rho=0.5, mu=(-1.0, 1.0))
+    fits = []
+    fit = estimators_module.anderson_hsiao
+    monkeypatch.setattr(estimators_module, "anderson_hsiao",
+                        lambda *a, **k: fits.append(a[1:]) or fit(*a, **k))
+    code, payload = run_json(["estimate", "--input", path, "--estimator", "mb",
+                              "--q", "0", "1", "--h", "1", "2", "--r", "3"], tmp_path)
+    assert code == 0
+    assert fits == [(3, True, (), 0)]
+    panel = load_panel(path)
+    for r in payload["results"]:
+        est = model_based_fat(panel, MbConfig(q=r["q"], R=3), r["horizon"])
+        assert (r["point"], r["se"]) == (est.point, est.se)
+
+
+@pytest.mark.parametrize("flags, spec, code, message", [
+    # The good q runs first; the bad one still refuses the whole command.
+    (["--q", "0", "5", "--r", "3"], {}, 1, "window length R=3 is below q+1=6"),
+    # Adoption after period 3 leaves no period with its outcome 3 lags back.
+    (["--q", "0", "--r", "2"], dict(T=6, tau=3), 3,
+     "no unit has enough history for instrument lag 3"),
+])
+def test_estimate_mb_failures_keep_their_exit_code_and_message(
+        tmp_path, capsys, flags, spec, code, message):
+    path = sim_panel_csv(tmp_path, name="mb.csv", **spec)
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", path, "--estimator", "mb", *flags,
+                 "--out-json", str(out)]) == code
+    assert not out.exists()
+    assert capsys.readouterr().err == f"fatpanel: error: {message}\n"
 
 
 def test_estimate_residual_csv(tmp_path):
@@ -249,6 +284,23 @@ def test_simulate_inline_spec_from_config_file(tmp_path):
     (cell,) = payload["cells"]
     assert cell["name"] == "pr_q0_R3"
     assert cell["n_ok"] == 6
+
+
+@pytest.mark.parametrize("cell, message", [
+    ({"h": 0}, "h must be an integer >= 1, got 0"),
+    ({"h": 1.5}, "h must be an integer >= 1, got 1.5"),
+    ({"estimator": "placebo", "lag": -1}, "lag must be an integer >= 0, got -1"),
+])
+def test_simulate_cell_with_a_bad_horizon_or_lag_is_usage_error(
+        tmp_path, capsys, cell, message):
+    config = {"dgp": {"n": 10, "T": 6, "tau": 5},
+              "cells": [{"estimator": "pr", "q": 0, "R": 3, **cell}], "reps": 2}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(cfg_path), "--out-json", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"fatpanel: error: {message}\n"
 
 
 # -- validate ---------------------------------------------------------------

@@ -310,7 +310,7 @@ def test_blocks_match_per_unit_oracle(case):
 
 def _mb_oracle(panel, mb, h):
     cov_idx = [panel.covariate_names.index(c) for c in mb.covariates]
-    if mb.first_stage == "user":
+    if mb.beta is not None:
         beta, psi = np.asarray(mb.beta), {}
     else:
         beta, _, psi, _, _ = oracle_ah(panel, mb.instrument_lag, mb.detrend,
@@ -337,7 +337,7 @@ def test_model_based_blocks_match_per_unit_oracle(case):
     panel, s = case
     covs = ("x",) if s["use_cov"] else ()
     user = MbConfig(q=s["q"], R=s["R"], delta=s["delta"], covariates=covs,
-                    first_stage="user", beta=(s["beta"],) + (0.7,) * len(covs))
+                    beta=(s["beta"],) + (0.7,) * len(covs))
     _same(_outcome(lambda: model_based_fat(panel, user, s["h"])),
           _outcome(lambda: _mb_oracle(panel, user, s["h"])),
           _scale(panel, user.beta))
@@ -411,7 +411,7 @@ def test_identities_on_random_panels(case, shift):
     estimate = _estimate(_outcome(lambda: fat(panel, config, h)))
     assert _estimate(_outcome(lambda: placebo_fat(panel, config, 0, h))) == estimate
     mb = MbConfig(q=s["q"], R=s["R"], delta=s["delta"], lagged_outcome=False,
-                  first_stage="user", beta=())
+                  beta=())
     model_based = _outcome(lambda: model_based_fat(panel, mb, h))
     if not panel.treated_blocks:
         # Both refuse a panel without treated units, each in its own words.
@@ -444,8 +444,8 @@ def test_lagged_model_window_all_is_run_less_first_period():
              for i in range(5)]
     units.append(UnitSeries("late", np.arange(2, 7), rng.normal(size=5), tau=5))
     panel = PanelData(units)
-    for first_stage, beta in (("user", (0.4,)), ("anderson_hsiao", None)):
-        kw = dict(q=1, first_stage=first_stage, beta=beta, instrument_lag=2)
+    for beta in ((0.4,), None):
+        kw = dict(q=1, beta=beta, instrument_lag=2)
         every = model_based_fat(panel, MbConfig(R="all", **kw), h=1)
         fixed = model_based_fat(panel, MbConfig(R=5, **kw), h=1)
         # The late unit's run is 4 periods, so R="all" keeps it with a

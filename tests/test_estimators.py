@@ -83,7 +83,7 @@ def test_exact_polynomial_outcomes_give_zero_effect():
         coefs = rng.normal(size=(4, q + 1))
         Y = np.vstack([np.polynomial.polynomial.polyval(times, c) for c in coefs])
         panel = make_panel(Y, times, tau=7)
-        est = fat(panel, ForecastConfig(q=q, R=q + 3, h=2))
+        est = fat(panel, ForecastConfig(q=q, R=q + 3), h=2)
         assert abs(est.point) < 1e-8
 
 
@@ -197,17 +197,30 @@ def test_placebo_rejects_negative_lag():
 
 
 @pytest.mark.parametrize("call", [
-    lambda p, c: fat(p, c, h=1.5),
-    lambda p, c: fat(p, c, h=True),
-    lambda p, c: dfat(p, c, h=2.0),
-    lambda p, c: model_based_fat(p, MbConfig(q=0, R=2), h=1.5),
-    lambda p, c: covariate_fat_heterogeneous(p, c, h=1.5),
-    lambda p, c: placebo_fat(p, c, lag=1.5),
+    lambda p, c, h: fat(p, c, h=h),
+    lambda p, c, h: placebo_fat(p, c, lag=1, h=h),
+    lambda p, c, h: dfat(p, c, h=h),
+    lambda p, c, h: model_based_fat(p, MbConfig(q=0, R=2), h=h),
+    lambda p, c, h: covariate_fat_heterogeneous(p, c, h=h),
+    # A lag follows the horizon rule one lower: an int h stands for lag h - 1.
+    lambda p, c, h: placebo_fat(p, c, lag=h - 1 if type(h) is int else h),
 ])
 def test_estimators_refuse_non_integer_horizon_or_lag(call):
+    rng = np.random.default_rng(1)
+    panel = make_panel(rng.normal(size=(6, 8)), np.arange(8), tau=5,
+                       control=[False] * 3 + [True] * 3,
+                       covs=list(rng.normal(size=(6, 8, 1))), names=("x",))
+    config = ForecastConfig(q=0, R=2)
+    call(panel, config, 1)  # the panel itself estimates
+    for h in (0, -1, 1.5, True, np.float64(2.0)):
+        with pytest.raises(ConfigError, match="must be an integer >= "):
+            call(panel, config, h)
+
+
+def test_estimators_take_numpy_integer_horizons_as_python_ints():
     panel = random_balanced_panel(np.random.default_rng(1))
-    with pytest.raises(ConfigError, match="must be an integer"):
-        call(panel, ForecastConfig(q=0, R=2))
+    est = fat(panel, ForecastConfig(q=0, R=2), h=np.int64(2))
+    assert type(est.horizon) is int and est.horizon == 2
 
 
 # ---------------------------------------------------------------------------
@@ -411,6 +424,15 @@ def test_first_stage_refuses_non_bool_detrend(detrend):
     assert str(excinfo.value) == message
 
 
+@pytest.mark.parametrize("delta", [-1, 1.5, True])
+def test_first_stage_refuses_a_bad_anticipation(delta):
+    # A negative delta would pool treated periods into the fit.
+    panel = _dynamic_panel(np.random.default_rng(22), n=30, T=7, rho=0.4, noise=0.5, tau=5)
+    with pytest.raises(ConfigError, match="delta must be an integer >= 0"):
+        anderson_hsiao(panel, delta=delta)
+    assert anderson_hsiao(panel, delta=np.int64(1)).delta == 1
+
+
 def test_first_stage_detrend_none_follows_instrument_lag():
     rng = np.random.default_rng(22)
     panel = _dynamic_panel(rng, n=30, T=7, rho=0.4, noise=0.5, tau=6)
@@ -463,7 +485,7 @@ def test_model_based_reduces_to_plain_fat_without_a_model():
     rng = np.random.default_rng(31)
     panel = random_balanced_panel(rng, n=5, T=8, tau=5)
     plain = fat(panel, ForecastConfig(q=1, R=4), h=1)
-    mb = MbConfig(q=1, R=4, lagged_outcome=False, first_stage="user", beta=())
+    mb = MbConfig(q=1, R=4, lagged_outcome=False, beta=())
     modeled = model_based_fat(panel, mb, h=1)
     assert np.array_equal(modeled.residuals, plain.residuals)
     assert modeled.point == plain.point
@@ -478,7 +500,7 @@ def test_model_based_reduction_holds_on_unbalanced_panels():
     ]
     panel = PanelData(units)
     plain = fat(panel, ForecastConfig(q=0, R=3), h=1)
-    mb = MbConfig(q=0, R=3, lagged_outcome=False, first_stage="user", beta=())
+    mb = MbConfig(q=0, R=3, lagged_outcome=False, beta=())
     modeled = model_based_fat(panel, mb, h=1)
     assert np.array_equal(modeled.residuals, plain.residuals)
 
@@ -491,7 +513,7 @@ def test_model_based_exact_on_noiseless_ar():
     for t in range(1, T):
         Y[:, t] = rho * Y[:, t - 1]
     panel = make_panel(Y, np.arange(T), tau=4)
-    mb = MbConfig(q=0, R=2, first_stage="user", beta=(rho,))
+    mb = MbConfig(q=0, R=2, beta=(rho,))
     est = model_based_fat(panel, mb, h=1)
     assert est.point == pytest.approx(0.0, abs=1e-12)
     assert est.se == pytest.approx(0.0, abs=1e-12)
@@ -507,21 +529,78 @@ def test_model_based_with_estimated_first_stage_runs():
     assert abs(est.point) < 0.5
 
 
+def _covariate_dynamic_panel(rng, n=40, T=9, tau=6):
+    """y_t = 0.5 y_{t-1} + x_t + 0.2 t + noise with one covariate ``x``."""
+    X = rng.normal(size=(n, T))
+    Y = np.empty((n, T))
+    Y[:, 0] = rng.normal(size=n)
+    for t in range(1, T):
+        Y[:, t] = 0.5 * Y[:, t - 1] + X[:, t] + 0.2 * t + rng.normal(size=n)
+    return make_panel(Y, np.arange(T), tau, covs=list(X[:, :, None]), names=("x",))
+
+
+def test_model_based_takes_its_first_stage_as_a_value():
+    panel = _covariate_dynamic_panel(np.random.default_rng(36))
+    for kw in (dict(instrument_lag=2, detrend=False), dict(covariates=("x",), delta=1)):
+        first = estimators_module._first_stage(panel, MbConfig(**kw))
+        for q, h in ((0, 1), (1, 2)):
+            mb = MbConfig(q=q, R=3, **kw)
+            given = model_based_fat(panel, mb, h, first=first)
+            fitted = model_based_fat(panel, mb, h)
+            assert (given.point, given.se, given.ci) == (fitted.point, fitted.se, fitted.ci)
+            assert np.array_equal(given.residuals, fitted.residuals)
+            assert given.unit_ids == fitted.unit_ids and given.dropped == fitted.dropped
+
+
+@pytest.mark.parametrize("other", [
+    dict(instrument_lag=3), dict(detrend=True), dict(covariates=()), dict(delta=1),
+])
+def test_model_based_refuses_a_first_stage_fitted_with_other_settings(other):
+    panel = _covariate_dynamic_panel(np.random.default_rng(37))
+    settings = dict(instrument_lag=2, detrend=False, covariates=("x",), delta=0)
+    first = anderson_hsiao(panel, **{**settings, **other})
+    assert (first.instrument_lag, first.detrend, first.covariate_names,
+            first.delta) == tuple({**settings, **other}.values())
+    with pytest.raises(ConfigError, match="fitted with other"):
+        model_based_fat(panel, MbConfig(q=1, R=3, **settings), first=first)
+
+
+def test_model_based_refuses_a_first_stage_beside_a_known_beta():
+    panel = _covariate_dynamic_panel(np.random.default_rng(38))
+    first = anderson_hsiao(panel)
+    with pytest.raises(ConfigError, match="known beta takes no fitted first stage"):
+        model_based_fat(panel, MbConfig(q=1, R=3, beta=(0.9,)), first=first)
+
+
+def test_model_based_uses_a_given_beta_as_known():
+    # A given beta is known: the first stage neither runs nor overrides it.
+    rng = np.random.default_rng(39)
+    panel = _dynamic_panel(rng, n=50, T=7, rho=0.5, mu=1.0, noise=1.0, tau=4)
+    known = model_based_fat(panel, MbConfig(q=0, R=2, beta=(0.9,)))
+    Y = panel.treated_blocks[0].outcomes
+    remainder = Y[:, 3:5] - 0.9 * Y[:, 2:4]
+    expected = Y[:, 5] - 0.9 * Y[:, 4] - remainder.mean(axis=1)
+    np.testing.assert_allclose(known.residuals, expected, rtol=0, atol=1e-12)
+    assert known.se == fat_variance(known.residuals)
+    fitted = model_based_fat(panel, MbConfig(q=0, R=2))
+    assert not np.allclose(known.residuals, fitted.residuals)
+
+
 def test_model_based_needs_lagged_outcome_history():
     # Window starts at the first observation, so y_{t-1} is unavailable.
     panel = make_panel(np.arange(5, dtype=float)[None, :], np.arange(5), tau=3)
-    mb = MbConfig(q=0, R=4, first_stage="user", beta=(0.5,))
+    mb = MbConfig(q=0, R=4, beta=(0.5,))
     with pytest.raises(EstimationError, match="lagged"):
         model_based_fat(panel, mb, h=1)
 
 
 def test_mb_config_validation():
-    with pytest.raises(ConfigError):
-        MbConfig(first_stage="user")               # beta missing
-    with pytest.raises(ConfigError):
-        MbConfig(first_stage="user", beta=(0.5, 1.0))  # wrong length
-    with pytest.raises(ConfigError):
-        MbConfig(lagged_outcome=False)             # built-in stage needs the lag
+    with pytest.raises(ConfigError, match="known beta needs length 1"):
+        MbConfig(beta=(0.5, 1.0))                  # wrong length
+    with pytest.raises(ConfigError, match="needs length 2"):
+        MbConfig(covariates=("x",), beta=(0.5,))
+    with pytest.raises(ConfigError, match="pass a known beta"):
+        MbConfig(lagged_outcome=False)             # no beta: the built-in stage needs the lag
     with pytest.raises(ConfigError):
         MbConfig(instrument_lag=4)
     with pytest.raises(ConfigError, match="detrend must be"):
@@ -672,14 +751,14 @@ def test_unit_without_covariates_is_dropped_as_incomplete():
     reason = ("b", "incomplete covariates on the window or target")
     het = covariate_fat_heterogeneous(panel, ForecastConfig(q=1, R=5), h=1)
     assert het.unit_ids == ("a",) and het.dropped == (reason,)
-    mb = MbConfig(q=1, R=4, covariates=("x",), first_stage="user", beta=(0.3, 1.0))
+    mb = MbConfig(q=1, R=4, covariates=("x",), beta=(0.3, 1.0))
     assert model_based_fat(panel, mb, h=1).dropped == (reason,)
 
 
 @pytest.mark.parametrize("call", [
     lambda p: anderson_hsiao(p, covariates=("x", "nope")),
     lambda p: model_based_fat(p, MbConfig(q=1, R=4, covariates=("nope",),
-                                          first_stage="user", beta=(0.3, 1.0)), h=1),
+                                          beta=(0.3, 1.0)), h=1),
     lambda p: covariate_fat_heterogeneous(p, ForecastConfig(q=1, R=5), h=1,
                                           covariates=("nope",)),
 ])

@@ -316,7 +316,7 @@ def test_unit_without_covariates_writes_blank_fields():
     assert text.splitlines()[9] == "b,0,1.0,5,"
     loaded = load_panel(io.StringIO(text))
     assert np.isnan(loaded.unit("b").covariates).all()
-    mb = MbConfig(q=1, R=4, covariates=("x",), first_stage="user", beta=(0.3, 1.0))
+    mb = MbConfig(q=1, R=4, covariates=("x",), beta=(0.3, 1.0))
     est = model_based_fat(loaded, mb, h=1)
     assert est.unit_ids == ("a",)
     assert est.dropped == (("b", "incomplete covariates on the window or target"),)

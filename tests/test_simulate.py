@@ -219,6 +219,22 @@ def test_grid_cell_names_and_labels():
         GridCell(estimator="ols")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("h", 0), ("h", -1), ("h", 1.5), ("h", True), ("h", np.float64(2.0)),
+    ("lag", -1), ("lag", 0.5), ("lag", False),
+])
+def test_grid_cell_refuses_a_bad_horizon_or_lag(field, value):
+    least = 1 if field == "h" else 0
+    with pytest.raises(ConfigError, match=f"{field} must be an integer >= {least}"):
+        GridCell(estimator="placebo", **{field: value})
+
+
+def test_grid_cell_takes_numpy_integers_as_python_ints():
+    cell = GridCell(estimator="placebo", h=np.int64(2), lag=np.int32(1))
+    assert (cell.h, cell.lag) == (2, 1) and type(cell.h) is type(cell.lag) is int
+    assert cell.name == "placebo_lag1_q0_R1_h2"
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo driver
 
@@ -336,15 +352,22 @@ def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():
 
 
 def test_monte_carlo_fits_one_first_stage_per_group(monkeypatch):
-    # nonstationary_init has 8 model-based cells in 2 first-stage groups.
-    fits = []
+    # nonstationary_init has 8 model-based cells in 2 first-stage groups;
+    # each cell goes through the public model_based_fat with its group's fit.
+    fits, given = [], []
     fit = estimators_module.anderson_hsiao
     monkeypatch.setattr(estimators_module, "anderson_hsiao",
                         lambda *a, **k: fits.append(a[1:]) or fit(*a, **k))
+    model_based = simulate_module.model_based_fat
+    monkeypatch.setattr(simulate_module, "model_based_fat",
+                        lambda *a, **k: given.append(k["first"]) or model_based(*a, **k))
     spec, cells = preset("nonstationary_init")
     assert sum(c.estimator == "mb" for c in cells) == 8
     run_monte_carlo(spec, cells, n_reps=3, master_seed=0)
     assert fits == [(3, True, (), 0), (2, False, (), 0)] * 3
+    assert len(given) == 8 * 3
+    settings = [(f.instrument_lag, f.detrend) for f in given[:8]]
+    assert settings == [(3, True)] * 4 + [(2, False)] * 4
 
 
 def test_monte_carlo_solves_each_window_once_per_process(monkeypatch):

@@ -24,7 +24,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import legendre
-from scipy.linalg import solve_triangular
 
 from .errors import ConfigError, RankDeficiencyError
 
@@ -214,12 +213,17 @@ class ForecastWeights:
         }
 
 
-def _window_array(window) -> np.ndarray:
+def _window_array(window, basis: BasisSpec) -> np.ndarray:
     t = np.atleast_1d(np.asarray(window, dtype=float))
     if t.ndim != 1 or t.size == 0:
         raise ConfigError("window must be a non-empty 1-D sequence of times")
     if np.unique(t).size != t.size:
         raise ConfigError("window times must be distinct")
+    if t.size < basis.order + 1:
+        raise ConfigError(
+            f"window has {t.size} times but the basis needs at least "
+            f"{basis.order + 1}"
+        )
     return t
 
 
@@ -230,12 +234,7 @@ def design_matrix(basis: BasisSpec, window) -> np.ndarray:
     window has fewer than order + 1 distinct times and
     ``RankDeficiencyError`` when the stacked design loses rank.
     """
-    t = _window_array(window)
-    if t.size < basis.order + 1:
-        raise ConfigError(
-            f"window has {t.size} times but the basis needs at least "
-            f"{basis.order + 1}"
-        )
+    t = _window_array(window, basis)
     X = basis.values(t)
     s = np.linalg.svd(X, compute_uv=False)
     if s[-1] <= _RANK_RTOL * s[0]:
@@ -276,6 +275,19 @@ def _qr(X: np.ndarray):
     return Q, Rm
 
 
+def _solve_upper(Rm: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """x with ``Rm @ x = b``, or ``Rm.T @ x = b``, for upper-triangular ``Rm``, by
+    substitution: each entry's terms subtracted in index order, then one division."""
+    R, x = Rm.tolist(), b.tolist()
+    n = len(x)
+    for i in range(n) if transpose else reversed(range(n)):
+        s = x[i]
+        for k in range(i) if transpose else range(i + 1, n):
+            s -= (R[k][i] if transpose else R[i][k]) * x[k]
+        x[i] = s / R[i][i]
+    return np.array(x)
+
+
 def forecast_weights(basis: BasisSpec, window, target) -> ForecastWeights:
     """Weights placing the least-squares forecast at ``target``.
 
@@ -283,16 +295,11 @@ def forecast_weights(basis: BasisSpec, window, target) -> ForecastWeights:
     where H is the basis row at the target period.  The weights depend only
     on the window times, the basis, and the target, never on outcomes.
     """
-    t = _window_array(window)
-    if t.size < basis.order + 1:
-        raise ConfigError(
-            f"window has {t.size} times but the basis needs at least "
-            f"{basis.order + 1}"
-        )
+    t = _window_array(window, basis)
     X, Hrow = _solver_design(basis, t, float(target))
     Q, Rm = _qr(X)
     # w = Q R^{-T} H' so that X'X w-projection reproduces H exactly.
-    w = Q @ solve_triangular(Rm, Hrow, trans="T")
+    w = Q @ _solve_upper(Rm, Hrow, transpose=True)
     times = np.asarray(window)
     if np.issubdtype(times.dtype, np.floating) and np.all(times == np.round(times)):
         times = times.astype(int)
@@ -339,16 +346,10 @@ def fit_and_forecast(y, config: ForecastConfig, target, times) -> float:
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 1 or yv.size == 0:
         raise ConfigError("y must be a non-empty 1-D array")
-    t = _window_array(times)
+    t = _window_array(times, config.basis)
     if t.size != yv.size:
         raise ConfigError("times and y must have the same length")
-    basis = config.basis
-    if t.size < basis.order + 1:
-        raise ConfigError(
-            f"window has {t.size} times but the basis needs at least "
-            f"{basis.order + 1}"
-        )
-    X, Hrow = _solver_design(basis, t, float(target))
+    X, Hrow = _solver_design(config.basis, t, float(target))
     Q, Rm = _qr(X)
-    coef = solve_triangular(Rm, Q.T @ yv)
+    coef = _solve_upper(Rm, Q.T @ yv)
     return float(Hrow @ coef)

@@ -99,10 +99,10 @@ class RunConfig:
     def __post_init__(self):
         if not self.q:
             raise ConfigError("q list must be nonempty")
-        if not self.horizons:
-            raise ConfigError("horizons list must be nonempty")
-        if any(h < 1 for h in self.horizons):
-            raise ConfigError("horizons must be >= 1")
+        if not self.horizons or any(h < 1 for h in self.horizons):
+            raise ConfigError("horizons must be a nonempty list of integers >= 1")
+        if not self.lags or any(lag < 0 for lag in self.lags):
+            raise ConfigError("lags must be a nonempty list of integers >= 0")
         if self.estimator not in _ESTIMATORS:
             raise ConfigError(
                 f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")

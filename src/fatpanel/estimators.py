@@ -32,16 +32,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.stats import norm
 
-from .basis import (BasisSpec, ForecastConfig, _qr, _solver_design, as_count,
-                    forecast_weights)
+from .basis import (BasisSpec, ForecastConfig, _qr, _solve_upper, _solver_design,
+                    as_count, as_integer, forecast_weights)
 from .errors import ConfigError, EstimationError, RankDeficiencyError
 from .panel import CohortBlock, PanelData, _run_ending
 
@@ -133,8 +131,9 @@ class AhEstimate:
     ``positions[i]`` (increasing): the estimation error of ``beta`` is their
     average, so the model-based variance correction gathers them by
     position.  ``covariate_names``, ``instrument_lag``, ``detrend`` and
-    ``delta`` are the fit's settings, which ``model_based_fat`` checks
-    against its ``MbConfig`` when given the fit as ``first``.
+    ``delta`` are the fit's settings and ``panel`` the panel it was fitted
+    on, which ``model_based_fat`` checks against its own when given the fit
+    as ``first``.
     """
 
     beta: np.ndarray
@@ -148,6 +147,7 @@ class AhEstimate:
     instrument_lag: int
     detrend: bool
     delta: int
+    panel: PanelData = field(repr=False, compare=False)
 
     @property
     def rho(self) -> float:
@@ -193,8 +193,9 @@ class MbConfig:
 
     def __post_init__(self):
         self.forecast_config()  # refuses bad q, R and delta
-        if self.instrument_lag not in (2, 3):
-            raise ConfigError("instrument_lag must be 2 or 3")
+        lag, detrend = _ah_settings(self.instrument_lag, self.detrend)
+        object.__setattr__(self, "instrument_lag", lag)
+        object.__setattr__(self, "detrend", detrend)
         object.__setattr__(self, "covariates", tuple(self.covariates))
         k = int(self.lagged_outcome) + len(self.covariates)
         if self.beta is not None:
@@ -206,20 +207,23 @@ class MbConfig:
                 "the built-in first stage estimates the lagged-outcome "
                 "model; pass a known beta otherwise"
             )
-        object.__setattr__(self, "detrend", _detrend(self.instrument_lag, self.detrend))
 
     def forecast_config(self) -> ForecastConfig:
         """Window settings of the polynomial remainder fit."""
         return ForecastConfig(q=self.q, R=self.R, delta=self.delta)
 
 
-def _detrend(instrument_lag: int, detrend) -> bool:
-    """``detrend`` with None resolved to ``instrument_lag == 3``."""
+def _ah_settings(instrument_lag, detrend) -> tuple[int, bool]:
+    """The checked instrument lag, and ``detrend`` with None resolved to
+    ``instrument_lag == 3``."""
+    lag = as_integer("instrument_lag", instrument_lag, "2 or 3")
+    if lag not in (2, 3):
+        raise ConfigError(f"instrument_lag must be 2 or 3, got {instrument_lag!r}")
     if detrend is None:
-        return instrument_lag == 3
+        return lag, lag == 3
     if not isinstance(detrend, bool):
         raise ConfigError(f"detrend must be true, false or None, got {detrend!r}")
-    return detrend
+    return lag, detrend
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +266,63 @@ def _zscore(level: float) -> float:
     return _normal_quantile(level)
 
 
-# ``norm.ppf`` costs far more than the interval it serves; typed, so a
-# float32 level keeps its own float32 quantile.
+# Typed, so a float32 level keeps its own quantile: Cephes works in double,
+# and a float32 or float16 probability gets its quantile rounded to float32.
 @functools.lru_cache(maxsize=32, typed=True)
 def _normal_quantile(level: float) -> float:
-    return float(norm.ppf(0.5 * (1.0 + level)))
+    p = 0.5 * (1.0 + level)
+    z = _ndtri(float(p))
+    return float(np.float32(z)) if isinstance(p, (np.float16, np.float32)) else z
+
+
+# Cephes ``ndtri``: rational approximations in y - 0.5 near the centre and
+# in 1/sqrt(-2 log y) in the tails.  Each denominator's leading 1 is written
+# out; 1.0 * x is exact, so this is Cephes' ``p1evl``.
+_NDTRI_CENTRE = (
+    (-5.99633501014107895267E1, 9.80010754185999661536E1, -5.66762857469070293439E1,
+     1.39312609387279679503E1, -1.23916583867381258016E0),
+    (1.0, 1.95448858338141759834E0, 4.67627912898881538453E0, 8.63602421390890590575E1,
+     -2.25462687854119370527E2, 2.00260212380060660359E2, -8.20372256168333339912E1,
+     1.59056225126211695515E1, -1.18331621121330003142E0))
+_NDTRI_TAIL = (
+    (4.05544892305962419923E0, 3.15251094599893866154E1, 5.71628192246421288162E1,
+     4.40805073893200834700E1, 1.46849561928858024014E1, 2.18663306850790267539E0,
+     -1.40256079171354495875E-1, -3.50424626827848203418E-2, -8.57456785154685413611E-4),
+    (1.0, 1.57799883256466749731E1, 4.53907635128879210584E1, 4.13172038254672030440E1,
+     1.50425385692907503408E1, 2.50464946208309415979E0, -1.42182922854787788574E-1,
+     -3.80806407691578277194E-2, -9.33259480895457427372E-4))
+_NDTRI_FAR_TAIL = (
+    (3.23774891776946035970E0, 6.91522889068984211695E0, 3.93881025292474443415E0,
+     1.33303460815807542389E0, 2.01485389549179081538E-1, 1.23716634817820021358E-2,
+     3.01581553508235416007E-4, 2.65806974686737550832E-6, 6.23974539184983293730E-9),
+    (1.0, 6.02427039364742014255E0, 3.67983563856160859403E0, 1.37702099489081330271E0,
+     2.16236993594496635890E-1, 1.34204006088543189037E-2, 3.28014464682127739104E-4,
+     2.89247864745380683936E-6, 6.79019408009981274425E-9))
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+
+
+def _polevl(x: float, coefficients) -> float:
+    """Polynomial at ``x`` by Horner's rule, highest degree first."""
+    return functools.reduce(lambda value, c: value * x + c, coefficients)
+
+
+def _ndtri(p: float) -> float:
+    """Standard normal quantile of probability ``p``, as Cephes computes it."""
+    if not 0.0 < p < 1.0:
+        return -math.inf if p == 0.0 else math.inf if p == 1.0 else math.nan
+    upper = p > 1.0 - _EXP_M2
+    y = 1.0 - p if upper else p
+    if y > _EXP_M2:
+        y -= 0.5
+        y2 = y * y
+        P, Q = _NDTRI_CENTRE
+        x = y + y * (y2 * _polevl(y2, P) / _polevl(y2, Q))
+        return x * 2.50662827463100050242  # sqrt(2 pi)
+    x = math.sqrt(-2.0 * math.log(y))
+    z = 1.0 / x
+    P, Q = _NDTRI_TAIL if x < 8.0 else _NDTRI_FAR_TAIL
+    x = x - math.log(x) / x - z * _polevl(z, P) / _polevl(z, Q)
+    return x if upper else -x
 
 
 def _interval(point: float, se: float, level: float) -> tuple[float, float]:
@@ -622,9 +678,7 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         Coefficients, optional intercept, and the influence vectors of the
         contributing units with their panel positions.
     """
-    if instrument_lag not in (2, 3):
-        raise ConfigError("instrument_lag must be 2 or 3")
-    detrend = _detrend(instrument_lag, detrend)
+    instrument_lag, detrend = _ah_settings(instrument_lag, detrend)
     delta = as_count("delta", delta, 0)
     cov_idx = _covariate_columns(panel, covariates)
     if not panel.treated_blocks:
@@ -673,6 +727,7 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         instrument_lag=instrument_lag,
         detrend=detrend,
         delta=delta,
+        panel=panel,
     )
 
 
@@ -689,7 +744,8 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
 
     ``first``, the ``anderson_hsiao`` fit of ``panel`` with ``mb``'s
     settings, is fitted here when omitted, so that callers can share one
-    fit; one with other settings, or beside a known beta, is refused.
+    fit; one of another panel object or with other settings, or beside a
+    known beta, is refused.
 
     With no lagged outcome, no covariates, and beta empty this reproduces
     ``fat`` residual for residual.
@@ -699,6 +755,8 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
         first = _first_stage(panel, mb)
     elif mb.beta is not None:
         raise ConfigError("a known beta takes no fitted first stage")
+    elif first.panel is not panel:
+        raise ConfigError("the first stage was fitted on another panel")
     elif ((first.instrument_lag, first.detrend, first.covariate_names, first.delta)
           != (mb.instrument_lag, mb.detrend, mb.covariates, mb.delta)):
         raise ConfigError("the first stage was fitted with other instrument_lag, "
@@ -765,7 +823,7 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
             except RankDeficiencyError:
                 out.drop(b, "augmented window design is rank deficient", [row])
                 continue
-            coef = solve_triangular(Rm, Qm.T @ y[win])
+            coef = _solve_upper(Rm, Qm.T @ y[win])
             rows.append(row)
             residuals.append(float(y[j]) - float(drow @ coef))
         out.use(b, rows, np.asarray(residuals, dtype=float), np.empty((len(rows), 0)))

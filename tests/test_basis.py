@@ -6,6 +6,9 @@ import pytest
 from fatpanel.basis import (
     BasisSpec,
     ForecastConfig,
+    _qr,
+    _solve_upper,
+    _solver_design,
     binomial_weights,
     design_matrix,
     fit_and_forecast,
@@ -111,6 +114,51 @@ def test_weight_route_equals_coefficient_route():
         cfg = ForecastConfig(q=q, R=R)
         fw = forecast_weights(cfg.basis, window, target)
         assert abs(fw.weights @ y - fit_and_forecast(y, cfg, target, times=window)) < 1e-10
+
+
+def _oracle_windows():
+    """Every polynomial window (q <= 8, R <= 15, h <= 5) and a grid of
+    full-rank Fourier windows, as (basis, times, target)."""
+    for q in range(9):
+        for R in range(q + 1, 16):
+            for h in range(1, 6):
+                yield BasisSpec("polynomial", order=q), np.arange(R), R - 1 + h
+    for q in range(1, 7):
+        for period in (4.0, 5.5, 7.0, 12.0):
+            basis = BasisSpec("fourier", order=q, period=period)
+            for R in range(q + 1, 16):
+                for start in (0, 3):
+                    window = np.arange(start, start + R)
+                    try:
+                        design_matrix(basis, window)
+                    except RankDeficiencyError:
+                        continue
+                    for h in (1, 2, 3):
+                        yield basis, window, start + R - 1 + h
+
+
+def test_substitution_matches_scipy_triangular_solve():
+    # scipy is the oracle.  The package substitutes in Python floats, so
+    # the last bits may differ from LAPACK, within 1e-15 of the largest entry.
+    from scipy.linalg import solve_triangular
+
+    rng = np.random.default_rng(31)
+    count = 0
+    for basis, window, target in _oracle_windows():
+        X, H = _solver_design(basis, window.astype(float), float(target))
+        Q, Rm = _qr(X)
+        w = forecast_weights(basis, window, target).weights
+        expected = Q @ solve_triangular(Rm, H, trans="T")
+        assert np.max(np.abs(w - expected)) <= 1e-15 * np.max(np.abs(expected))
+        y = rng.normal(size=window.size)
+        coef = _solve_upper(Rm, Q.T @ y)
+        expected = solve_triangular(Rm, Q.T @ y)
+        assert np.max(np.abs(coef - expected)) <= 1e-15 * np.max(np.abs(expected))
+        cfg = ForecastConfig(basis=basis, R=window.size)
+        forecast = fit_and_forecast(y, cfg, target, times=window)
+        assert abs(forecast - w @ y) <= 1e-10 * max(1.0, np.abs(y).max())
+        count += 1
+    assert count > 1000
 
 
 def test_reparametrization_invariance():

@@ -6,11 +6,16 @@ beyond argument plumbing and serialization.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fatpanel
 from fatpanel import estimators as estimators_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.cli import main
@@ -435,6 +440,28 @@ def test_unknown_flag_is_usage_error(capsys):
 def test_missing_command_is_usage_error(capsys):
     assert main([]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["placebo", "--lags", "-1"], ["placebo", "--lags", "0", "-2"],
+    ["estimate", "--h", "0"],
+])
+def test_bad_grid_is_usage_error_before_the_input_is_read(tmp_path, argv):
+    # The exit code of a bad grid must not depend on whether the file exists.
+    assert main(argv + ["--input", str(tmp_path / "missing.csv")]) == 1
+    assert main(argv + ["--input", sim_panel_csv(tmp_path)]) == 1
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy is a development-only dependency; one stray import would put
+    # about a second back on every command's start.
+    src = Path(fatpanel.__file__).resolve().parents[1]
+    code = ("import sys, fatpanel.cli, fatpanel.simulate; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 def test_missing_input_flag_is_usage_error():

@@ -26,6 +26,7 @@ from fatpanel.estimators import (
     placebo_fat,
 )
 from fatpanel.panel import PanelData, UnitSeries, apply_anticipation
+from fatpanel.simulate import DgpSpec, simulate_dgp
 from oracles import fat_balanced_avg, fat_pooled
 
 
@@ -122,6 +123,36 @@ def test_confidence_interval_uses_normal_quantile():
     assert half == pytest.approx(1.959963984540054 * est.se, rel=1e-12)
     wider = fat(panel, ForecastConfig(q=1, R=4), level=0.99)
     assert wider.ci[1] - wider.point > half
+
+
+def test_normal_quantile_matches_scipy_bit_for_bit():
+    # scipy is the oracle: the package's own Cephes port must give the very
+    # bits of norm.ppf for every level, in float64 and in float32.
+    from scipy.stats import norm
+
+    quantile = estimators_module._normal_quantile.__wrapped__
+    rng = np.random.default_rng(2024)
+    levels = np.concatenate([rng.random(350_000), 1.0 - 10.0 ** rng.uniform(-16, 0, 2_000),
+                             [5e-324, 0.5, 0.95, np.nextafter(1.0, 0.0)]])
+    expected = norm.ppf(0.5 * (1.0 + levels))
+    got = np.array([quantile(level) for level in levels.tolist()])
+    assert np.array_equal(got, expected)
+    levels32 = rng.random(100_000).astype(np.float32)
+    expected32 = norm.ppf(0.5 * (1.0 + levels32))
+    got32 = np.array([quantile(level) for level in levels32])
+    assert np.array_equal(got32, expected32)
+
+
+def test_ndtri_matches_scipy_down_to_the_far_tail():
+    from scipy.special import ndtri
+
+    rng = np.random.default_rng(2025)
+    p = np.concatenate([10.0 ** rng.uniform(-300, 0, 100_000),
+                        1.0 - 10.0 ** rng.uniform(-16, 0, 20_000), rng.random(30_000),
+                        [0.0, 1e-300, np.exp(-2.0), 0.5, 1.0 - np.exp(-2.0), 1.0,
+                         -0.5, 1.5, np.nan]])
+    got = np.array([estimators_module._ndtri(x) for x in p.tolist()])
+    assert np.array_equal(got, ndtri(p), equal_nan=True)
 
 
 # ---------------------------------------------------------------------------
@@ -572,6 +603,18 @@ def test_model_based_refuses_a_first_stage_beside_a_known_beta():
         model_based_fat(panel, MbConfig(q=1, R=3, beta=(0.9,)), first=first)
 
 
+def test_model_based_refuses_a_first_stage_of_another_panel():
+    # Two draws of one design: a's fit would forecast b's units with a's
+    # coefficients, giving 0.0011 where b's own fit gives 0.312.
+    spec = DgpSpec(n=40, T=8, tau=6, trend_mode="recursive", init_mode="fixed", rho=0.4)
+    a, b = simulate_dgp(spec, 1), simulate_dgp(spec, 2)
+    mb = MbConfig(q=1, R=3)
+    with pytest.raises(ConfigError, match="another panel"):
+        model_based_fat(b, mb, first=anderson_hsiao(a))
+    own = model_based_fat(b, mb, first=anderson_hsiao(b))
+    assert own.point == model_based_fat(b, mb).point == pytest.approx(0.312, abs=1e-3)
+
+
 def test_model_based_uses_a_given_beta_as_known():
     # A given beta is known: the first stage neither runs nor overrides it.
     rng = np.random.default_rng(39)
@@ -594,6 +637,18 @@ def test_model_based_needs_lagged_outcome_history():
         model_based_fat(panel, mb, h=1)
 
 
+@pytest.mark.parametrize("lag", [2.0, 3.0, True, "2", 4, 1])
+def test_instrument_lag_must_be_the_integer_2_or_3(lag):
+    panel = _dynamic_panel(np.random.default_rng(23), n=30, T=7, rho=0.4, noise=0.5, tau=6)
+    message = f"instrument_lag must be 2 or 3, got {lag!r}"
+    with pytest.raises(ConfigError) as excinfo:
+        MbConfig(instrument_lag=lag)
+    assert str(excinfo.value) == message
+    with pytest.raises(ConfigError) as excinfo:
+        anderson_hsiao(panel, instrument_lag=lag)
+    assert str(excinfo.value) == message
+
+
 def test_mb_config_validation():
     with pytest.raises(ConfigError, match="known beta needs length 1"):
         MbConfig(beta=(0.5, 1.0))                  # wrong length
@@ -603,6 +658,7 @@ def test_mb_config_validation():
         MbConfig(lagged_outcome=False)             # no beta: the built-in stage needs the lag
     with pytest.raises(ConfigError):
         MbConfig(instrument_lag=4)
+    assert type(MbConfig(instrument_lag=np.int64(2)).instrument_lag) is int
     with pytest.raises(ConfigError, match="detrend must be"):
         MbConfig(detrend="yes")
     assert MbConfig(instrument_lag=3).detrend is True

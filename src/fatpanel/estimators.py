@@ -30,6 +30,7 @@ block of thousands.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
@@ -235,12 +236,18 @@ def fat_variance(residuals) -> float:
     u = np.asarray(residuals, dtype=float)
     if u.ndim != 1 or u.size == 0:
         raise ConfigError("residuals must be a non-empty 1-D array")
-    return _se(u, math.fsum(u.tolist()) / u.size)
+    return float(_se(u, _fsum(u) / u.size))
 
 
-def _se(u: np.ndarray, mean: float) -> float:
-    var = math.fsum(((u - mean) ** 2).tolist()) / u.size
-    return math.sqrt(var / u.size)
+def _fsum(a: np.ndarray) -> float:
+    return math.fsum(a.tolist())
+
+
+def _se(u: np.ndarray, mean, total=_fsum):
+    """sqrt of the (1/n) variance of ``u`` about ``mean``, over n: along the
+    last axis, with sums taken by ``total``."""
+    n = u.shape[-1]
+    return np.sqrt(total((u - np.expand_dims(mean, -1)) ** 2) / n / n)
 
 
 def mb_variance(residuals, gradients, psi) -> float:
@@ -402,69 +409,56 @@ def _cached_weights(basis: BasisSpec, R: int, h: int, start: int) -> np.ndarray:
 
 class _Residuals(NamedTuple):
     """Kernel output in panel order; ``grads`` row i is the derivative of
-    unit i's forecast in the model coefficients."""
+    unit i's forecast in the model coefficients.  ``residuals`` and
+    ``grads`` carry the leading replication axes of their outcomes."""
 
     positions: np.ndarray
-    ids: tuple
+    ids: np.ndarray
     residuals: np.ndarray
     grads: np.ndarray
     dropped: tuple
 
 
-class _PanelOrder:
-    """Per-block results gathered in block order, returned in panel order."""
-
-    def __init__(self, width: int = 0):
-        self.positions = [np.empty(0, dtype=int)]
-        self.ids = [np.empty(0, dtype=object)]
-        self.residuals = [np.empty(0)]
-        self.grads = [np.empty((0, width))]
-        self.dropped = []
-
-    def drop(self, block: CohortBlock, reason: str, rows=slice(None)) -> None:
-        self.dropped.extend(zip(block.positions[rows], block.unit_ids[rows],
-                                repeat(reason)))
-
-    def use(self, block: CohortBlock, rows, residuals, grads) -> None:
-        self.positions.append(block.positions[rows])
-        self.ids.append(block.unit_ids[rows])
-        self.residuals.append(residuals)
-        self.grads.append(grads)
-
-    def result(self) -> _Residuals:
-        positions = np.concatenate(self.positions)
-        order = np.argsort(positions)
-        return _Residuals(positions[order], tuple(np.concatenate(self.ids)[order]),
-                          np.concatenate(self.residuals)[order],
-                          np.concatenate(self.grads)[order],
-                          tuple((u, r) for _, u, r in sorted(self.dropped)))
+def _in_panel_order(used, residuals, grads, dropped) -> _Residuals:
+    """The residuals and gradients of the (block, rows) pairs ``used``, in
+    block order along their unit axis, put in panel order, and the
+    (block, rows, reason) triples ``dropped`` as (unit id, reason) pairs."""
+    positions = np.concatenate([np.empty(0, dtype=int)] + [b.positions[r] for b, r in used])
+    order = np.argsort(positions)
+    ids = np.concatenate([np.empty(0, dtype=object)] + [b.unit_ids[r] for b, r in used])
+    return _Residuals(positions[order], ids[order],
+                      np.concatenate(residuals or [np.empty(0)], axis=-1)[..., order],
+                      np.concatenate(grads or [np.empty((0, 0))], axis=-2)[..., order, :],
+                      tuple((u, r) for _, u, r in sorted(
+                          (p, u, r) for b, rows, r in dropped
+                          for p, u in zip(b.positions[rows], b.unit_ids[rows]))))
 
 
 # ---------------------------------------------------------------------------
 # the residual kernel
 
 
-def _fat_residuals(blocks: Sequence[CohortBlock], config: ForecastConfig,
-                   h: int, tau_shift: int = 0, lagged: bool = False,
-                   cov_idx: Sequence[int] = (), beta=()) -> _Residuals:
-    """Forecast residuals y(tau_eff + h) - forecast of every unit in ``blocks``.
+def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
+            tau_shift: int = 0, lagged: bool = False, cov_idx: Sequence[int] = ()):
+    """The residual kernel for ``blocks``, split where the outcomes enter.
 
-    Each block's window, target and weights are resolved once, and its
-    residuals come from one product over its dense outcome rows:
-    ``Y[:, j] - (Y[:, win] - X beta) @ w - x_j' beta``, where the model
-    columns X stack the lagged outcome (``lagged``) and the covariates
-    ``cov_idx``.  Without a model this is ``Y[:, j] - Y[:, win] @ w``.
-    With ``lagged``, ``R="all"`` leaves the run's first period to serve
-    as the window's first lag.
-
-    The weights of a window come from a per-process memo.
+    Resolves each block's window, target, weights (from a per-process
+    memo) and drops once, and returns ``apply(beta=(), outcomes=None)``:
+    the residuals y(tau_eff + h) - forecast of the units used, each
+    block's from one product over its outcome rows,
+    ``Y[..., j] - (Y[..., win] - X beta) @ w - x_j' beta``, where the model
+    columns X stack the ``lagged`` outcome and the covariates ``cov_idx``
+    (without a model, ``Y[..., j] - Y[..., win] @ w``).  ``outcomes[k]``
+    stands in for the outcomes of ``blocks[k]``; it and ``beta`` may carry
+    leading replication axes.  With ``lagged``, ``R="all"`` leaves the
+    run's first period to serve as the window's first lag.
     """
     if not blocks:
         raise EstimationError("no units to estimate on")
     q = config.basis.order
     shift = config.delta + tau_shift
-    out = _PanelOrder(int(lagged) + len(cov_idx))
-    for b in blocks:
+    parts, dropped = [], []
+    for k, b in enumerate(blocks):
         try:
             i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
                                  b.tau - shift, h, lead=int(lagged))
@@ -472,54 +466,79 @@ def _fat_residuals(blocks: Sequence[CohortBlock], config: ForecastConfig,
                            or b.times[j - 1] != b.times[j] - 1):
                 raise _DropUnit("lagged outcome missing for the window or target")
         except _DropUnit as d:
-            out.drop(b, d.reason)
+            dropped.append((b, slice(None), d.reason))
             continue
         rows = slice(None)
         if cov_idx:
             X = b.covariates[:, :, cov_idx]
             bad = (np.isnan(X[:, i0:i1 + 1]).any(axis=(1, 2))
                    | np.isnan(X[:, j]).any(axis=1))
-            out.drop(b, "incomplete covariates on the window or target", bad)
+            dropped.append((b, bad, "incomplete covariates on the window or target"))
             rows = np.flatnonzero(~bad)
             if not rows.size:
                 continue
         try:
             w = _weights(config.basis, b.times[i0:i1 + 1], h)
         except RankDeficiencyError:
-            out.drop(b, "window design is rank deficient", rows)
+            dropped.append((b, rows, "window design is rank deficient"))
             continue
-        Y = b.outcomes[rows]
-        terms = [(Y[:, i0 - 1:i1], Y[:, j - 1])] if lagged else []
-        terms += [(b.covariates[rows, i0:i1 + 1, c], b.covariates[rows, j, c])
-                  for c in cov_idx]
-        modeled = sum(bk * Xw for bk, (Xw, _) in zip(beta, terms))
-        forecast = (sum(bk * xt for bk, (_, xt) in zip(beta, terms))
-                    + (Y[:, i0:i1 + 1] - modeled) @ w)
-        grads = np.empty((Y.shape[0], len(terms)))
-        for c, (Xw, xt) in enumerate(terms):
-            grads[:, c] = xt - Xw @ w
-        out.use(b, rows, Y[:, j] - forecast, grads)
-    return out.result()
+        parts.append((k, rows, i0, i1, j, w))
+
+    def apply(beta=(), outcomes=None) -> _Residuals:
+        beta = np.asarray(beta, dtype=float)
+        coef = [beta[..., c, None] for c in range(beta.shape[-1])]
+        residuals, grads = [], []
+        for k, rows, i0, i1, j, w in parts:
+            b = blocks[k]
+            Y = (b.outcomes if outcomes is None else outcomes[k])[..., rows, :]
+            terms = [(Y[..., i0 - 1:i1], Y[..., j - 1])] if lagged else []
+            terms += [(b.covariates[rows, i0:i1 + 1, c], b.covariates[rows, j, c])
+                      for c in cov_idx]
+            modeled = sum(bk[..., None] * Xw for bk, (Xw, _) in zip(coef, terms))
+            forecast = (sum(bk * xt for bk, (_, xt) in zip(coef, terms))
+                        + (Y[..., i0:i1 + 1] - modeled) @ w)
+            g = np.empty(Y.shape[:-1] + (len(terms),))
+            for c, (Xw, xt) in enumerate(terms):
+                g[..., c] = xt - Xw @ w
+            residuals.append(Y[..., j] - forecast)
+            grads.append(g)
+        used = [(blocks[k], rows) for k, rows, *_ in parts]
+        return _in_panel_order(used, residuals, grads, dropped)
+    return apply
+
+
+def _point_se(res: _Residuals, first=None, total=_fsum):
+    """Point estimate and standard error, per replication when ``res``
+    carries a leading axis, with sums taken by ``total`` over the last.
+
+    With a fitted first stage, ``first`` = (influence vectors, their panel
+    positions), each residual is recentred by (mean gradient) @ (its
+    influence vector; zero for a unit the fit did not use).  Fewer than two
+    units give no standard error, so no interval: ``EstimationError``.
+    """
+    n = res.residuals.shape[-1]
+    if n < 2:
+        detail = "; ".join(f"{u}: {r}" for u, r in res.dropped[:3])
+        raise EstimationError(f"no usable units ({detail})" if n == 0 else
+                              f"only one usable unit ({res.ids[0]}); a standard "
+                              "error needs at least two")
+    point = total(res.residuals) / n
+    if first is None:
+        return point, _se(res.residuals, point, total)
+    psi, at = first
+    full = np.zeros(psi.shape[:-2] + (max(at[-1], res.positions[-1]) + 1, psi.shape[-1]))
+    full[..., at, :] = psi
+    gbar = res.grads.mean(axis=-2)[..., None]
+    u = res.residuals - (full[..., res.positions, :] @ gbar)[..., 0]
+    return point, _se(u, total(u) / n, total)
 
 
 def _summarize(res: _Residuals, h, level, first: AhEstimate | None = None) -> FatEstimate:
-    """Point, standard error and interval; with a fitted first stage the
-    error is corrected through the gradients and its influence vectors,
-    gathered by panel position (zero for a unit the fit did not use)."""
-    n = len(res.ids)
-    if n == 0:
-        detail = "; ".join(f"{u}: {r}" for u, r in res.dropped[:3])
-        raise EstimationError(f"no usable units ({detail})")
-    point = math.fsum(res.residuals.tolist()) / n
-    if first is None:
-        se = _se(res.residuals, point)
-    else:
-        psi = np.zeros((max(first.positions[-1], res.positions[-1]) + 1, first.psi.shape[1]))
-        psi[first.positions] = first.psi
-        se = mb_variance(res.residuals, res.grads, psi[res.positions])
+    """``FatEstimate`` of one panel's residuals, summed exactly."""
+    point, se = map(float, _point_se(res, first and (first.psi, first.positions)))
     return FatEstimate(
         horizon=h, point=point, se=se, ci=_interval(point, se, level),
-        level=level, n_used=n, unit_ids=res.ids, residuals=res.residuals,
+        level=level, n_used=len(res.ids), unit_ids=tuple(res.ids), residuals=res.residuals,
         dropped=res.dropped,
     )
 
@@ -556,7 +575,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int = 1,
     FatEstimate
     """
     h = as_count("h", h, 1)
-    return _summarize(_fat_residuals(panel.treated_blocks, config, h), h, level)
+    return _summarize(_kernel(panel.treated_blocks, config, h)(), h, level)
 
 
 def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
@@ -569,7 +588,7 @@ def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
     """
     lag = as_count("lag", lag, 0)
     h = as_count("h", h, 1)
-    return _summarize(_fat_residuals(panel.treated_blocks, config, h, tau_shift=lag),
+    return _summarize(_kernel(panel.treated_blocks, config, h, tau_shift=lag)(),
                       h, level)
 
 
@@ -595,8 +614,8 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
             "an adoption date"
         )
     cc = config if config_control is None else config_control
-    t = _fat_residuals(treated, config, h)
-    c = _fat_residuals(controls, cc, h)
+    t = _kernel(treated, config, h)()
+    c = _kernel(controls, cc, h)()
     est_t = _summarize(t, h, level)
     est_c = _summarize(c._replace(dropped=c.dropped + skipped), h, level)
     point = est_t.point - est_c.point
@@ -607,25 +626,26 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
     )
 
 
-def _ah_moments(block: CohortBlock, eff_tau: int, lag: int, detrend: bool,
-                cov_idx: list[int]):
-    """Moment blocks A_i = Z'W and b_i = Z'dy of every unit in ``block``.
+def _ah_moments(block: CohortBlock, Y: np.ndarray, eff_tau: int, lag: int,
+                detrend: bool, cov_idx: list[int]):
+    """Moment blocks A_i = Z'W and b_i = Z'dy of every unit in ``block``,
+    whose outcomes ``Y`` may carry leading replication axes.
 
     Period t <= eff_tau gives a moment row when t-1, t-2 and t-lag are
     observed; with covariates, only for the units whose covariates at t
     and t-1 are complete.  Rows are accumulated in time order.  Returns
-    (A, b, rows) with shapes (n, k, k), (n, k) and (n,).
+    (A, b, rows) with shapes (..., n, k, k), (..., n, k) and (n,).
     """
-    times, Y = block.times, block.outcomes
+    times = block.times
     t = times[times <= eff_tau]
     at = [np.searchsorted(times, t - d) for d in (1, 2, lag)]
     valid = np.logical_and.reduce([times[i] == t - d for i, d in zip(at, (1, 2, lag))])
     js = np.flatnonzero(valid)
     i1, i2, il = (i[valid] for i in at)
-    dy = Y[:, js] - Y[:, i1]
-    W = [Y[:, i1] - Y[:, i2]]
-    Z = [Y[:, il]]
-    rows = np.ones(dy.shape, dtype=bool)
+    dy = Y[..., js] - Y[..., i1]
+    W = [Y[..., i1] - Y[..., i2]]
+    Z = [Y[..., il]]
+    rows = np.ones(dy.shape[-2:], dtype=bool)
     if cov_idx:
         x_t = block.covariates[:, js][:, :, cov_idx]
         x_1 = block.covariates[:, i1][:, :, cov_idx]
@@ -633,19 +653,18 @@ def _ah_moments(block: CohortBlock, eff_tau: int, lag: int, detrend: bool,
         W += list(np.moveaxis(x_t - x_1, 2, 0))
         Z += list(np.moveaxis(x_1, 2, 0))
     if detrend:
-        W.append(np.ones(dy.shape))
-        Z.append(np.ones(dy.shape))
-    W = np.stack(W, axis=2)
-    Z = np.stack(Z, axis=2)
+        W.append(np.ones(rows.shape))
+        Z.append(np.ones(rows.shape))
     # Rows a unit lacks add exact zeros, leaving its sums as if skipped.
-    W[~rows] = 0.0
-    Z[~rows] = 0.0
-    n, k = Y.shape[0], Z.shape[2]
-    A = np.zeros((n, k, k))
-    b = np.zeros((n, k))
+    for x in W + Z:
+        x[..., ~rows] = 0.0
+    A = np.zeros(dy.shape[:-1] + (len(W), len(W)))
+    b = np.zeros(dy.shape[:-1] + (len(W),))
     for j in range(js.size):
-        A += Z[:, j, :, None] * W[:, j, None, :]
-        b += Z[:, j] * dy[:, j, None]
+        for a, z in enumerate(Z):
+            b[..., a] += z[..., j] * dy[..., j]
+            for c, w in enumerate(W):
+                A[..., a, c] += z[..., j] * w[..., j]
     return A, b, rows.sum(axis=1)
 
 
@@ -680,55 +699,77 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     """
     instrument_lag, detrend = _ah_settings(instrument_lag, detrend)
     delta = as_count("delta", delta, 0)
-    cov_idx = _covariate_columns(panel, covariates)
-    if not panel.treated_blocks:
-        raise EstimationError("no treated units")
-    k = 1 + len(cov_idx) + (1 if detrend else 0)
-    A_all = np.zeros((len(panel), k, k))
-    b_all = np.zeros((len(panel), k))
-    rows = np.zeros(len(panel), dtype=int)
-    for block in panel.treated_blocks:
-        at = block.positions
-        A_all[at], b_all[at], rows[at] = _ah_moments(
-            block, block.tau - delta, instrument_lag, detrend, cov_idx)
-    contrib = np.flatnonzero(rows)
-    if not contrib.size:
-        raise EstimationError(
-            f"no unit has enough history for instrument lag {instrument_lag}"
-        )
-    A_all = A_all[contrib]
-    b_all = b_all[contrib]
-    n_rows = int(rows.sum())
-
-    ZtW = A_all.sum(axis=0)
-    Ztdy = b_all.sum(axis=0)
-    s = np.linalg.svd(ZtW, compute_uv=False)
-    weak = bool(s[-1] < 1e-8 * max(s[0], np.finfo(float).tiny))
-    try:
-        beta_full = np.linalg.solve(ZtW, Ztdy)
-    except np.linalg.LinAlgError:
-        raise EstimationError("first-stage moment matrix is exactly singular") from None
-    Abar = ZtW / contrib.size
-    keep = k - (1 if detrend else 0)
-    m = b_all - A_all @ beta_full
-    try:
-        psi = np.linalg.solve(Abar, m.T).T[:, :keep]
-    except np.linalg.LinAlgError:
-        raise EstimationError("first-stage moment matrix is exactly singular") from None
+    beta, intercept, psi, contrib, weak, n_obs = _ah_fit(
+        panel, None, instrument_lag, detrend, _covariate_columns(panel, covariates), delta)
     return AhEstimate(
-        beta=beta_full[:keep],
-        intercept=float(beta_full[-1]) if detrend else None,
+        beta=beta,
+        intercept=float(intercept[0]) if detrend else None,
         psi=psi,
         positions=contrib,
-        weak=weak,
+        weak=bool(weak),
         n_units=contrib.size,
-        n_obs=n_rows,
+        n_obs=n_obs,
         covariate_names=tuple(covariates),
         instrument_lag=instrument_lag,
         detrend=detrend,
         delta=delta,
         panel=panel,
     )
+
+
+def _ah_fit(panel: PanelData, outcomes, instrument_lag: int, detrend: bool,
+            cov_idx: list[int], delta: int) -> tuple:
+    """``anderson_hsiao`` on ``panel``, or on ``outcomes`` standing in for
+    its treated blocks' with leading replication axes: the coefficients,
+    the intercept (empty without ``detrend``), the influence vectors of the
+    contributing units, their positions, the weak flags and the moment-row
+    count.  A replication whose moment matrix is exactly singular gets NaN
+    coefficients and influence vectors."""
+    blocks = panel.treated_blocks
+    if not blocks:
+        raise EstimationError("no treated units")
+    outcomes = [b.outcomes for b in blocks] if outcomes is None else outcomes
+    k = 1 + len(cov_idx) + (1 if detrend else 0)
+    lead = outcomes[0].shape[:-2]
+    A_all = np.zeros(lead + (len(panel), k, k))
+    b_all = np.zeros(lead + (len(panel), k))
+    rows = np.zeros(len(panel), dtype=int)
+    for block, Y in zip(blocks, outcomes):
+        at = block.positions
+        A_all[..., at, :, :], b_all[..., at, :], rows[at] = _ah_moments(
+            block, Y, block.tau - delta, instrument_lag, detrend, cov_idx)
+    contrib = np.flatnonzero(rows)
+    if not contrib.size:
+        raise EstimationError(
+            f"no unit has enough history for instrument lag {instrument_lag}"
+        )
+    A_all = A_all[..., contrib, :, :]
+    b_all = b_all[..., contrib, :]
+
+    ZtW = A_all.sum(axis=-3)
+    Ztdy = b_all.sum(axis=-2)
+    s = np.linalg.svd(ZtW, compute_uv=False)
+    weak = s[..., -1] < 1e-8 * np.maximum(s[..., 0], np.finfo(float).tiny)
+    beta = _solve(ZtW, Ztdy[..., None])[..., 0]
+    keep = k - (1 if detrend else 0)
+    m = b_all - (A_all @ beta[..., None, :, None])[..., 0]
+    psi = _solve(ZtW / contrib.size, m.swapaxes(-1, -2)).swapaxes(-1, -2)[..., :keep]
+    return beta[..., :keep], beta[..., keep:], psi, contrib, weak, int(rows.sum())
+
+
+def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve`` over leading replication axes, where an exactly
+    singular matrix gives NaN; a lone one raises ``EstimationError``."""
+    try:
+        return np.linalg.solve(A, b)
+    except np.linalg.LinAlgError:
+        if A.ndim == 2:
+            raise EstimationError("first-stage moment matrix is exactly singular") from None
+    solved = np.full(b.shape, np.nan)
+    for r, (a, y) in enumerate(zip(A, b)):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            solved[r] = np.linalg.solve(a, y)
+    return solved
 
 
 def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
@@ -765,8 +806,8 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
     cov_idx = _covariate_columns(panel, mb.covariates)
     if not panel.treated_blocks:
         raise EstimationError("no treated units")
-    res = _fat_residuals(panel.treated_blocks, mb.forecast_config(), h,
-                         lagged=mb.lagged_outcome, cov_idx=cov_idx, beta=beta)
+    res = _kernel(panel.treated_blocks, mb.forecast_config(), h,
+                  lagged=mb.lagged_outcome, cov_idx=cov_idx)(beta)
     return _summarize(res, h, level, first)
 
 
@@ -794,37 +835,40 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
     if not cov_idx:
         raise ConfigError("no covariates selected")
     q = config.basis.order
-    out = _PanelOrder()
+    used, dropped, residuals = [], [], []
     for b in panel.treated_blocks:
         try:
             i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
                                  b.tau - config.delta, h)
         except _DropUnit as d:
-            out.drop(b, d.reason)
+            dropped.append((b, slice(None), d.reason))
             continue
         win = slice(i0, i1 + 1)
         R_i = i1 - i0 + 1
         if R_i < q + 1 + len(cov_idx):
-            out.drop(b, f"window of {R_i} cannot fit {q + 1 + len(cov_idx)} parameters")
+            dropped.append((b, slice(None),
+                            f"window of {R_i} cannot fit {q + 1 + len(cov_idx)} parameters"))
             continue
         base, hrow = _solver_design(config.basis, b.times[win].astype(float),
                                     float(b.times[j]))
-        rows, residuals = [], []
+        rows = []
         for row, (y, x) in enumerate(zip(b.outcomes, b.covariates)):
             Xc = x[win, :][:, cov_idx]
             xt = x[j, cov_idx]
             if np.isnan(Xc).any() or np.isnan(xt).any():
-                out.drop(b, "incomplete covariates on the window or target", [row])
+                dropped.append((b, [row], "incomplete covariates on the window or target"))
                 continue
             D = np.hstack([base, Xc])
             drow = np.concatenate([hrow, xt])
             try:
                 Qm, Rm = _qr(D)
             except RankDeficiencyError:
-                out.drop(b, "augmented window design is rank deficient", [row])
+                dropped.append((b, [row], "augmented window design is rank deficient"))
                 continue
             coef = _solve_upper(Rm, Qm.T @ y[win])
             rows.append(row)
             residuals.append(float(y[j]) - float(drow @ coef))
-        out.use(b, rows, np.asarray(residuals, dtype=float), np.empty((len(rows), 0)))
-    return _summarize(out.result(), h, level)
+        used.append((b, rows))
+    residuals = np.asarray(residuals, dtype=float)
+    return _summarize(_in_panel_order(used, [residuals], [np.empty((residuals.size, 0))],
+                                      dropped), h, level)

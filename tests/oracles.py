@@ -9,15 +9,22 @@ package computes, kept here as oracles:
   forecast of the cross-sectional average series;
 * ``fat_pooled``: the pooled regression on post-period dummies and
   unit-specific trends, whose dummy coefficients are ``fat`` at horizons
-  1..h on such a panel.
+  1..h on such a panel;
+* ``monte_carlo_per_replication``: ``run_monte_carlo`` as one call of the
+  public estimators per replication and cell, summed exactly.
 """
+
+import math
 
 import numpy as np
 
-from fatpanel.basis import BasisSpec, forecast_weights
-from fatpanel.errors import ConfigError, EstimationError
-from fatpanel.estimators import _DropUnit, _resolve
+from fatpanel.basis import BasisSpec, ForecastConfig, forecast_weights
+from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
+from fatpanel.estimators import (MbConfig, _DropUnit, _first_stage, _resolve, dfat, fat,
+                                 model_based_fat, placebo_fat)
 from fatpanel.panel import CohortBlock, PanelData
+from fatpanel import simulate as simulate_module
+from fatpanel.simulate import McCellResult, McReport
 
 
 def iterative_forecast(y, q: int) -> float:
@@ -112,4 +119,66 @@ def fat_pooled(panel: PanelData, q: int, R: int, h: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# instrumented first stage and model-based estimator
+# run_monte_carlo, one replication at a time
+
+
+def _evaluate_cell(panel: PanelData, cell, config, first_stages: dict):
+    """The cell's estimate on ``panel``; mb cells share the fits (or the
+    errors) kept by group in ``first_stages``."""
+    if cell.estimator == "pr":
+        return fat(panel, config, h=cell.h)
+    if cell.estimator == "placebo":
+        return placebo_fat(panel, config, lag=cell.lag, h=cell.h)
+    if cell.estimator == "dfat":
+        return dfat(panel, config, h=cell.h)
+    key = (config.instrument_lag, config.detrend, config.covariates, config.delta)
+    if key not in first_stages:
+        try:
+            first_stages[key] = _first_stage(panel, config)
+        except (EstimationError, RankDeficiencyError) as exc:
+            first_stages[key] = exc
+    if isinstance(first_stages[key], Exception):
+        raise first_stages[key]
+    return model_based_fat(panel, config, cell.h, first=first_stages[key])
+
+
+def monte_carlo_per_replication(spec, cells, n_reps: int, master_seed: int,
+                                preset=None) -> McReport:
+    """``run_monte_carlo`` with every replication simulated and estimated on
+    its own through the public estimators, which sum with ``math.fsum``;
+    one first stage per group and replication."""
+    cells = tuple(cells)
+    truths = [0.0 if c.estimator == "placebo" else spec.true_att for c in cells]
+    configs = [MbConfig(q=c.q, R=c.R, instrument_lag=c.instrument_lag,
+                        detrend=c.detrend) if c.estimator == "mb"
+               else ForecastConfig(q=c.q, R=c.R) for c in cells]
+    # (point, se, interval covers the truth) of each replication a cell ran
+    done = [[] for _ in cells]
+    for r in range(n_reps):
+        child = np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
+        panel = simulate_module.simulate_dgp(spec, child)
+        first_stages = {}
+        for j, (cell, config) in enumerate(zip(cells, configs)):
+            try:
+                est = _evaluate_cell(panel, cell, config, first_stages)
+            except (EstimationError, RankDeficiencyError):
+                continue
+            done[j].append((est.point, est.se, est.ci[0] <= truths[j] <= est.ci[1]))
+
+    results = []
+    for cell, truth, ok in zip(cells, truths, done):
+        n_ok, n_failed = len(ok), n_reps - len(ok)
+        points, ses, covers = zip(*ok) if ok else ((), (), ())
+        mean = math.fsum(points) / n_ok if n_ok else math.nan
+        mc_se = (math.sqrt(math.fsum((p - mean) ** 2 for p in points) / (n_ok - 1))
+                 if n_ok >= 2 else math.nan)
+        results.append(McCellResult(
+            name=cell.name, estimator=cell.estimator, label=cell.label,
+            q=cell.q, R=cell.R, h=cell.h, truth=truth, n_reps=n_reps,
+            n_ok=n_ok, n_failed=n_failed, degenerate=n_failed > n_reps // 2,
+            bias=mean - truth, mc_se=mc_se,
+            coverage=sum(covers) / n_ok if n_ok else math.nan,
+            se_est_mean=math.fsum(ses) / n_ok if n_ok else math.nan,
+        ))
+    return McReport(spec=spec, master_seed=int(master_seed), n_reps=n_reps,
+                    cells=tuple(results), preset=preset)

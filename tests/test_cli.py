@@ -266,6 +266,31 @@ def test_simulate_preset_report_files(tmp_path):
     assert header.startswith("label,q,metric,R=")
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--seed", "-1"], "master_seed must be an integer >= 0, got -1"),
+    (["--reps", "1"], "n_reps must be an integer >= 2, got 1"),
+])
+def test_simulate_refuses_a_negative_seed_or_too_few_reps(tmp_path, capsys, flags, message):
+    out = tmp_path / "o.json"
+    argv = ["simulate", "--preset", "common_shock", "--reps", "2", *flags]
+    assert main(argv + ["--out-json", str(out)]) == 1
+    assert capsys.readouterr().err == f"fatpanel: error: {message}\n"
+    assert not out.exists()
+
+
+def test_estimate_on_one_usable_unit_is_estimation_error(tmp_path, capsys):
+    # One unit gives no standard error, so no interval, not a zero-width one.
+    path = tmp_path / "one.csv"
+    path.write_text("unit,time,outcome,treated_at\n"
+                    "a,1,1.0,3\na,2,2.5,3\na,3,2.0,3\na,4,6.0,3\n")
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", str(path), "--q", "0", "--r", "2",
+                 "--out-json", str(out)]) == 3
+    assert capsys.readouterr().err == ("fatpanel: error: only one usable unit (a); "
+                                       "a standard error needs at least two\n")
+    assert not out.exists()
+
+
 def test_simulate_unknown_preset_is_usage_error(tmp_path):
     code = main(["simulate", "--preset", "nope", "--reps", "4",
                  "--out-json", str(tmp_path / "o.json")])

@@ -164,9 +164,11 @@ def oracle_ah(panel, lag, detrend, cov_idx, delta):
 
 
 def _summary(ids, res, dropped, se_of=fat_variance):
-    if not ids:
+    if len(ids) < 2:
         detail = "; ".join(f"{u}: {r}" for u, r in dropped[:3])
-        raise EstimationError(f"no usable units ({detail})")
+        raise EstimationError(f"no usable units ({detail})" if not ids else
+                              f"only one usable unit ({ids[0]}); a standard "
+                              "error needs at least two")
     return math.fsum(res.tolist()) / len(ids), se_of(res)
 
 

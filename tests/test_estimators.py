@@ -56,12 +56,16 @@ def random_balanced_panel(rng, n=6, T=8, tau=5):
 
 def test_single_unit_quadratic_under_linear_fit():
     # y = t^2 on window {1..4}; the line fitted by least squares is
-    # -5 + 5t, so the forecast at t=5 is 20 while y_5 = 25.
+    # -5 + 5t, so the forecast at t=5 is 20 while y_5 = 25.  One unit
+    # gives no standard error, so no interval: it is refused, and two
+    # copies of it give its residual.
     y = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
-    panel = make_panel(y[None, :], [1, 2, 3, 4, 5], tau=4)
+    with pytest.raises(EstimationError, match=r"only one usable unit \(u0\)"):
+        fat(make_panel(y[None, :], [1, 2, 3, 4, 5], tau=4), ForecastConfig(q=1, R=4))
+    panel = make_panel(np.vstack([y, y]), [1, 2, 3, 4, 5], tau=4)
     est = fat(panel, ForecastConfig(q=1, R=4))
     assert est.point == pytest.approx(5.0, abs=1e-10)
-    assert est.n_used == 1
+    assert est.n_used == 2
     assert est.se == 0.0
 
 
@@ -264,11 +268,12 @@ def test_unit_missing_target_is_dropped():
     units = [
         UnitSeries("full", times, ya, tau=4),
         UnitSeries("short", times[:5], ya[:5], tau=4),  # no period 5
+        UnitSeries("full2", times, ya + 1.0, tau=4),
     ]
     panel = PanelData(units)
     est = fat(panel, ForecastConfig(q=0, R=2), h=1)
-    assert est.n_used == 1
-    assert est.unit_ids == ("full",)
+    assert est.n_used == 2
+    assert est.unit_ids == ("full", "full2")
     assert est.dropped[0][0] == "short"
     assert "target period" in est.dropped[0][1]
 
@@ -277,10 +282,11 @@ def test_unit_with_short_history_is_dropped():
     units = [
         UnitSeries("long", np.arange(6), np.ones(6), tau=4),
         UnitSeries("tiny", np.arange(3, 6), np.ones(3), tau=4),
+        UnitSeries("long2", np.arange(6), np.zeros(6), tau=4),
     ]
     panel = PanelData(units)
     est = fat(panel, ForecastConfig(q=1, R=4))
-    assert est.unit_ids == ("long",)
+    assert est.unit_ids == ("long", "long2")
     assert "shorter than" in est.dropped[0][1]
 
 
@@ -290,6 +296,7 @@ def test_window_gap_raises_unless_shrinking_allowed():
     units = [
         UnitSeries("gappy", times, y, tau=4),
         UnitSeries("ok", np.arange(6), np.arange(6, dtype=float), tau=4),
+        UnitSeries("ok2", np.arange(6), np.ones(6), tau=4),
     ]
     panel = PanelData(units)
     with pytest.raises(EstimationError, match="shrink_window"):
@@ -297,13 +304,13 @@ def test_window_gap_raises_unless_shrinking_allowed():
     # With shrinking, the gappy unit uses the run {3, 4}; constant fit on
     # (3, 4) forecasts 3.5 at t=5, and y_5 is unobserved -> dropped anyway.
     est = fat(panel, ForecastConfig(q=0, R=4, shrink_window=True), h=1)
-    assert est.unit_ids == ("ok",)
+    assert est.unit_ids == ("ok", "ok2")
 
 
 def test_shrunk_window_is_used_when_target_exists():
     times = np.array([0, 1, 3, 4, 5])
     y = np.array([0.0, 1.0, 3.0, 4.0, 9.0])
-    panel = PanelData([UnitSeries("g", times, y, tau=4)])
+    panel = PanelData([UnitSeries(g, times, y, tau=4) for g in ("g", "g2")])
     est = fat(panel, ForecastConfig(q=0, R=4, shrink_window=True), h=1)
     # Run ending at 4 is {3, 4}; constant forecast (3+4)/2 = 3.5; y_5 = 9.
     assert est.point == pytest.approx(9.0 - 3.5, abs=1e-12)
@@ -716,11 +723,13 @@ def test_dfat_skips_controls_without_a_date():
     y = times.astype(float)
     units = [
         UnitSeries("t1", times, y, tau=4),
+        UnitSeries("t2", times, y + 1.0, tau=4),
         UnitSeries("c1", times, y, tau=4, is_control=True),
         UnitSeries("c2", times, y, is_control=True),  # no date: unusable
+        UnitSeries("c3", times, y - 1.0, tau=4, is_control=True),
     ]
     est = dfat(PanelData(units), ForecastConfig(q=1, R=3))
-    assert est.control.n_used == 1
+    assert est.control.n_used == 2
     assert ("c2", "no adoption date") in est.control.dropped
 
 
@@ -729,7 +738,9 @@ def test_dfat_allows_separate_control_settings():
     y = times.astype(float)
     units = [
         UnitSeries("t1", times, y, tau=5),
+        UnitSeries("t2", times, y + 1.0, tau=5),
         UnitSeries("c1", times, 2 * y, tau=5, is_control=True),
+        UnitSeries("c2", times, 2 * y - 1.0, tau=5, is_control=True),
     ]
     est = dfat(PanelData(units), ForecastConfig(q=1, R=4),
                config_control=ForecastConfig(q=1, R=3))
@@ -767,10 +778,12 @@ def test_heterogeneous_covariates_drop_singular_units():
                    covariates=good_x[:, None]),
         UnitSeries("bad", times, times.astype(float), tau=5,
                    covariates=bad_x[:, None]),
+        UnitSeries("good2", times, times - good_x, tau=5,
+                   covariates=good_x[:, None]),
     ]
     panel = PanelData(units, covariate_names=("x",))
     est = covariate_fat_heterogeneous(panel, ForecastConfig(q=1, R=5), h=1)
-    assert est.unit_ids == ("good",)
+    assert est.unit_ids == ("good", "good2")
     assert "rank deficient" in est.dropped[0][1]
 
 
@@ -782,10 +795,11 @@ def test_heterogeneous_covariates_drop_on_missing_values():
         UnitSeries("full", times, times + x, tau=5, covariates=x[:, None]),
         UnitSeries("holey", times, times + x, tau=5,
                    covariates=x_missing[:, None]),
+        UnitSeries("full2", times, times - x, tau=5, covariates=x[:, None]),
     ]
     panel = PanelData(units, covariate_names=("x",))
     est = covariate_fat_heterogeneous(panel, ForecastConfig(q=1, R=5), h=1)
-    assert est.unit_ids == ("full",)
+    assert est.unit_ids == ("full", "full2")
     assert "covariates" in est.dropped[0][1]
 
 
@@ -802,11 +816,13 @@ def test_unit_without_covariates_is_dropped_as_incomplete():
     t = np.arange(8.0)
     units = [UnitSeries("a", np.arange(8), t + np.sin(t), tau=5,
                         covariates=np.sin(t)[:, None]),
-             UnitSeries("b", np.arange(8), t + 1.0, tau=5)]
+             UnitSeries("b", np.arange(8), t + 1.0, tau=5),
+             UnitSeries("c", np.arange(8), t - np.sin(t), tau=5,
+                        covariates=np.sin(t)[:, None])]
     panel = PanelData(units, covariate_names=("x",))
     reason = ("b", "incomplete covariates on the window or target")
     het = covariate_fat_heterogeneous(panel, ForecastConfig(q=1, R=5), h=1)
-    assert het.unit_ids == ("a",) and het.dropped == (reason,)
+    assert het.unit_ids == ("a", "c") and het.dropped == (reason,)
     mb = MbConfig(q=1, R=4, covariates=("x",), beta=(0.3, 1.0))
     assert model_based_fat(panel, mb, h=1).dropped == (reason,)
 

@@ -310,7 +310,9 @@ def test_unit_without_covariates_writes_blank_fields():
     t = np.arange(8.0)
     units = [UnitSeries("a", np.arange(8), t + np.sin(t), tau=5,
                         covariates=np.sin(t)[:, None]),
-             UnitSeries("b", np.arange(8), t + 1.0, tau=5)]
+             UnitSeries("b", np.arange(8), t + 1.0, tau=5),
+             UnitSeries("c", np.arange(8), t - np.sin(t), tau=5,
+                        covariates=np.sin(t)[:, None])]
     panel = PanelData(units, covariate_names=("x",))
     text = panel_to_csv_text(panel)
     assert text.splitlines()[9] == "b,0,1.0,5,"
@@ -318,7 +320,7 @@ def test_unit_without_covariates_writes_blank_fields():
     assert np.isnan(loaded.unit("b").covariates).all()
     mb = MbConfig(q=1, R=4, covariates=("x",), beta=(0.3, 1.0))
     est = model_based_fat(loaded, mb, h=1)
-    assert est.unit_ids == ("a",)
+    assert est.unit_ids == ("a", "c")
     assert est.dropped == (("b", "incomplete covariates on the window or target"),)
 
 

@@ -5,8 +5,10 @@ component panels worked by hand, the closed-form mean recursion, and
 large-sample moment checks with 3-standard-error tolerances.
 """
 
+import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from fatpanel.simulate import (
     run_monte_carlo,
     simulate_dgp,
 )
+from oracles import monte_carlo_per_replication
 
 
 def outcomes_matrix(panel):
@@ -250,6 +253,41 @@ def test_monte_carlo_rejects_bad_arguments():
         run_monte_carlo(spec, cells + cells, n_reps=2, master_seed=0)
 
 
+@pytest.mark.parametrize("n_reps, master_seed, message", [
+    (3.0, 0, "n_reps must be an integer >= 2, got 3.0"),
+    (True, 0, "n_reps must be an integer >= 2, got True"),
+    (1, 0, "n_reps must be an integer >= 2, got 1"),
+    (2, -1, "master_seed must be an integer >= 0, got -1"),
+    (2, True, "master_seed must be an integer >= 0, got True"),
+    (2, 1.0, "master_seed must be an integer >= 0, got 1.0"),
+])
+def test_monte_carlo_refuses_a_bad_rep_count_or_seed(n_reps, master_seed, message):
+    cells = (GridCell(estimator="pr", q=0, R=1),)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_monte_carlo(DgpSpec(n=4, T=4, tau=3), cells, n_reps, master_seed)
+
+
+def test_monte_carlo_takes_numpy_integers():
+    cells = (GridCell(estimator="pr", q=0, R=1),)
+    spec = DgpSpec(n=4, T=4, tau=3)
+    report = run_monte_carlo(spec, cells, np.int64(3), np.uint32(7))
+    assert report.to_json() == run_monte_carlo(spec, cells, 3, 7).to_json()
+    assert type(report.n_reps) is int and type(report.master_seed) is int
+
+
+def assert_rows_close(got, want):
+    """Report rows that agree in every count, flag and coverage exactly and
+    in every other float within 1e-12 relative."""
+    assert [g["name"] for g in got] == [w["name"] for w in want]
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        for key, expected in w.items():
+            if isinstance(expected, float) and key != "coverage":
+                assert g[key] == pytest.approx(expected, rel=1e-12, abs=0.0), (g["name"], key)
+            else:
+                assert g[key] == expected, (g["name"], key)
+
+
 def _direct_cells(spec, cells, n_reps, master_seed):
     """The report's cell rows from a loop over the public estimators, with
     every estimator and configuration built afresh in every replication."""
@@ -325,12 +363,12 @@ DIRECT_CASES = {
 
 @pytest.mark.parametrize("kind", DIRECT_CASES)
 def test_monte_carlo_matches_direct_estimation(kind):
-    # Every cell row must equal a hand-rolled loop over child seeds split
+    # Every cell row must match a hand-rolled loop over child seeds split
     # from the master seed by replication index, through the public
-    # estimators, bit for bit.
+    # estimators: counts exactly, floats to the batch sums' 1e-12.
     spec, cells = DIRECT_CASES[kind]
     report = run_monte_carlo(spec, cells, n_reps=6, master_seed=99)
-    assert [c.to_dict() for c in report.cells] == _direct_cells(spec, cells, 6, 99)
+    assert_rows_close([c.to_dict() for c in report.cells], _direct_cells(spec, cells, 6, 99))
     assert all(c.n_ok == 6 and c.n_failed == 0 for c in report.cells)
 
 
@@ -344,7 +382,7 @@ def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():
              GridCell(estimator="mb", q=0, R=1, instrument_lag=2, group="b"),
              GridCell(estimator="mb", q=1, R=2, instrument_lag=3, group="a"))
     report = run_monte_carlo(spec, cells, n_reps=4, master_seed=5)
-    assert [c.to_dict() for c in report.cells] == _direct_cells(spec, cells, 4, 5)
+    assert_rows_close([c.to_dict() for c in report.cells], _direct_cells(spec, cells, 4, 5))
     for name in ("a_q0_R1", "a_q1_R2"):
         row = report.cell(name)
         assert (row.n_ok, row.n_failed, row.degenerate) == (0, 4, True)
@@ -353,21 +391,84 @@ def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():
 
 def test_monte_carlo_fits_one_first_stage_per_group(monkeypatch):
     # nonstationary_init has 8 model-based cells in 2 first-stage groups;
-    # each cell goes through the public model_based_fat with its group's fit.
-    fits, given = [], []
-    fit = estimators_module.anderson_hsiao
-    monkeypatch.setattr(estimators_module, "anderson_hsiao",
-                        lambda *a, **k: fits.append(a[1:]) or fit(*a, **k))
-    model_based = simulate_module.model_based_fat
-    monkeypatch.setattr(simulate_module, "model_based_fat",
-                        lambda *a, **k: given.append(k["first"]) or model_based(*a, **k))
+    # each group is fitted once on a chunk's stacked outcomes, and no cell
+    # goes through the per-panel estimators.
+    chunk = simulate_module._CHUNK
+    fits = []
+    fit = simulate_module._ah_fit
+    monkeypatch.setattr(simulate_module, "_ah_fit", lambda panel, stacks, *a: (
+        fits.append((stacks[0].shape[0], *a)) or fit(panel, stacks, *a)))
+    for name in ("fat", "placebo_fat", "dfat", "model_based_fat"):
+        monkeypatch.setattr(simulate_module, name, None)
     spec, cells = preset("nonstationary_init")
     assert sum(c.estimator == "mb" for c in cells) == 8
-    run_monte_carlo(spec, cells, n_reps=3, master_seed=0)
-    assert fits == [(3, True, (), 0), (2, False, (), 0)] * 3
-    assert len(given) == 8 * 3
-    settings = [(f.instrument_lag, f.detrend) for f in given[:8]]
-    assert settings == [(3, True)] * 4 + [(2, False)] * 4
+    run_monte_carlo(dataclasses.replace(spec, n=40), cells, n_reps=chunk + 3,
+                    master_seed=0)
+    assert fits == [(chunk, 3, True, [], 0), (chunk, 2, False, [], 0),
+                    (3, 3, True, [], 0), (3, 2, False, [], 0)]
+
+
+def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(monkeypatch):
+    # Replication 2 has constant outcomes, so its first-stage moment matrix
+    # is exactly singular and the chunk's stacked solve raises: it is solved
+    # again one replication at a time, and only replication 2's mb cells
+    # fail.  The other replications' fits are those of their own panels.
+    spec = DgpSpec(n=30, T=8, tau=6, trend_mode="recursive", init_mode="fixed", rho=0.4)
+    simulate = simulate_module.simulate_dgp
+
+    def flat_replication_2(s, seed):
+        panel = simulate(s, seed)
+        if seed.spawn_key != (2,):
+            return panel
+        return PanelData.from_blocks([dataclasses.replace(b, outcomes=np.ones_like(b.outcomes))
+                                      for b in panel.treated_blocks])
+
+    monkeypatch.setattr(simulate_module, "simulate_dgp", flat_replication_2)
+    cells = (GridCell(estimator="mb", q=1, R=2, instrument_lag=3, group="mb"),
+             GridCell(estimator="mb", q=0, R=1, instrument_lag=2, detrend=False,
+                      group="mb_missp"),
+             GridCell(estimator="pr", q=1, R=2))
+    report = run_monte_carlo(spec, cells, n_reps=5, master_seed=3)
+    expected = monte_carlo_per_replication(spec, cells, 5, 3)
+    assert_rows_close([c.to_dict() for c in report.cells],
+                      [c.to_dict() for c in expected.cells])
+    assert [(c.n_ok, c.n_failed) for c in report.cells] == [(4, 1), (4, 1), (5, 0)]
+
+    panels = [flat_replication_2(spec, np.random.SeedSequence(entropy=3, spawn_key=(r,)))
+              for r in range(5)]
+    stacked = [np.stack([p.treated_blocks[0].outcomes for p in panels])]
+    beta, _, psi, _, _, _ = estimators_module._ah_fit(panels[0], stacked, 3, True, [], 0)
+    assert np.isnan(beta[2]).all() and np.isnan(psi[2]).all()
+    for r in (0, 1, 3, 4):
+        one = estimators_module.anderson_hsiao(panels[r], 3, True)
+        assert beta[r].tobytes() == one.beta.tobytes()
+        assert psi[r].tobytes() == one.psi.tobytes()
+    with pytest.raises(EstimationError, match="exactly singular"):
+        estimators_module.anderson_hsiao(panels[2], 3, True)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_monte_carlo_matches_the_per_replication_oracle(name):
+    # Every preset, at up to 200 units a group, over one full chunk and a
+    # ragged one: counts exactly, floats within 1e-12 of the oracle's
+    # compensated sums.
+    spec, cells = preset(name)
+    spec = dataclasses.replace(spec, n=min(spec.n, 200), n_control=min(spec.n_control, 200))
+    n_reps = simulate_module._CHUNK + 7
+    report = run_monte_carlo(spec, cells, n_reps, 17, preset=name)
+    expected = monte_carlo_per_replication(spec, cells, n_reps, 17, preset=name)
+    assert_rows_close([c.to_dict() for c in report.cells],
+                      [c.to_dict() for c in expected.cells])
+
+
+def test_monte_carlo_fails_a_cell_with_one_usable_unit():
+    # One unit gives no standard error: the cell fails in every replication
+    # instead of reporting zero-width intervals.
+    report = run_monte_carlo(DgpSpec(n=1, T=3, tau=2), (GridCell(estimator="pr", q=0, R=1),),
+                             n_reps=3, master_seed=0)
+    row = report.cell("pr_q0_R1")
+    assert (row.n_ok, row.n_failed, row.degenerate) == (0, 3, True)
+    assert row.to_dict()["coverage"] is None and row.to_dict()["se_est_mean"] is None
 
 
 def test_monte_carlo_solves_each_window_once_per_process(monkeypatch):

@@ -4,8 +4,8 @@ Every estimator in this package reduces to the same primitive: regress a
 window of pre-treatment outcomes on known functions of time, then evaluate
 the fitted curve at a later target period.  Because the fit is linear least
 squares, the forecast is a fixed linear combination of the window outcomes;
-``forecast_weights`` exposes those combination weights directly and
-``fit_and_forecast`` computes the same number through the coefficient route.
+``forecast_weights`` solves for those combination weights, and
+``fit_and_forecast`` applies them to a window of outcomes.
 
 The first basis function is always the constant 1, which forces the weights
 to sum to one and makes the forecast invariant to shifting the time origin
@@ -19,8 +19,8 @@ fit interpolates exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial import legendre
@@ -268,24 +268,26 @@ def _solver_design(basis: BasisSpec, window: np.ndarray, target: float):
 
 
 def _qr(X: np.ndarray):
+    """Reduced QR of the design ``X``, over any leading axes, and whether
+    each design is rank deficient: an |R| diagonal entry within
+    ``_RANK_RTOL`` of the largest."""
     Q, Rm = np.linalg.qr(X)
-    d = np.abs(np.diag(Rm))
-    if d.size == 0 or d.min() <= _RANK_RTOL * max(d.max(), np.finfo(float).tiny):
-        raise RankDeficiencyError("basis design is rank deficient on this window")
-    return Q, Rm
+    d = np.abs(np.diagonal(Rm, axis1=-2, axis2=-1))
+    return Q, Rm, d.min(-1) <= _RANK_RTOL * np.maximum(d.max(-1), np.finfo(float).tiny)
 
 
-def _solve_upper(Rm: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """x with ``Rm @ x = b``, or ``Rm.T @ x = b``, for upper-triangular ``Rm``, by
-    substitution: each entry's terms subtracted in index order, then one division."""
-    R, x = Rm.tolist(), b.tolist()
-    n = len(x)
-    for i in range(n) if transpose else reversed(range(n)):
+def _solve_upper(Rm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with ``Rm.T @ x = b`` for upper-triangular ``Rm``, over any leading
+    axes, by forward substitution: each entry's terms subtracted in index
+    order, then one division."""
+    R = np.moveaxis(Rm, (-2, -1), (0, 1))
+    x = list(np.moveaxis(np.asarray(b, dtype=float), -1, 0))
+    for i in range(len(x)):
         s = x[i]
-        for k in range(i) if transpose else range(i + 1, n):
-            s -= (R[k][i] if transpose else R[i][k]) * x[k]
-        x[i] = s / R[i][i]
-    return np.array(x)
+        for k in range(i):
+            s = s - R[k, i] * x[k]
+        x[i] = s / R[i, i]
+    return np.stack(x, axis=-1)
 
 
 def forecast_weights(basis: BasisSpec, window, target) -> ForecastWeights:
@@ -297,9 +299,11 @@ def forecast_weights(basis: BasisSpec, window, target) -> ForecastWeights:
     """
     t = _window_array(window, basis)
     X, Hrow = _solver_design(basis, t, float(target))
-    Q, Rm = _qr(X)
+    Q, Rm, deficient = _qr(X)
+    if deficient:
+        raise RankDeficiencyError("basis design is rank deficient on this window")
     # w = Q R^{-T} H' so that X'X w-projection reproduces H exactly.
-    w = Q @ _solve_upper(Rm, Hrow, transpose=True)
+    w = Q @ _solve_upper(Rm, Hrow)
     times = np.asarray(window)
     if np.issubdtype(times.dtype, np.floating) and np.all(times == np.round(times)):
         times = times.astype(int)
@@ -349,7 +353,4 @@ def fit_and_forecast(y, config: ForecastConfig, target, times) -> float:
     t = _window_array(times, config.basis)
     if t.size != yv.size:
         raise ConfigError("times and y must have the same length")
-    X, Hrow = _solver_design(config.basis, t, float(target))
-    Q, Rm = _qr(X)
-    coef = _solve_upper(Rm, Q.T @ yv)
-    return float(Hrow @ coef)
+    return float(forecast_weights(config.basis, t, target).weights @ yv)

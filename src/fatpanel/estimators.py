@@ -19,13 +19,14 @@ Variants included here:
   never-treated controls, which removes common post-adoption shocks.
 
 A forecast is a fixed linear contrast of the unit's window outcomes whose
-weights depend only on the window times.  Every estimator therefore works
-on the panel's cohort blocks (units sharing a control flag, adoption date
-and time grid): one kernel resolves each block's window, target and
-weights once, forecasts all of its units with one matrix product, and
-hands results back in panel order.  Units that cannot be forecast are
-dropped with a stated reason, the same for a block of one unit as for a
-block of thousands.
+weights depend only on the window times (and, with unit-specific
+covariates, on the unit's covariates).  Every estimator, the covariate one
+included, therefore works on the panel's cohort blocks (units sharing a
+control flag, adoption date and time grid): one kernel resolves each
+block's window, target and weights once, forecasts all of its units with
+one product, and hands results back in panel order.  Units that cannot be
+forecast are dropped with a stated reason, the same for a block of one
+unit as for a block of thousands.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ def _ah_settings(instrument_lag, detrend) -> tuple[int, bool]:
 def fat_variance(residuals) -> float:
     """Standard error of the residual mean: sqrt of (1/n) sample variance / n."""
     u = np.asarray(residuals, dtype=float)
-    if u.ndim != 1 or u.size == 0:
-        raise ConfigError("residuals must be a non-empty 1-D array")
+    if u.ndim != 1 or u.size < 2:
+        raise ConfigError("residuals must be a 1-D array of at least two")
     return float(_se(u, _fsum(u) / u.size))
 
 
@@ -419,19 +420,21 @@ class _Residuals(NamedTuple):
     dropped: tuple
 
 
-def _in_panel_order(used, residuals, grads, dropped) -> _Residuals:
-    """The residuals and gradients of the (block, rows) pairs ``used``, in
-    block order along their unit axis, put in panel order, and the
-    (block, rows, reason) triples ``dropped`` as (unit id, reason) pairs."""
-    positions = np.concatenate([np.empty(0, dtype=int)] + [b.positions[r] for b, r in used])
-    order = np.argsort(positions)
-    ids = np.concatenate([np.empty(0, dtype=object)] + [b.unit_ids[r] for b, r in used])
-    return _Residuals(positions[order], ids[order],
-                      np.concatenate(residuals or [np.empty(0)], axis=-1)[..., order],
-                      np.concatenate(grads or [np.empty((0, 0))], axis=-2)[..., order, :],
-                      tuple((u, r) for _, u, r in sorted(
-                          (p, u, r) for b, rows, r in dropped
-                          for p, u in zip(b.positions[rows], b.unit_ids[rows]))))
+def _unit_weights(basis: BasisSpec, block: CohortBlock, rows: np.ndarray, win: slice,
+                  j: int, cov_idx: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Which of the units ``rows`` have a rank-deficient design [basis,
+    covariates ``cov_idx``] on the window ``win``, and the (n_ok, R) forecast
+    weights c_i = Q_i R_i^{-T} d_i of the others, d_i being the design's row
+    at the target ``j``: one stacked QR for the block."""
+    base, hrow = _solver_design(basis, block.times[win].astype(float),
+                                float(block.times[j]))
+    X = block.covariates[rows][:, :, cov_idx]
+    n = len(rows)
+    D = np.concatenate([np.broadcast_to(base, (n,) + base.shape), X[:, win]], axis=2)
+    d = np.concatenate([np.broadcast_to(hrow, (n, hrow.size)), X[:, j]], axis=1)
+    Q, Rm, deficient = _qr(D)
+    ok = ~deficient
+    return deficient, (Q[ok] @ _solve_upper(Rm[ok], d[ok])[..., None])[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -439,23 +442,29 @@ def _in_panel_order(used, residuals, grads, dropped) -> _Residuals:
 
 
 def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
-            tau_shift: int = 0, lagged: bool = False, cov_idx: Sequence[int] = ()):
+            tau_shift: int = 0, lagged: bool = False, cov_idx: Sequence[int] = (),
+            het: bool = False):
     """The residual kernel for ``blocks``, split where the outcomes enter.
 
     Resolves each block's window, target, weights (from a per-process
     memo) and drops once, and returns ``apply(beta=(), outcomes=None)``:
-    the residuals y(tau_eff + h) - forecast of the units used, each
-    block's from one product over its outcome rows,
+    the residuals y(tau_eff + h) - forecast of the units used, in panel
+    order, each block's from one product over its outcome rows,
     ``Y[..., j] - (Y[..., win] - X beta) @ w - x_j' beta``, where the model
     columns X stack the ``lagged`` outcome and the covariates ``cov_idx``
     (without a model, ``Y[..., j] - Y[..., win] @ w``).  ``outcomes[k]``
     stands in for the outcomes of ``blocks[k]``; it and ``beta`` may carry
     leading replication axes.  With ``lagged``, ``R="all"`` leaves the
     run's first period to serve as the window's first lag.
+
+    With ``het`` the covariates enter each unit's window regression
+    instead, with unit-specific coefficients: there is no model, and each
+    unit has its own weights (``_unit_weights``).
     """
     if not blocks:
         raise EstimationError("no units to estimate on")
     q = config.basis.order
+    p = q + 1 + len(cov_idx)
     shift = config.delta + tau_shift
     parts, dropped = [], []
     for k, b in enumerate(blocks):
@@ -465,6 +474,8 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
             if lagged and (i0 == 0 or b.times[i0 - 1] != b.times[i0] - 1
                            or b.times[j - 1] != b.times[j] - 1):
                 raise _DropUnit("lagged outcome missing for the window or target")
+            if het and i1 - i0 + 1 < p:
+                raise _DropUnit(f"window of {i1 - i0 + 1} cannot fit {p} parameters")
         except _DropUnit as d:
             dropped.append((b, slice(None), d.reason))
             continue
@@ -477,12 +488,29 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
             rows = np.flatnonzero(~bad)
             if not rows.size:
                 continue
-        try:
-            w = _weights(config.basis, b.times[i0:i1 + 1], h)
-        except RankDeficiencyError:
-            dropped.append((b, rows, "window design is rank deficient"))
-            continue
+        if het:
+            deficient, w = _unit_weights(config.basis, b, rows, slice(i0, i1 + 1), j,
+                                         cov_idx)
+            dropped.append((b, rows[deficient], "augmented window design is rank deficient"))
+            rows = rows[~deficient]
+            if not rows.size:
+                continue
+        else:
+            try:
+                w = _weights(config.basis, b.times[i0:i1 + 1], h)
+            except RankDeficiencyError:
+                dropped.append((b, rows, "window design is rank deficient"))
+                continue
         parts.append((k, rows, i0, i1, j, w))
+
+    used = [(blocks[k], rows) for k, rows, *_ in parts]
+    positions = np.concatenate([np.empty(0, dtype=int)] + [b.positions[r] for b, r in used])
+    order = np.argsort(positions)
+    ids = np.concatenate([np.empty(0, dtype=object)] + [b.unit_ids[r] for b, r in used])
+    dropped = tuple((u, r) for _, u, r in sorted(
+        (at, u, r) for b, rows, r in dropped
+        for at, u in zip(b.positions[rows], b.unit_ids[rows])))
+    model_cov = () if het else cov_idx
 
     def apply(beta=(), outcomes=None) -> _Residuals:
         beta = np.asarray(beta, dtype=float)
@@ -493,17 +521,20 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
             Y = (b.outcomes if outcomes is None else outcomes[k])[..., rows, :]
             terms = [(Y[..., i0 - 1:i1], Y[..., j - 1])] if lagged else []
             terms += [(b.covariates[rows, i0:i1 + 1, c], b.covariates[rows, j, c])
-                      for c in cov_idx]
+                      for c in model_cov]
             modeled = sum(bk[..., None] * Xw for bk, (Xw, _) in zip(coef, terms))
+            Ywin = Y[..., i0:i1 + 1] - modeled
             forecast = (sum(bk * xt for bk, (_, xt) in zip(coef, terms))
-                        + (Y[..., i0:i1 + 1] - modeled) @ w)
+                        + (Ywin @ w if w.ndim == 1 else (Ywin * w).sum(axis=-1)))
             g = np.empty(Y.shape[:-1] + (len(terms),))
             for c, (Xw, xt) in enumerate(terms):
                 g[..., c] = xt - Xw @ w
             residuals.append(Y[..., j] - forecast)
             grads.append(g)
-        used = [(blocks[k], rows) for k, rows, *_ in parts]
-        return _in_panel_order(used, residuals, grads, dropped)
+        return _Residuals(positions[order], ids[order],
+                          np.concatenate(residuals or [np.empty(0)], axis=-1)[..., order],
+                          np.concatenate(grads or [np.empty((0, 0))], axis=-2)[..., order, :],
+                          dropped)
     return apply
 
 
@@ -673,6 +704,9 @@ def _covariate_columns(panel: PanelData, names: Sequence[str]) -> list[int]:
     if unknown:
         raise ConfigError(f"unknown covariates {unknown}; the panel has "
                           f"{list(panel.covariate_names)}")
+    repeated = sorted({c for c in names if list(names).count(c) > 1})
+    if repeated:
+        raise ConfigError(f"covariates {repeated} are named more than once")
     return [panel.covariate_names.index(c) for c in names]
 
 
@@ -834,41 +868,5 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
     cov_idx = _covariate_columns(panel, names)
     if not cov_idx:
         raise ConfigError("no covariates selected")
-    q = config.basis.order
-    used, dropped, residuals = [], [], []
-    for b in panel.treated_blocks:
-        try:
-            i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
-                                 b.tau - config.delta, h)
-        except _DropUnit as d:
-            dropped.append((b, slice(None), d.reason))
-            continue
-        win = slice(i0, i1 + 1)
-        R_i = i1 - i0 + 1
-        if R_i < q + 1 + len(cov_idx):
-            dropped.append((b, slice(None),
-                            f"window of {R_i} cannot fit {q + 1 + len(cov_idx)} parameters"))
-            continue
-        base, hrow = _solver_design(config.basis, b.times[win].astype(float),
-                                    float(b.times[j]))
-        rows = []
-        for row, (y, x) in enumerate(zip(b.outcomes, b.covariates)):
-            Xc = x[win, :][:, cov_idx]
-            xt = x[j, cov_idx]
-            if np.isnan(Xc).any() or np.isnan(xt).any():
-                dropped.append((b, [row], "incomplete covariates on the window or target"))
-                continue
-            D = np.hstack([base, Xc])
-            drow = np.concatenate([hrow, xt])
-            try:
-                Qm, Rm = _qr(D)
-            except RankDeficiencyError:
-                dropped.append((b, [row], "augmented window design is rank deficient"))
-                continue
-            coef = _solve_upper(Rm, Qm.T @ y[win])
-            rows.append(row)
-            residuals.append(float(y[j]) - float(drow @ coef))
-        used.append((b, rows))
-    residuals = np.asarray(residuals, dtype=float)
-    return _summarize(_in_panel_order(used, [residuals], [np.empty((residuals.size, 0))],
-                                      dropped), h, level)
+    return _summarize(_kernel(panel.treated_blocks, config, h, cov_idx=cov_idx, het=True)(),
+                      h, level)

@@ -10,6 +10,9 @@ package computes, kept here as oracles:
 * ``fat_pooled``: the pooled regression on post-period dummies and
   unit-specific trends, whose dummy coefficients are ``fat`` at horizons
   1..h on such a panel;
+* ``covariate_fat_per_unit``: ``covariate_fat_heterogeneous`` with each
+  unit's augmented window regression factored on its own and its
+  coefficients solved by back substitution;
 * ``monte_carlo_per_replication``: ``run_monte_carlo`` as one call of the
   public estimators per replication and cell, summed exactly.
 """
@@ -18,10 +21,11 @@ import math
 
 import numpy as np
 
-from fatpanel.basis import BasisSpec, ForecastConfig, forecast_weights
+from fatpanel.basis import (_RANK_RTOL, BasisSpec, ForecastConfig, _solver_design,
+                           forecast_weights)
 from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
-from fatpanel.estimators import (MbConfig, _DropUnit, _first_stage, _resolve, dfat, fat,
-                                 model_based_fat, placebo_fat)
+from fatpanel.estimators import (MbConfig, _DropUnit, _first_stage, _resolve, _Residuals,
+                                 _summarize, dfat, fat, model_based_fat, placebo_fat)
 from fatpanel.panel import CohortBlock, PanelData
 from fatpanel import simulate as simulate_module
 from fatpanel.simulate import McCellResult, McReport
@@ -116,6 +120,66 @@ def fat_pooled(panel: PanelData, q: int, R: int, h: int) -> np.ndarray:
     if rank < X.shape[1]:
         raise EstimationError("pooled design is rank deficient")
     return coef[:h]
+
+
+# ---------------------------------------------------------------------------
+# covariate_fat_heterogeneous, one unit at a time
+
+
+def _back_substitute(Rm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with ``Rm @ x = b`` for upper-triangular ``Rm``, in Python floats."""
+    R, x = Rm.tolist(), b.tolist()
+    for i in reversed(range(len(x))):
+        s = x[i]
+        for k in range(i + 1, len(x)):
+            s -= R[i][k] * x[k]
+        x[i] = s / R[i][i]
+    return np.array(x)
+
+
+def covariate_fat_per_unit(panel: PanelData, config: ForecastConfig, h: int = 1,
+                           covariates=None, level: float = 0.95):
+    """``covariate_fat_heterogeneous`` by the coefficient route: for each
+    unit, the QR of its window design [basis, covariates], the rank rule on
+    the diagonal of R, the coefficients R^{-1} Q'y and the fitted row at the
+    target."""
+    names = panel.covariate_names if covariates is None else tuple(covariates)
+    cov_idx = [panel.covariate_names.index(c) for c in names]
+    if not panel.treated_blocks:
+        raise EstimationError("no units to estimate on")
+    q = config.basis.order
+    p = q + 1 + len(cov_idx)
+    used, dropped = [], []  # (position, unit id, residual or reason)
+    for b in panel.treated_blocks:
+        try:
+            i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
+                                 b.tau - config.delta, h)
+            if i1 - i0 + 1 < p:
+                raise _DropUnit(f"window of {i1 - i0 + 1} cannot fit {p} parameters")
+        except _DropUnit as d:
+            dropped += [(at, u, d.reason) for at, u in zip(b.positions, b.unit_ids)]
+            continue
+        win = slice(i0, i1 + 1)
+        base, hrow = _solver_design(config.basis, b.times[win].astype(float),
+                                    float(b.times[j]))
+        for at, u, y, x in zip(b.positions, b.unit_ids, b.outcomes, b.covariates):
+            Xc, xt = x[win, :][:, cov_idx], x[j, cov_idx]
+            if np.isnan(Xc).any() or np.isnan(xt).any():
+                dropped.append((at, u, "incomplete covariates on the window or target"))
+                continue
+            Q, Rm = np.linalg.qr(np.hstack([base, Xc]))
+            d = np.abs(np.diag(Rm))
+            if d.min() <= _RANK_RTOL * max(d.max(), np.finfo(float).tiny):
+                dropped.append((at, u, "augmented window design is rank deficient"))
+                continue
+            coef = _back_substitute(Rm, Q.T @ y[win])
+            used.append((at, u, float(y[j]) - float(np.concatenate([hrow, xt]) @ coef)))
+    used.sort()
+    at, ids, res = zip(*used) if used else ((), (), ())
+    res = np.array(res, dtype=float)
+    return _summarize(_Residuals(np.array(at, dtype=int), np.array(ids, dtype=object), res,
+                                 np.empty((res.size, 0)),
+                                 tuple((u, r) for _, u, r in sorted(dropped))), h, level)
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,8 @@ def test_weights_match_exact_normal_equations():
 
 
 def test_weight_route_equals_coefficient_route():
+    # The coefficient route is numpy's least-squares fit, evaluated at the
+    # target; the package only has the weight route.
     rng = np.random.default_rng(21)
     for trial in range(50):
         q = int(rng.integers(0, 5))
@@ -112,8 +114,11 @@ def test_weight_route_equals_coefficient_route():
         target = R + int(rng.integers(1, 4))
         y = rng.normal(size=R)
         cfg = ForecastConfig(q=q, R=R)
+        X, H = _solver_design(cfg.basis, window.astype(float), float(target))
+        fitted = H @ np.linalg.lstsq(X, y, rcond=None)[0]
         fw = forecast_weights(cfg.basis, window, target)
-        assert abs(fw.weights @ y - fit_and_forecast(y, cfg, target, times=window)) < 1e-10
+        assert abs(fw.weights @ y - fitted) < 1e-10
+        assert fit_and_forecast(y, cfg, target, times=window) == fw.weights @ y
 
 
 def _oracle_windows():
@@ -138,27 +143,60 @@ def _oracle_windows():
 
 
 def test_substitution_matches_scipy_triangular_solve():
-    # scipy is the oracle.  The package substitutes in Python floats, so
-    # the last bits may differ from LAPACK, within 1e-15 of the largest entry.
+    # scipy is the oracle.  The package substitutes entry by entry, so the
+    # last bits may differ from LAPACK, within 1e-15 of the largest entry.
     from scipy.linalg import solve_triangular
 
     rng = np.random.default_rng(31)
     count = 0
     for basis, window, target in _oracle_windows():
         X, H = _solver_design(basis, window.astype(float), float(target))
-        Q, Rm = _qr(X)
+        Q, Rm, deficient = _qr(X)
+        assert not deficient
         w = forecast_weights(basis, window, target).weights
         expected = Q @ solve_triangular(Rm, H, trans="T")
         assert np.max(np.abs(w - expected)) <= 1e-15 * np.max(np.abs(expected))
+        # The forecast equals the fitted row at the target of scipy's
+        # coefficients R^{-1} Q'y.
         y = rng.normal(size=window.size)
-        coef = _solve_upper(Rm, Q.T @ y)
-        expected = solve_triangular(Rm, Q.T @ y)
-        assert np.max(np.abs(coef - expected)) <= 1e-15 * np.max(np.abs(expected))
+        fitted = H @ solve_triangular(Rm, Q.T @ y)
         cfg = ForecastConfig(basis=basis, R=window.size)
         forecast = fit_and_forecast(y, cfg, target, times=window)
-        assert abs(forecast - w @ y) <= 1e-10 * max(1.0, np.abs(y).max())
+        assert abs(forecast - fitted) <= 1e-10 * max(1.0, np.abs(y).max())
         count += 1
     assert count > 1000
+
+
+def _substitute(Rm, b):
+    """x with Rm.T @ x = b, one system at a time in Python floats."""
+    R, x = Rm.tolist(), b.tolist()
+    for i in range(len(x)):
+        s = x[i]
+        for k in range(i):
+            s -= R[k][i] * x[k]
+        x[i] = s / R[i][i]
+    return np.array(x)
+
+
+def test_stacked_substitution_equals_the_per_system_solve():
+    # Over leading axes, each system is solved with the same operations in
+    # the same order as on its own, so the bits agree; so do the stacked
+    # QR factors and rank flags with the per-design ones.
+    rng = np.random.default_rng(41)
+    for p in range(1, 10):
+        D = rng.normal(size=(300, p + 3, p))
+        D[::7, :, -1] = D[::7, :, 0]  # every seventh design is rank deficient
+        Q, Rm, deficient = _qr(D)
+        for i in range(len(D)):
+            Qi, Ri, di = _qr(D[i])
+            assert Qi.tobytes() == Q[i].tobytes() and Ri.tobytes() == Rm[i].tobytes()
+            assert di == deficient[i] == (i % 7 == 0 and p > 1)
+        Rm, b = Rm[~deficient], rng.normal(size=(int((~deficient).sum()), p))
+        x = _solve_upper(Rm, b)
+        assert x.tobytes() == np.stack([_substitute(r, v) for r, v in zip(Rm, b)]).tobytes()
+        assert x.tobytes() == np.stack([_solve_upper(r, v) for r, v in zip(Rm, b)]).tobytes()
+        twice = _solve_upper(np.stack([Rm, Rm]), np.stack([b, b]))
+        assert twice.tobytes() == np.stack([x, x]).tobytes()
 
 
 def test_reparametrization_invariance():

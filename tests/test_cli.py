@@ -19,8 +19,9 @@ import fatpanel
 from fatpanel import estimators as estimators_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.cli import main
-from fatpanel.estimators import MbConfig, fat, model_based_fat, placebo_fat
-from fatpanel.panel import load_panel, write_panel
+from fatpanel.estimators import (MbConfig, covariate_fat_heterogeneous, fat,
+                                 model_based_fat, placebo_fat)
+from fatpanel.panel import PanelData, UnitSeries, load_panel, write_panel
 from fatpanel.simulate import DgpSpec, simulate_dgp
 
 
@@ -157,6 +158,58 @@ def test_estimate_mb_failures_keep_their_exit_code_and_message(
                  "--out-json", str(out)]) == code
     assert not out.exists()
     assert capsys.readouterr().err == f"fatpanel: error: {message}\n"
+
+
+def covariate_panel_csv(tmp_path, name="cov.csv"):
+    """12 units with a covariate column ``x``: one with a hole in its
+    window, one whose ``x`` is constant (collinear with the intercept)."""
+    rng = np.random.default_rng(5)
+    times = np.arange(10)
+    units = []
+    for i in range(12):
+        x = np.full(10, 2.0) if i == 4 else rng.normal(size=10)
+        if i == 7:
+            x[4] = np.nan
+        y = rng.normal() + 0.3 * times + 0.8 * np.nan_to_num(x) + rng.normal(size=10)
+        units.append(UnitSeries(f"u{i}", times, y, tau=6, covariates=x[:, None]))
+    path = tmp_path / name
+    write_panel(PanelData(units, covariate_names=("x",)), path)
+    return str(path)
+
+
+def test_estimate_covariate_het_equals_library_call(tmp_path):
+    path = covariate_panel_csv(tmp_path)
+    code, payload = run_json(
+        ["estimate", "--input", path, "--estimator", "covariate_het", "--q", "1",
+         "--r", "5", "--h", "1", "2"], tmp_path)
+    assert code == 0
+    for r in payload["results"]:
+        est = covariate_fat_heterogeneous(load_panel(path), ForecastConfig(q=1, R=5),
+                                          r["horizon"])
+        assert (r["point"], r["se"], r["n_used"]) == (est.point, est.se, est.n_used)
+        assert r["dropped_units"] == [
+            {"unit": "u4", "reason": "augmented window design is rank deficient"},
+            {"unit": "u7", "reason": "incomplete covariates on the window or target"}]
+        assert r["n_used"] == 10
+
+
+def test_estimate_covariate_het_without_covariates_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", sim_panel_csv(tmp_path), "--estimator",
+                 "covariate_het", "--out-json", str(out)]) == 1
+    assert capsys.readouterr().err == "fatpanel: error: no covariates selected\n"
+    assert not out.exists()
+
+
+def test_repeated_mb_covariate_is_usage_error(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"mb_covariates": ["x", "x"], "estimator": "mb"}))
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", covariate_panel_csv(tmp_path), "--config",
+                 str(cfg_path), "--r", "4", "--out-json", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "fatpanel: error: covariates ['x'] are named more than once\n")
+    assert not out.exists()
 
 
 def test_estimate_residual_csv(tmp_path):

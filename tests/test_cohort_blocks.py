@@ -16,15 +16,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from fatpanel.basis import BasisSpec, ForecastConfig, forecast_weights
 from fatpanel.errors import EstimationError, FatpanelError, RankDeficiencyError
-from fatpanel.estimators import (MbConfig, anderson_hsiao, dfat, fat,
-                                 fat_variance, mb_variance, model_based_fat,
+from fatpanel.estimators import (MbConfig, anderson_hsiao, covariate_fat_heterogeneous,
+                                 dfat, fat, fat_variance, mb_variance, model_based_fat,
                                  placebo_fat)
 from fatpanel.panel import PanelData, UnitSeries
+from oracles import covariate_fat_per_unit
 
 TOL = 1e-12
 
@@ -366,6 +367,62 @@ def test_model_based_blocks_match_per_unit_oracle(case):
     _same(_outcome(lambda: model_based_fat(panel, ah, s["h"])),
           _outcome(lambda: _mb_oracle(panel, ah, s["h"])),
           _scale(panel, beta))
+
+
+def _same_as_het_oracle(panel, config, h):
+    """``covariate_fat_heterogeneous`` against its per-unit oracle: the same
+    ids, drops and errors; residuals to 1e-13 and the point to 1e-12 of the
+    largest |residual|, se and interval to 1e-12 relative."""
+    est = _outcome(lambda: covariate_fat_heterogeneous(panel, config, h))
+    ref = _outcome(lambda: covariate_fat_per_unit(panel, config, h))
+    if isinstance(ref, Exception):
+        assert (type(est), str(est)) == (type(ref), str(ref))
+        return
+    assert not isinstance(est, Exception), f"unexpected {est!r}"
+    assert (est.unit_ids, est.dropped, est.n_used) == (ref.unit_ids, ref.dropped, ref.n_used)
+    scale = float(np.abs(ref.residuals).max())
+    np.testing.assert_allclose(est.residuals, ref.residuals, rtol=0, atol=1e-13 * scale)
+    assert est.point == pytest.approx(ref.point, rel=0, abs=1e-12 * scale)
+    assert est.se == pytest.approx(ref.se, rel=TOL, abs=0)
+    assert est.ci == pytest.approx(ref.ci, rel=TOL, abs=1e-12 * scale)
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(case=cases())
+def test_heterogeneous_covariates_match_per_unit_oracle(case):
+    panel, s = case
+    assume(s["use_cov"])
+    _same_as_het_oracle(panel, _config(s), s["h"])
+
+
+def _covariate_panel(seed):
+    """40 staggered units, some starting late or missing a period, with
+    covariate holes and, for about one unit in six, a second covariate
+    constant over time, so collinear with the intercept."""
+    rng = np.random.default_rng(seed)
+    units = []
+    for i in range(40):
+        times = np.arange(int(rng.choice([0, 0, 0, 2, 5])), 12)
+        if rng.random() < 0.1:
+            times = np.delete(times, rng.integers(times.size))
+        x1 = rng.normal(size=times.size)
+        x1[rng.random(times.size) < 0.03] = np.nan
+        x2 = np.full(times.size, 2.5) if rng.random() < 0.15 else rng.normal(size=times.size)
+        y = rng.normal() + rng.normal(0.0, 0.3) * times + rng.normal(size=times.size)
+        units.append(UnitSeries(f"u{i}", times, y + 0.8 * np.nan_to_num(x1),
+                                tau=int(rng.integers(5, 11)),
+                                covariates=np.column_stack([x1, x2])))
+    return PanelData(units, covariate_names=("x1", "x2"))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_heterogeneous_covariates_match_per_unit_oracle_on_seeded_panels(seed):
+    panel = _covariate_panel(seed)
+    for q in range(3):
+        for R in (4, 6, "all"):
+            for h in (1, 2, 3):
+                _same_as_het_oracle(panel, ForecastConfig(q=q, R=R, shrink_window=True), h)
 
 
 # ---------------------------------------------------------------------------

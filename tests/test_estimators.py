@@ -102,6 +102,14 @@ def test_fat_variance_hand_example():
     assert fat_variance([1.0, 1.0, 1.0]) == 0.0
 
 
+def test_variance_helpers_refuse_fewer_than_two_residuals():
+    # One residual gives no standard error, not a zero-width interval.
+    for call in (lambda: fat_variance([1.5]), lambda: fat_variance([]),
+                 lambda: mb_variance([1.5], [[0.2]], [[0.3]])):
+        with pytest.raises(ConfigError, match="at least two"):
+            call()
+
+
 def test_mb_variance_reduces_to_plain_with_zero_psi():
     u = np.array([0.3, -0.2, 0.5, 0.1])
     g = np.ones((4, 1))
@@ -840,4 +848,22 @@ def test_an_unknown_covariate_is_a_config_error_naming_it(call):
                                   covariates=np.sin(t)[:, None])],
                       covariate_names=("x",))
     with pytest.raises(ConfigError, match=r"unknown covariates \['nope'\]"):
+        call(panel)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: anderson_hsiao(p, covariates=("x", "z", "x")),
+    lambda p: model_based_fat(p, MbConfig(q=1, R=4, covariates=("x", "x")), h=1),
+    lambda p: covariate_fat_heterogeneous(p, ForecastConfig(q=1, R=5), h=1,
+                                          covariates=("x", "x")),
+])
+def test_a_repeated_covariate_is_a_config_error_naming_it(call):
+    # Named twice, a covariate would enter its design twice: a singular
+    # first stage, or every unit dropped as rank deficient.
+    rng = np.random.default_rng(4)
+    t = np.arange(10.0)
+    panel = PanelData([UnitSeries(f"u{i}", np.arange(10), t + rng.normal(size=10), tau=7,
+                                  covariates=rng.normal(size=(10, 2)))
+                       for i in range(6)], covariate_names=("x", "z"))
+    with pytest.raises(ConfigError, match=r"covariates \['x'\] are named more than once"):
         call(panel)

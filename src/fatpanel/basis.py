@@ -136,6 +136,9 @@ class BasisSpec:
 class ForecastConfig:
     """Window and basis settings shared by the forecasting estimators.
 
+    Windows end at each unit's treatment date; ``apply_anticipation``
+    moves those dates.
+
     Parameters
     ----------
     q : int, optional
@@ -143,9 +146,6 @@ class ForecastConfig:
     R : int or "all"
         Estimation window length (number of pre-treatment periods used).
         ``"all"`` uses each unit's full contiguous pre-treatment run.
-    delta : int
-        Anticipation offset: estimation windows end ``delta`` periods before
-        the recorded treatment date, and horizons are measured from there.
     basis : BasisSpec, optional
         Full basis specification; defaults to a polynomial of order ``q``.
     shrink_window : bool
@@ -155,7 +155,6 @@ class ForecastConfig:
 
     q: int | None = None
     R: int | str = "all"
-    delta: int = 0
     basis: BasisSpec | None = None
     shrink_window: bool = False
 
@@ -171,7 +170,6 @@ class ForecastConfig:
             object.__setattr__(self, "R", as_integer("R", self.R, "an integer or 'all'"))
             if self.R < self.q + 1:
                 raise ConfigError(f"window length R={self.R} is below q+1={self.q + 1}")
-        object.__setattr__(self, "delta", as_count("delta", self.delta, 0))
 
 
 @dataclass(frozen=True)

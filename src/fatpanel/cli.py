@@ -21,7 +21,10 @@ validate   --input --q --r --delta                           schema
 placebo estimates over a lag grid at one horizon, ``dfat`` treated-minus-
 control differences, ``simulate`` a Monte Carlo study from a named preset
 or an inline process spec, and ``validate`` per-unit data diagnostics for
-one q.
+one q.  ``estimate`` and ``placebo`` report a (q, horizon) pair or a lag
+that cannot be estimated with its error, and fail only when all do.
+``--delta`` shifts every dated unit's treatment date back once, when the
+panel is read; ``validate`` still reports the recorded dates.
 
 Defaults are those of ``RunConfig``; config-file values win over flags so
 that a single artifact reproduces a run.  All JSON outputs carry
@@ -47,7 +50,7 @@ from .errors import (ConfigError, EstimationError, PanelFormatError,
 from .estimators import (AhEstimate, FatEstimate, MbConfig, _first_stage,
                          covariate_fat_heterogeneous, dfat, fat, model_based_fat,
                          placebo_fat)
-from .panel import PanelData, load_panel, validate
+from .panel import PanelData, apply_anticipation, load_panel, validate
 from .simulate import DgpSpec, GridCell, preset, run_monte_carlo
 
 EXIT_OK = 0
@@ -108,11 +111,10 @@ class RunConfig:
                 f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
 
     def forecast_config(self, q: int) -> ForecastConfig:
-        return ForecastConfig(q=q, R=self.r, delta=self.delta)
+        return ForecastConfig(q=q, R=self.r)
 
     def mb_config(self, q: int) -> MbConfig:
-        return MbConfig(q=q, R=self.r, delta=self.delta,
-                        covariates=tuple(self.mb_covariates),
+        return MbConfig(q=q, R=self.r, covariates=tuple(self.mb_covariates),
                         instrument_lag=self.instrument_lag,
                         detrend=self.detrend)
 
@@ -186,9 +188,10 @@ def build_run_config(args: argparse.Namespace) -> RunConfig:
 # --------------------------------------------------------------------------
 
 def _read_panel(cfg: RunConfig) -> PanelData:
+    """The input panel, its dates shifted back by ``delta``."""
     if cfg.input is None:
         raise ConfigError(f"command {cfg.command!r} requires --input")
-    return load_panel(cfg.input, schema=cfg.schema)
+    return apply_anticipation(load_panel(cfg.input, schema=cfg.schema), cfg.delta)
 
 
 def _single(cfg: RunConfig, field: str):
@@ -250,57 +253,47 @@ def _base_payload(cfg: RunConfig, kind: str) -> dict:
 # Subcommands
 # --------------------------------------------------------------------------
 
+def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
+    """Write one result per cell, ``(key, CSV row prefix, estimate thunk)``,
+    and the residual CSV.  A cell whose estimate fails is reported with its
+    error; after writing, the command fails, with the first cell's error,
+    only when every cell failed."""
+    results, rows, failures = [], [], []
+    for key, prefix, run in cells:
+        try:
+            est = run()
+        except (EstimationError, RankDeficiencyError) as exc:
+            results.append({**key, "error": str(exc)})
+            failures.append(exc)
+            continue
+        results.append({**key, **est.to_dict()})
+        rows += [(*prefix, unit_id, float(resid))
+                 for unit_id, resid in zip(est.unit_ids, est.residuals)]
+    _emit(cfg, {**_base_payload(cfg, kind), "results": results},
+          _residual_csv(rows, header))
+    if len(failures) == len(results):
+        raise failures[0]
+    return EXIT_OK
+
+
 def cmd_estimate(cfg: RunConfig) -> int:
     panel = _read_panel(cfg)
     # The first stage depends on neither q nor h: one fit serves every pair.
     first = _first_stage(panel, cfg.mb_config(cfg.q[0])) if cfg.estimator == "mb" else None
-    results = []
-    residual_rows = []
-    for q in cfg.q:
-        for h in cfg.horizons:
-            est = _estimate_one(panel, cfg, q, h, first)
-            entry = {"q": q, "R": cfg.r}
-            entry.update(est.to_dict())
-            results.append(entry)
-            for unit_id, resid in zip(est.unit_ids, est.residuals):
-                residual_rows.append((q, cfg.r, h, unit_id, float(resid)))
-    payload = _base_payload(cfg, "estimates")
-    payload["results"] = results
-    csv_text = _residual_csv(residual_rows,
-                             ("q", "R", "horizon", "unit", "residual"))
-    _emit(cfg, payload, csv_text)
-    return EXIT_OK
+    return _run_grid(cfg, "estimates", (
+        ({"q": q, "R": cfg.r, "horizon": h}, (q, cfg.r, h),
+         lambda q=q, h=h: _estimate_one(panel, cfg, q, h, first))
+        for q in cfg.q for h in cfg.horizons), ("q", "R", "horizon", "unit", "residual"))
 
 
 def cmd_placebo(cfg: RunConfig) -> int:
     h = _single(cfg, "horizons")
     panel = _read_panel(cfg)
-    results = []
-    residual_rows = []
-    n_ok = 0
-    for q in cfg.q:
-        config = cfg.forecast_config(q)
-        for lag in cfg.lags:
-            try:
-                est = placebo_fat(panel, config, lag, h, level=cfg.level)
-            except (EstimationError, RankDeficiencyError) as exc:
-                results.append({"q": q, "R": cfg.r, "lag": lag,
-                                "error": str(exc)})
-                continue
-            n_ok += 1
-            entry = {"q": q, "R": cfg.r, "lag": lag}
-            entry.update(est.to_dict())
-            results.append(entry)
-            for unit_id, resid in zip(est.unit_ids, est.residuals):
-                residual_rows.append((q, cfg.r, lag, h, unit_id, float(resid)))
-    payload = _base_payload(cfg, "placebo")
-    payload["results"] = results
-    csv_text = _residual_csv(residual_rows,
-                             ("q", "R", "lag", "horizon", "unit", "residual"))
-    _emit(cfg, payload, csv_text)
-    if n_ok == 0:
-        raise EstimationError("every placebo lag failed")
-    return EXIT_OK
+    return _run_grid(cfg, "placebo", (
+        ({"q": q, "R": cfg.r, "lag": lag}, (q, cfg.r, lag, h),
+         lambda q=q, lag=lag: placebo_fat(panel, cfg.forecast_config(q), lag, h,
+                                          level=cfg.level))
+        for q in cfg.q for lag in cfg.lags), ("q", "R", "lag", "horizon", "unit", "residual"))
 
 
 def cmd_dfat(cfg: RunConfig) -> int:
@@ -380,6 +373,12 @@ def cmd_validate(cfg: RunConfig) -> int:
         "delta": cfg.delta,
     }
     payload.update(report.to_dict())
+    # Report the recorded dates: add back the shift ``_read_panel`` applied.
+    for unit in payload["units"]:
+        if unit["tau"] is not None:
+            unit["tau"] += cfg.delta
+    if payload["common_tau"] is not None:
+        payload["common_tau"] += cfg.delta
     rows = [(d.unit_id, d.fatal, d.pre_treatment_run,
              ";".join(d.messages)) for d in report.units]
     csv_text = _residual_csv(rows, ("unit", "fatal", "pre_treatment_run",

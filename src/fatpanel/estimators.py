@@ -35,7 +35,6 @@ import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -57,7 +56,7 @@ class FatEstimate:
     Attributes
     ----------
     horizon : int
-        Periods past the (effective) adoption date.
+        Periods past the adoption date.
     point : float
         Average of per-unit forecast residuals, accumulated in unit order
         with compensated summation.
@@ -132,10 +131,10 @@ class AhEstimate:
     vectors, row i for the contributing unit at panel position
     ``positions[i]`` (increasing): the estimation error of ``beta`` is their
     average, so the model-based variance correction gathers them by
-    position.  ``covariate_names``, ``instrument_lag``, ``detrend`` and
-    ``delta`` are the fit's settings and ``panel`` the panel it was fitted
-    on, which ``model_based_fat`` checks against its own when given the fit
-    as ``first``.
+    position.  ``covariate_names``, ``instrument_lag`` and ``detrend`` are
+    the fit's settings and ``panel`` the panel it was fitted on, which
+    ``model_based_fat`` checks against its own when given the fit as
+    ``first``.
     """
 
     beta: np.ndarray
@@ -148,7 +147,6 @@ class AhEstimate:
     covariate_names: tuple[str, ...]
     instrument_lag: int
     detrend: bool
-    delta: int
     panel: PanelData = field(repr=False, compare=False)
 
     @property
@@ -162,8 +160,8 @@ class MbConfig:
 
     Parameters
     ----------
-    q, R, delta : as in ``ForecastConfig``
-        Polynomial order, window length, anticipation.  With
+    q, R : as in ``ForecastConfig``
+        Polynomial order and window length.  With
         ``lagged_outcome``, ``R="all"`` takes each unit's contiguous
         pre-treatment run less its first period, whose outcome is the
         window's first lag.
@@ -186,7 +184,6 @@ class MbConfig:
 
     q: int = 1
     R: int | str = "all"
-    delta: int = 0
     lagged_outcome: bool = True
     covariates: tuple[str, ...] = ()
     instrument_lag: int = 3
@@ -194,7 +191,7 @@ class MbConfig:
     beta: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        self.forecast_config()  # refuses bad q, R and delta
+        self.forecast_config()  # refuses bad q and R
         lag, detrend = _ah_settings(self.instrument_lag, self.detrend)
         object.__setattr__(self, "instrument_lag", lag)
         object.__setattr__(self, "detrend", detrend)
@@ -212,7 +209,7 @@ class MbConfig:
 
     def forecast_config(self) -> ForecastConfig:
         """Window settings of the polynomial remainder fit."""
-        return ForecastConfig(q=self.q, R=self.R, delta=self.delta)
+        return ForecastConfig(q=self.q, R=self.R)
 
 
 def _ah_settings(instrument_lag, detrend) -> tuple[int, bool]:
@@ -448,7 +445,7 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
 
     Resolves each block's window, target, weights (from a per-process
     memo) and drops once, and returns ``apply(beta=(), outcomes=None)``:
-    the residuals y(tau_eff + h) - forecast of the units used, in panel
+    the residuals y(tau - tau_shift + h) - forecast of the units used, in panel
     order, each block's from one product over its outcome rows,
     ``Y[..., j] - (Y[..., win] - X beta) @ w - x_j' beta``, where the model
     columns X stack the ``lagged`` outcome and the covariates ``cov_idx``
@@ -465,12 +462,11 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
         raise EstimationError("no units to estimate on")
     q = config.basis.order
     p = q + 1 + len(cov_idx)
-    shift = config.delta + tau_shift
     parts, dropped = [], []
     for k, b in enumerate(blocks):
         try:
             i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
-                                 b.tau - shift, h, lead=int(lagged))
+                                 b.tau - tau_shift, h, lead=int(lagged))
             if lagged and (i0 == 0 or b.times[i0 - 1] != b.times[i0] - 1
                            or b.times[j - 1] != b.times[j] - 1):
                 raise _DropUnit("lagged outcome missing for the window or target")
@@ -583,7 +579,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int = 1,
     """Forecasted average treatment effect at horizon ``h``.
 
     For each treated unit, fits the basis regression on the window of
-    ``config.R`` pre-treatment periods ending at the effective adoption
+    ``config.R`` pre-treatment periods ending at the unit's adoption
     date, forecasts the counterfactual at horizon ``h``, and averages the
     forecast errors.  Units that cannot be forecast (missing target
     outcome, short history, rank-deficient window) are dropped and listed
@@ -595,7 +591,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int = 1,
     panel : PanelData
         Panel with treated units; control units are ignored here.
     config : ForecastConfig
-        Basis, window length, and anticipation settings.
+        Basis and window length settings.
     h : int
         Forecast horizon, an integer >= 1.
     level : float
@@ -657,18 +653,18 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
     )
 
 
-def _ah_moments(block: CohortBlock, Y: np.ndarray, eff_tau: int, lag: int,
-                detrend: bool, cov_idx: list[int]):
+def _ah_moments(block: CohortBlock, Y: np.ndarray, lag: int, detrend: bool,
+                cov_idx: list[int]):
     """Moment blocks A_i = Z'W and b_i = Z'dy of every unit in ``block``,
     whose outcomes ``Y`` may carry leading replication axes.
 
-    Period t <= eff_tau gives a moment row when t-1, t-2 and t-lag are
+    Period t <= the block's ``tau`` gives a moment row when t-1, t-2 and t-lag are
     observed; with covariates, only for the units whose covariates at t
     and t-1 are complete.  Rows are accumulated in time order.  Returns
     (A, b, rows) with shapes (..., n, k, k), (..., n, k) and (n,).
     """
     times = block.times
-    t = times[times <= eff_tau]
+    t = times[times <= block.tau]
     at = [np.searchsorted(times, t - d) for d in (1, 2, lag)]
     valid = np.logical_and.reduce([times[i] == t - d for i, d in zip(at, (1, 2, lag))])
     js = np.flatnonzero(valid)
@@ -712,7 +708,7 @@ def _covariate_columns(panel: PanelData, names: Sequence[str]) -> list[int]:
 
 def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
                    detrend: bool | None = None,
-                   covariates: Sequence[str] = (), delta: int = 0) -> AhEstimate:
+                   covariates: Sequence[str] = ()) -> AhEstimate:
     """Instrumented first-difference fit of the dynamic outcome model.
 
     Differences the model y_t = rho * y_{t-1} + x_t' theta + (unit trend)
@@ -732,9 +728,8 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         contributing units with their panel positions.
     """
     instrument_lag, detrend = _ah_settings(instrument_lag, detrend)
-    delta = as_count("delta", delta, 0)
     beta, intercept, psi, contrib, weak, n_obs = _ah_fit(
-        panel, None, instrument_lag, detrend, _covariate_columns(panel, covariates), delta)
+        panel, None, instrument_lag, detrend, _covariate_columns(panel, covariates))
     return AhEstimate(
         beta=beta,
         intercept=float(intercept[0]) if detrend else None,
@@ -746,13 +741,12 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         covariate_names=tuple(covariates),
         instrument_lag=instrument_lag,
         detrend=detrend,
-        delta=delta,
         panel=panel,
     )
 
 
 def _ah_fit(panel: PanelData, outcomes, instrument_lag: int, detrend: bool,
-            cov_idx: list[int], delta: int) -> tuple:
+            cov_idx: list[int]) -> tuple:
     """``anderson_hsiao`` on ``panel``, or on ``outcomes`` standing in for
     its treated blocks' with leading replication axes: the coefficients,
     the intercept (empty without ``detrend``), the influence vectors of the
@@ -771,7 +765,7 @@ def _ah_fit(panel: PanelData, outcomes, instrument_lag: int, detrend: bool,
     for block, Y in zip(blocks, outcomes):
         at = block.positions
         A_all[..., at, :, :], b_all[..., at, :], rows[at] = _ah_moments(
-            block, Y, block.tau - delta, instrument_lag, detrend, cov_idx)
+            block, Y, instrument_lag, detrend, cov_idx)
     contrib = np.flatnonzero(rows)
     if not contrib.size:
         raise EstimationError(
@@ -832,10 +826,10 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
         raise ConfigError("a known beta takes no fitted first stage")
     elif first.panel is not panel:
         raise ConfigError("the first stage was fitted on another panel")
-    elif ((first.instrument_lag, first.detrend, first.covariate_names, first.delta)
-          != (mb.instrument_lag, mb.detrend, mb.covariates, mb.delta)):
+    elif ((first.instrument_lag, first.detrend, first.covariate_names)
+          != (mb.instrument_lag, mb.detrend, mb.covariates)):
         raise ConfigError("the first stage was fitted with other instrument_lag, "
-                          "detrend, covariates or delta than mb")
+                          "detrend or covariates than mb")
     beta = np.asarray(mb.beta, dtype=float) if first is None else first.beta
     cov_idx = _covariate_columns(panel, mb.covariates)
     if not panel.treated_blocks:
@@ -849,7 +843,7 @@ def _first_stage(panel: PanelData, mb: MbConfig) -> AhEstimate | None:
     """The first stage ``mb`` fits on ``panel``; None when beta is known."""
     if mb.beta is not None:
         return None
-    return anderson_hsiao(panel, mb.instrument_lag, mb.detrend, mb.covariates, mb.delta)
+    return anderson_hsiao(panel, mb.instrument_lag, mb.detrend, mb.covariates)
 
 
 def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,

@@ -33,7 +33,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
-from .basis import ForecastConfig, as_integer
+from .basis import ForecastConfig, as_count
 from .csvrows import read_rows
 from .errors import ConfigError, PanelFormatError
 
@@ -506,7 +506,7 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
         if b.tau is None:  # only a control block may lack a date
             messages.append("no treatment date")
         else:
-            eff_tau = b.tau - config.delta
+            eff_tau = b.tau
             i = int(np.searchsorted(b.times, eff_tau))
             if i < b.times.size and b.times[i] == eff_tau:
                 run = _run_ending(b.times, i)
@@ -597,33 +597,32 @@ def reindex_time_to_adoption(panel: PanelData) -> PanelData:
 def apply_anticipation(panel: PanelData, delta) -> PanelData:
     """Shift treatment dates back to absorb anticipation effects.
 
-    ``delta`` is a non-negative integer, or a mapping from unit id to one.
-    Each unit's date becomes tau - delta, so estimation windows end before
-    any anticipatory response, and horizons count from the shifted date.
-    A shift that is not an integer raises ``ConfigError``; any other invalid
-    shift raises for the first offending unit in panel order.
+    ``delta`` is an integer >= 0, or a mapping from unit id to one.  Each
+    dated unit's date becomes tau - delta, so estimation windows end before
+    any anticipatory response, and horizons count from the shifted date;
+    controls without a date are left alone.  A unit left with no
+    observation at its shifted date is kept, for the estimators to drop
+    and ``validate`` to flag.  When no date moves, ``panel`` itself is
+    returned.  A shift that is not an integer >= 0, or a mapping key that
+    names no unit, raises ``ConfigError``.
     """
-    pieces, faults = [], []
+    shifts = None
+    if isinstance(delta, Mapping):
+        shifts = {uid: as_count(f"delta for unit {uid!r}", d, 0) for uid, d in delta.items()}
+        ids = {uid for b in panel._blocks for uid in b.unit_ids.tolist()}
+        unknown = [uid for uid in shifts if uid not in ids]
+        if unknown:
+            raise ConfigError(f"delta names units not in the panel: {unknown}")
+    else:
+        delta = as_count("delta", delta, 0)
+    pieces = []
     for b in panel._blocks:
-        ids = b.unit_ids.tolist()
-        shifts = (np.array([as_integer("anticipation", delta.get(uid, 0)) for uid in ids])
-                  if isinstance(delta, Mapping)
-                  else np.full(len(ids), as_integer("anticipation", delta)))
-        for d in np.unique(shifts).tolist():
-            rows = np.flatnonzero(shifts == d)
-            fault = None
-            if d < 0:
-                fault = ConfigError, "anticipation must be >= 0"
-            elif d > 0 and b.tau is None:
-                fault = PanelFormatError, "anticipation needs a treatment date"
-            elif d > 0 and b.times[0] > b.tau - d:
-                fault = PanelFormatError, f"anticipation {d} leaves no pre-treatment data"
-            if fault is None:
-                pieces.append((b, rows, b.tau if d == 0 else b.tau - d, b.times))
-            else:
-                k = rows[np.argmin(b.positions[rows])]
-                faults.append((int(b.positions[k]), ids[k], *fault))
-    if faults:
-        _, uid, error, message = min(faults, key=lambda f: f[0])
-        raise error(f"unit {uid!r}: {message}")
+        if b.tau is None:
+            pieces.append((b, slice(None), None, b.times))
+            continue
+        per_row = (np.full(b.unit_ids.size, delta) if shifts is None
+                   else np.array([shifts.get(uid, 0) for uid in b.unit_ids.tolist()]))
+        pieces += [(b, per_row == d, b.tau - d, b.times) for d in np.unique(per_row).tolist()]
+    if all(b.tau == tau for b, _, tau, _ in pieces):
+        return panel
     return _regrouped(pieces, panel, panel.time_unit)

@@ -431,7 +431,7 @@ def _chunk_estimates(panel: PanelData, stacks, cell: GridCell, config, fits: dic
     if cell.estimator == "mb":
         key = (config.instrument_lag, config.detrend)
         if key not in fits:  # a fit that raises is tried again by each cell
-            fits[key] = _ah_fit(panel, outcomes, *key, [], 0)
+            fits[key] = _ah_fit(panel, outcomes, *key, [])
         beta, _, psi, at, _, _ = fits[key]
         apply = _kernel(treated, config.forecast_config(), cell.h, lagged=True)
         return _point_se(apply(beta, outcomes), (psi, at), _ARRAY_SUM)

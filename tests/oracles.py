@@ -13,6 +13,7 @@ package computes, kept here as oracles:
 * ``covariate_fat_per_unit``: ``covariate_fat_heterogeneous`` with each
   unit's augmented window regression factored on its own and its
   coefficients solved by back substitution;
+* ``oracle_validate``: ``validate`` one ``UnitSeries`` at a time;
 * ``monte_carlo_per_replication``: ``run_monte_carlo`` as one call of the
   public estimators per replication and cell, summed exactly.
 """
@@ -26,7 +27,7 @@ from fatpanel.basis import (_RANK_RTOL, BasisSpec, ForecastConfig, _solver_desig
 from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
 from fatpanel.estimators import (MbConfig, _DropUnit, _first_stage, _resolve, _Residuals,
                                  _summarize, dfat, fat, model_based_fat, placebo_fat)
-from fatpanel.panel import CohortBlock, PanelData
+from fatpanel.panel import CohortBlock, PanelData, UnitDiagnostics, ValidationReport
 from fatpanel import simulate as simulate_module
 from fatpanel.simulate import McCellResult, McReport
 
@@ -138,11 +139,11 @@ def _back_substitute(Rm: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def covariate_fat_per_unit(panel: PanelData, config: ForecastConfig, h: int = 1,
-                           covariates=None, level: float = 0.95):
+                           covariates=None, level: float = 0.95, shift: int = 0):
     """``covariate_fat_heterogeneous`` by the coefficient route: for each
     unit, the QR of its window design [basis, covariates], the rank rule on
     the diagonal of R, the coefficients R^{-1} Q'y and the fitted row at the
-    target."""
+    target; windows end ``shift`` periods before each unit's date."""
     names = panel.covariate_names if covariates is None else tuple(covariates)
     cov_idx = [panel.covariate_names.index(c) for c in names]
     if not panel.treated_blocks:
@@ -153,7 +154,7 @@ def covariate_fat_per_unit(panel: PanelData, config: ForecastConfig, h: int = 1,
     for b in panel.treated_blocks:
         try:
             i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
-                                 b.tau - config.delta, h)
+                                 b.tau - shift, h)
             if i1 - i0 + 1 < p:
                 raise _DropUnit(f"window of {i1 - i0 + 1} cannot fit {p} parameters")
         except _DropUnit as d:
@@ -183,6 +184,70 @@ def covariate_fat_per_unit(panel: PanelData, config: ForecastConfig, h: int = 1,
 
 
 # ---------------------------------------------------------------------------
+# validate, one unit at a time
+
+
+def _contiguous_run_ending(u, time):
+    i = int(np.searchsorted(u.times, time))
+    if i >= u.times.size or u.times[i] != time:
+        return 0
+    run = 1
+    while i - run >= 0 and u.times[i - run] == u.times[i] - run:
+        run += 1
+    return run
+
+
+def oracle_validate(panel: PanelData, config: ForecastConfig, shift: int = 0):
+    """``validate`` of ``panel`` with every dated unit's date moved back by
+    ``shift``, one unit at a time."""
+    q = config.basis.order
+    diags = []
+    for u in panel.units:
+        messages = []
+        fatal = False
+        tau = eff_tau = None
+        run = 0
+        required = config.R if isinstance(config.R, int) else None
+        if u.tau is None:
+            messages.append("no treatment date")
+            if not u.is_control:
+                fatal = True
+        else:
+            tau = eff_tau = u.tau - shift
+            run = _contiguous_run_ending(u, eff_tau)
+            if run == 0:
+                messages.append(f"no observation at effective treatment date {eff_tau}")
+        short = u.tau is not None and required is not None and run < required
+        needed = required if required is not None else q + 1
+        window_gap = False
+        if u.tau is not None and run < needed and run > 0:
+            window_gap = bool(u.times.min() < eff_tau - run + 1)
+        if short:
+            messages.append(
+                f"contiguous pre-treatment run of {run} is shorter than R={required}"
+            )
+        if u.tau is not None and run < q + 1:
+            fatal = True
+            messages.append(f"fewer than q+1={q + 1} usable pre-treatment periods")
+        series_gaps = bool(u.times.size > 1 and np.any(np.diff(u.times) > 1))
+        if u.covariates is None:
+            cov_complete = panel.covariate_names == ()
+        else:
+            cov_complete = not np.isnan(u.covariates).any()
+        if not cov_complete:
+            messages.append("incomplete covariates")
+        diags.append(UnitDiagnostics(
+            unit_id=u.unit_id, tau=tau, effective_tau=eff_tau,
+            pre_treatment_run=run, required_window=required, short_window=short,
+            window_gap=window_gap, series_gaps=series_gaps,
+            covariates_complete=cov_complete, fatal=fatal,
+            messages=tuple(messages)))
+    common = panel.common_tau()
+    return ValidationReport(units=tuple(diags), balanced=panel.is_balanced(),
+                            common_tau=None if common is None else common - shift)
+
+
+# ---------------------------------------------------------------------------
 # run_monte_carlo, one replication at a time
 
 
@@ -195,7 +260,7 @@ def _evaluate_cell(panel: PanelData, cell, config, first_stages: dict):
         return placebo_fat(panel, config, lag=cell.lag, h=cell.h)
     if cell.estimator == "dfat":
         return dfat(panel, config, h=cell.h)
-    key = (config.instrument_lag, config.detrend, config.covariates, config.delta)
+    key = (config.instrument_lag, config.detrend, config.covariates)
     if key not in first_stages:
         try:
             first_stages[key] = _first_stage(panel, config)

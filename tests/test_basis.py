@@ -333,8 +333,6 @@ def test_forecast_config_validation():
     with pytest.raises(ConfigError):
         ForecastConfig(q=2, R=2)
     with pytest.raises(ConfigError):
-        ForecastConfig(q=1, R=3, delta=-1)
-    with pytest.raises(ConfigError):
         ForecastConfig(q=2, R=5, basis=BasisSpec("polynomial", order=1))
     cfg = ForecastConfig(q=0, R="all")
     assert cfg.basis.order == 0
@@ -342,7 +340,6 @@ def test_forecast_config_validation():
 
 @pytest.mark.parametrize("field, value", [
     ("R", 2.5), ("R", 3.0), ("R", True), ("R", "3"),
-    ("delta", 1.5), ("delta", {"a": 1}), ("delta", False),
     ("q", 1.5), ("q", True),
 ])
 def test_forecast_config_refuses_non_integers(field, value):
@@ -353,6 +350,6 @@ def test_forecast_config_refuses_non_integers(field, value):
 
 
 def test_forecast_config_takes_numpy_integers_as_python_ints():
-    cfg = ForecastConfig(q=np.int64(1), R=np.int32(3), delta=np.uint8(1))
-    assert (cfg.q, cfg.R, cfg.delta) == (1, 3, 1)
-    assert all(type(v) is int for v in (cfg.q, cfg.R, cfg.delta))
+    cfg = ForecastConfig(q=np.int64(1), R=np.uint8(3))
+    assert (cfg.q, cfg.R) == (1, 3)
+    assert all(type(v) is int for v in (cfg.q, cfg.R))

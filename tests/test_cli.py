@@ -19,6 +19,7 @@ import fatpanel
 from fatpanel import estimators as estimators_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.cli import main
+from fatpanel.errors import EstimationError
 from fatpanel.estimators import (MbConfig, covariate_fat_heterogeneous, fat,
                                  model_based_fat, placebo_fat)
 from fatpanel.panel import PanelData, UnitSeries, load_panel, write_panel
@@ -136,7 +137,7 @@ def test_estimate_mb_fits_one_first_stage_for_every_q_and_h(tmp_path, monkeypatc
     code, payload = run_json(["estimate", "--input", path, "--estimator", "mb",
                               "--q", "0", "1", "--h", "1", "2", "--r", "3"], tmp_path)
     assert code == 0
-    assert fits == [(3, True, (), 0)]
+    assert fits == [(3, True, ())]
     panel = load_panel(path)
     for r in payload["results"]:
         est = model_based_fat(panel, MbConfig(q=r["q"], R=3), r["horizon"])
@@ -341,7 +342,30 @@ def test_estimate_on_one_usable_unit_is_estimation_error(tmp_path, capsys):
                  "--out-json", str(out)]) == 3
     assert capsys.readouterr().err == ("fatpanel: error: only one usable unit (a); "
                                        "a standard error needs at least two\n")
-    assert not out.exists()
+    # The report still records the failed pair.
+    assert json.loads(out.read_text())["results"] == [
+        {"q": 0, "R": 2, "horizon": 1,
+         "error": "only one usable unit (a); a standard error needs at least two"}]
+
+
+def test_estimate_reports_a_failed_pair_and_keeps_going(tmp_path, capsys):
+    # On 7 periods adopting after period 5, horizon 5 has no target period.
+    path = sim_panel_csv(tmp_path, T=7, tau=5)
+    out, csv_out = tmp_path / "o.json", tmp_path / "o.csv"
+    assert main(["estimate", "--input", path, "--q", "0", "--r", "2", "--h", "1", "5",
+                 "--out-json", str(out), "--out-csv", str(csv_out)]) == 0
+    assert capsys.readouterr().err == ""
+    good, bad = json.loads(out.read_text())["results"]
+    panel = load_panel(path)
+    est = fat(panel, ForecastConfig(q=0, R=2), 1)
+    assert (good["horizon"], good["point"], good["se"]) == (1, est.point, est.se)
+    assert set(bad) == {"q", "R", "horizon", "error"}
+    assert (bad["q"], bad["R"], bad["horizon"]) == (0, 2, 5)
+    assert bad["error"].startswith("no usable units (")
+    with pytest.raises(EstimationError, match=re.escape(bad["error"])):
+        fat(panel, ForecastConfig(q=0, R=2), 5)
+    rows = csv_out.read_text().splitlines()
+    assert len(rows) == 1 + est.n_used and all(r.startswith("0,2,1,") for r in rows[1:])
 
 
 def test_simulate_unknown_preset_is_usage_error(tmp_path):
@@ -396,6 +420,29 @@ def test_validate_clean_panel(tmp_path):
     assert payload["kind"] == "validation"
     assert payload["ok"] is True
     assert len(payload["units"]) == 36
+
+
+def test_validate_with_delta_reports_the_recorded_dates(tmp_path):
+    path = tmp_path / "staggered.csv"
+    rows = ["unit,time,outcome,treated_at,control_flag"]
+    rows += [f"a,{t},{t * 0.5},6,0" for t in range(10)]
+    rows += [f"late,{t},{t * 0.3},6,0" for t in range(5, 10)]  # no period 4
+    rows += [f"c,{t},{t * 0.1},,1" for t in range(10)]  # undated control
+    path.write_text("\n".join(rows) + "\n")
+    code, payload = run_json(["validate", "--input", str(path), "--q", "0", "--r", "2",
+                              "--delta", "2"], tmp_path)
+    assert code == 0 and payload["delta"] == 2 and payload["common_tau"] is None
+    units = {u["unit_id"]: u for u in payload["units"]}
+    assert [(units[k]["tau"], units[k]["effective_tau"]) for k in ("a", "late", "c")] == [
+        (6, 4), (6, 4), (None, None)]
+    assert units["late"]["fatal"] and units["late"]["messages"][0] == (
+        "no observation at effective treatment date 4")
+    rows = [r.replace(",6,0", ",6,1") if r.startswith("a,") else r for r in rows[:16]]
+    path.write_text("\n".join(rows) + "\n")
+    code, payload = run_json(["validate", "--input", str(path), "--q", "0", "--delta", "1"],
+                             tmp_path)
+    assert code == 0 and payload["common_tau"] == 6
+    assert [u["effective_tau"] for u in payload["units"]] == [5, 5]
 
 
 def test_validate_flagged_panel_still_exits_zero(tmp_path):
@@ -592,6 +639,10 @@ def test_bad_level_is_usage_error(tmp_path):
     ("validate", {}, ["--q", "0", "1"],
      "validate takes one --q (config key 'q'), got [0, 1]"),
     ("validate", {"q": [0, 1]}, [], "validate takes one --q"),
+    ("estimate", {}, ["--delta", "-1"], "delta must be an integer >= 0, got -1"),
+    ("estimate", {"delta": -1, "estimator": "mb"}, ["--r", "3"],
+     "delta must be an integer >= 0, got -1"),
+    ("validate", {}, ["--delta", "-1"], "delta must be an integer >= 0, got -1"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, capsys, command, setting,
                                           flags, message):

@@ -9,9 +9,13 @@ missing targets, covariate holes, controls with and without a cohort
 date) are built from a few unit templates assigned in random order, so
 cohort blocks hold several units and interleave in the panel.  The
 estimators must reproduce the oracle's unit ids, drop order and reasons
-exactly and its numbers to 1e-12 of the data's scale.
+exactly and its numbers to 1e-12 of the data's scale.  On a panel whose
+dates ``apply_anticipation`` moved back by 0 to 2 periods they must match
+the oracles at that shift, and, bit for bit, the panel with its dates
+moved by hand.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,8 +28,8 @@ from fatpanel.errors import EstimationError, FatpanelError, RankDeficiencyError
 from fatpanel.estimators import (MbConfig, anderson_hsiao, covariate_fat_heterogeneous,
                                  dfat, fat, fat_variance, mb_variance, model_based_fat,
                                  placebo_fat)
-from fatpanel.panel import PanelData, UnitSeries
-from oracles import covariate_fat_per_unit
+from fatpanel.panel import PanelData, UnitSeries, apply_anticipation, validate
+from oracles import covariate_fat_per_unit, oracle_validate
 
 TOL = 1e-12
 
@@ -116,7 +120,7 @@ def oracle_residuals(units, config, h, shift, lagged=False, cov_idx=(), beta=())
     return tuple(ids), np.array(res), grads, tuple(dropped)
 
 
-def oracle_ah(panel, lag, detrend, cov_idx, delta):
+def oracle_ah(panel, lag, detrend, cov_idx, shift):
     """(beta, intercept, psi by unit, n_units, n_obs) of the first stage."""
     treated = [u for u in panel.units if not u.is_control]
     if not treated:
@@ -126,7 +130,7 @@ def oracle_ah(panel, lag, detrend, cov_idx, delta):
     for u in treated:
         A, b, rows = np.zeros((k, k)), np.zeros(k), 0
         for i_t, t in enumerate(u.times):
-            if t > u.tau - delta:
+            if t > u.tau - shift:
                 break
             i1, i2, il = _index(u, t - 1), _index(u, t - 2), _index(u, t - lag)
             if i1 is None or i2 is None or il is None:
@@ -210,7 +214,7 @@ def cases(draw):
     settings_ = dict(
         q=q, R=draw(st.sampled_from(["all", q + 1, q + 2, q + 3])),
         h=draw(st.integers(1, 3)), lag=draw(st.integers(0, 2)),
-        delta=draw(st.integers(0, 1)), shrink=draw(st.booleans()),
+        shrink=draw(st.booleans()),
         fourier_period=basis, instrument_lag=draw(st.sampled_from([2, 3])),
         beta=draw(st.floats(-0.9, 0.9)), use_cov=has_cov,
     )
@@ -226,7 +230,7 @@ def _slow_path_example():
     units = [UnitSeries(f"u{i}", np.arange(8), Y[i], tau=5) for i in range(6)]
     units[0] = UnitSeries("u0", np.concatenate([[-10], np.arange(8)]),
                           np.concatenate([[99.0], Y[0]]), tau=5)
-    return PanelData(units), dict(q=1, R=4, h=1, lag=0, delta=0, shrink=False,
+    return PanelData(units), dict(q=1, R=4, h=1, lag=0, shrink=False,
                                   fourier_period=None, instrument_lag=3,
                                   beta=0.5, use_cov=False)
 
@@ -261,7 +265,7 @@ def _same(actual, expected, atol):
 def _config(s):
     basis = (BasisSpec("polynomial", order=s["q"]) if s["fourier_period"] is None
              else BasisSpec("fourier", order=s["q"], period=s["fourier_period"]))
-    return ForecastConfig(R=s["R"], delta=s["delta"], basis=basis,
+    return ForecastConfig(R=s["R"], basis=basis,
                           shrink_window=s["shrink"])
 
 
@@ -272,33 +276,31 @@ def _fat_oracle(units, config, h, shift):
     return _outcome(run)
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@example(case=_slow_path_example())
-@given(case=cases())
-def test_blocks_match_per_unit_oracle(case):
-    panel, s = case
+def _check_fat_family(panel, s, shift=0):
+    """``fat``, ``placebo_fat`` and ``dfat`` on ``panel`` with its dates
+    moved back by ``shift`` against the oracle at that shift."""
+    shifted = apply_anticipation(panel, shift)
     config = _config(s)
     h, lag = s["h"], s["lag"]
     atol = _scale(panel)
     treated = [u for u in panel.units if not u.is_control]
 
-    _same(_outcome(lambda: fat(panel, config, h)),
-          _fat_oracle(treated, config, h, s["delta"]), atol)
-    _same(_outcome(lambda: placebo_fat(panel, config, lag, h)),
-          _fat_oracle(treated, config, h, s["delta"] + lag), atol)
+    _same(_outcome(lambda: fat(shifted, config, h)),
+          _fat_oracle(treated, config, h, shift), atol)
+    _same(_outcome(lambda: placebo_fat(shifted, config, lag, h)),
+          _fat_oracle(treated, config, h, shift + lag), atol)
 
     controls = [u for u in panel.units if u.is_control and u.tau is not None]
     skipped = tuple((u.unit_id, "no adoption date") for u in panel.units
                     if u.is_control and u.tau is None)
-    est = _outcome(lambda: dfat(panel, config, h))
+    est = _outcome(lambda: dfat(shifted, config, h))
     if not treated or not controls:
         assert isinstance(est, EstimationError) and "dfat needs" in str(est)
         return
 
     def run_dfat():
-        t_ids, t_res, _, t_drop = oracle_residuals(treated, config, h, s["delta"])
-        c_ids, c_res, _, c_drop = oracle_residuals(controls, config, h, s["delta"])
+        t_ids, t_res, _, t_drop = oracle_residuals(treated, config, h, shift)
+        c_ids, c_res, _, c_drop = oracle_residuals(controls, config, h, shift)
         c_drop += skipped
         return ((t_ids, t_res, t_drop, *_summary(t_ids, t_res, t_drop)),
                 (c_ids, c_res, c_drop, *_summary(c_ids, c_res, c_drop)))
@@ -311,18 +313,25 @@ def test_blocks_match_per_unit_oracle(case):
     _same(est.control, expected[1], atol)
 
 
-def _mb_oracle(panel, mb, h):
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=_slow_path_example())
+@given(case=cases())
+def test_blocks_match_per_unit_oracle(case):
+    _check_fat_family(*case)
+
+
+def _mb_oracle(panel, mb, h, shift):
     cov_idx = [panel.covariate_names.index(c) for c in mb.covariates]
     if mb.beta is not None:
         beta, psi = np.asarray(mb.beta), {}
     else:
-        beta, _, psi, _, _ = oracle_ah(panel, mb.instrument_lag, mb.detrend,
-                                       cov_idx, mb.delta)
+        beta, _, psi, _, _ = oracle_ah(panel, mb.instrument_lag, mb.detrend, cov_idx, shift)
     treated = [u for u in panel.units if not u.is_control]
     if not treated:
         raise EstimationError("no treated units")
     ids, res, grads, dropped = oracle_residuals(
-        treated, mb.forecast_config(), h, mb.delta, mb.lagged_outcome, cov_idx, beta)
+        treated, mb.forecast_config(), h, shift, mb.lagged_outcome, cov_idx, beta)
     zeros = np.zeros(len(beta))
 
     def se_of(r):
@@ -332,26 +341,23 @@ def _mb_oracle(panel, mb, h):
     return ids, res, dropped, *_summary(ids, res, dropped, se_of)
 
 
-@settings(max_examples=120, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@example(case=_slow_path_example())
-@given(case=cases())
-def test_model_based_blocks_match_per_unit_oracle(case):
-    panel, s = case
+def _check_model_based(panel, s, shift=0):
+    """``model_based_fat`` with a known and a fitted first stage, and
+    ``anderson_hsiao``, on ``panel`` with its dates moved back by ``shift``
+    against the oracle at that shift."""
+    shifted = apply_anticipation(panel, shift)
     covs = ("x",) if s["use_cov"] else ()
-    user = MbConfig(q=s["q"], R=s["R"], delta=s["delta"], covariates=covs,
+    user = MbConfig(q=s["q"], R=s["R"], covariates=covs,
                     beta=(s["beta"],) + (0.7,) * len(covs))
-    _same(_outcome(lambda: model_based_fat(panel, user, s["h"])),
-          _outcome(lambda: _mb_oracle(panel, user, s["h"])),
+    _same(_outcome(lambda: model_based_fat(shifted, user, s["h"])),
+          _outcome(lambda: _mb_oracle(panel, user, s["h"], shift)),
           _scale(panel, user.beta))
 
-    ah = MbConfig(q=s["q"], R=s["R"], delta=s["delta"], covariates=covs,
-                  instrument_lag=s["instrument_lag"])
+    ah = MbConfig(q=s["q"], R=s["R"], covariates=covs, instrument_lag=s["instrument_lag"])
     cov_idx = [panel.covariate_names.index(c) for c in covs]
-    first = _outcome(lambda: anderson_hsiao(panel, ah.instrument_lag, ah.detrend,
-                                            covs, ah.delta))
+    first = _outcome(lambda: anderson_hsiao(shifted, ah.instrument_lag, ah.detrend, covs))
     expected = _outcome(lambda: oracle_ah(panel, ah.instrument_lag, ah.detrend,
-                                          cov_idx, ah.delta))
+                                          cov_idx, shift))
     if isinstance(expected, Exception):
         _same(first, expected, 0.0)
         return
@@ -364,17 +370,27 @@ def test_model_based_blocks_match_per_unit_oracle(case):
     assert [units[p].unit_id for p in first.positions] == list(psi)
     np.testing.assert_array_equal(first.psi, np.vstack(list(psi.values())))
     assert (first.n_units, first.n_obs) == (n_units, n_obs)
-    _same(_outcome(lambda: model_based_fat(panel, ah, s["h"])),
-          _outcome(lambda: _mb_oracle(panel, ah, s["h"])),
+    _same(_outcome(lambda: model_based_fat(shifted, ah, s["h"])),
+          _outcome(lambda: _mb_oracle(panel, ah, s["h"], shift)),
           _scale(panel, beta))
 
 
-def _same_as_het_oracle(panel, config, h):
-    """``covariate_fat_heterogeneous`` against its per-unit oracle: the same
-    ids, drops and errors; residuals to 1e-13 and the point to 1e-12 of the
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=_slow_path_example())
+@given(case=cases())
+def test_model_based_blocks_match_per_unit_oracle(case):
+    _check_model_based(*case)
+
+
+def _same_as_het_oracle(panel, config, h, shift=0):
+    """``covariate_fat_heterogeneous`` on ``panel`` with its dates moved back
+    by ``shift`` against its per-unit oracle at that shift: the same ids,
+    drops and errors; residuals to 1e-13 and the point to 1e-12 of the
     largest |residual|, se and interval to 1e-12 relative."""
-    est = _outcome(lambda: covariate_fat_heterogeneous(panel, config, h))
-    ref = _outcome(lambda: covariate_fat_per_unit(panel, config, h))
+    shifted = apply_anticipation(panel, shift)
+    est = _outcome(lambda: covariate_fat_heterogeneous(shifted, config, h))
+    ref = _outcome(lambda: covariate_fat_per_unit(panel, config, h, shift=shift))
     if isinstance(ref, Exception):
         assert (type(est), str(est)) == (type(ref), str(ref))
         return
@@ -450,12 +466,12 @@ def test_identities_on_random_panels(case, shift):
         if u.is_control:
             continue
         try:
-            win = _window(u, u.tau - s["delta"], q, s["R"], s["shrink"])
+            win = _window(u, u.tau, q, s["R"], s["shrink"])
         except EstimationError:
             continue
         if isinstance(win, str):
             continue
-        times, target = u.times[win[0]:win[1] + 1], u.tau - s["delta"] + h
+        times, target = u.times[win[0]:win[1] + 1], u.tau + h
         try:
             w = forecast_weights(config.basis, times, target).weights
         except RankDeficiencyError:
@@ -469,8 +485,7 @@ def test_identities_on_random_panels(case, shift):
 
     estimate = _estimate(_outcome(lambda: fat(panel, config, h)))
     assert _estimate(_outcome(lambda: placebo_fat(panel, config, 0, h))) == estimate
-    mb = MbConfig(q=s["q"], R=s["R"], delta=s["delta"], lagged_outcome=False,
-                  beta=())
+    mb = MbConfig(q=s["q"], R=s["R"], lagged_outcome=False, beta=())
     model_based = _outcome(lambda: model_based_fat(panel, mb, h))
     if not panel.treated_blocks:
         # Both refuse a panel without treated units, each in its own words.
@@ -479,6 +494,49 @@ def test_identities_on_random_panels(case, shift):
         return
     assert (_estimate(model_based)
             == _estimate(_outcome(lambda: fat(panel, mb.forecast_config(), h))))
+
+
+# ---------------------------------------------------------------------------
+# anticipation: a shifted panel against the oracles at the shift
+
+
+def _bits(est):
+    """Everything an estimate or error reports, exactly."""
+    if hasattr(est, "treated"):
+        return _bits(est.treated), _bits(est.control), est.point, est.se, est.ci
+    return _estimate(est)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@example(case=_slow_path_example(), shift=2)
+@given(case=cases(), shift=st.integers(0, 2))
+def test_a_shifted_panel_matches_the_per_unit_oracles_at_the_shift(case, shift):
+    panel, s = case
+    config, h = _config(s), s["h"]
+    _check_fat_family(panel, s, shift)
+    _check_model_based(panel, s, shift)
+    if s["use_cov"]:
+        _same_as_het_oracle(panel, config, h, shift)
+    shifted = apply_anticipation(panel, shift)
+    assert validate(shifted, config).to_dict() == oracle_validate(panel, config, shift).to_dict()
+
+    # The panel with its dates moved by hand gives the same estimates, bit
+    # for bit, and fat on the shifted panel is the placebo at lag ``shift``.
+    by_hand = PanelData([u if u.tau is None else dataclasses.replace(u, tau=u.tau - shift)
+                         for u in panel.units], covariate_names=panel.covariate_names)
+    covs = ("x",) if s["use_cov"] else ()
+    known = MbConfig(q=s["q"], R=s["R"], covariates=covs, beta=(s["beta"],) + (0.7,) * len(covs))
+    fitted = MbConfig(q=s["q"], R=s["R"], covariates=covs, instrument_lag=s["instrument_lag"])
+    runs = [lambda p: fat(p, config, h), lambda p: placebo_fat(p, config, s["lag"], h),
+            lambda p: dfat(p, config, h), lambda p: model_based_fat(p, known, h),
+            lambda p: model_based_fat(p, fitted, h)]
+    if covs:
+        runs.append(lambda p: covariate_fat_heterogeneous(p, config, h))
+    for run in runs:
+        assert _bits(_outcome(lambda: run(shifted))) == _bits(_outcome(lambda: run(by_hand)))
+    assert (_bits(_outcome(lambda: fat(shifted, config, h)))
+            == _bits(_outcome(lambda: placebo_fat(panel, config, shift, h))))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,9 @@ worked by hand, exact algebraic identities (equivalent estimator forms,
 noiseless model recovery), and closed-form variance arithmetic.
 """
 
+import dataclasses
+import inspect
+import json
 import math
 
 import numpy as np
@@ -25,7 +28,8 @@ from fatpanel.estimators import (
     model_based_fat,
     placebo_fat,
 )
-from fatpanel.panel import PanelData, UnitSeries, apply_anticipation
+from fatpanel.cli import main
+from fatpanel.panel import PanelData, UnitSeries, apply_anticipation, validate, write_panel
 from fatpanel.simulate import DgpSpec, simulate_dgp
 from oracles import fat_balanced_avg, fat_pooled
 
@@ -330,15 +334,42 @@ def test_all_units_dropped_is_an_error():
         fat(panel, ForecastConfig(q=0, R=2), h=5)  # target period absent
 
 
-def test_anticipation_config_matches_shifted_panel():
-    rng = np.random.default_rng(21)
-    panel = random_balanced_panel(rng, n=5, T=10, tau=7)
-    cfg = ForecastConfig(q=1, R=3, delta=2)
-    via_config = fat(panel, cfg, h=1)
-    shifted = apply_anticipation(panel, 2)
-    via_panel = fat(shifted, ForecastConfig(q=1, R=3), h=1)
-    assert via_config.point == via_panel.point
-    assert via_config.se == via_panel.se
+def test_anticipation_config_matches_shifted_panel(tmp_path):
+    # The CLI's --delta, the one anticipation setting, shifts the panel
+    # once; on the shifted panel fat is the placebo at lag delta, bit for bit.
+    panel = random_balanced_panel(np.random.default_rng(21), n=5, T=10, tau=7)
+    path, out = tmp_path / "panel.csv", tmp_path / "out.json"
+    write_panel(panel, path)
+    assert main(["estimate", "--input", str(path), "--q", "1", "--r", "3", "--delta", "2",
+                 "--out-json", str(out)]) == 0
+    reported = json.loads(out.read_text())["results"][0]
+    cfg = ForecastConfig(q=1, R=3)
+    via_panel = fat(apply_anticipation(panel, 2), cfg, h=1)
+    via_placebo = placebo_fat(panel, cfg, lag=2, h=1)
+    assert ((reported["point"], reported["se"]) == (via_panel.point, via_panel.se)
+            == (via_placebo.point, via_placebo.se))
+    assert via_panel.residuals.tobytes() == via_placebo.residuals.tobytes()
+
+
+def test_a_unit_shifted_before_its_first_observation_is_dropped():
+    rng = np.random.default_rng(24)
+    units = [UnitSeries(f"u{i}", np.arange(10), rng.normal(size=10), tau=6) for i in range(3)]
+    units.append(UnitSeries("late", np.arange(5, 10), rng.normal(size=5), tau=6))
+    shifted = apply_anticipation(PanelData(units), 2)
+    est = fat(shifted, ForecastConfig(q=0, R=2))
+    assert est.unit_ids == ("u0", "u1", "u2")
+    assert est.dropped == (("late", "no observation at effective adoption date 4"),)
+    report = validate(shifted, ForecastConfig(q=0, R=2))
+    assert report.fatal_units == ("late",)
+    assert report.unit("late").messages[0] == "no observation at effective treatment date 4"
+
+
+def test_anticipation_is_no_estimator_setting():
+    # Anticipation moves the panel's dates (apply_anticipation); no
+    # estimator setting or first-stage fit carries it.
+    for cls in (ForecastConfig, MbConfig, AhEstimate):
+        assert "delta" not in {f.name for f in dataclasses.fields(cls)}, cls
+    assert "delta" not in inspect.signature(anderson_hsiao).parameters
 
 
 # ---------------------------------------------------------------------------
@@ -472,11 +503,15 @@ def test_first_stage_refuses_non_bool_detrend(detrend):
 
 @pytest.mark.parametrize("delta", [-1, 1.5, True])
 def test_first_stage_refuses_a_bad_anticipation(delta):
-    # A negative delta would pool treated periods into the fit.
+    # The first stage takes anticipation from the panel's dates only, and the
+    # shift refuses a negative one, which would pool treated periods into
+    # the fit.
     panel = _dynamic_panel(np.random.default_rng(22), n=30, T=7, rho=0.4, noise=0.5, tau=5)
     with pytest.raises(ConfigError, match="delta must be an integer >= 0"):
-        anderson_hsiao(panel, delta=delta)
-    assert anderson_hsiao(panel, delta=np.int64(1)).delta == 1
+        anderson_hsiao(apply_anticipation(panel, delta))
+    # A shift of one drops each unit's moment row at t = 5.
+    shifted = anderson_hsiao(apply_anticipation(panel, np.int64(1)))
+    assert shifted.n_obs == anderson_hsiao(panel).n_obs - 30 == 60
 
 
 def test_first_stage_detrend_none_follows_instrument_lag():
@@ -587,27 +622,30 @@ def _covariate_dynamic_panel(rng, n=40, T=9, tau=6):
 
 def test_model_based_takes_its_first_stage_as_a_value():
     panel = _covariate_dynamic_panel(np.random.default_rng(36))
-    for kw in (dict(instrument_lag=2, detrend=False), dict(covariates=("x",), delta=1)):
-        first = estimators_module._first_stage(panel, MbConfig(**kw))
+    for kw, shift in ((dict(instrument_lag=2, detrend=False), 0), (dict(covariates=("x",)), 1)):
+        shifted = apply_anticipation(panel, shift)
+        first = estimators_module._first_stage(shifted, MbConfig(**kw))
         for q, h in ((0, 1), (1, 2)):
             mb = MbConfig(q=q, R=3, **kw)
-            given = model_based_fat(panel, mb, h, first=first)
-            fitted = model_based_fat(panel, mb, h)
+            given = model_based_fat(shifted, mb, h, first=first)
+            fitted = model_based_fat(shifted, mb, h)
             assert (given.point, given.se, given.ci) == (fitted.point, fitted.se, fitted.ci)
             assert np.array_equal(given.residuals, fitted.residuals)
             assert given.unit_ids == fitted.unit_ids and given.dropped == fitted.dropped
 
 
 @pytest.mark.parametrize("other", [
-    dict(instrument_lag=3), dict(detrend=True), dict(covariates=()), dict(delta=1),
+    dict(instrument_lag=3), dict(detrend=True), dict(covariates=()), dict(shift=1),
 ])
 def test_model_based_refuses_a_first_stage_fitted_with_other_settings(other):
     panel = _covariate_dynamic_panel(np.random.default_rng(37))
-    settings = dict(instrument_lag=2, detrend=False, covariates=("x",), delta=0)
-    first = anderson_hsiao(panel, **{**settings, **other})
-    assert (first.instrument_lag, first.detrend, first.covariate_names,
-            first.delta) == tuple({**settings, **other}.values())
-    with pytest.raises(ConfigError, match="fitted with other"):
+    settings = dict(instrument_lag=2, detrend=False, covariates=("x",))
+    fitted = {**settings, **other}
+    # A fit on the panel shifted for anticipation is a fit on another panel.
+    first = anderson_hsiao(apply_anticipation(panel, fitted.pop("shift", 0)), **fitted)
+    assert (first.instrument_lag, first.detrend, first.covariate_names) == tuple(fitted.values())
+    with pytest.raises(ConfigError, match="fitted on another panel" if "shift" in other
+                       else "fitted with other"):
         model_based_fat(panel, MbConfig(q=1, R=3, **settings), first=first)
 
 

@@ -348,7 +348,7 @@ def test_validate_flags_short_and_gapped_windows():
 
 def test_validate_anticipation_moves_the_window():
     u = UnitSeries("a", times=np.arange(1, 7), outcomes=np.zeros(6), tau=5)
-    report = validate(PanelData([u]), ForecastConfig(q=0, R=3, delta=2))
+    report = validate(apply_anticipation(PanelData([u]), 2), ForecastConfig(q=0, R=3))
     assert report.unit("a").effective_tau == 3
     assert report.unit("a").pre_treatment_run == 3
 
@@ -399,14 +399,28 @@ def test_apply_anticipation():
     assert shifted.unit("a").tau == 3 and shifted.unit("b").tau == 3
     per_unit = apply_anticipation(p, {"a": 1})
     assert per_unit.unit("a").tau == 4 and per_unit.unit("b").tau == 5
-    with pytest.raises(ConfigError):
+    # No date moves: the panel itself comes back, with no new blocks.
+    assert apply_anticipation(p, 0) is p and apply_anticipation(p, {"a": 0}) is p
+    with pytest.raises(ConfigError, match=r"^delta must be an integer >= 0, got -1$"):
         apply_anticipation(p, -1)
-    with pytest.raises(PanelFormatError, match="no pre-treatment data"):
-        apply_anticipation(PanelData([unit("a", times=(4, 5, 6), tau=5)]), 2)
+    with pytest.raises(ConfigError, match=r"^delta for unit 'b' must be an integer >= 0"):
+        apply_anticipation(p, {"a": 1, "b": -1})
+    # A unit left with no observation at its shifted date is kept, for the
+    # estimators to drop and validate to flag; an undated control is left
+    # alone.
     c = UnitSeries("c", times=np.arange(1, 4), outcomes=np.zeros(3),
                    tau=None, is_control=True)
-    with pytest.raises(PanelFormatError, match="needs a treatment date"):
-        apply_anticipation(PanelData([c]), 1)
+    kept = apply_anticipation(PanelData([unit("a", times=(4, 5, 6), tau=5), c]), 2)
+    assert kept.unit("a").tau == 3 and kept.unit("c").tau is None
+    only_control = PanelData([c])
+    assert apply_anticipation(only_control, 1) is only_control
+    assert apply_anticipation(only_control, {"c": 1}) is only_control
+
+
+def test_apply_anticipation_refuses_a_key_that_names_no_unit():
+    p = PanelData([unit("a"), unit("b")])
+    with pytest.raises(ConfigError, match=r"delta names units not in the panel: \['typo'\]"):
+        apply_anticipation(p, {"a": 1, "typo": 3})
 
 
 @pytest.mark.parametrize("delta", [1.5, 1.0, True, "1", {"a": 1.5}, {"b": True}])

@@ -1,9 +1,10 @@
 """Property tests: block-native ``validate`` and panel transforms against per-unit oracles.
 
-The oracles below are the per-unit forms of ``validate``,
-``reindex_time_to_adoption`` and ``apply_anticipation``: they walk the
-panel's ``UnitSeries`` one at a time and rebuild the result through
-``PanelData(units)``.  Random staggered panels (late starts, interior
+The oracles below, and ``oracle_validate`` in ``oracles.py``, are the
+per-unit forms of ``reindex_time_to_adoption``, ``apply_anticipation`` and
+``validate``: they walk the panel's ``UnitSeries`` one at a time and
+rebuild the result through ``PanelData(units)``.  ``validate`` runs on the
+shifted panel and its oracle on the original one with the same shift.  Random staggered panels (late starts, interior
 gaps, covariate holes and units without covariates, controls with and
 without a date, dates outside the observed periods) are built from a few
 unit templates assigned in random order, either through
@@ -23,76 +24,13 @@ from hypothesis import strategies as st
 
 from fatpanel.basis import ForecastConfig
 from fatpanel.errors import ConfigError, PanelFormatError
-from fatpanel.panel import (CohortBlock, PanelData, UnitDiagnostics, UnitSeries,
-                            ValidationReport, apply_anticipation,
+from fatpanel.panel import (CohortBlock, PanelData, UnitSeries, apply_anticipation,
                             reindex_time_to_adoption, validate)
+from oracles import oracle_validate
 
 
 # ---------------------------------------------------------------------------
 # the per-unit oracles
-
-
-def _delta_for(unit_id, delta):
-    if isinstance(delta, Mapping):
-        return int(delta.get(unit_id, 0))
-    return int(delta)
-
-
-def _contiguous_run_ending(u, time):
-    i = int(np.searchsorted(u.times, time))
-    if i >= u.times.size or u.times[i] != time:
-        return 0
-    run = 1
-    while i - run >= 0 and u.times[i - run] == u.times[i] - run:
-        run += 1
-    return run
-
-
-def oracle_validate(panel, config):
-    q = config.basis.order
-    diags = []
-    for u in panel.units:
-        messages = []
-        fatal = False
-        eff_tau = None
-        run = 0
-        required = config.R if isinstance(config.R, int) else None
-        if u.tau is None:
-            messages.append("no treatment date")
-            if not u.is_control:
-                fatal = True
-        else:
-            eff_tau = u.tau - _delta_for(u.unit_id, config.delta)
-            run = _contiguous_run_ending(u, eff_tau)
-            if run == 0:
-                messages.append(f"no observation at effective treatment date {eff_tau}")
-        short = u.tau is not None and required is not None and run < required
-        needed = required if required is not None else q + 1
-        window_gap = False
-        if u.tau is not None and run < needed and run > 0:
-            window_gap = bool(u.times.min() < eff_tau - run + 1)
-        if short:
-            messages.append(
-                f"contiguous pre-treatment run of {run} is shorter than R={required}"
-            )
-        if u.tau is not None and run < q + 1:
-            fatal = True
-            messages.append(f"fewer than q+1={q + 1} usable pre-treatment periods")
-        series_gaps = bool(u.times.size > 1 and np.any(np.diff(u.times) > 1))
-        if u.covariates is None:
-            cov_complete = panel.covariate_names == ()
-        else:
-            cov_complete = not np.isnan(u.covariates).any()
-        if not cov_complete:
-            messages.append("incomplete covariates")
-        diags.append(UnitDiagnostics(
-            unit_id=u.unit_id, tau=u.tau, effective_tau=eff_tau,
-            pre_treatment_run=run, required_window=required, short_window=short,
-            window_gap=window_gap, series_gaps=series_gaps,
-            covariates_complete=cov_complete, fatal=fatal,
-            messages=tuple(messages)))
-    return ValidationReport(units=tuple(diags), balanced=panel.is_balanced(),
-                            common_tau=panel.common_tau())
 
 
 def oracle_reindex(panel):
@@ -108,24 +46,19 @@ def oracle_reindex(panel):
 
 
 def oracle_anticipation(panel, delta):
-    units = []
-    for u in panel.units:
-        d = _delta_for(u.unit_id, delta)
+    shifts = delta if isinstance(delta, Mapping) else {u.unit_id: delta for u in panel.units}
+    for uid, d in shifts.items():
         if d < 0:
-            raise ConfigError(f"unit {u.unit_id!r}: anticipation must be >= 0")
-        if d == 0:
-            units.append(u)
-            continue
-        if u.tau is None:
-            raise PanelFormatError(
-                f"unit {u.unit_id!r}: anticipation needs a treatment date"
-            )
-        new_tau = u.tau - d
-        if not np.any(u.times <= new_tau):
-            raise PanelFormatError(
-                f"unit {u.unit_id!r}: anticipation {d} leaves no pre-treatment data"
-            )
-        units.append(dataclasses.replace(u, tau=new_tau))
+            name = f"delta for unit {uid!r}" if isinstance(delta, Mapping) else "delta"
+            raise ConfigError(f"{name} must be an integer >= 0, got {d!r}")
+    unknown = [uid for uid in shifts if uid not in {u.unit_id for u in panel.units}]
+    if unknown:
+        raise ConfigError(f"delta names units not in the panel: {unknown}")
+    dated = [u for u in panel.units if u.tau is not None]
+    if not any(shifts.get(u.unit_id, 0) for u in dated):
+        return panel
+    units = [u if u.tau is None else dataclasses.replace(u, tau=u.tau - shifts.get(u.unit_id, 0))
+             for u in panel.units]
     return PanelData(units, time_unit=panel.time_unit,
                      covariate_names=panel.covariate_names)
 
@@ -219,8 +152,9 @@ shifts = st.sampled_from([0, 1, 1, 2, -1])
 def test_block_native_panel_functions_match_per_unit_oracles(panel, q, R, delta, data):
     if data.draw(st.booleans(), label="by unit"):
         # Mostly one shift per block, so shifted cohorts can merge, with
-        # some units split off, some left out (shift 0) and an unknown id.
-        shift = {"nobody": 1}
+        # some units split off, some left out (shift 0) and, at times, an
+        # unknown id.
+        shift = {"nobody": 1} if data.draw(st.integers(0, 3)) == 0 else {}
         for b in panel.treated_blocks + panel.control_blocks:
             s = data.draw(shifts)
             for uid in b.unit_ids.tolist():
@@ -231,14 +165,14 @@ def test_block_native_panel_functions_match_per_unit_oracles(panel, q, R, delta,
         shift = data.draw(shifts, label="shift")
     if R != "all":
         R = max(R, q + 1)
-    config = ForecastConfig(q=q, R=R, delta=delta)
-    assert (report_json(outcome(lambda: validate(panel, config)))
-            == report_json(outcome(lambda: oracle_validate(panel, config))))
+    config = ForecastConfig(q=q, R=R)
+    assert (report_json(outcome(lambda: validate(apply_anticipation(panel, delta), config)))
+            == report_json(outcome(lambda: oracle_validate(panel, config, delta))))
     assert (layout(outcome(lambda: reindex_time_to_adoption(panel)))
             == layout(outcome(lambda: oracle_reindex(panel))))
     shifted = outcome(lambda: apply_anticipation(panel, shift))
     assert layout(shifted) == layout(outcome(lambda: oracle_anticipation(panel, shift)))
-    if isinstance(shifted, PanelData):
+    if isinstance(shifted, PanelData) and shifted is not panel:
         # The result's blocks are those of its own units, regrouped.
         assert layout(shifted) == layout(PanelData(list(shifted.units), shifted.time_unit,
                                                    shifted.covariate_names))

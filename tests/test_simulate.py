@@ -404,8 +404,8 @@ def test_monte_carlo_fits_one_first_stage_per_group(monkeypatch):
     assert sum(c.estimator == "mb" for c in cells) == 8
     run_monte_carlo(dataclasses.replace(spec, n=40), cells, n_reps=chunk + 3,
                     master_seed=0)
-    assert fits == [(chunk, 3, True, [], 0), (chunk, 2, False, [], 0),
-                    (3, 3, True, [], 0), (3, 2, False, [], 0)]
+    assert fits == [(chunk, 3, True, []), (chunk, 2, False, []),
+                    (3, 3, True, []), (3, 2, False, [])]
 
 
 def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(monkeypatch):
@@ -437,7 +437,7 @@ def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(mo
     panels = [flat_replication_2(spec, np.random.SeedSequence(entropy=3, spawn_key=(r,)))
               for r in range(5)]
     stacked = [np.stack([p.treated_blocks[0].outcomes for p in panels])]
-    beta, _, psi, _, _, _ = estimators_module._ah_fit(panels[0], stacked, 3, True, [], 0)
+    beta, _, psi, _, _, _ = estimators_module._ah_fit(panels[0], stacked, 3, True, [])
     assert np.isnan(beta[2]).all() and np.isnan(psi[2]).all()
     for r in (0, 1, 3, 4):
         one = estimators_module.anderson_hsiao(panels[r], 3, True)

@@ -324,15 +324,15 @@ def binomial_weights(q: int, tau: int = 0) -> ForecastWeights:
     return ForecastWeights(times=times, weights=w, target=float(tau + 1))
 
 
-def fit_and_forecast(y, config: ForecastConfig, target, times) -> float:
+def fit_and_forecast(y, basis: BasisSpec, target, times) -> float:
     """Fit the window regression and evaluate it at ``target``.
 
     Parameters
     ----------
     y : array-like
         Outcomes over the estimation window, oldest first.
-    config : ForecastConfig
-        Basis settings.
+    basis : BasisSpec
+        Time basis of the window regression.
     target : int or float
         Period to forecast.
     times : array-like
@@ -348,7 +348,7 @@ def fit_and_forecast(y, config: ForecastConfig, target, times) -> float:
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 1 or yv.size == 0:
         raise ConfigError("y must be a non-empty 1-D array")
-    t = _window_array(times, config.basis)
+    t = _window_array(times, basis)
     if t.size != yv.size:
         raise ConfigError("times and y must have the same length")
-    return float(forecast_weights(config.basis, t, target).weights @ yv)
+    return float(forecast_weights(basis, t, target).weights @ yv)

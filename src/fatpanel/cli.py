@@ -21,8 +21,9 @@ validate   --input --q --r --delta                           schema
 placebo estimates over a lag grid at one horizon, ``dfat`` treated-minus-
 control differences, ``simulate`` a Monte Carlo study from a named preset
 or an inline process spec, and ``validate`` per-unit data diagnostics for
-one q.  ``estimate`` and ``placebo`` report a (q, horizon) pair or a lag
-that cannot be estimated with its error, and fail only when all do.
+one q.  ``estimate``, ``placebo`` and ``dfat`` report a (q, horizon) pair
+or a lag that cannot be estimated with its error, and fail only when all
+do.
 ``--delta`` shifts every dated unit's treatment date back once, when the
 panel is read; ``validate`` still reports the recorded dates.
 
@@ -47,11 +48,12 @@ from typing import Mapping, Sequence, Union
 from .basis import ForecastConfig, as_integer
 from .errors import (ConfigError, EstimationError, PanelFormatError,
                      RankDeficiencyError)
-from .estimators import (AhEstimate, FatEstimate, MbConfig, _first_stage,
+from . import estimators
+from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
                          covariate_fat_heterogeneous, dfat, fat, model_based_fat,
                          placebo_fat)
 from .panel import PanelData, apply_anticipation, load_panel, validate
-from .simulate import DgpSpec, GridCell, preset, run_monte_carlo
+from .simulate import REPORT_SCHEMA, DgpSpec, GridCell, preset, run_monte_carlo
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -114,9 +116,7 @@ class RunConfig:
         return ForecastConfig(q=q, R=self.r)
 
     def mb_config(self, q: int) -> MbConfig:
-        return MbConfig(q=q, R=self.r, covariates=tuple(self.mb_covariates),
-                        instrument_lag=self.instrument_lag,
-                        detrend=self.detrend)
+        return MbConfig(q=q, R=self.r, covariates=tuple(self.mb_covariates))
 
 
 # Aliases so the file can use the same spelling as the flag.
@@ -238,7 +238,7 @@ def _estimate_one(panel: PanelData, cfg: RunConfig, q: int, h: int,
 
 def _base_payload(cfg: RunConfig, kind: str) -> dict:
     return {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "kind": kind,
         "command": cfg.command,
         "input": cfg.input,
@@ -255,9 +255,10 @@ def _base_payload(cfg: RunConfig, kind: str) -> dict:
 
 def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
     """Write one result per cell, ``(key, CSV row prefix, estimate thunk)``,
-    and the residual CSV.  A cell whose estimate fails is reported with its
-    error; after writing, the command fails, with the first cell's error,
-    only when every cell failed."""
+    and the residual CSV, where a dfat row names its group after the
+    prefix.  A cell whose estimate fails is reported with its error; after
+    writing, the command fails, with the first cell's error, only when
+    every cell failed."""
     results, rows, failures = [], [], []
     for key, prefix, run in cells:
         try:
@@ -267,8 +268,10 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
             failures.append(exc)
             continue
         results.append({**key, **est.to_dict()})
-        rows += [(*prefix, unit_id, float(resid))
-                 for unit_id, resid in zip(est.unit_ids, est.residuals)]
+        parts = (((("treated",), est.treated), (("control",), est.control))
+                 if isinstance(est, DfatEstimate) else (((), est),))
+        rows += [(*prefix, *group, unit_id, float(resid)) for group, part in parts
+                 for unit_id, resid in zip(part.unit_ids, part.residuals)]
     _emit(cfg, {**_base_payload(cfg, kind), "results": results},
           _residual_csv(rows, header))
     if len(failures) == len(results):
@@ -278,8 +281,13 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
 
 def cmd_estimate(cfg: RunConfig) -> int:
     panel = _read_panel(cfg)
-    # The first stage depends on neither q nor h: one fit serves every pair.
-    first = _first_stage(panel, cfg.mb_config(cfg.q[0])) if cfg.estimator == "mb" else None
+    first = None
+    if cfg.estimator == "mb":
+        cfg.mb_config(cfg.q[0])  # a bad q or R exits 1 before the fit is tried
+        # The first stage depends on neither q nor h: one fit serves every
+        # pair.  It is looked up on its module, where a tracer wraps it.
+        first = estimators.anderson_hsiao(panel, cfg.instrument_lag, cfg.detrend,
+                                          cfg.mb_covariates)
     return _run_grid(cfg, "estimates", (
         ({"q": q, "R": cfg.r, "horizon": h}, (q, cfg.r, h),
          lambda q=q, h=h: _estimate_one(panel, cfg, q, h, first))
@@ -298,26 +306,11 @@ def cmd_placebo(cfg: RunConfig) -> int:
 
 def cmd_dfat(cfg: RunConfig) -> int:
     panel = _read_panel(cfg)
-    results = []
-    residual_rows = []
-    for q in cfg.q:
-        config = cfg.forecast_config(q)
-        for h in cfg.horizons:
-            est = dfat(panel, config, h, level=cfg.level)
-            entry = {"q": q, "R": cfg.r}
-            entry.update(est.to_dict())
-            results.append(entry)
-            for group, part in (("treated", est.treated),
-                                ("control", est.control)):
-                for unit_id, resid in zip(part.unit_ids, part.residuals):
-                    residual_rows.append(
-                        (q, cfg.r, h, group, unit_id, float(resid)))
-    payload = _base_payload(cfg, "dfat")
-    payload["results"] = results
-    csv_text = _residual_csv(
-        residual_rows, ("q", "R", "horizon", "group", "unit", "residual"))
-    _emit(cfg, payload, csv_text)
-    return EXIT_OK
+    return _run_grid(cfg, "dfat", (
+        ({"q": q, "R": cfg.r, "horizon": h}, (q, cfg.r, h),
+         lambda q=q, h=h: dfat(panel, cfg.forecast_config(q), h, level=cfg.level))
+        for q in cfg.q for h in cfg.horizons),
+        ("q", "R", "horizon", "group", "unit", "residual"))
 
 
 def _cells_from_config(cfg: RunConfig) -> tuple:
@@ -364,7 +357,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     panel = _read_panel(cfg)
     report = validate(panel, cfg.forecast_config(q))
     payload = {
-        "schema": 1,
+        "schema": REPORT_SCHEMA,
         "kind": "validation",
         "command": cfg.command,
         "input": cfg.input,

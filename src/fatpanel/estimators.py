@@ -132,9 +132,9 @@ class AhEstimate:
     ``positions[i]`` (increasing): the estimation error of ``beta`` is their
     average, so the model-based variance correction gathers them by
     position.  ``covariate_names``, ``instrument_lag`` and ``detrend`` are
-    the fit's settings and ``panel`` the panel it was fitted on, which
-    ``model_based_fat`` checks against its own when given the fit as
-    ``first``.
+    the fit's settings and ``panel`` the panel it was fitted on;
+    ``model_based_fat`` checks the panel and the covariates against its own
+    when given the fit as ``first``.
     """
 
     beta: np.ndarray
@@ -170,12 +170,6 @@ class MbConfig:
     covariates : tuple of str
         Panel covariate columns entering the model with common
         coefficients.
-    instrument_lag : {2, 3}
-        Outcome lag used to instrument the differenced lagged outcome.
-    detrend : bool or None
-        Include an intercept in the differenced first stage, which absorbs
-        a linear time trend in levels.  Defaults to True exactly when
-        ``instrument_lag`` is 3 (a trend-robust instrument choice).
     beta : tuple of float, optional
         Known common coefficients, lagged outcome first; the plain variance
         applies.  None (the default) fits them with ``anderson_hsiao``, which
@@ -186,15 +180,10 @@ class MbConfig:
     R: int | str = "all"
     lagged_outcome: bool = True
     covariates: tuple[str, ...] = ()
-    instrument_lag: int = 3
-    detrend: bool | None = None
     beta: tuple[float, ...] | None = None
 
     def __post_init__(self):
         self.forecast_config()  # refuses bad q and R
-        lag, detrend = _ah_settings(self.instrument_lag, self.detrend)
-        object.__setattr__(self, "instrument_lag", lag)
-        object.__setattr__(self, "detrend", detrend)
         object.__setattr__(self, "covariates", tuple(self.covariates))
         k = int(self.lagged_outcome) + len(self.covariates)
         if self.beta is not None:
@@ -210,19 +199,6 @@ class MbConfig:
     def forecast_config(self) -> ForecastConfig:
         """Window settings of the polynomial remainder fit."""
         return ForecastConfig(q=self.q, R=self.R)
-
-
-def _ah_settings(instrument_lag, detrend) -> tuple[int, bool]:
-    """The checked instrument lag, and ``detrend`` with None resolved to
-    ``instrument_lag == 3``."""
-    lag = as_integer("instrument_lag", instrument_lag, "2 or 3")
-    if lag not in (2, 3):
-        raise ConfigError(f"instrument_lag must be 2 or 3, got {instrument_lag!r}")
-    if detrend is None:
-        return lag, lag == 3
-    if not isinstance(detrend, bool):
-        raise ConfigError(f"detrend must be true, false or None, got {detrend!r}")
-    return lag, detrend
 
 
 # ---------------------------------------------------------------------------
@@ -706,6 +682,19 @@ def _covariate_columns(panel: PanelData, names: Sequence[str]) -> list[int]:
     return [panel.covariate_names.index(c) for c in names]
 
 
+def _ah_settings(instrument_lag, detrend) -> tuple[int, bool]:
+    """The checked instrument lag, and ``detrend`` with None resolved to
+    ``instrument_lag == 3``."""
+    lag = as_integer("instrument_lag", instrument_lag, "2 or 3")
+    if lag not in (2, 3):
+        raise ConfigError(f"instrument_lag must be 2 or 3, got {instrument_lag!r}")
+    if detrend is None:
+        return lag, lag == 3
+    if not isinstance(detrend, bool):
+        raise ConfigError(f"detrend must be true, false or None, got {detrend!r}")
+    return lag, detrend
+
+
 def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
                    detrend: bool | None = None,
                    covariates: Sequence[str] = ()) -> AhEstimate:
@@ -713,10 +702,12 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
 
     Differences the model y_t = rho * y_{t-1} + x_t' theta + (unit trend)
     and instruments the differenced lagged outcome with the level outcome
-    ``instrument_lag`` periods back, pooling all pre-treatment observations
-    of treated units.  With ``detrend`` an intercept enters the differenced
-    equation (absorbing a linear trend in levels) and joins the instrument
-    set; covariates enter differenced, instrumented by their first lag.
+    ``instrument_lag`` (2 or 3) periods back, pooling all pre-treatment
+    observations of treated units.  With ``detrend`` an intercept enters the
+    differenced equation (absorbing a linear trend in levels) and joins the
+    instrument set; None, the default, detrends exactly when
+    ``instrument_lag`` is 3 (a trend-robust instrument choice).  Covariates
+    enter differenced, instrumented by their first lag.
 
     A nearly singular first stage is flagged as ``weak`` but still solved,
     since weak-instrument noise is informative in itself.
@@ -811,25 +802,25 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
     influence vectors; with a known ``mb.beta`` the correction is zero and
     the plain variance applies.
 
-    ``first``, the ``anderson_hsiao`` fit of ``panel`` with ``mb``'s
-    settings, is fitted here when omitted, so that callers can share one
-    fit; one of another panel object or with other settings, or beside a
-    known beta, is refused.
+    ``first``, an ``anderson_hsiao`` fit of ``panel`` with ``mb``'s
+    covariates, lets callers share one fit and choose its instrument lag
+    and detrending; when omitted, the fit at ``anderson_hsiao``'s defaults
+    is made here.  One of another panel object or with other covariates,
+    or beside a known beta, is refused.
 
     With no lagged outcome, no covariates, and beta empty this reproduces
     ``fat`` residual for residual.
     """
     h = as_count("h", h, 1)
     if first is None:
-        first = _first_stage(panel, mb)
+        if mb.beta is None:
+            first = anderson_hsiao(panel, covariates=mb.covariates)
     elif mb.beta is not None:
         raise ConfigError("a known beta takes no fitted first stage")
     elif first.panel is not panel:
         raise ConfigError("the first stage was fitted on another panel")
-    elif ((first.instrument_lag, first.detrend, first.covariate_names)
-          != (mb.instrument_lag, mb.detrend, mb.covariates)):
-        raise ConfigError("the first stage was fitted with other instrument_lag, "
-                          "detrend or covariates than mb")
+    elif first.covariate_names != mb.covariates:
+        raise ConfigError("the first stage was fitted with other covariates than mb")
     beta = np.asarray(mb.beta, dtype=float) if first is None else first.beta
     cov_idx = _covariate_columns(panel, mb.covariates)
     if not panel.treated_blocks:
@@ -837,13 +828,6 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
     res = _kernel(panel.treated_blocks, mb.forecast_config(), h,
                   lagged=mb.lagged_outcome, cov_idx=cov_idx)(beta)
     return _summarize(res, h, level, first)
-
-
-def _first_stage(panel: PanelData, mb: MbConfig) -> AhEstimate | None:
-    """The first stage ``mb`` fits on ``panel``; None when beta is known."""
-    if mb.beta is not None:
-        return None
-    return anderson_hsiao(panel, mb.instrument_lag, mb.detrend, mb.covariates)
 
 
 def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,

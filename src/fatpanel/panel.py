@@ -186,9 +186,7 @@ class PanelData:
     units : iterable of UnitSeries
         Unit identifiers must be unique; insertion order is preserved and
         determines every deterministic aggregation order downstream.
-    time_unit : str
-        Label for the period unit (informational).
-    covariate_names : sequence of str
+    covariate_names : sequence of str, keyword-only
         Names for the covariate columns carried by the units.
 
     The units are grouped into ``CohortBlock``s keyed by (control flag,
@@ -197,8 +195,7 @@ class PanelData:
     built on first access, as views on the block rows.
     """
 
-    def __init__(self, units: Iterable[UnitSeries], time_unit: str = "period",
-                 covariate_names: Iterable[str] = ()):
+    def __init__(self, units: Iterable[UnitSeries], *, covariate_names: Iterable[str] = ()):
         units = tuple(units)
         names = tuple(covariate_names)
         groups: dict[tuple, list[int]] = {}
@@ -208,11 +205,11 @@ class PanelData:
             k = len(names) if u.covariates is None else u.covariates.shape[1]
             groups.setdefault((u.is_control, u.tau, u.times.tobytes(), k), []).append(i)
         self._install([_cohort_block(units, positions, key[-1])
-                       for key, positions in groups.items()], time_unit, names)
+                       for key, positions in groups.items()], names)
         self._units = units
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[CohortBlock], time_unit: str = "period",
+    def from_blocks(cls, blocks: Iterable[CohortBlock], *,
                     covariate_names: Iterable[str] = ()) -> PanelData:
         """A panel made of ``blocks``, with no ``UnitSeries`` built.
 
@@ -221,12 +218,11 @@ class PanelData:
         Treated and control blocks keep the order they are given in.
         """
         panel = cls.__new__(cls)
-        panel._install(tuple(blocks), time_unit, tuple(covariate_names))
+        panel._install(tuple(blocks), tuple(covariate_names))
         panel._units = None
         return panel
 
-    def _install(self, blocks: Sequence[CohortBlock], time_unit: str,
-                 names: tuple[str, ...]) -> None:
+    def _install(self, blocks: Sequence[CohortBlock], names: tuple[str, ...]) -> None:
         if not blocks:
             raise PanelFormatError("panel has no units")
         positions = np.concatenate([b.positions for b in blocks])
@@ -250,7 +246,6 @@ class PanelData:
         self._n = n
         self._blocks = tuple(blocks)
         self._dense = self._treated = self._controls = self._by_id = None
-        self.time_unit = str(time_unit)
         self.covariate_names = names
         #: Cohort blocks of treated and of control units, each in order of
         #: first appearance.
@@ -326,8 +321,7 @@ class PanelData:
         return self._dense
 
 
-def load_panel(source, schema: Mapping[str, object] | None = None,
-               time_unit: str = "period") -> PanelData:
+def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     """Read a panel from a delimited text file or stream.
 
     Parameters
@@ -338,8 +332,6 @@ def load_panel(source, schema: Mapping[str, object] | None = None,
         Renames columns: keys among ``unit``, ``time``, ``outcome``,
         ``treated_at``, ``control_flag``, plus ``covariates`` (a list of
         column names).  Unnamed extra columns become covariates.
-    time_unit : str
-        Informational label stored on the panel.
 
     The rows are read in slices of a fixed number of records and turned
     into columns at once, so a load never holds the text of the whole
@@ -365,12 +357,12 @@ def load_panel(source, schema: Mapping[str, object] | None = None,
         string, or its ``covariates`` is not a list of strings.
     """
     if hasattr(source, "read"):
-        return _load_stream(source, schema, time_unit)
+        return _load_stream(source, schema)
     with open(os.fspath(source), newline="", encoding="utf-8") as fh:
-        return _load_stream(fh, schema, time_unit)
+        return _load_stream(fh, schema)
 
 
-def _load_stream(fh: TextIO, schema, time_unit) -> PanelData:
+def _load_stream(fh: TextIO, schema) -> PanelData:
     rows = read_rows(fh, schema)
     lengths = np.diff(np.r_[rows.starts, rows.times.size])
     groups: dict[tuple, list[int]] = {}
@@ -387,7 +379,7 @@ def _load_stream(fh: TextIO, schema, time_unit) -> PanelData:
             outcomes=rows.outcomes[at],
             covariates=rows.covariates[at] if rows.covariate_names else None,
             positions=codes, unit_ids=ids[codes]))
-    return PanelData.from_blocks(blocks, time_unit, rows.covariate_names)
+    return PanelData.from_blocks(blocks, covariate_names=rows.covariate_names)
 
 
 def write_panel(panel: PanelData, dest) -> None:
@@ -548,7 +540,7 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
     )
 
 
-def _regrouped(pieces: list[tuple], panel: PanelData, time_unit: str) -> PanelData:
+def _regrouped(pieces: list[tuple], panel: PanelData) -> PanelData:
     """A panel of ``pieces``, grouped into blocks as ``PanelData(units)`` would.
 
     A piece is (block, rows, tau, times): the ``rows`` of ``block``, to carry
@@ -573,7 +565,7 @@ def _regrouped(pieces: list[tuple], panel: PanelData, time_unit: str) -> PanelDa
             covariates=gather("covariates")[order] if panel.covariate_names else None,
             positions=positions[order], unit_ids=gather("unit_ids")[order]))
     blocks.sort(key=lambda b: b.positions[0])
-    return PanelData.from_blocks(blocks, time_unit, panel.covariate_names)
+    return PanelData.from_blocks(blocks, covariate_names=panel.covariate_names)
 
 
 def reindex_time_to_adoption(panel: PanelData) -> PanelData:
@@ -588,10 +580,7 @@ def reindex_time_to_adoption(panel: PanelData) -> PanelData:
         raise PanelFormatError(
             f"cannot reindex: units without a treatment date: {[uid for _, uid in missing]}"
         )
-    return _regrouped(
-        [(b, slice(None), 0, b.times - b.tau) for b in panel._blocks], panel,
-        f"{panel.time_unit} (event time)"
-        if "(event time)" not in panel.time_unit else panel.time_unit)
+    return _regrouped([(b, slice(None), 0, b.times - b.tau) for b in panel._blocks], panel)
 
 
 def apply_anticipation(panel: PanelData, delta) -> PanelData:
@@ -625,4 +614,4 @@ def apply_anticipation(panel: PanelData, delta) -> PanelData:
         pieces += [(b, per_row == d, b.tau - d, b.times) for d in np.unique(per_row).tolist()]
     if all(b.tau == tau for b, _, tau, _ in pieces):
         return panel
-    return _regrouped(pieces, panel, panel.time_unit)
+    return _regrouped(pieces, panel)

@@ -27,15 +27,19 @@ import numpy as np
 
 from .basis import ForecastConfig, as_count
 from .errors import ConfigError, EstimationError, RankDeficiencyError
-# fat, placebo_fat, dfat and model_based_fat are not called here but stay
-# importable from this module.
-from .estimators import (MbConfig, _ah_fit, _interval, _kernel, _point_se, dfat, fat,
-                         model_based_fat, placebo_fat)
+# fat, placebo_fat, dfat and model_based_fat are not called here, but the
+# benchmark's tracer (perfbench/spans.py) wraps each of them as an attribute
+# of this module, and a traced run fails if one is missing.
+from .estimators import (_ah_fit, _ah_settings, _interval, _kernel, _point_se, dfat,
+                         fat, model_based_fat, placebo_fat)
 from .panel import CohortBlock, PanelData
 
 # A parameter that is either common to all units or drawn per unit from a
 # uniform interval (lo, hi).
 ParamLaw = Union[float, tuple]
+
+#: Layout version of every JSON report, ``McReport``'s and the CLI's.
+REPORT_SCHEMA = 1
 
 
 @dataclass(frozen=True)
@@ -304,7 +308,7 @@ class McReport:
 
     def to_dict(self) -> dict:
         return {
-            "schema": 1,
+            "schema": REPORT_SCHEMA,
             "kind": "mc_report",
             "preset": self.preset,
             "master_seed": self.master_seed,
@@ -370,17 +374,19 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
         raise ConfigError("grid cell names collide; set distinct group labels")
 
     truths = [0.0 if c.estimator == "placebo" else spec.true_att for c in cells]
-    configs = [MbConfig(q=c.q, R=c.R, instrument_lag=c.instrument_lag,
-                        detrend=c.detrend) if c.estimator == "mb"
-               else ForecastConfig(q=c.q, R=c.R) for c in cells]
+    # Each cell's window, and an mb cell's first-stage key, checked in cell
+    # order before the first replication.
+    configs = [(ForecastConfig(q=c.q, R=c.R),
+                _ah_settings(c.instrument_lag, c.detrend) if c.estimator == "mb" else None)
+               for c in cells]
     # (point, se, interval covers the truth) of each replication a cell ran
     done: list[list[tuple]] = [[] for _ in cells]
     for start in range(0, n_reps, _CHUNK):
         reps = range(start, min(start + _CHUNK, n_reps))
         (panel, stacks), fits = _simulate_chunk(spec, master_seed, reps), {}
-        for j, (cell, config) in enumerate(zip(cells, configs)):
+        for j, (cell, (config, key)) in enumerate(zip(cells, configs)):
             try:
-                point, se = _chunk_estimates(panel, stacks, cell, config, fits)
+                point, se = _chunk_estimates(panel, stacks, cell, config, key, fits)
             except (EstimationError, RankDeficiencyError):
                 continue
             lo, hi = _interval(point, se, 0.95)
@@ -421,19 +427,20 @@ def _simulate_chunk(spec: DgpSpec, master_seed: int, reps: range):
     return panel, stacks
 
 
-def _chunk_estimates(panel: PanelData, stacks, cell: GridCell, config, fits: dict):
+def _chunk_estimates(panel: PanelData, stacks, cell: GridCell, config: ForecastConfig,
+                     key, fits: dict):
     """Point estimates and standard errors of ``cell`` in each replication
     of a chunk, laid out on ``panel`` and applied to ``stacks`` (the chunk's
     outcomes, block by block, treated first); NaN where the first stage is
-    singular.  ``fits`` keeps the mb groups' first stages."""
+    singular.  ``fits`` keeps the mb groups' first stages by ``key``, an mb
+    cell's (instrument lag, detrend)."""
     treated = panel.treated_blocks
     outcomes, control_outcomes = stacks[:len(treated)], stacks[len(treated):]
     if cell.estimator == "mb":
-        key = (config.instrument_lag, config.detrend)
         if key not in fits:  # a fit that raises is tried again by each cell
             fits[key] = _ah_fit(panel, outcomes, *key, [])
         beta, _, psi, at, _, _ = fits[key]
-        apply = _kernel(treated, config.forecast_config(), cell.h, lagged=True)
+        apply = _kernel(treated, config, cell.h, lagged=True)
         return _point_se(apply(beta, outcomes), (psi, at), _ARRAY_SUM)
     lag = cell.lag if cell.estimator == "placebo" else 0
     point, se = _point_se(_kernel(treated, config, cell.h, tau_shift=lag)(outcomes=outcomes),

@@ -25,8 +25,8 @@ import numpy as np
 from fatpanel.basis import (_RANK_RTOL, BasisSpec, ForecastConfig, _solver_design,
                            forecast_weights)
 from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
-from fatpanel.estimators import (MbConfig, _DropUnit, _first_stage, _resolve, _Residuals,
-                                 _summarize, dfat, fat, model_based_fat, placebo_fat)
+from fatpanel.estimators import (MbConfig, _DropUnit, _resolve, _Residuals, _summarize,
+                                 anderson_hsiao, dfat, fat, model_based_fat, placebo_fat)
 from fatpanel.panel import CohortBlock, PanelData, UnitDiagnostics, ValidationReport
 from fatpanel import simulate as simulate_module
 from fatpanel.simulate import McCellResult, McReport
@@ -252,18 +252,19 @@ def oracle_validate(panel: PanelData, config: ForecastConfig, shift: int = 0):
 
 
 def _evaluate_cell(panel: PanelData, cell, config, first_stages: dict):
-    """The cell's estimate on ``panel``; mb cells share the fits (or the
-    errors) kept by group in ``first_stages``."""
+    """The cell's estimate on ``panel``; mb cells share the ``anderson_hsiao``
+    fits (or the errors) with their instrument lag and detrend setting, kept
+    in ``first_stages``."""
     if cell.estimator == "pr":
         return fat(panel, config, h=cell.h)
     if cell.estimator == "placebo":
         return placebo_fat(panel, config, lag=cell.lag, h=cell.h)
     if cell.estimator == "dfat":
         return dfat(panel, config, h=cell.h)
-    key = (config.instrument_lag, config.detrend, config.covariates)
+    key = (cell.instrument_lag, cell.detrend)
     if key not in first_stages:
         try:
-            first_stages[key] = _first_stage(panel, config)
+            first_stages[key] = anderson_hsiao(panel, *key)
         except (EstimationError, RankDeficiencyError) as exc:
             first_stages[key] = exc
     if isinstance(first_stages[key], Exception):
@@ -278,8 +279,7 @@ def monte_carlo_per_replication(spec, cells, n_reps: int, master_seed: int,
     one first stage per group and replication."""
     cells = tuple(cells)
     truths = [0.0 if c.estimator == "placebo" else spec.true_att for c in cells]
-    configs = [MbConfig(q=c.q, R=c.R, instrument_lag=c.instrument_lag,
-                        detrend=c.detrend) if c.estimator == "mb"
+    configs = [MbConfig(q=c.q, R=c.R) if c.estimator == "mb"
                else ForecastConfig(q=c.q, R=c.R) for c in cells]
     # (point, se, interval covers the truth) of each replication a cell ran
     done = [[] for _ in cells]

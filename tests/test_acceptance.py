@@ -98,8 +98,7 @@ def test_c01_weight_algebra():
         if np.max(np.abs(w_ols - w_binom)) >= 1e-8:
             failures.append(f"q={q}: closed form differs from OLS weights")
         y = rng.normal(size=q + 1)
-        direct = fit_and_forecast(y, ForecastConfig(q=q, R=q + 1), q + 2,
-                                  times=np.arange(1, q + 2))
+        direct = fit_and_forecast(y, basis, q + 2, times=np.arange(1, q + 2))
         if abs(iterative_forecast(y, q) - direct) >= 1e-8:
             failures.append(f"q={q}: iterative forecast differs from direct")
     elapsed = time.perf_counter() - t0

@@ -118,7 +118,7 @@ def test_weight_route_equals_coefficient_route():
         fitted = H @ np.linalg.lstsq(X, y, rcond=None)[0]
         fw = forecast_weights(cfg.basis, window, target)
         assert abs(fw.weights @ y - fitted) < 1e-10
-        assert fit_and_forecast(y, cfg, target, times=window) == fw.weights @ y
+        assert fit_and_forecast(y, cfg.basis, target, times=window) == fw.weights @ y
 
 
 def _oracle_windows():
@@ -160,8 +160,7 @@ def test_substitution_matches_scipy_triangular_solve():
         # coefficients R^{-1} Q'y.
         y = rng.normal(size=window.size)
         fitted = H @ solve_triangular(Rm, Q.T @ y)
-        cfg = ForecastConfig(basis=basis, R=window.size)
-        forecast = fit_and_forecast(y, cfg, target, times=window)
+        forecast = fit_and_forecast(y, basis, target, times=window)
         assert abs(forecast - fitted) <= 1e-10 * max(1.0, np.abs(y).max())
         count += 1
     assert count > 1000
@@ -213,15 +212,15 @@ def test_reparametrization_invariance():
 def test_quadratic_interpolation_forecast():
     # y = t^2/2 - t/2 + 1 passes through (1,1), (2,2), (3,4); its value at
     # t=4 is 7, and the minimal-window quadratic fit must reproduce it.
-    cfg = ForecastConfig(q=2, R=3)
-    assert fit_and_forecast([1.0, 2.0, 4.0], cfg, 4, times=[1, 2, 3]) == pytest.approx(
+    basis = BasisSpec("polynomial", order=2)
+    assert fit_and_forecast([1.0, 2.0, 4.0], basis, 4, times=[1, 2, 3]) == pytest.approx(
         7.0, abs=1e-10)
 
 
 def test_linear_trend_forecast():
-    cfg = ForecastConfig(q=1, R=4)
+    basis = BasisSpec("polynomial", order=1)
     y = 2.0 * np.arange(1, 5)
-    assert fit_and_forecast(y, cfg, 5, times=np.arange(1, 5)) == pytest.approx(10.0, abs=1e-10)
+    assert fit_and_forecast(y, basis, 5, times=np.arange(1, 5)) == pytest.approx(10.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("q", range(7))
@@ -229,8 +228,8 @@ def test_iterative_forecast_matches_least_squares(q):
     rng = np.random.default_rng(100 + q)
     for trial in range(20):
         y = rng.normal(size=q + 1)
-        cfg = ForecastConfig(q=q, R=q + 1)
-        direct = fit_and_forecast(y, cfg, q + 2, times=np.arange(1, q + 2))
+        basis = BasisSpec("polynomial", order=q)
+        direct = fit_and_forecast(y, basis, q + 2, times=np.arange(1, q + 2))
         assert abs(iterative_forecast(y, q) - direct) < 1e-8
 
 
@@ -255,7 +254,7 @@ def test_exact_recovery_of_polynomial_outcomes(q0):
             target = window[-1] + 2
             y = np.vander(window.astype(float), q0 + 1, increasing=True) @ coefs
             truth = np.vander(np.array([float(target)]), q0 + 1, increasing=True)[0] @ coefs
-            got = fit_and_forecast(y, ForecastConfig(q=q, R=R), target, times=window)
+            got = fit_and_forecast(y, BasisSpec("polynomial", order=q), target, times=window)
             assert abs(got - truth) < 1e-9
 
 
@@ -264,9 +263,9 @@ def test_minimal_window_interpolates():
     for q in range(5):
         window = np.arange(1, q + 2)
         y = rng.normal(size=q + 1)
-        cfg = ForecastConfig(q=q, R=q + 1)
+        basis = BasisSpec("polynomial", order=q)
         for t, val in zip(window, y):
-            assert fit_and_forecast(y, cfg, t, times=window) == pytest.approx(val, abs=1e-8)
+            assert fit_and_forecast(y, basis, t, times=window) == pytest.approx(val, abs=1e-8)
 
 
 def test_design_matrix_values():

@@ -16,11 +16,13 @@ import numpy as np
 import pytest
 
 import fatpanel
+from fatpanel import cli as cli_module
 from fatpanel import estimators as estimators_module
+from fatpanel import simulate as simulate_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.cli import main
 from fatpanel.errors import EstimationError
-from fatpanel.estimators import (MbConfig, covariate_fat_heterogeneous, fat,
+from fatpanel.estimators import (MbConfig, covariate_fat_heterogeneous, dfat, fat,
                                  model_based_fat, placebo_fat)
 from fatpanel.panel import PanelData, UnitSeries, load_panel, write_panel
 from fatpanel.simulate import DgpSpec, simulate_dgp
@@ -106,8 +108,7 @@ def test_estimate_mb_equals_library_call(tmp_path):
         ["estimate", "--input", path, "--estimator", "mb", "--q", "1",
          "--r", "4", "--h", "1", "--instrument-lag", "3"], tmp_path)
     assert code == 0
-    est = model_based_fat(load_panel(path),
-                          MbConfig(q=1, R=4, instrument_lag=3), 1)
+    est = model_based_fat(load_panel(path), MbConfig(q=1, R=4), 1)
     (r,) = payload["results"]
     assert r["point"] == est.point
     assert r["se"] == est.se
@@ -132,12 +133,16 @@ def test_estimate_mb_fits_one_first_stage_for_every_q_and_h(tmp_path, monkeypatc
                          include_ar=True, rho=0.5, mu=(-1.0, 1.0))
     fits = []
     fit = estimators_module.anderson_hsiao
-    monkeypatch.setattr(estimators_module, "anderson_hsiao",
-                        lambda *a, **k: fits.append(a[1:]) or fit(*a, **k))
+
+    def recorded(*a, **k):
+        fits.append(fit(*a, **k))
+        return fits[-1]
+
+    monkeypatch.setattr(estimators_module, "anderson_hsiao", recorded)
     code, payload = run_json(["estimate", "--input", path, "--estimator", "mb",
                               "--q", "0", "1", "--h", "1", "2", "--r", "3"], tmp_path)
     assert code == 0
-    assert fits == [(3, True, ())]
+    assert [(f.instrument_lag, f.detrend, f.covariate_names) for f in fits] == [(3, True, ())]
     panel = load_panel(path)
     for r in payload["results"]:
         est = model_based_fat(panel, MbConfig(q=r["q"], R=3), r["horizon"])
@@ -301,6 +306,36 @@ def test_dfat_without_controls_is_estimation_error(tmp_path):
     code = main(["dfat", "--input", path, "--q", "0", "--r", "5",
                  "--out-json", str(tmp_path / "o.json")])
     assert code == 3
+
+
+def test_dfat_reports_a_failed_pair_and_keeps_going(tmp_path, capsys):
+    # On 7 periods adopting after period 5, horizon 5 has no target period.
+    path = sim_panel_csv(tmp_path, n=30, n_control=30, T=7, tau=5)
+    out, csv_out = tmp_path / "o.json", tmp_path / "o.csv"
+    assert main(["dfat", "--input", path, "--q", "0", "--r", "2", "--h", "1", "5",
+                 "--out-json", str(out), "--out-csv", str(csv_out)]) == 0
+    assert capsys.readouterr().err == ""
+    good, bad = json.loads(out.read_text())["results"]
+    panel = load_panel(path)
+    est = dfat(panel, ForecastConfig(q=0, R=2), 1)
+    assert good == {"q": 0, "R": 2, **est.to_dict()}
+    assert set(bad) == {"q", "R", "horizon", "error"}
+    assert (bad["q"], bad["R"], bad["horizon"]) == (0, 2, 5)
+    with pytest.raises(EstimationError, match=re.escape(bad["error"])):
+        dfat(panel, ForecastConfig(q=0, R=2), 5)
+    assert csv_out.read_text().splitlines() == ["q,R,horizon,group,unit,residual"] + [
+        f"0,2,1,{group},{unit},{float(r)!r}"
+        for group, part in (("treated", est.treated), ("control", est.control))
+        for unit, r in zip(part.unit_ids, part.residuals)]
+
+    # With every pair failing, the report is still written, and the first
+    # failure's message ends the command.
+    assert main(["dfat", "--input", path, "--q", "0", "--r", "2", "--h", "5", "6",
+                 "--out-json", str(out)]) == 3
+    failed = json.loads(out.read_text())["results"]
+    assert [(r["horizon"], set(r)) for r in failed] == [
+        (h, {"q", "R", "horizon", "error"}) for h in (5, 6)]
+    assert capsys.readouterr().err == f"fatpanel: error: {failed[0]['error']}\n"
 
 
 # -- simulate ---------------------------------------------------------------
@@ -587,6 +622,21 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
+
+
+def test_modules_keep_every_name_the_benchmark_tracer_wraps():
+    # perfbench/spans.py swaps these module attributes for timing wrappers,
+    # so a traced run needs each one, even where the module never calls it.
+    wrapped = {
+        cli_module: ("main", "load_panel", "validate", "fat", "placebo_fat", "dfat",
+                     "model_based_fat"),
+        simulate_module: ("fat", "placebo_fat", "dfat", "model_based_fat",
+                          "simulate_dgp", "run_monte_carlo"),
+        estimators_module: ("forecast_weights", "anderson_hsiao"),
+    }
+    for module, names in wrapped.items():
+        for name in names:
+            assert callable(getattr(module, name, None)), (module.__name__, name)
 
 
 def test_missing_input_flag_is_usage_error():

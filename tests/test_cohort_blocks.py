@@ -321,12 +321,14 @@ def test_blocks_match_per_unit_oracle(case):
     _check_fat_family(*case)
 
 
-def _mb_oracle(panel, mb, h, shift):
+def _mb_oracle(panel, mb, h, shift, lag=None):
+    """``model_based_fat`` with ``mb``'s known beta, or with the first stage
+    at instrument lag ``lag`` and its default detrending."""
     cov_idx = [panel.covariate_names.index(c) for c in mb.covariates]
     if mb.beta is not None:
         beta, psi = np.asarray(mb.beta), {}
     else:
-        beta, _, psi, _, _ = oracle_ah(panel, mb.instrument_lag, mb.detrend, cov_idx, shift)
+        beta, _, psi, _, _ = oracle_ah(panel, lag, lag == 3, cov_idx, shift)
     treated = [u for u in panel.units if not u.is_control]
     if not treated:
         raise EstimationError("no treated units")
@@ -353,11 +355,10 @@ def _check_model_based(panel, s, shift=0):
           _outcome(lambda: _mb_oracle(panel, user, s["h"], shift)),
           _scale(panel, user.beta))
 
-    ah = MbConfig(q=s["q"], R=s["R"], covariates=covs, instrument_lag=s["instrument_lag"])
+    ah, lag = MbConfig(q=s["q"], R=s["R"], covariates=covs), s["instrument_lag"]
     cov_idx = [panel.covariate_names.index(c) for c in covs]
-    first = _outcome(lambda: anderson_hsiao(shifted, ah.instrument_lag, ah.detrend, covs))
-    expected = _outcome(lambda: oracle_ah(panel, ah.instrument_lag, ah.detrend,
-                                          cov_idx, shift))
+    first = _outcome(lambda: anderson_hsiao(shifted, lag, None, covs))
+    expected = _outcome(lambda: oracle_ah(panel, lag, lag == 3, cov_idx, shift))
     if isinstance(expected, Exception):
         _same(first, expected, 0.0)
         return
@@ -370,8 +371,8 @@ def _check_model_based(panel, s, shift=0):
     assert [units[p].unit_id for p in first.positions] == list(psi)
     np.testing.assert_array_equal(first.psi, np.vstack(list(psi.values())))
     assert (first.n_units, first.n_obs) == (n_units, n_obs)
-    _same(_outcome(lambda: model_based_fat(shifted, ah, s["h"])),
-          _outcome(lambda: _mb_oracle(panel, ah, s["h"], shift)),
+    _same(_outcome(lambda: model_based_fat(shifted, ah, s["h"], first=first)),
+          _outcome(lambda: _mb_oracle(panel, ah, s["h"], shift, lag)),
           _scale(panel, beta))
 
 
@@ -527,10 +528,11 @@ def test_a_shifted_panel_matches_the_per_unit_oracles_at_the_shift(case, shift):
                          for u in panel.units], covariate_names=panel.covariate_names)
     covs = ("x",) if s["use_cov"] else ()
     known = MbConfig(q=s["q"], R=s["R"], covariates=covs, beta=(s["beta"],) + (0.7,) * len(covs))
-    fitted = MbConfig(q=s["q"], R=s["R"], covariates=covs, instrument_lag=s["instrument_lag"])
+    fitted = MbConfig(q=s["q"], R=s["R"], covariates=covs)
     runs = [lambda p: fat(p, config, h), lambda p: placebo_fat(p, config, s["lag"], h),
             lambda p: dfat(p, config, h), lambda p: model_based_fat(p, known, h),
-            lambda p: model_based_fat(p, fitted, h)]
+            lambda p: model_based_fat(p, fitted, h, first=anderson_hsiao(
+                p, s["instrument_lag"], covariates=covs))]
     if covs:
         runs.append(lambda p: covariate_fat_heterogeneous(p, config, h))
     for run in runs:
@@ -561,10 +563,9 @@ def test_lagged_model_window_all_is_run_less_first_period():
              for i in range(5)]
     units.append(UnitSeries("late", np.arange(2, 7), rng.normal(size=5), tau=5))
     panel = PanelData(units)
-    for beta in ((0.4,), None):
-        kw = dict(q=1, beta=beta, instrument_lag=2)
-        every = model_based_fat(panel, MbConfig(R="all", **kw), h=1)
-        fixed = model_based_fat(panel, MbConfig(R=5, **kw), h=1)
+    for beta, first in (((0.4,), None), (None, anderson_hsiao(panel, instrument_lag=2))):
+        every = model_based_fat(panel, MbConfig(q=1, R="all", beta=beta), h=1, first=first)
+        fixed = model_based_fat(panel, MbConfig(q=1, R=5, beta=beta), h=1, first=first)
         # The late unit's run is 4 periods, so R="all" keeps it with a
         # 3-period window while R=5 drops it.
         assert every.unit_ids == fixed.unit_ids + ("late",)

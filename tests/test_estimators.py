@@ -485,6 +485,9 @@ def test_default_detrend_follows_instrument_lag():
     panel = _dynamic_panel(rng, n=30, T=7, rho=0.4, noise=0.5, tau=6)
     assert anderson_hsiao(panel, instrument_lag=3).intercept is not None
     assert anderson_hsiao(panel, instrument_lag=2).intercept is None
+    assert anderson_hsiao(panel, instrument_lag=3).detrend is True
+    fit = anderson_hsiao(panel, instrument_lag=np.int64(2))
+    assert type(fit.instrument_lag) is int and fit.detrend is False
 
 
 @pytest.mark.parametrize("detrend", ["yes", "", 1, 0, np.True_])
@@ -495,9 +498,6 @@ def test_first_stage_refuses_non_bool_detrend(detrend):
     message = f"detrend must be true, false or None, got {detrend!r}"
     with pytest.raises(ConfigError) as excinfo:
         anderson_hsiao(panel, instrument_lag=3, detrend=detrend)
-    assert str(excinfo.value) == message
-    with pytest.raises(ConfigError) as excinfo:
-        MbConfig(detrend=detrend)
     assert str(excinfo.value) == message
 
 
@@ -603,8 +603,8 @@ def test_model_based_exact_on_noiseless_ar():
 def test_model_based_with_estimated_first_stage_runs():
     rng = np.random.default_rng(35)
     panel = _dynamic_panel(rng, n=200, T=6, rho=0.5, mu=1.0, noise=1.0, tau=4)
-    mb = MbConfig(q=0, R=2, instrument_lag=2, detrend=False)
-    est = model_based_fat(panel, mb, h=1)
+    first = anderson_hsiao(panel, instrument_lag=2, detrend=False)
+    est = model_based_fat(panel, MbConfig(q=0, R=2), h=1, first=first)
     assert est.n_used == 200
     assert est.se > 0.0
     assert abs(est.point) < 0.5
@@ -622,11 +622,11 @@ def _covariate_dynamic_panel(rng, n=40, T=9, tau=6):
 
 def test_model_based_takes_its_first_stage_as_a_value():
     panel = _covariate_dynamic_panel(np.random.default_rng(36))
-    for kw, shift in ((dict(instrument_lag=2, detrend=False), 0), (dict(covariates=("x",)), 1)):
+    for covariates, shift in (((), 0), (("x",), 1)):
         shifted = apply_anticipation(panel, shift)
-        first = estimators_module._first_stage(shifted, MbConfig(**kw))
+        first = anderson_hsiao(shifted, covariates=covariates)
         for q, h in ((0, 1), (1, 2)):
-            mb = MbConfig(q=q, R=3, **kw)
+            mb = MbConfig(q=q, R=3, covariates=covariates)
             given = model_based_fat(shifted, mb, h, first=first)
             fitted = model_based_fat(shifted, mb, h)
             assert (given.point, given.se, given.ci) == (fitted.point, fitted.se, fitted.ci)
@@ -634,18 +634,17 @@ def test_model_based_takes_its_first_stage_as_a_value():
             assert given.unit_ids == fitted.unit_ids and given.dropped == fitted.dropped
 
 
-@pytest.mark.parametrize("other", [
-    dict(instrument_lag=3), dict(detrend=True), dict(covariates=()), dict(shift=1),
-])
+@pytest.mark.parametrize("other", [dict(covariates=()), dict(shift=1)],
+                         ids=["covariates", "panel"])
 def test_model_based_refuses_a_first_stage_fitted_with_other_settings(other):
     panel = _covariate_dynamic_panel(np.random.default_rng(37))
-    settings = dict(instrument_lag=2, detrend=False, covariates=("x",))
+    settings = dict(covariates=("x",))
     fitted = {**settings, **other}
     # A fit on the panel shifted for anticipation is a fit on another panel.
     first = anderson_hsiao(apply_anticipation(panel, fitted.pop("shift", 0)), **fitted)
-    assert (first.instrument_lag, first.detrend, first.covariate_names) == tuple(fitted.values())
+    assert first.covariate_names == fitted["covariates"]
     with pytest.raises(ConfigError, match="fitted on another panel" if "shift" in other
-                       else "fitted with other"):
+                       else "fitted with other covariates"):
         model_based_fat(panel, MbConfig(q=1, R=3, **settings), first=first)
 
 
@@ -695,9 +694,6 @@ def test_instrument_lag_must_be_the_integer_2_or_3(lag):
     panel = _dynamic_panel(np.random.default_rng(23), n=30, T=7, rho=0.4, noise=0.5, tau=6)
     message = f"instrument_lag must be 2 or 3, got {lag!r}"
     with pytest.raises(ConfigError) as excinfo:
-        MbConfig(instrument_lag=lag)
-    assert str(excinfo.value) == message
-    with pytest.raises(ConfigError) as excinfo:
         anderson_hsiao(panel, instrument_lag=lag)
     assert str(excinfo.value) == message
 
@@ -709,13 +705,21 @@ def test_mb_config_validation():
         MbConfig(covariates=("x",), beta=(0.5,))
     with pytest.raises(ConfigError, match="pass a known beta"):
         MbConfig(lagged_outcome=False)             # no beta: the built-in stage needs the lag
-    with pytest.raises(ConfigError):
-        MbConfig(instrument_lag=4)
-    assert type(MbConfig(instrument_lag=np.int64(2)).instrument_lag) is int
-    with pytest.raises(ConfigError, match="detrend must be"):
-        MbConfig(detrend="yes")
-    assert MbConfig(instrument_lag=3).detrend is True
-    assert MbConfig(instrument_lag=2).detrend is False
+
+
+def test_mb_config_holds_the_model_and_the_window():
+    # The first stage's instrument lag and detrending are anderson_hsiao's
+    # arguments; model_based_fat without ``first`` fits at their defaults.
+    fields = [f.name for f in dataclasses.fields(MbConfig)]
+    assert fields == ["q", "R", "lagged_outcome", "covariates", "beta"]
+    for name in ("instrument_lag", "detrend"):
+        with pytest.raises(TypeError):
+            MbConfig(**{name: 3})
+    panel = _covariate_dynamic_panel(np.random.default_rng(36))
+    mb = MbConfig(q=1, R=3)
+    default = model_based_fat(panel, mb, 2, first=anderson_hsiao(panel, 3, True))
+    assert model_based_fat(panel, mb, 2).to_dict() == default.to_dict()
+    assert model_based_fat(panel, mb, 2, first=anderson_hsiao(panel, 2)).point != default.point
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ def _parse_float(value: str, what: str, row: int) -> float:
         raise PanelFormatError(f"row {row}: {what} {value!r} is not a number") from None
 
 
-def oracle_load(text, schema=None, time_unit="period"):
+def oracle_load(text, schema=None):
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader)
@@ -144,7 +144,7 @@ def oracle_load(text, schema=None, time_unit="period"):
                 is_control=flags[uid], covariates=cov,
             )
         )
-    return PanelData(units, time_unit=time_unit, covariate_names=covariate_cols)
+    return PanelData(units, covariate_names=covariate_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +176,7 @@ def assert_blocks_identical(got, want):
 
 
 def assert_same_panel(got, want):
-    assert (got.time_unit, got.covariate_names) == (want.time_unit, want.covariate_names)
+    assert got.covariate_names == want.covariate_names
     assert len(got) == len(want)
     assert_blocks_identical(got.treated_blocks, want.treated_blocks)
     assert_blocks_identical(got.control_blocks, want.control_blocks)

@@ -1,5 +1,6 @@
 """Tests for panel containers, text ingestion, validation, and alignment."""
 
+import inspect
 import io
 
 import numpy as np
@@ -225,6 +226,18 @@ def test_from_blocks_refuses_positions_that_are_not_a_permutation(layout):
 
 def test_from_blocks_refuses_no_blocks():
     assert refusal(lambda: PanelData.from_blocks([])) == refusal(lambda: PanelData([]))
+
+
+def test_a_panel_takes_no_time_unit():
+    # The panel keeps no period label, and covariate names are keyword-only:
+    # an old positional label is a TypeError, not a list of covariate names.
+    for build in (PanelData, PanelData.from_blocks, load_panel):
+        assert "time_unit" not in inspect.signature(build).parameters
+    assert not hasattr(PanelData([unit("a")]), "time_unit")
+    with pytest.raises(TypeError):
+        PanelData([unit("a")], ("x",))
+    with pytest.raises(TypeError):
+        PanelData.from_blocks([block()], "period")
 
 
 def block_panel():

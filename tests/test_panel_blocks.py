@@ -40,9 +40,7 @@ def oracle_reindex(panel):
             f"cannot reindex: units without a treatment date: {missing}"
         )
     units = [dataclasses.replace(u, times=u.times - u.tau, tau=0) for u in panel.units]
-    return PanelData(units, time_unit=f"{panel.time_unit} (event time)"
-                     if "(event time)" not in panel.time_unit else panel.time_unit,
-                     covariate_names=panel.covariate_names)
+    return PanelData(units, covariate_names=panel.covariate_names)
 
 
 def oracle_anticipation(panel, delta):
@@ -59,8 +57,7 @@ def oracle_anticipation(panel, delta):
         return panel
     units = [u if u.tau is None else dataclasses.replace(u, tau=u.tau - shifts.get(u.unit_id, 0))
              for u in panel.units]
-    return PanelData(units, time_unit=panel.time_unit,
-                     covariate_names=panel.covariate_names)
+    return PanelData(units, covariate_names=panel.covariate_names)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +81,7 @@ def layout(panel):
         blocks.append((b.is_control, b.tau, type(b.tau), b.unit_ids.tolist(),
                        b.positions.tolist(), b.times.dtype, b.times.tobytes(),
                        b.outcomes.shape, b.outcomes.tobytes(), cov))
-    return panel.time_unit, panel.covariate_names, len(panel), blocks
+    return panel.covariate_names, len(panel), blocks
 
 
 def report_json(report):
@@ -126,8 +123,7 @@ def panels(draw):
             cov[rng.random(cov.shape) < 0.1] = np.nan
         units.append(UnitSeries(f"u{i}", np.array(times), rng.normal(size=len(times)),
                                 tau=tau, is_control=control, covariates=cov))
-    panel = PanelData(units, time_unit=draw(st.sampled_from(["period", "q (event time)"])),
-                      covariate_names=("x", "z") if has_cov else ())
+    panel = PanelData(units, covariate_names=("x", "z") if has_cov else ())
     if draw(st.booleans()):
         # The same panel stored as shuffled blocks with shuffled rows.
         blocks = []
@@ -138,7 +134,7 @@ def panels(draw):
                 outcomes=b.outcomes[rows],
                 covariates=None if b.covariates is None else b.covariates[rows],
                 positions=b.positions[rows], unit_ids=b.unit_ids[rows]))
-        panel = PanelData.from_blocks(blocks, panel.time_unit, panel.covariate_names)
+        panel = PanelData.from_blocks(blocks, covariate_names=panel.covariate_names)
     return panel
 
 
@@ -174,8 +170,8 @@ def test_block_native_panel_functions_match_per_unit_oracles(panel, q, R, delta,
     assert layout(shifted) == layout(outcome(lambda: oracle_anticipation(panel, shift)))
     if isinstance(shifted, PanelData) and shifted is not panel:
         # The result's blocks are those of its own units, regrouped.
-        assert layout(shifted) == layout(PanelData(list(shifted.units), shifted.time_unit,
-                                                   shifted.covariate_names))
+        assert layout(shifted) == layout(PanelData(list(shifted.units),
+                                                   covariate_names=shifted.covariate_names))
         assert (layout(outcome(lambda: reindex_time_to_adoption(shifted)))
                 == layout(outcome(lambda: oracle_reindex(shifted))))
 

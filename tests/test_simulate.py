@@ -18,7 +18,8 @@ from fatpanel import panel as panel_module
 from fatpanel import simulate as simulate_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
-from fatpanel.estimators import MbConfig, dfat, fat, model_based_fat, placebo_fat
+from fatpanel.estimators import (MbConfig, anderson_hsiao, dfat, fat, model_based_fat,
+                                 placebo_fat)
 from fatpanel.panel import PanelData, UnitSeries
 from fatpanel.simulate import (
     PRESET_NAMES,
@@ -267,6 +268,24 @@ def test_monte_carlo_refuses_a_bad_rep_count_or_seed(n_reps, master_seed, messag
         run_monte_carlo(DgpSpec(n=4, T=4, tau=3), cells, n_reps, master_seed)
 
 
+@pytest.mark.parametrize("settings, message", [
+    (dict(instrument_lag=4), "instrument_lag must be 2 or 3, got 4"),
+    (dict(instrument_lag=2.0), "instrument_lag must be 2 or 3, got 2.0"),
+    (dict(detrend="yes"), "detrend must be true, false or None, got 'yes'"),
+])
+def test_monte_carlo_refuses_a_bad_first_stage_setting_before_simulating(
+        monkeypatch, settings, message):
+    # A good pr cell comes first: the mb cell's settings are still checked
+    # before the first replication is drawn.
+    drawn = []
+    monkeypatch.setattr(simulate_module, "simulate_dgp", lambda *a: drawn.append(a))
+    cells = (GridCell(estimator="pr", q=0, R=1),
+             GridCell(estimator="mb", q=0, R=1, **settings))
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        run_monte_carlo(DgpSpec(n=4, T=4, tau=3), cells, 2, 0)
+    assert drawn == []
+
+
 def test_monte_carlo_takes_numpy_integers():
     cells = (GridCell(estimator="pr", q=0, R=1),)
     spec = DgpSpec(n=4, T=4, tau=3)
@@ -309,9 +328,9 @@ def _direct_cells(spec, cells, n_reps, master_seed):
                 elif c.estimator == "dfat":
                     est = dfat(panel, config, h=c.h)
                 else:
-                    est = model_based_fat(panel, MbConfig(
-                        q=c.q, R=c.R, instrument_lag=c.instrument_lag,
-                        detrend=c.detrend), h=c.h)
+                    est = model_based_fat(panel, MbConfig(q=c.q, R=c.R), h=c.h,
+                                          first=anderson_hsiao(panel, c.instrument_lag,
+                                                               c.detrend))
             except (EstimationError, RankDeficiencyError):
                 fails[j] += 1
                 continue

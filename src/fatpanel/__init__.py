@@ -11,8 +11,7 @@ shared across units (``model_based_fat``), and a Monte Carlo harness
 """
 
 from .basis import (BasisSpec, ForecastConfig, ForecastWeights,
-                    binomial_weights, design_matrix, fit_and_forecast,
-                    forecast_weights)
+                    binomial_weights, forecast_weights)
 from .errors import (ConfigError, EstimationError, FatpanelError,
                      PanelFormatError, RankDeficiencyError)
 from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
@@ -35,9 +34,9 @@ __all__ = [
     "PRESET_NAMES", "PanelData", "PanelFormatError", "RankDeficiencyError",
     "UnitDiagnostics", "UnitSeries", "ValidationReport",
     "analytic_mean_recursion", "anderson_hsiao", "apply_anticipation",
-    "binomial_weights", "covariate_fat_heterogeneous", "design_matrix",
-    "dfat", "fat", "fat_variance", "fit_and_forecast", "forecast_weights",
-    "load_panel", "mb_variance", "model_based_fat", "panel_to_csv_text",
-    "placebo_fat", "preset", "reindex_time_to_adoption", "run_monte_carlo",
-    "simulate_dgp", "validate", "write_panel",
+    "binomial_weights", "covariate_fat_heterogeneous", "dfat", "fat",
+    "fat_variance", "forecast_weights", "load_panel", "mb_variance",
+    "model_based_fat", "panel_to_csv_text", "placebo_fat", "preset",
+    "reindex_time_to_adoption", "run_monte_carlo", "simulate_dgp", "validate",
+    "write_panel",
 ]

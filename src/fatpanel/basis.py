@@ -3,9 +3,9 @@
 Every estimator in this package reduces to the same primitive: regress a
 window of pre-treatment outcomes on known functions of time, then evaluate
 the fitted curve at a later target period.  Because the fit is linear least
-squares, the forecast is a fixed linear combination of the window outcomes;
-``forecast_weights`` solves for those combination weights, and
-``fit_and_forecast`` applies them to a window of outcomes.
+squares, the forecast is a fixed linear combination of the window outcomes,
+``forecast_weights(...).weights @ y``; ``forecast_weights`` solves for those
+combination weights.
 
 The first basis function is always the constant 1, which forces the weights
 to sum to one and makes the forecast invariant to shifting the time origin
@@ -225,21 +225,6 @@ def _window_array(window, basis: BasisSpec) -> np.ndarray:
     return t
 
 
-def design_matrix(basis: BasisSpec, window) -> np.ndarray:
-    """Stack basis-function values over a window of times.
-
-    Row s holds (b_0(t_s), ..., b_q(t_s)).  Raises ``ConfigError`` when the
-    window has fewer than order + 1 distinct times and
-    ``RankDeficiencyError`` when the stacked design loses rank.
-    """
-    t = _window_array(window, basis)
-    X = basis.values(t)
-    s = np.linalg.svd(X, compute_uv=False)
-    if s[-1] <= _RANK_RTOL * s[0]:
-        raise RankDeficiencyError("basis design is rank deficient on this window")
-    return X
-
-
 def _solver_design(basis: BasisSpec, window: np.ndarray, target: float):
     """Design matrix and target row in the numerically solved basis.
 
@@ -322,33 +307,3 @@ def binomial_weights(q: int, tau: int = 0) -> ForecastWeights:
     lags = tau - times
     w = np.array([(-1.0) ** s * math.comb(q + 1, s + 1) for s in lags])
     return ForecastWeights(times=times, weights=w, target=float(tau + 1))
-
-
-def fit_and_forecast(y, basis: BasisSpec, target, times) -> float:
-    """Fit the window regression and evaluate it at ``target``.
-
-    Parameters
-    ----------
-    y : array-like
-        Outcomes over the estimation window, oldest first.
-    basis : BasisSpec
-        Time basis of the window regression.
-    target : int or float
-        Period to forecast.
-    times : array-like
-        Window periods, one per outcome.
-
-    Returns
-    -------
-    float
-        The fitted value sum_k c_k b_k(target), where the coefficients c
-        minimize the squared error over the window.  With window length
-        exactly order + 1 the fit interpolates the window.
-    """
-    yv = np.asarray(y, dtype=float)
-    if yv.ndim != 1 or yv.size == 0:
-        raise ConfigError("y must be a non-empty 1-D array")
-    t = _window_array(times, basis)
-    if t.size != yv.size:
-        raise ConfigError("times and y must have the same length")
-    return float(forecast_weights(basis, t, target).weights @ yv)

@@ -25,7 +25,9 @@ one q.  ``estimate``, ``placebo`` and ``dfat`` report a (q, horizon) pair
 or a lag that cannot be estimated with its error, and fail only when all
 do.
 ``--delta`` shifts every dated unit's treatment date back once, when the
-panel is read; ``validate`` still reports the recorded dates.
+panel is read; ``validate`` still reports the recorded dates.  Only
+``estimate --estimator mb`` reads ``instrument_lag``, ``detrend`` and
+``mb_covariates``; given with another estimator they are a usage error.
 
 Defaults are those of ``RunConfig``; config-file values win over flags so
 that a single artifact reproduces a run.  All JSON outputs carry
@@ -74,7 +76,9 @@ class RunConfig:
     Its defaults are the CLI's only defaults.  ``r`` is the estimation
     window length (integer or ``"all"``), ``q`` the polynomial orders to
     run, ``horizons`` the forecast horizons, ``lags`` the placebo lag grid,
-    and ``delta`` the anticipation offset.  ``schema`` optionally remaps
+    and ``delta`` the anticipation offset.  ``instrument_lag``, ``detrend``
+    and ``mb_covariates`` set the mb first stage; unset, they take
+    ``anderson_hsiao``'s defaults.  ``schema`` optionally remaps
     input CSV column names and can only be given through a config file.
     ``dgp`` and ``cells`` define an inline simulation study when no preset
     is named.
@@ -90,7 +94,7 @@ class RunConfig:
     delta: int = 0
     level: float = 0.95
     estimator: str = "pr"
-    instrument_lag: int = 3
+    instrument_lag: Union[int, None] = None
     detrend: Union[bool, None] = None
     mb_covariates: tuple = ()
     preset: Union[str, None] = None
@@ -286,8 +290,14 @@ def cmd_estimate(cfg: RunConfig) -> int:
         cfg.mb_config(cfg.q[0])  # a bad q or R exits 1 before the fit is tried
         # The first stage depends on neither q nor h: one fit serves every
         # pair.  It is looked up on its module, where a tracer wraps it.
-        first = estimators.anderson_hsiao(panel, cfg.instrument_lag, cfg.detrend,
-                                          cfg.mb_covariates)
+        lag = 3 if cfg.instrument_lag is None else cfg.instrument_lag
+        first = estimators.anderson_hsiao(panel, lag, cfg.detrend, cfg.mb_covariates)
+    else:
+        unread = [k for k in ("instrument_lag", "detrend", "mb_covariates")
+                  if getattr(cfg, k) not in (None, ())]
+        if unread:
+            raise ConfigError(f"--estimator {cfg.estimator} reads no {', '.join(unread)}: "
+                              "only mb fits a first stage")
     return _run_grid(cfg, "estimates", (
         ({"q": q, "R": cfg.r, "horizon": h}, (q, cfg.r, h),
          lambda q=q, h=h: _estimate_one(panel, cfg, q, h, first))
@@ -396,8 +406,8 @@ _FLAGS = {
     "level": ("--level", "confidence level", dict(type=float, metavar="P")),
     "estimator": ("--estimator", "point estimator", dict(choices=_ESTIMATORS)),
     "instrument_lag": ("--instrument-lag",
-                       "instrument depth for the model-based first stage",
-                       dict(type=int, choices=(2, 3))),
+                       "instrument depth for the model-based first stage "
+                       "(mb only), default 3", dict(type=int, choices=(2, 3))),
     "preset": ("--preset", "named simulation study", dict(metavar="NAME")),
     "reps": ("--reps", "Monte Carlo replications", dict(type=int, metavar="N")),
     "seed": ("--seed", "master seed", dict(type=int, metavar="S")),

@@ -6,10 +6,10 @@ treatment starts (``tau``), an optional control flag, and optional covariate
 columns.  Times are calendar periods until ``reindex_time_to_adoption``
 re-expresses them relative to each unit's adoption date.
 
-A panel stores its units as cohort blocks, dense arrays of the units that
-share a control flag, ``tau`` and time grid, and validation and both
-transforms work a block at a time.  ``UnitSeries`` are built only when
-``PanelData.units`` is read.
+A panel holds only cohort blocks, dense arrays of the units that share a
+control flag, ``tau`` and time grid, and every reader works a block at a
+time.  ``PanelData(units)`` groups ``UnitSeries`` into blocks, and
+``PanelData.units`` builds them back from the blocks on each read.
 
 The interchange format is a delimited text file with a header row::
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
@@ -179,7 +180,7 @@ def _cohort_block(units: Sequence[UnitSeries], positions: list[int],
 
 
 class PanelData:
-    """An immutable ordered collection of unit series, stored as cohort blocks.
+    """An immutable ordered collection of unit series, held as cohort blocks.
 
     Parameters
     ----------
@@ -190,9 +191,9 @@ class PanelData:
         Names for the covariate columns carried by the units.
 
     The units are grouped into ``CohortBlock``s keyed by (control flag,
-    ``tau``, time grid) in order of first appearance.  ``from_blocks``
-    builds a panel from such blocks directly; its ``units`` are then
-    built on first access, as views on the block rows.
+    ``tau``, time grid) in order of first appearance, and the panel keeps
+    only the blocks.  ``from_blocks`` builds a panel from such blocks
+    directly.
     """
 
     def __init__(self, units: Iterable[UnitSeries], *, covariate_names: Iterable[str] = ()):
@@ -206,7 +207,6 @@ class PanelData:
             groups.setdefault((u.is_control, u.tau, u.times.tobytes(), k), []).append(i)
         self._install([_cohort_block(units, positions, key[-1])
                        for key, positions in groups.items()], names)
-        self._units = units
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[CohortBlock], *,
@@ -219,7 +219,6 @@ class PanelData:
         """
         panel = cls.__new__(cls)
         panel._install(tuple(blocks), tuple(covariate_names))
-        panel._units = None
         return panel
 
     def _install(self, blocks: Sequence[CohortBlock], names: tuple[str, ...]) -> None:
@@ -245,7 +244,6 @@ class PanelData:
                 )
         self._n = n
         self._blocks = tuple(blocks)
-        self._dense = self._treated = self._controls = self._by_id = None
         self.covariate_names = names
         #: Cohort blocks of treated and of control units, each in order of
         #: first appearance.
@@ -254,47 +252,18 @@ class PanelData:
 
     @property
     def units(self) -> tuple[UnitSeries, ...]:
-        """Every unit in panel order; built once from the blocks if need be."""
-        if self._units is None:
-            units = [None] * self._n
-            for b in self._blocks:
-                for row, (at, uid) in enumerate(zip(b.positions.tolist(), b.unit_ids)):
-                    units[at] = UnitSeries(
-                        uid, b.times, b.outcomes[row], tau=b.tau,
-                        is_control=b.is_control,
-                        covariates=None if b.covariates is None else b.covariates[row])
-            self._units = tuple(units)
-        return self._units
-
-    @property
-    def treated_units(self) -> tuple[UnitSeries, ...]:
-        if self._treated is None:
-            self._treated = tuple(u for u in self.units if not u.is_control)
-        return self._treated
-
-    @property
-    def control_units(self) -> tuple[UnitSeries, ...]:
-        if self._controls is None:
-            self._controls = tuple(u for u in self.units if u.is_control)
-        return self._controls
-
-    def __iter__(self):
-        return iter(self.units)
+        """Every unit in panel order, built anew from the blocks on each read."""
+        units = [None] * self._n
+        for b in self._blocks:
+            for row, (at, uid) in enumerate(zip(b.positions.tolist(), b.unit_ids)):
+                units[at] = UnitSeries(
+                    uid, b.times, b.outcomes[row], tau=b.tau,
+                    is_control=b.is_control,
+                    covariates=None if b.covariates is None else b.covariates[row])
+        return tuple(units)
 
     def __len__(self):
         return self._n
-
-    @property
-    def n_units(self) -> int:
-        return self._n
-
-    def unit(self, unit_id: str) -> UnitSeries:
-        if self._by_id is None:
-            self._by_id = {u.unit_id: u for u in self.units}
-        try:
-            return self._by_id[unit_id]
-        except KeyError:
-            raise KeyError(f"no unit {unit_id!r} in panel") from None
 
     def is_balanced(self) -> bool:
         """True when every unit observes exactly the same periods."""
@@ -307,18 +276,6 @@ class PanelData:
         if len(taus) == 1 and None not in taus:
             return taus.pop()
         return None
-
-    def as_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        """(times, outcomes) with one outcome row per unit; balanced panels only."""
-        if self._dense is None:
-            if not self.is_balanced():
-                raise PanelFormatError("as_matrix requires a balanced panel")
-            times = self._blocks[0].times
-            Y = np.empty((self._n, times.size))
-            for b in self._blocks:
-                Y[b.positions] = b.outcomes
-            self._dense = (times.copy(), Y)
-        return self._dense
 
 
 def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
@@ -337,9 +294,8 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     into columns at once, so a load never holds the text of the whole
     file.  Each unit's rows are sorted by time and the units grouped into
     cohort blocks, in order of first appearance, and the panel is built
-    from those blocks: no ``UnitSeries`` is made until ``units`` is read,
-    and then as views on the block rows.  Blank rows are skipped but
-    counted in the row numbers of messages.
+    from those blocks: no ``UnitSeries`` is made until ``units`` is read.
+    Blank rows are skipped but counted in the row numbers of messages.
 
     Raises
     ------
@@ -386,10 +342,11 @@ def write_panel(panel: PanelData, dest) -> None:
     """Write a panel in the canonical delimited layout.
 
     Emits ``unit,time,outcome,treated_at`` plus a ``control_flag`` column
-    when any unit is a control, plus one column per covariate.  Numbers are
-    written with ``repr`` so a reload reproduces the exact float values; a
-    unit without covariates gets blank covariate fields, which
-    ``load_panel`` reads as missing.
+    when any unit is a control, plus one column per covariate.  Units come
+    in panel order and each unit's rows in time order.  Numbers are written
+    with ``repr`` so a reload reproduces the exact float values; a missing
+    (NaN) covariate is written as a blank field, which ``load_panel`` reads
+    as missing.
     """
     if hasattr(dest, "write"):
         _write_stream(panel, dest)
@@ -406,17 +363,18 @@ def _write_stream(panel: PanelData, fh: TextIO) -> None:
         header.append("control_flag")
     header.extend(panel.covariate_names)
     writer.writerow(header)
-    for u in panel.units:
-        for i, t in enumerate(u.times):
-            row = [u.unit_id, int(t), repr(float(u.outcomes[i])),
-                   "" if u.tau is None else int(u.tau)]
-            if has_controls:
-                row.append(int(u.is_control))
-            if u.covariates is None:
-                row.extend("" for _ in panel.covariate_names)
-            else:
-                row.extend(repr(float(v)) for v in u.covariates[i])
-            writer.writerow(row)
+    rows = [None] * len(panel)  # each unit's rows, at its panel position
+    for b in panel._blocks:
+        shared = ["" if b.tau is None else b.tau, *([int(b.is_control)] if has_controls else [])]
+        times = b.times.tolist()
+        cells = np.empty(b.outcomes.shape + (0,)) if b.covariates is None else b.covariates
+        covariates = [[["" if math.isnan(v) else repr(v) for v in x] for x in xs]
+                      for xs in cells.tolist()]
+        for at, uid, ys, xs in zip(b.positions.tolist(), b.unit_ids.tolist(),
+                                   b.outcomes.tolist(), covariates):
+            rows[at] = [[uid, t, repr(y), *shared, *x] for t, y, x in zip(times, ys, xs)]
+    for unit_rows in rows:
+        writer.writerows(unit_rows)
 
 
 def panel_to_csv_text(panel: PanelData) -> str:

@@ -134,8 +134,7 @@ def simulate_dgp(spec: DgpSpec, seed=None) -> PanelData:
     noise), so identical seeds give bitwise-identical panels.
 
     The outcomes are written straight into one treated and one control
-    cohort block, whose rows are views on the simulated array; no
-    ``UnitSeries`` is built unless the caller reads ``panel.units``.
+    cohort block, whose rows are views on the simulated array.
     """
     rng = np.random.default_rng(seed)
     N = spec.n + spec.n_control
@@ -229,7 +228,9 @@ class GridCell:
 
     ``group`` is the row label used in reports (defaults to the estimator
     name); it separates variants such as differently instrumented
-    model-based fits that share an estimator kind.
+    model-based fits that share an estimator kind.  ``instrument_lag``
+    (default 3) and ``detrend`` set an mb cell's first stage, as in
+    ``anderson_hsiao``; any other cell refuses them.
     """
 
     estimator: str = "pr"
@@ -237,7 +238,7 @@ class GridCell:
     R: Union[int, str] = 1
     h: int = 1
     lag: int = 0
-    instrument_lag: int = 3
+    instrument_lag: Union[int, None] = None
     detrend: Union[bool, None] = None
     group: Union[str, None] = None
 
@@ -246,6 +247,12 @@ class GridCell:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         object.__setattr__(self, "h", as_count("h", self.h, 1))
         object.__setattr__(self, "lag", as_count("lag", self.lag, 0))
+        unread = [k for k in ("instrument_lag", "detrend") if getattr(self, k) is not None]
+        if self.estimator != "mb" and unread:
+            raise ConfigError(f"a {self.estimator} cell takes no {', '.join(unread)}: "
+                              "only mb cells fit a first stage")
+        if self.instrument_lag is None and self.estimator == "mb":
+            object.__setattr__(self, "instrument_lag", 3)
 
     @property
     def label(self) -> str:

@@ -14,6 +14,7 @@ package computes, kept here as oracles:
   unit's augmented window regression factored on its own and its
   coefficients solved by back substitution;
 * ``oracle_validate``: ``validate`` one ``UnitSeries`` at a time;
+* ``unit_of``: one unit of a panel, looked up by id in ``panel.units``;
 * ``monte_carlo_per_replication``: ``run_monte_carlo`` as one call of the
   public estimators per replication and cell, summed exactly.
 """
@@ -195,6 +196,11 @@ def _contiguous_run_ending(u, time):
     while i - run >= 0 and u.times[i - run] == u.times[i] - run:
         run += 1
     return run
+
+
+def unit_of(panel: PanelData, unit_id: str):
+    """The ``UnitSeries`` of ``panel`` named ``unit_id``."""
+    return next(u for u in panel.units if u.unit_id == unit_id)
 
 
 def oracle_validate(panel: PanelData, config: ForecastConfig, shift: int = 0):

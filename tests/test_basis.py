@@ -10,8 +10,6 @@ from fatpanel.basis import (
     _solve_upper,
     _solver_design,
     binomial_weights,
-    design_matrix,
-    fit_and_forecast,
     forecast_weights,
 )
 from fatpanel.errors import ConfigError, RankDeficiencyError
@@ -118,7 +116,6 @@ def test_weight_route_equals_coefficient_route():
         fitted = H @ np.linalg.lstsq(X, y, rcond=None)[0]
         fw = forecast_weights(cfg.basis, window, target)
         assert abs(fw.weights @ y - fitted) < 1e-10
-        assert fit_and_forecast(y, cfg.basis, target, times=window) == fw.weights @ y
 
 
 def _oracle_windows():
@@ -134,11 +131,11 @@ def _oracle_windows():
             for R in range(q + 1, 16):
                 for start in (0, 3):
                     window = np.arange(start, start + R)
-                    try:
-                        design_matrix(basis, window)
-                    except RankDeficiencyError:
-                        continue
                     for h in (1, 2, 3):
+                        try:
+                            forecast_weights(basis, window, start + R - 1 + h)
+                        except RankDeficiencyError:
+                            continue
                         yield basis, window, start + R - 1 + h
 
 
@@ -160,8 +157,7 @@ def test_substitution_matches_scipy_triangular_solve():
         # coefficients R^{-1} Q'y.
         y = rng.normal(size=window.size)
         fitted = H @ solve_triangular(Rm, Q.T @ y)
-        forecast = fit_and_forecast(y, basis, target, times=window)
-        assert abs(forecast - fitted) <= 1e-10 * max(1.0, np.abs(y).max())
+        assert abs(w @ y - fitted) <= 1e-10 * max(1.0, np.abs(y).max())
         count += 1
     assert count > 1000
 
@@ -212,15 +208,13 @@ def test_reparametrization_invariance():
 def test_quadratic_interpolation_forecast():
     # y = t^2/2 - t/2 + 1 passes through (1,1), (2,2), (3,4); its value at
     # t=4 is 7, and the minimal-window quadratic fit must reproduce it.
-    basis = BasisSpec("polynomial", order=2)
-    assert fit_and_forecast([1.0, 2.0, 4.0], basis, 4, times=[1, 2, 3]) == pytest.approx(
-        7.0, abs=1e-10)
+    w = forecast_weights(BasisSpec("polynomial", order=2), [1, 2, 3], 4).weights
+    assert w @ [1.0, 2.0, 4.0] == pytest.approx(7.0, abs=1e-10)
 
 
 def test_linear_trend_forecast():
-    basis = BasisSpec("polynomial", order=1)
-    y = 2.0 * np.arange(1, 5)
-    assert fit_and_forecast(y, basis, 5, times=np.arange(1, 5)) == pytest.approx(10.0, abs=1e-10)
+    w = forecast_weights(BasisSpec("polynomial", order=1), np.arange(1, 5), 5).weights
+    assert w @ (2.0 * np.arange(1, 5)) == pytest.approx(10.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("q", range(7))
@@ -229,7 +223,7 @@ def test_iterative_forecast_matches_least_squares(q):
     for trial in range(20):
         y = rng.normal(size=q + 1)
         basis = BasisSpec("polynomial", order=q)
-        direct = fit_and_forecast(y, basis, q + 2, times=np.arange(1, q + 2))
+        direct = forecast_weights(basis, np.arange(1, q + 2), q + 2).weights @ y
         assert abs(iterative_forecast(y, q) - direct) < 1e-8
 
 
@@ -254,7 +248,7 @@ def test_exact_recovery_of_polynomial_outcomes(q0):
             target = window[-1] + 2
             y = np.vander(window.astype(float), q0 + 1, increasing=True) @ coefs
             truth = np.vander(np.array([float(target)]), q0 + 1, increasing=True)[0] @ coefs
-            got = fit_and_forecast(y, BasisSpec("polynomial", order=q), target, times=window)
+            got = forecast_weights(BasisSpec("polynomial", order=q), window, target).weights @ y
             assert abs(got - truth) < 1e-9
 
 
@@ -265,28 +259,30 @@ def test_minimal_window_interpolates():
         y = rng.normal(size=q + 1)
         basis = BasisSpec("polynomial", order=q)
         for t, val in zip(window, y):
-            assert fit_and_forecast(y, basis, t, times=window) == pytest.approx(val, abs=1e-8)
+            assert forecast_weights(basis, window, t).weights @ y == pytest.approx(val, abs=1e-8)
 
 
+# The window design has one row of basis values per window time;
+# ``forecast_weights`` refuses a window that cannot carry it.
 def test_design_matrix_values():
-    X = design_matrix(BasisSpec("polynomial", order=1), [4, 5])
+    X = BasisSpec("polynomial", order=1).values([4, 5])
     assert np.allclose(X, [[1.0, 4.0], [1.0, 5.0]])
 
 
 def test_design_matrix_requires_enough_times():
-    with pytest.raises(ConfigError):
-        design_matrix(BasisSpec("polynomial", order=2), [1, 2])
+    with pytest.raises(ConfigError, match="window has 2 times but the basis needs at least 3"):
+        forecast_weights(BasisSpec("polynomial", order=2), [1, 2], 3)
 
 
 def test_design_matrix_rejects_duplicate_times():
-    with pytest.raises(ConfigError):
-        design_matrix(BasisSpec("polynomial", order=1), [3, 3])
+    with pytest.raises(ConfigError, match="window times must be distinct"):
+        forecast_weights(BasisSpec("polynomial", order=1), [3, 3], 4)
 
 
 def test_fourier_design_rank_failure():
     # With period 2 every sine column vanishes on integer times.
-    with pytest.raises(RankDeficiencyError):
-        design_matrix(BasisSpec("fourier", order=1, period=2.0), [1, 2, 3])
+    with pytest.raises(RankDeficiencyError, match="rank deficient"):
+        forecast_weights(BasisSpec("fourier", order=1, period=2.0), [1, 2, 3], 4)
 
 
 def test_fourier_requires_period():

@@ -693,6 +693,11 @@ def test_bad_level_is_usage_error(tmp_path):
     ("estimate", {"delta": -1, "estimator": "mb"}, ["--r", "3"],
      "delta must be an integer >= 0, got -1"),
     ("validate", {}, ["--delta", "-1"], "delta must be an integer >= 0, got -1"),
+    ("estimate", {"detrend": "yes", "instrument_lag": 9}, ["--q", "0", "--r", "3"],
+     "--estimator pr reads no instrument_lag, detrend: only mb fits a first stage"),
+    ("estimate", {}, ["--instrument-lag", "3"], "--estimator pr reads no instrument_lag:"),
+    ("estimate", {"detrend": False, "mb_covariates": ["x"]}, ["--estimator", "covariate_het"],
+     "--estimator covariate_het reads no detrend, mb_covariates:"),
 ])
 def test_malformed_setting_is_usage_error(tmp_path, capsys, command, setting,
                                           flags, message):

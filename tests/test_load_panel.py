@@ -460,7 +460,8 @@ def test_write_load_round_trip_is_bit_exact(panel, slice_rows, tmp_path_factory)
 def test_cli_estimators_run_on_a_loaded_panel_without_unit_series(tmp_path, monkeypatch):
     panel = simulate_dgp(DgpSpec(n=60, n_control=30, T=9, tau=5, include_ar=True,
                                  rho=0.3, true_att=0.5), 3)
-    text = panel_to_csv_text(panel).splitlines()
+    simulated = panel_to_csv_text(panel)
+    text = simulated.splitlines()
     # A second, later cohort and a late starter make the panel staggered.
     text += [f"s{i},{t},{0.1 * i + t},6,0" for i in range(12) for t in range(1, 10)]
     text += [f"late,{t},{t / 3},6,0" for t in range(5, 10)]
@@ -482,6 +483,13 @@ def test_cli_estimators_run_on_a_loaded_panel_without_unit_series(tmp_path, monk
         assert main(argv + ["--input", str(path), "--out-json", str(out),
                             "--out-csv", str(tmp_path / "out.csv")]) == 0
         assert out.stat().st_size > 0
+    # Both writers work from the blocks: the loaded panel writes back the
+    # file it was read from, and a simulated panel writes as it did above.
+    for written, want in ((loaded, path.read_text(encoding="utf-8")),
+                          (panel, simulated)):
+        assert panel_to_csv_text(written) == want
+        write_panel(written, tmp_path / "written.csv")
+        assert (tmp_path / "written.csv").read_text(encoding="utf-8") == want
     # s3's shifted date joins it to the simulated cohort.
     shifted = apply_anticipation(loaded, {"s3": 1, "late": 1})
     assert [b.unit_ids.size for b in shifted.treated_blocks] == [61, 11, 1]

@@ -22,6 +22,7 @@ from fatpanel.panel import (
     write_panel,
 )
 from fatpanel.simulate import DgpSpec, simulate_dgp
+from oracles import unit_of
 
 
 def unit(uid="a", times=(1, 2, 3, 4, 5, 6), tau=5, **kw):
@@ -75,8 +76,8 @@ def test_load_sorts_rows_within_unit():
     text = "unit,time,outcome,treated_at\n a,3,3.0,5\n".replace(" ", "")
     text += "a,1,1.0,5\na,2,2.0,5\n"
     p = load_panel(io.StringIO(text))
-    assert p.unit("a").times.tolist() == [1, 2, 3]
-    assert p.unit("a").outcomes.tolist() == [1.0, 2.0, 3.0]
+    assert unit_of(p, "a").times.tolist() == [1, 2, 3]
+    assert unit_of(p, "a").outcomes.tolist() == [1.0, 2.0, 3.0]
 
 
 def test_load_schema_mapping():
@@ -85,7 +86,7 @@ def test_load_schema_mapping():
         "unit": "id", "time": "period", "outcome": "value", "treated_at": "adopted",
     })
     assert p.covariate_names == ("extra",)
-    assert p.unit("A").covariates[:, 0].tolist() == [9.0, 9.5, 9.9]
+    assert unit_of(p, "A").covariates[:, 0].tolist() == [9.0, 9.5, 9.9]
     p2 = load_panel(io.StringIO(text), schema={
         "unit": "id", "time": "period", "outcome": "value", "treated_at": "adopted",
         "covariates": [],
@@ -120,14 +121,14 @@ def test_load_rejects_non_finite_outcomes(value):
 
 def test_blank_covariate_is_missing():
     text = "unit,time,outcome,treated_at,x\na,1,1.0,3,0.5\na,2,2.0,3,\n"
-    x = load_panel(io.StringIO(text)).unit("a").covariates[:, 0]
+    x = unit_of(load_panel(io.StringIO(text)), "a").covariates[:, 0]
     assert x[0] == 0.5 and np.isnan(x[1])
 
 
 def test_control_without_date_is_accepted():
     text = "unit,time,outcome,treated_at,control_flag\nc,1,1.0,,1\nc,2,2.0,,1\n"
     p = load_panel(io.StringIO(text))
-    assert p.unit("c").is_control and p.unit("c").tau is None
+    assert unit_of(p, "c").is_control and unit_of(p, "c").tau is None
 
 
 def test_unit_series_invariants():
@@ -154,22 +155,16 @@ def test_cohort_blocks_group_units_in_order_of_first_appearance():
     assert first.tau == 5 and first.times.tolist() == [1, 2, 3, 4, 5, 6]
     assert first.outcomes.tolist() == [list(range(6))] * 2
     assert first.covariates is None
-    assert [u.unit_id for u in p.treated_units] == ["a", "b", "d", "e"]
-    assert [u.unit_id for u in p.control_units] == ["c"]
+    assert [u.unit_id for u in p.units] == ["a", "c", "b", "d", "e"]
 
 
-def test_as_matrix_and_structure():
+def test_panel_structure():
     p = PanelData([unit("a"), unit("b")])
-    times, Y = p.as_matrix()
-    assert times.tolist() == [1, 2, 3, 4, 5, 6]
-    assert Y.shape == (2, 6)
     assert p.common_tau() == 5
     assert p.is_balanced()
     ragged = PanelData([unit("a"), unit("b", times=(1, 2, 3), tau=2)])
     assert not ragged.is_balanced()
     assert ragged.common_tau() is None
-    with pytest.raises(PanelFormatError):
-        ragged.as_matrix()
 
 
 # ---------------------------------------------------------------------------
@@ -271,22 +266,13 @@ def assert_blocks_equal(a, b):
 def test_block_panel_units_rebuild_the_same_blocks():
     panel = block_panel()
     assert [u.unit_id for u in panel.units] == ["t1", "c1", "t2", "t3"]
-    assert [u.unit_id for u in panel.treated_units] == ["t1", "t2", "t3"]
-    assert [u.unit_id for u in panel.control_units] == ["c1"]
-    t3 = panel.unit("t3")
+    assert [u.is_control for u in panel.units] == [False, True, False, False]
+    t3 = unit_of(panel, "t3")
     assert np.shares_memory(t3.outcomes, panel.treated_blocks[0].outcomes)
     assert t3.tau == 5 and not t3.is_control
     rebuilt = PanelData(panel.units, covariate_names=panel.covariate_names)
     assert_blocks_equal(rebuilt.treated_blocks, panel.treated_blocks)
     assert_blocks_equal(rebuilt.control_blocks, panel.control_blocks)
-
-
-def test_unit_panel_keeps_the_given_objects():
-    units = [unit("a"), unit("b", is_control=True), unit("c", tau=4)]
-    panel = PanelData(units)
-    assert all(p is u for p, u in zip(panel.units, units))
-    assert panel.unit("c") is units[2]
-    assert panel.control_units[0] is units[1]
 
 
 def test_block_panel_structure_answers_without_units(monkeypatch):
@@ -296,13 +282,11 @@ def test_block_panel_structure_answers_without_units(monkeypatch):
         raise AssertionError("UnitSeries built")
 
     monkeypatch.setattr(panel_module.UnitSeries, "__post_init__", refuse)
-    assert len(panel) == panel.n_units == 4
+    assert len(panel) == 4
     assert not panel.is_balanced()
     assert panel.common_tau() is None
     balanced = simulate_dgp(DgpSpec(n=3, n_control=2, T=5, tau=3), 4)
     assert balanced.is_balanced() and balanced.common_tau() == 3
-    times, Y = balanced.as_matrix()
-    assert times.tolist() == [1, 2, 3, 4, 5] and Y.shape == (5, 5)
     with pytest.raises(AssertionError, match="UnitSeries built"):
         balanced.units
 
@@ -330,7 +314,14 @@ def test_unit_without_covariates_writes_blank_fields():
     text = panel_to_csv_text(panel)
     assert text.splitlines()[9] == "b,0,1.0,5,"
     loaded = load_panel(io.StringIO(text))
-    assert np.isnan(loaded.unit("b").covariates).all()
+    # A blank field is the format's one spelling of a missing covariate:
+    # a NaN given, loaded from a blank or loaded from "nan" is written so.
+    units[1] = UnitSeries("b", np.arange(8), t + 1.0, tau=5, covariates=np.full((8, 1), np.nan))
+    spelled = text.replace("b,0,1.0,5,\n", "b,0,1.0,5,nan\n")
+    for written in (PanelData(units, covariate_names=("x",)), loaded,
+                    load_panel(io.StringIO(spelled))):
+        assert panel_to_csv_text(written) == text
+    assert np.isnan(unit_of(loaded, "b").covariates).all()
     mb = MbConfig(q=1, R=4, covariates=("x",), beta=(0.3, 1.0))
     est = model_based_fat(loaded, mb, h=1)
     assert est.unit_ids == ("a", "c")
@@ -392,9 +383,9 @@ def test_validate_control_without_date_not_fatal():
 def test_reindex_to_adoption():
     p = PanelData([unit("a", tau=5), unit("b", times=(3, 4, 5, 6, 7, 8), tau=7)])
     r = reindex_time_to_adoption(p)
-    assert r.unit("a").times.tolist() == [-4, -3, -2, -1, 0, 1]
-    assert r.unit("b").times.tolist() == [-4, -3, -2, -1, 0, 1]
-    assert r.unit("a").tau == 0 and r.unit("b").tau == 0
+    assert unit_of(r, "a").times.tolist() == [-4, -3, -2, -1, 0, 1]
+    assert unit_of(r, "b").times.tolist() == [-4, -3, -2, -1, 0, 1]
+    assert unit_of(r, "a").tau == 0 and unit_of(r, "b").tau == 0
     again = reindex_time_to_adoption(r)
     assert_panels_equal(again, r)
 
@@ -409,9 +400,9 @@ def test_reindex_requires_dates():
 def test_apply_anticipation():
     p = PanelData([unit("a"), unit("b")])
     shifted = apply_anticipation(p, 2)
-    assert shifted.unit("a").tau == 3 and shifted.unit("b").tau == 3
+    assert unit_of(shifted, "a").tau == 3 and unit_of(shifted, "b").tau == 3
     per_unit = apply_anticipation(p, {"a": 1})
-    assert per_unit.unit("a").tau == 4 and per_unit.unit("b").tau == 5
+    assert unit_of(per_unit, "a").tau == 4 and unit_of(per_unit, "b").tau == 5
     # No date moves: the panel itself comes back, with no new blocks.
     assert apply_anticipation(p, 0) is p and apply_anticipation(p, {"a": 0}) is p
     with pytest.raises(ConfigError, match=r"^delta must be an integer >= 0, got -1$"):
@@ -424,7 +415,7 @@ def test_apply_anticipation():
     c = UnitSeries("c", times=np.arange(1, 4), outcomes=np.zeros(3),
                    tau=None, is_control=True)
     kept = apply_anticipation(PanelData([unit("a", times=(4, 5, 6), tau=5), c]), 2)
-    assert kept.unit("a").tau == 3 and kept.unit("c").tau is None
+    assert unit_of(kept, "a").tau == 3 and unit_of(kept, "c").tau is None
     only_control = PanelData([c])
     assert apply_anticipation(only_control, 1) is only_control
     assert apply_anticipation(only_control, {"c": 1}) is only_control
@@ -444,5 +435,5 @@ def test_apply_anticipation_refuses_non_integer_shifts(delta):
 
 def test_apply_anticipation_takes_numpy_integers():
     p = PanelData([unit("a"), unit("b")])
-    assert apply_anticipation(p, np.int64(1)).unit("a").tau == 4
-    assert apply_anticipation(p, {"b": np.int32(2)}).unit("b").tau == 3
+    assert unit_of(apply_anticipation(p, np.int64(1)), "a").tau == 4
+    assert unit_of(apply_anticipation(p, {"b": np.int32(2)}), "b").tau == 3

@@ -44,19 +44,20 @@ def oracle_reindex(panel):
 
 
 def oracle_anticipation(panel, delta):
-    shifts = delta if isinstance(delta, Mapping) else {u.unit_id: delta for u in panel.units}
+    units = panel.units  # built from the blocks on each read
+    shifts = delta if isinstance(delta, Mapping) else {u.unit_id: delta for u in units}
     for uid, d in shifts.items():
         if d < 0:
             name = f"delta for unit {uid!r}" if isinstance(delta, Mapping) else "delta"
             raise ConfigError(f"{name} must be an integer >= 0, got {d!r}")
-    unknown = [uid for uid in shifts if uid not in {u.unit_id for u in panel.units}]
+    unknown = [uid for uid in shifts if uid not in {u.unit_id for u in units}]
     if unknown:
         raise ConfigError(f"delta names units not in the panel: {unknown}")
-    dated = [u for u in panel.units if u.tau is not None]
+    dated = [u for u in units if u.tau is not None]
     if not any(shifts.get(u.unit_id, 0) for u in dated):
         return panel
     units = [u if u.tau is None else dataclasses.replace(u, tau=u.tau - shifts.get(u.unit_id, 0))
-             for u in panel.units]
+             for u in units]
     return PanelData(units, covariate_names=panel.covariate_names)
 
 

@@ -286,6 +286,24 @@ def test_monte_carlo_refuses_a_bad_first_stage_setting_before_simulating(
     assert drawn == []
 
 
+@pytest.mark.parametrize("estimator", ["pr", "placebo", "dfat"])
+@pytest.mark.parametrize("settings, unread", [
+    (dict(instrument_lag=7, detrend="yes"), "instrument_lag, detrend"),
+    (dict(instrument_lag=3), "instrument_lag"),
+    (dict(detrend=False), "detrend"),
+])
+def test_only_an_mb_cell_takes_first_stage_settings(estimator, settings, unread):
+    with pytest.raises(ConfigError, match=f"^a {estimator} cell takes no {unread}: "
+                                          "only mb cells fit a first stage$"):
+        run_monte_carlo(DgpSpec(n=20, T=6, tau=5, include_ar=True),
+                        (GridCell(estimator=estimator, q=0, R=1, **settings),), 2, 0)
+    assert (GridCell(estimator=estimator).instrument_lag, GridCell().detrend) == (None, None)
+    # An mb cell's lag defaults to the first stage's 3.
+    mb = GridCell(estimator="mb", q=0, R=1)
+    assert (mb.instrument_lag, mb.detrend) == (3, None)
+    assert mb == GridCell(estimator="mb", q=0, R=1, instrument_lag=3)
+
+
 def test_monte_carlo_takes_numpy_integers():
     cells = (GridCell(estimator="pr", q=0, R=1),)
     spec = DgpSpec(n=4, T=4, tau=3)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -211,11 +212,17 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _residual_csv(rows: Sequence[tuple], header: Sequence[str]) -> str:
-    # str(float) is repr(float): the shortest text that reads back exactly.
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    return "\n".join(lines) + "\n"
+def _csv_text(header: Sequence[str], lines: Sequence[str]) -> str:
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
+
+
+def _csv_ids(ids: Sequence[str]) -> list:
+    """Unit ids as CSV fields: an id holding a comma, a quote, ``\\r`` or
+    ``\\n`` is quoted, with its inner quotes doubled; any other id is bare."""
+    return ['"' + u.replace('"', '""') + '"' if _NEEDS_QUOTES(u) else u for u in ids]
 
 
 def _emit(cfg: RunConfig, payload: dict, csv_text: Union[str, None]) -> None:
@@ -263,7 +270,7 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
     prefix.  A cell whose estimate fails is reported with its error; after
     writing, the command fails, with the first cell's error, only when
     every cell failed."""
-    results, rows, failures = [], [], []
+    results, lines, failures = [], [], []
     for key, prefix, run in cells:
         try:
             est = run()
@@ -274,10 +281,12 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
         results.append({**key, **est.to_dict()})
         parts = (((("treated",), est.treated), (("control",), est.control))
                  if isinstance(est, DfatEstimate) else (((), est),))
-        rows += [(*prefix, *group, unit_id, float(resid)) for group, part in parts
-                 for unit_id, resid in zip(part.unit_ids, part.residuals)]
-    _emit(cfg, {**_base_payload(cfg, kind), "results": results},
-          _residual_csv(rows, header))
+        for group, part in parts:
+            # repr(float) is the shortest text that reads back exactly.
+            cells_before = ",".join(map(str, (*prefix, *group)))
+            lines += [f"{cells_before},{unit_id},{resid!r}" for unit_id, resid in
+                      zip(_csv_ids(part.unit_ids), part.residuals.tolist())]
+    _emit(cfg, {**_base_payload(cfg, kind), "results": results}, _csv_text(header, lines))
     if len(failures) == len(results):
         raise failures[0]
     return EXIT_OK
@@ -382,11 +391,9 @@ def cmd_validate(cfg: RunConfig) -> int:
             unit["tau"] += cfg.delta
     if payload["common_tau"] is not None:
         payload["common_tau"] += cfg.delta
-    rows = [(d.unit_id, d.fatal, d.pre_treatment_run,
-             ";".join(d.messages)) for d in report.units]
-    csv_text = _residual_csv(rows, ("unit", "fatal", "pre_treatment_run",
-                                    "messages"))
-    _emit(cfg, payload, csv_text)
+    lines = [f"{unit_id},{d.fatal},{d.pre_treatment_run},{';'.join(d.messages)}"
+             for unit_id, d in zip(_csv_ids(d.unit_id for d in report.units), report.units)]
+    _emit(cfg, payload, _csv_text(("unit", "fatal", "pre_treatment_run", "messages"), lines))
     return EXIT_OK
 
 

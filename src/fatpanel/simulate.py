@@ -112,15 +112,78 @@ class DgpSpec:
         return d
 
 
-def _draw(law: ParamLaw, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Per-unit values for a scalar-or-uniform law.
+def _draw(law: ParamLaw, rngs: Sequence[np.random.Generator], size: int):
+    """Per-unit values for a scalar-or-uniform law, one row per generator.
 
-    Scalar laws consume no random draws, so switching a parameter between
-    scalar and interval changes the stream layout by design.
+    A scalar law is returned as it is and consumes no random draws, so
+    switching a parameter between scalar and interval changes the stream
+    layout by design.
     """
     if isinstance(law, tuple):
-        return rng.uniform(law[0], law[1], size=size)
-    return np.full(size, float(law))
+        return np.stack([rng.uniform(law[0], law[1], size=size) for rng in rngs])
+    return law
+
+
+def _draw_outcomes(spec: DgpSpec, seeds: Sequence) -> np.ndarray:
+    """The outcomes of one panel per seed, as a (B, N, T) array whose
+    units are the treated ones followed by the controls.
+
+    Each seed is anything ``numpy.random.default_rng`` accepts, and each
+    panel draws from its own stream in a fixed order (mu, rho, delta,
+    initial values, AR noise, walk noise), so identical seeds give
+    bitwise-identical outcomes whatever else is drawn beside them.  The
+    AR noise is drawn straight into the output, and the recursion then
+    runs in place over every panel at once.
+    """
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    B, N, T = len(rngs), spec.n + spec.n_control, spec.T
+    mu = _draw(spec.mu, rngs, N)
+    rho = _draw(spec.rho, rngs, N)
+    delta = _draw(spec.delta, rngs, N)
+
+    recursive = spec.trend_mode == "recursive"
+    ar, walk = recursive or spec.include_ar, spec.include_walk and not recursive
+    y0 = np.empty((B, N))
+    Y = np.empty((B, N, T)) if ar else np.zeros((B, N, T))
+    eps = np.empty((B, N, T)) if walk else None
+    for b, rng in enumerate(rngs):
+        rng.standard_normal(out=y0[b])
+        if ar:
+            rng.standard_normal(out=Y[b])
+        if walk:
+            rng.standard_normal(out=eps[b])
+
+    if spec.init_mode == "stationary":
+        init_mean, init_sd = mu / (1.0 - rho), 1.0 / np.sqrt(1.0 - rho * rho)
+    else:
+        init_mean, init_sd = 1.0, math.sqrt(2.0)
+    y0 *= init_sd
+    y0 += init_mean
+    tgrid = np.arange(1, T + 1)
+    trend_vals = tgrid.astype(float) ** spec.trend_power
+    if ar:
+        # y_t = mu + rho * y_{t-1} (+ delta * t**p when recursive) + noise,
+        # with each step's mean part built in the initial values' buffer.
+        prev = step = y0
+        for t in range(T):
+            np.multiply(rho, prev, out=step)
+            step += mu
+            if recursive:
+                step += delta * trend_vals[t]
+            prev = Y[:, :, t]
+            prev += step
+    if walk:
+        Y += np.cumsum(eps, axis=2, out=eps)
+    if spec.include_trend and not recursive:
+        for t in range(T):
+            Y[:, :, t] += delta * trend_vals[t]
+
+    post = (tgrid > spec.tau).astype(float)
+    if spec.common_shock:
+        Y += spec.common_shock * post
+    if spec.true_att:
+        Y[:, :spec.n] += spec.true_att * post
+    return Y
 
 
 def simulate_dgp(spec: DgpSpec, seed=None) -> PanelData:
@@ -130,58 +193,18 @@ def simulate_dgp(spec: DgpSpec, seed=None) -> PanelData:
     units are named ``t0001``..; control units ``c0001``.. and carry the
     shared adoption date as their forecasting cohort date.
 
-    Draw order is fixed (mu, rho, delta, initial values, AR noise, walk
-    noise), so identical seeds give bitwise-identical panels.
-
-    The outcomes are written straight into one treated and one control
-    cohort block, whose rows are views on the simulated array.
+    This is ``_draw_outcomes``, the one simulator, for a single seed: the
+    same seed gives the same outcomes here as in any Monte Carlo chunk,
+    and they are written into one treated and one control cohort block,
+    whose rows are views on the simulated array.
     """
-    rng = np.random.default_rng(seed)
-    N = spec.n + spec.n_control
-    T, tau = spec.T, spec.tau
+    return _panel(spec, _draw_outcomes(spec, [seed])[0])
 
-    mu = _draw(spec.mu, rng, N)
-    rho = _draw(spec.rho, rng, N)
-    delta = _draw(spec.delta, rng, N)
 
-    if spec.init_mode == "stationary":
-        init_mean = mu / (1.0 - rho)
-        init_sd = 1.0 / np.sqrt(1.0 - rho ** 2)
-    else:
-        init_mean = np.full(N, 1.0)
-        init_sd = np.full(N, math.sqrt(2.0))
-    y_init = init_mean + init_sd * rng.standard_normal(N)
-
-    tgrid = np.arange(1, T + 1)
-    trend_vals = tgrid.astype(float) ** spec.trend_power
-
-    if spec.trend_mode == "recursive":
-        u = rng.standard_normal((N, T))
-        Y = np.empty((N, T))
-        prev = y_init
-        for t in range(1, T + 1):
-            prev = mu + rho * prev + delta * trend_vals[t - 1] + u[:, t - 1]
-            Y[:, t - 1] = prev
-    else:
-        Y = np.zeros((N, T))
-        if spec.include_ar:
-            u = rng.standard_normal((N, T))
-            prev = y_init
-            for t in range(1, T + 1):
-                prev = mu + rho * prev + u[:, t - 1]
-                Y[:, t - 1] += prev
-        if spec.include_walk:
-            eps = rng.standard_normal((N, T))
-            Y += np.cumsum(eps, axis=1)
-        if spec.include_trend:
-            Y += delta[:, None] * trend_vals[None, :]
-
-    post = (tgrid > tau).astype(float)
-    if spec.common_shock:
-        Y += spec.common_shock * post[None, :]
-    if spec.true_att:
-        Y[:spec.n] += spec.true_att * post[None, :]
-
+def _panel(spec: DgpSpec, Y: np.ndarray) -> PanelData:
+    """The panel of ``spec`` whose blocks are views on the (N, T) outcomes ``Y``."""
+    N, tau = spec.n + spec.n_control, spec.tau
+    tgrid = np.arange(1, spec.T + 1)
     width = max(4, len(str(N)))
     blocks = [CohortBlock(
         is_control=False, tau=tau, times=tgrid, outcomes=Y[:spec.n],
@@ -342,8 +365,10 @@ class McReport:
 
 
 # Replications simulated and evaluated together: each cell's per-call cost
-# is paid once a chunk, and a chunk's outcomes stay under 3 MB at the
-# presets' 1,000 units and 6 periods.
+# is paid once a chunk.  At the presets' 1,000 units and 6 periods a
+# chunk's outcomes take 2.4 MB, and a random walk's noise as much again
+# while it is drawn; 1,000 replications of common_shock or components_all
+# peak at 43 or 47 MB resident, numpy included.
 _CHUNK = 50
 _ARRAY_SUM = functools.partial(np.sum, axis=-1)
 
@@ -357,10 +382,14 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     run leaves earlier replications unchanged.  A cell whose estimator
     raises in more than half of the replications is marked degenerate.
 
-    Replications run in chunks of ``_CHUNK``.  A simulated panel's layout
-    (windows, targets, weights, drops) depends on the spec alone, so each
-    cell is laid out once a chunk and applied, through the estimators'
-    residual kernel, to the chunk's outcomes stacked block by block.  Each
+    Replications run in chunks of ``_CHUNK``, each drawn by
+    ``_draw_outcomes``, the simulator behind ``simulate_dgp``, as one
+    (B, N, T) array whose treated and control rows are the stacks the
+    estimators read; no panel is built per replication.  A simulated
+    panel's layout (windows, targets, weights, drops) depends on the spec
+    alone, so one layout panel is built per run, each cell is laid out
+    once a chunk on it, and the estimators' residual kernel applies that
+    layout to the chunk's outcomes.  Each
     (``instrument_lag``, ``detrend``) group of mb cells fits one first
     stage a chunk; a replication whose moment matrix is singular fails the
     group's cells.  Points and standard errors are array sums, within
@@ -386,20 +415,24 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     configs = [(ForecastConfig(q=c.q, R=c.R),
                 _ah_settings(c.instrument_lag, c.detrend) if c.estimator == "mb" else None)
                for c in cells]
+    # The layout of every chunk; its outcomes are never read.
+    layout = _panel(spec, np.zeros((spec.n + spec.n_control, spec.T)))
     # (point, se, interval covers the truth) of each replication a cell ran
     done: list[list[tuple]] = [[] for _ in cells]
     for start in range(0, n_reps, _CHUNK):
-        reps = range(start, min(start + _CHUNK, n_reps))
-        (panel, stacks), fits = _simulate_chunk(spec, master_seed, reps), {}
+        Y = _draw_outcomes(spec, [np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
+                                  for r in range(start, min(start + _CHUNK, n_reps))])
+        stacks, fits = [Y[:, :spec.n], Y[:, spec.n:]], {}
         for j, (cell, (config, key)) in enumerate(zip(cells, configs)):
             try:
-                point, se = _chunk_estimates(panel, stacks, cell, config, key, fits)
+                point, se = _chunk_estimates(layout, stacks, cell, config, key, fits)
             except (EstimationError, RankDeficiencyError):
                 continue
             lo, hi = _interval(point, se, 0.95)
             ok = ~np.isnan(point)
             covers = (lo <= truths[j]) & (truths[j] <= hi)
             done[j] += zip(point[ok].tolist(), se[ok].tolist(), covers[ok].tolist())
+        del Y, stacks  # freed before the next chunk is drawn
 
     results = []
     for cell, truth, ok in zip(cells, truths, done):
@@ -418,20 +451,6 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
         ))
     return McReport(spec=spec, master_seed=master_seed, n_reps=n_reps,
                     cells=tuple(results), preset=preset)
-
-
-def _simulate_chunk(spec: DgpSpec, master_seed: int, reps: range):
-    """The first panel of replications ``reps`` and the outcomes of all of
-    them, stacked block by block, treated blocks first.  Each panel is
-    copied in as it is drawn, so only one is held at a time."""
-    for i, r in enumerate(reps):
-        drawn = simulate_dgp(spec, np.random.SeedSequence(entropy=master_seed, spawn_key=(r,)))
-        blocks = drawn.treated_blocks + drawn.control_blocks
-        if not i:
-            panel, stacks = drawn, [np.empty((len(reps),) + b.outcomes.shape) for b in blocks]
-        for stack, b in zip(stacks, blocks):
-            stack[i] = b.outcomes
-    return panel, stacks
 
 
 def _chunk_estimates(panel: PanelData, stacks, cell: GridCell, config: ForecastConfig,

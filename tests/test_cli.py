@@ -5,6 +5,8 @@ direct library calls on the same input file, so the CLI can add nothing
 beyond argument plumbing and serialization.
 """
 
+import csv
+import io
 import json
 import os
 import re
@@ -232,6 +234,48 @@ def test_estimate_residual_csv(tmp_path):
     first = lines[1].split(",")
     assert first[:4] == ["1", "5", "1", est.unit_ids[0]]
     assert float(first[4]) == est.residuals[0]
+
+
+def test_residual_and_validate_csvs_quote_ids_that_need_it(tmp_path):
+    # Ids holding a comma, a quote or a line break load from quoted fields;
+    # the CSVs quote them back, and only them, so each row reads back with
+    # the header's width and its unit's id.
+    ids = ["a,1", 'b"2', "c\n3", "d\r4", "e5"]
+    rng = np.random.default_rng(5)
+    lines = ["unit,time,outcome,treated_at"]
+    for uid in ids:
+        field = uid if uid == "e5" else '"' + uid.replace('"', '""') + '"'
+        lines += [f"{field},{t},{rng.standard_normal()!r},5" for t in range(1, 8)]
+    path = tmp_path / "ids.csv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    panel = load_panel(path)
+    est = {h: fat(panel, ForecastConfig(q=0, R=3), h) for h in (1, 2)}
+    assert list(est[1].unit_ids) == sorted(ids)
+
+    def read(name):
+        text = (tmp_path / name).read_bytes().decode("utf-8")
+        header, *rows = csv.reader(io.StringIO(text, newline=""))
+        assert all(len(row) == len(header) for row in rows)
+        return text, header, rows
+
+    assert main(["estimate", "--input", str(path), "--q", "0", "--r", "3", "--h", "1", "2",
+                 "--out-json", str(tmp_path / "e.json"),
+                 "--out-csv", str(tmp_path / "e.csv")]) == 0
+    text, header, rows = read("e.csv")
+    assert header == ["q", "R", "horizon", "unit", "residual"]
+    assert [(row[2], row[3], float(row[4])) for row in rows] == [
+        (str(h), uid, r) for h in (1, 2) for uid, r in zip(est[h].unit_ids,
+                                                          est[h].residuals.tolist())]
+    assert '\n0,3,1,"a,1",' in text and '\n0,3,1,"b""2",' in text
+    assert '\n0,3,1,"c\n3",' in text and '\n0,3,1,"d\r4",' in text
+    assert "\n0,3,1,e5," in text
+
+    assert main(["validate", "--input", str(path), "--q", "0", "--r", "3",
+                 "--out-json", str(tmp_path / "v.json"),
+                 "--out-csv", str(tmp_path / "v.csv")]) == 0
+    _, header, rows = read("v.csv")
+    assert header == ["unit", "fatal", "pre_treatment_run", "messages"]
+    assert [row[0] for row in rows] == sorted(ids)
 
 
 # -- placebo ----------------------------------------------------------------

@@ -12,6 +12,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fatpanel import estimators as estimators_module
 from fatpanel import panel as panel_module
@@ -278,7 +280,7 @@ def test_monte_carlo_refuses_a_bad_first_stage_setting_before_simulating(
     # A good pr cell comes first: the mb cell's settings are still checked
     # before the first replication is drawn.
     drawn = []
-    monkeypatch.setattr(simulate_module, "simulate_dgp", lambda *a: drawn.append(a))
+    monkeypatch.setattr(simulate_module, "_draw_outcomes", lambda *a: drawn.append(a))
     cells = (GridCell(estimator="pr", q=0, R=1),
              GridCell(estimator="mb", q=0, R=1, **settings))
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
@@ -450,17 +452,19 @@ def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(mo
     # is exactly singular and the chunk's stacked solve raises: it is solved
     # again one replication at a time, and only replication 2's mb cells
     # fail.  The other replications' fits are those of their own panels.
+    # The oracle simulates through ``simulate_dgp``, which draws through the
+    # same ``_draw_outcomes``, so it sees the same flat replication.
     spec = DgpSpec(n=30, T=8, tau=6, trend_mode="recursive", init_mode="fixed", rho=0.4)
-    simulate = simulate_module.simulate_dgp
+    draw = simulate_module._draw_outcomes
 
-    def flat_replication_2(s, seed):
-        panel = simulate(s, seed)
-        if seed.spawn_key != (2,):
-            return panel
-        return PanelData.from_blocks([dataclasses.replace(b, outcomes=np.ones_like(b.outcomes))
-                                      for b in panel.treated_blocks])
+    def flat_replication_2(s, seeds):
+        Y = draw(s, seeds)
+        for y, seed in zip(Y, seeds):
+            if seed.spawn_key == (2,):
+                y[...] = 1.0
+        return Y
 
-    monkeypatch.setattr(simulate_module, "simulate_dgp", flat_replication_2)
+    monkeypatch.setattr(simulate_module, "_draw_outcomes", flat_replication_2)
     cells = (GridCell(estimator="mb", q=1, R=2, instrument_lag=3, group="mb"),
              GridCell(estimator="mb", q=0, R=1, instrument_lag=2, detrend=False,
                       group="mb_missp"),
@@ -471,8 +475,9 @@ def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(mo
                       [c.to_dict() for c in expected.cells])
     assert [(c.n_ok, c.n_failed) for c in report.cells] == [(4, 1), (4, 1), (5, 0)]
 
-    panels = [flat_replication_2(spec, np.random.SeedSequence(entropy=3, spawn_key=(r,)))
+    panels = [simulate_dgp(spec, np.random.SeedSequence(entropy=3, spawn_key=(r,)))
               for r in range(5)]
+    assert (panels[2].treated_blocks[0].outcomes == 1.0).all()
     stacked = [np.stack([p.treated_blocks[0].outcomes for p in panels])]
     beta, _, psi, _, _, _ = estimators_module._ah_fit(panels[0], stacked, 3, True, [])
     assert np.isnan(beta[2]).all() and np.isnan(psi[2]).all()
@@ -665,9 +670,9 @@ def test_shock_preset_has_controls_and_differenced_cell():
 # simulating straight into cohort blocks
 
 
-def simulate_per_unit(spec, seed):
-    """The simulator as one validated ``UnitSeries`` per unit, stacked back
-    into blocks by ``PanelData``: the reference for ``simulate_dgp``."""
+def draw_per_replication(spec, seed):
+    """One replication's (N, T) outcomes, drawn on their own from
+    ``default_rng(seed)`` with one noise matrix per component."""
     rng = np.random.default_rng(seed)
     N = spec.n + spec.n_control
     T, tau = spec.T, spec.tau
@@ -705,6 +710,14 @@ def simulate_per_unit(spec, seed):
         Y += spec.common_shock * post[None, :]
     if spec.true_att:
         Y[:spec.n] += spec.true_att * post[None, :]
+    return Y
+
+
+def simulate_per_unit(spec, seed):
+    """The simulator as one validated ``UnitSeries`` per unit, stacked back
+    into blocks by ``PanelData``: the reference for ``simulate_dgp``."""
+    N, T, tau = spec.n + spec.n_control, spec.T, spec.tau
+    Y, tgrid = draw_per_replication(spec, seed), np.arange(1, T + 1)
     width = max(4, len(str(N)))
     units = [UnitSeries(f"t{i + 1:0{width}d}", tgrid, Y[i], tau=tau)
              for i in range(spec.n)]
@@ -770,12 +783,67 @@ def test_simulated_panels_share_read_only_unit_ids():
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_monte_carlo_report_equals_the_report_on_per_unit_panels(name, monkeypatch):
+    # The same report when the layout panel is rebuilt from one UnitSeries
+    # per unit and every replication is drawn by the per-unit simulator.
     spec, cells = preset(name)
     with monkeypatch.context() as m:
         refuse_unit_series(m)
         report = run_monte_carlo(spec, cells, 3, 5, preset=name)
-    simulate = simulate_module.simulate_dgp
-    monkeypatch.setattr(simulate_module, "simulate_dgp",
-                        lambda s, seed: PanelData(list(simulate(s, seed).units)))
+    layout = simulate_module._panel
+    monkeypatch.setattr(simulate_module, "_panel",
+                        lambda s, Y: PanelData(list(layout(s, Y).units)))
+    monkeypatch.setattr(simulate_module, "_draw_outcomes", lambda s, seeds: np.stack(
+        [outcomes_matrix(simulate_per_unit(s, seed)) for seed in seeds]))
     rebuilt = run_monte_carlo(spec, cells, 3, 5, preset=name)
     assert report.to_json() == rebuilt.to_json()
+
+
+def _law(draw, lo, hi):
+    """A scalar or a (lo, hi) interval inside [lo, hi]."""
+    a, b = draw(st.floats(lo, hi)), draw(st.floats(lo, hi))
+    return draw(st.sampled_from([a, (min(a, b), max(a, b))]))
+
+
+@st.composite
+def dgp_specs(draw):
+    T = draw(st.integers(2, 9))
+    init_mode = draw(st.sampled_from(["stationary", "fixed"]))
+    rho_bound = 0.95 if init_mode == "stationary" else 1.2
+    return DgpSpec(
+        n=draw(st.integers(1, 6)), n_control=draw(st.sampled_from([0, 0, 1, 4])),
+        T=T, tau=draw(st.integers(1, T - 1)),
+        include_ar=draw(st.booleans()), include_walk=draw(st.booleans()),
+        include_trend=draw(st.booleans()),
+        trend_mode=draw(st.sampled_from(["additive", "recursive"])), init_mode=init_mode,
+        rho=_law(draw, -rho_bound, rho_bound), mu=_law(draw, -2.0, 2.0),
+        delta=_law(draw, -2.0, 2.0), trend_power=draw(st.integers(1, 3)),
+        true_att=draw(st.sampled_from([0.0, draw(st.floats(-3.0, 3.0))])),
+        common_shock=draw(st.sampled_from([0.0, draw(st.floats(-3.0, 3.0))])))
+
+
+def _with_chunk_examples(test):
+    # Every SPECS entry drawn alone (B = 1), as a chunk (B = 7), and as a
+    # chunk after the first (reps 50-56).
+    for spec in SPECS.values():
+        for start, size in ((0, 1), (0, 7), (50, 7)):
+            test = example(spec=spec, master_seed=31, start=start, size=size)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec=dgp_specs(), master_seed=st.integers(0, 2 ** 32 - 1),
+       start=st.integers(0, 120), size=st.integers(1, 7))
+@_with_chunk_examples
+def test_draw_outcomes_matches_the_per_replication_simulator(spec, master_seed, start, size):
+    # Each replication's outcomes are its own stream's, bit for bit, whether
+    # it is drawn alone, in a chunk, or in a chunk after the first.
+    seeds = [np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
+             for r in range(start, start + size)]
+    got = simulate_module._draw_outcomes(spec, seeds)
+    want = np.stack([draw_per_replication(spec, seed) for seed in seeds])
+    assert got.shape == (size, spec.n + spec.n_control, spec.T)
+    assert got.tobytes() == want.tobytes()
+    # The one panel simulate_dgp draws for a seed is that seed's row of a chunk.
+    panel = simulate_dgp(spec, seeds[-1])
+    blocks = panel.treated_blocks + panel.control_blocks
+    assert np.concatenate([b.outcomes for b in blocks]).tobytes() == got[-1].tobytes()

@@ -41,9 +41,9 @@ I/O problem, 3 estimation failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
-import re
 import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -55,7 +55,7 @@ from . import estimators
 from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
                          covariate_fat_heterogeneous, dfat, fat, model_based_fat,
                          placebo_fat)
-from .panel import PanelData, apply_anticipation, load_panel, validate
+from .panel import PanelData, apply_anticipation, csv_field, csv_text, load_panel, validate
 from .simulate import REPORT_SCHEMA, DgpSpec, GridCell, preset, run_monte_carlo
 
 EXIT_OK = 0
@@ -212,29 +212,16 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _csv_text(header: Sequence[str], lines: Sequence[str]) -> str:
-    return "\n".join([",".join(header), *lines]) + "\n"
-
-
-_NEEDS_QUOTES = re.compile('[,"\r\n]').search
-
-
-def _csv_ids(ids: Sequence[str]) -> list:
-    """Unit ids as CSV fields: an id holding a comma, a quote, ``\\r`` or
-    ``\\n`` is quoted, with its inner quotes doubled; any other id is bare."""
-    return ['"' + u.replace('"', '""') + '"' if _NEEDS_QUOTES(u) else u for u in ids]
-
-
-def _emit(cfg: RunConfig, payload: dict, csv_text: Union[str, None]) -> None:
+def _emit(cfg: RunConfig, payload: dict, table: str) -> None:
     text = _json_text(payload)
     if cfg.out_json is not None:
         with open(cfg.out_json, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if cfg.out_csv is not None and csv_text is not None:
+    if cfg.out_csv is not None:
         with open(cfg.out_csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(csv_text)
+            fh.write(table)
 
 
 def _estimate_one(panel: PanelData, cfg: RunConfig, q: int, h: int,
@@ -282,11 +269,11 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
         parts = (((("treated",), est.treated), (("control",), est.control))
                  if isinstance(est, DfatEstimate) else (((), est),))
         for group, part in parts:
-            # repr(float) is the shortest text that reads back exactly.
+            # A residual is finite, so ``repr`` spells it as ``csv_number`` would.
             cells_before = ",".join(map(str, (*prefix, *group)))
             lines += [f"{cells_before},{unit_id},{resid!r}" for unit_id, resid in
-                      zip(_csv_ids(part.unit_ids), part.residuals.tolist())]
-    _emit(cfg, {**_base_payload(cfg, kind), "results": results}, _csv_text(header, lines))
+                      zip(map(csv_field, part.unit_ids), part.residuals.tolist())]
+    _emit(cfg, {**_base_payload(cfg, kind), "results": results}, csv_text(header, lines))
     if len(failures) == len(results):
         raise failures[0]
     return EXIT_OK
@@ -347,26 +334,19 @@ def _cells_from_config(cfg: RunConfig) -> tuple:
 def cmd_simulate(cfg: RunConfig) -> int:
     if cfg.preset is not None:
         spec, cells = preset(cfg.preset)
-        if cfg.dgp is not None:
-            try:
-                spec = dataclasses.replace(spec, **dict(cfg.dgp))
-            except TypeError as exc:
-                raise ConfigError(f"bad dgp override: {exc}") from exc
-        if cfg.cells is not None:
-            cells = _cells_from_config(cfg)
-        preset_name = cfg.preset
+    elif cfg.dgp is None or cfg.cells is None:
+        raise ConfigError(
+            "simulate needs --preset, or 'dgp' and 'cells' in the config file")
     else:
-        if cfg.dgp is None or cfg.cells is None:
-            raise ConfigError(
-                "simulate needs --preset, or 'dgp' and 'cells' in the config file")
+        spec, cells = DgpSpec(), ()
+    if cfg.dgp is not None:
         try:
-            spec = DgpSpec(**dict(cfg.dgp))
+            spec = dataclasses.replace(spec, **cfg.dgp)
         except TypeError as exc:
             raise ConfigError(f"bad dgp spec: {exc}") from exc
+    if cfg.cells is not None:
         cells = _cells_from_config(cfg)
-        preset_name = None
-    report = run_monte_carlo(spec, cells, cfg.reps, cfg.seed,
-                             preset=preset_name)
+    report = run_monte_carlo(spec, cells, cfg.reps, cfg.seed, preset=cfg.preset)
     _emit(cfg, report.to_dict(), report.to_csv_text())
     return EXIT_OK
 
@@ -391,9 +371,9 @@ def cmd_validate(cfg: RunConfig) -> int:
             unit["tau"] += cfg.delta
     if payload["common_tau"] is not None:
         payload["common_tau"] += cfg.delta
-    lines = [f"{unit_id},{d.fatal},{d.pre_treatment_run},{';'.join(d.messages)}"
-             for unit_id, d in zip(_csv_ids(d.unit_id for d in report.units), report.units)]
-    _emit(cfg, payload, _csv_text(("unit", "fatal", "pre_treatment_run", "messages"), lines))
+    lines = [f"{csv_field(d.unit_id)},{d.fatal},{d.pre_treatment_run},{';'.join(d.messages)}"
+             for d in report.units]
+    _emit(cfg, payload, csv_text(("unit", "fatal", "pre_treatment_run", "messages"), lines))
     return EXIT_OK
 
 
@@ -495,7 +475,7 @@ def main(argv: Union[Sequence[str], None] = None) -> int:
     except ConfigError as exc:
         print(f"fatpanel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (PanelFormatError, OSError) as exc:
+    except (PanelFormatError, csv.Error, OSError) as exc:
         print(f"fatpanel: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (EstimationError, RankDeficiencyError) as exc:

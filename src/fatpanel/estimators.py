@@ -364,16 +364,14 @@ def _resolve(block: CohortBlock, q: int, R, shrink: bool, eff_tau: int,
 
 def _weights(basis: BasisSpec, window: np.ndarray, h: int) -> np.ndarray:
     """Forecast weights for a contiguous window, ``h`` periods past its end."""
-    if basis.family == "custom":
-        return forecast_weights(basis, window, window[-1] + h).weights
-    start = int(window[0]) if basis.family == "fourier" else 0
+    start = 0 if basis.family == "polynomial" else int(window[0])
     return _cached_weights(basis, window.size, h, start)
 
 
 # Polynomial weights depend only on the window length and the horizon (the
 # Legendre map of an integer window is exact, so any start gives the same
-# bits), Fourier weights also on the window's phase.  Kept for the life of
-# the process and shared by every caller, so they are read-only.
+# bits), Fourier and custom weights also on the window's start.  Kept for the
+# life of the process and shared by every caller, so they are read-only.
 @functools.lru_cache(maxsize=1024)
 def _cached_weights(basis: BasisSpec, R: int, h: int, start: int) -> np.ndarray:
     w = forecast_weights(basis, np.arange(start, start + R), start + R - 1 + h).weights

@@ -18,17 +18,17 @@ The interchange format is a delimited text file with a header row::
 Times and treatment dates are integers, outcomes and covariates decimal
 numbers with "." as the decimal mark, encoding UTF-8.  Outcomes must be
 finite; a blank covariate field means the value is missing.  ``write_panel``
-emits exactly this layout so that a write/load round trip reproduces the
-panel bit for bit.  ``csvrows`` reads the text into checked, sorted column
+emits exactly this layout, every field spelled by ``csv_field`` or
+``csv_number``, the rule of every CSV the package writes, so that a
+write/load round trip reproduces the panel bit for bit.  ``csvrows`` reads the text into checked, sorted column
 arrays, which ``load_panel`` groups into cohort blocks.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, TextIO
 
@@ -311,6 +311,9 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     ConfigError
         When ``schema`` is not a mapping, a column name in it is not a
         string, or its ``covariates`` is not a list of strings.
+    csv.Error
+        The ``csv`` reader's own error, such as a field longer than
+        ``csv.field_size_limit()``, when no row before it holds a fault.
     """
     if hasattr(source, "read"):
         return _load_stream(source, schema)
@@ -338,49 +341,62 @@ def _load_stream(fh: TextIO, schema) -> PanelData:
     return PanelData.from_blocks(blocks, covariate_names=rows.covariate_names)
 
 
-def write_panel(panel: PanelData, dest) -> None:
-    """Write a panel in the canonical delimited layout.
+_NEEDS_QUOTES = re.compile('[,"\r\n]').search
 
-    Emits ``unit,time,outcome,treated_at`` plus a ``control_flag`` column
-    when any unit is a control, plus one column per covariate.  Units come
-    in panel order and each unit's rows in time order.  Numbers are written
-    with ``repr`` so a reload reproduces the exact float values; a missing
-    (NaN) covariate is written as a blank field, which ``load_panel`` reads
-    as missing.
-    """
+
+def csv_field(text: str) -> str:
+    """``text`` as a field of any CSV the package writes: quoted, with its
+    inner quotes doubled, when it holds a comma, a quote, ``\\r`` or
+    ``\\n``, and bare otherwise."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def csv_number(value: float) -> str:
+    """``value`` as a CSV field: ``repr``, the shortest text that reads back
+    exactly, and NaN as a blank field."""
+    return "" if math.isnan(value) else repr(value)
+
+
+def csv_text(header: Sequence[str], lines: Iterable[str]) -> str:
+    """A CSV of ``header``, its names spelled by ``csv_field``, and ``lines``."""
+    return "\n".join([",".join(map(csv_field, header)), *lines]) + "\n"
+
+
+def write_panel(panel: PanelData, dest) -> None:
+    """Write ``panel_to_csv_text(panel)`` to a path or a text stream."""
     if hasattr(dest, "write"):
-        _write_stream(panel, dest)
+        dest.write(panel_to_csv_text(panel))
     else:
         with open(os.fspath(dest), "w", newline="", encoding="utf-8") as fh:
-            _write_stream(panel, fh)
-
-
-def _write_stream(panel: PanelData, fh: TextIO) -> None:
-    writer = csv.writer(fh, lineterminator="\n")
-    has_controls = bool(panel.control_blocks)
-    header = ["unit", "time", "outcome", "treated_at"]
-    if has_controls:
-        header.append("control_flag")
-    header.extend(panel.covariate_names)
-    writer.writerow(header)
-    rows = [None] * len(panel)  # each unit's rows, at its panel position
-    for b in panel._blocks:
-        shared = ["" if b.tau is None else b.tau, *([int(b.is_control)] if has_controls else [])]
-        times = b.times.tolist()
-        cells = np.empty(b.outcomes.shape + (0,)) if b.covariates is None else b.covariates
-        covariates = [[["" if math.isnan(v) else repr(v) for v in x] for x in xs]
-                      for xs in cells.tolist()]
-        for at, uid, ys, xs in zip(b.positions.tolist(), b.unit_ids.tolist(),
-                                   b.outcomes.tolist(), covariates):
-            rows[at] = [[uid, t, repr(y), *shared, *x] for t, y, x in zip(times, ys, xs)]
-    for unit_rows in rows:
-        writer.writerows(unit_rows)
+            fh.write(panel_to_csv_text(panel))
 
 
 def panel_to_csv_text(panel: PanelData) -> str:
-    buf = io.StringIO()
-    _write_stream(panel, buf)
-    return buf.getvalue()
+    """A panel in the canonical delimited layout.
+
+    Emits ``unit,time,outcome,treated_at`` plus a ``control_flag`` column
+    when any unit is a control, plus one column per covariate.  Units come
+    in panel order and each unit's rows in time order.  Unit ids and
+    covariate names are spelled by ``csv_field``, outcomes by ``repr`` and
+    covariates by ``csv_number``, so a reload reproduces the exact ids, names
+    and float values; a missing (NaN) covariate is a blank field, which
+    ``load_panel`` reads as missing.
+    """
+    has_controls = bool(panel.control_blocks)
+    header = ["unit", "time", "outcome", "treated_at",
+              *(["control_flag"] if has_controls else []), *panel.covariate_names]
+    rows = [None] * len(panel)  # each unit's lines, at its panel position
+    for b in panel._blocks:
+        shared = ("" if b.tau is None else str(b.tau)) + (
+            f",{int(b.is_control)}" if has_controls else "")
+        times = b.times.tolist()
+        tails = ([[shared] * len(times)] * b.unit_ids.size if b.covariates is None else
+                 [[shared + "".join("," + csv_number(v) for v in x) for x in xs]
+                  for xs in b.covariates.tolist()])
+        for at, uid, ys, ends in zip(b.positions.tolist(), map(csv_field, b.unit_ids),
+                                     b.outcomes.tolist(), tails):
+            rows[at] = "\n".join(f"{uid},{t},{y!r},{end}" for t, y, end in zip(times, ys, ends))
+    return csv_text(header, rows)
 
 
 @dataclass(frozen=True)

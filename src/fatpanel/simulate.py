@@ -32,7 +32,7 @@ from .errors import ConfigError, EstimationError, RankDeficiencyError
 # of this module, and a traced run fails if one is missing.
 from .estimators import (_ah_fit, _ah_settings, _interval, _kernel, _point_se, dfat,
                          fat, model_based_fat, placebo_fat)
-from .panel import CohortBlock, PanelData
+from .panel import CohortBlock, PanelData, csv_field, csv_number, csv_text
 
 # A parameter that is either common to all units or drawn per unit from a
 # uniform interval (lo, hi).
@@ -56,9 +56,10 @@ class DgpSpec:
     include flags are ignored.
 
     ``rho``, ``mu``, and ``delta`` are scalars or (lo, hi) uniform laws
-    drawn once per unit.  The AR initial value is drawn from the process's
-    stationary law or from a fixed normal with mean 1 and variance 2,
-    independent of stationarity.
+    drawn once per unit; a two-element list, as JSON spells one, is such
+    a pair.  The AR initial value is drawn from the process's stationary
+    law or from a fixed normal with mean 1 and variance 2, independent of
+    stationarity.
 
     ``true_att`` is added to treated units at every period after ``tau``;
     ``common_shock`` is added to every unit after ``tau``.
@@ -93,15 +94,17 @@ class DgpSpec:
             raise ConfigError("trend_power must be >= 1")
         for name in ("rho", "mu", "delta"):
             law = getattr(self, name)
-            if isinstance(law, tuple):
-                if len(law) != 2 or not law[0] <= law[1]:
-                    raise ConfigError(f"{name} law must be (lo, hi) with lo <= hi")
-                object.__setattr__(self, name, (float(law[0]), float(law[1])))
-            else:
-                object.__setattr__(self, name, float(law))
+            interval = isinstance(law, (tuple, list))
+            try:
+                value = tuple(map(float, law)) if interval else float(law)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name} law must be a number or (lo, hi), "
+                                  f"got {law!r}") from None
+            if interval and (len(value) != 2 or not value[0] <= value[1]):
+                raise ConfigError(f"{name} law must be (lo, hi) with lo <= hi")
+            object.__setattr__(self, name, value)
         if self.init_mode == "stationary":
-            hi = self.rho[1] if isinstance(self.rho, tuple) else abs(self.rho)
-            if hi >= 1.0:
+            if np.max(np.abs(self.rho)) >= 1.0:
                 raise ConfigError("stationary initialization requires |rho| < 1")
 
     def to_dict(self) -> dict:
@@ -354,14 +357,14 @@ class McReport:
         """Table-style text: one block row per (label, q), columns by R."""
         r_values = list(dict.fromkeys(c.R for c in self.cells))
         by_key = {(c.label, c.q, c.h, c.R): c for c in self.cells}
-        lines = ["label,q,metric," + ",".join(f"R={r}" for r in r_values)]
+        lines = []
         for label, q, h in dict.fromkeys((c.label, c.q, c.h) for c in self.cells):
             for metric in ("bias", "mc_se", "coverage"):
                 vals = (getattr(by_key[label, q, h, r], metric)
                         if (label, q, h, r) in by_key else math.nan for r in r_values)
-                lines.append(f"{label},{q},{metric},"
-                             + ",".join("" if math.isnan(v) else repr(v) for v in vals))
-        return "\n".join(lines) + "\n"
+                lines.append(f"{csv_field(label)},{q},{metric},"
+                             + ",".join(map(csv_number, vals)))
+        return csv_text(["label", "q", "metric", *(f"R={r}" for r in r_values)], lines)
 
 
 # Replications simulated and evaluated together: each cell's per-call cost

@@ -27,7 +27,7 @@ from fatpanel.errors import EstimationError
 from fatpanel.estimators import (MbConfig, covariate_fat_heterogeneous, dfat, fat,
                                  model_based_fat, placebo_fat)
 from fatpanel.panel import PanelData, UnitSeries, load_panel, write_panel
-from fatpanel.simulate import DgpSpec, simulate_dgp
+from fatpanel.simulate import DgpSpec, preset, simulate_dgp
 
 
 def sim_panel_csv(tmp_path, name="panel.csv", seed=11, **spec_kw):
@@ -472,6 +472,46 @@ def test_simulate_inline_spec_from_config_file(tmp_path):
     assert cell["n_ok"] == 6
 
 
+@pytest.mark.parametrize("config, spec, names", [
+    # An interval law is a JSON list; unset fields keep DgpSpec's defaults.
+    ({"dgp": {"n": 10, "rho": [0.1, 0.5]}, "cells": [{"q": 0, "R": 3}]},
+     {**DgpSpec().to_dict(), "n": 10, "rho": [0.1, 0.5]}, ["pr_q0_R3"]),
+    # A preset's spec and grid, each replaced from the file on its own.
+    ({"preset": "stationary", "dgp": {"n": 12, "mu": [-2.0, 2.0]}},
+     {**preset("stationary")[0].to_dict(), "n": 12, "mu": [-2.0, 2.0]},
+     [c.name for c in preset("stationary")[1]]),
+    ({"preset": "common_shock", "cells": [{"q": 1, "R": 2}]},
+     preset("common_shock")[0].to_dict(), ["pr_q1_R2"]),
+])
+def test_simulate_config_overrides(tmp_path, config, spec, names):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**config, "reps": 2}))
+    code, payload = run_json(["simulate", "--config", str(cfg_path)], tmp_path)
+    assert code == 0
+    assert payload["preset"] == config.get("preset")
+    assert payload["spec"] == spec
+    assert [c["name"] for c in payload["cells"]] == names
+    # A report's own spec is a valid ``dgp``.
+    cfg_path.write_text(json.dumps({**config, "dgp": payload["spec"], "reps": 2}))
+    assert run_json(["simulate", "--config", str(cfg_path)], tmp_path)[1] == payload
+
+
+@pytest.mark.parametrize("dgp, message", [
+    ("ab", "bad dgp spec: "),
+    ({"n": 10, "rho": "ab"}, "rho law must be a number or (lo, hi), got 'ab'"),
+    ({"n": 10, "rho": [-1.5, 0.5]}, "stationary initialization requires |rho| < 1"),
+    ({"n": 10, "sigma": 1.0}, "bad dgp spec: "),
+])
+@pytest.mark.parametrize("study", [{"preset": "stationary"}, {"cells": [{"q": 0, "R": 3}]}])
+def test_simulate_bad_dgp_is_usage_error(tmp_path, capsys, dgp, message, study):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({**study, "dgp": dgp, "reps": 2}))
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(cfg_path), "--out-json", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"fatpanel: error: {message}")
+
+
 @pytest.mark.parametrize("cell, message", [
     ({"h": 0}, "h must be an integer >= 1, got 0"),
     ({"h": 1.5}, "h must be an integer >= 1, got 1.5"),
@@ -634,6 +674,20 @@ def test_time_outside_int64_is_data_error(tmp_path, capsys):
     assert main(["estimate", "--input", str(bad), "--q", "0"]) == 2
     assert capsys.readouterr().err == ("fatpanel: error: row 3: time '99999999999999999999'"
                                        " is outside the 64-bit integer range\n")
+
+
+@pytest.mark.parametrize("command", ["validate", "estimate"])
+def test_a_csv_reader_error_is_data_error(tmp_path, capsys, command):
+    # A field longer than the reader's limit stops the ``csv`` reader itself.
+    limit = csv.field_size_limit()
+    bad = tmp_path / "bad.csv"
+    bad.write_text("unit,time,outcome,treated_at\n"
+                   f"a,1,1.0,2\n{'x' * (limit + 1)},2,2.0,2\n")
+    out = tmp_path / "o.json"
+    assert main([command, "--input", str(bad), "--q", "0", "--out-json", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"fatpanel: error: field larger than field limit ({limit})\n")
+    assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -557,6 +557,25 @@ def test_rank_deficient_window_drops_on_a_balanced_panel():
         fat(PanelData(units), config, h=1)
 
 
+def test_custom_basis_matches_the_per_unit_oracle():
+    # Custom weights are cached by window start, as Fourier weights are; a
+    # staggered panel gives windows at several starts.
+    basis = BasisSpec("custom", order=2,
+                      functions=(np.ones_like, lambda t: t, lambda t: np.log(t + 1.0)))
+    rng = np.random.default_rng(12)
+    units = [UnitSeries(f"u{i}", np.arange(1 + i % 3, 13), rng.normal(size=12 - i % 3),
+                        tau=7 + i % 4) for i in range(24)]
+    panel = PanelData(units)
+    atol = _scale(panel)
+    for h in (1, 2):
+        for R in (4, 5, 6):
+            config = ForecastConfig(R=R, basis=basis)
+            _same(fat(panel, config, h), _fat_oracle(units, config, h, 0), atol)
+        for R in (3, 4, 5):
+            config = ForecastConfig(R=R, basis=basis)
+            _same(placebo_fat(panel, config, 1, h), _fat_oracle(units, config, h, 1), atol)
+
+
 def test_lagged_model_window_all_is_run_less_first_period():
     rng = np.random.default_rng(8)
     units = [UnitSeries(f"u{i}", np.arange(7), rng.normal(size=7), tau=5)

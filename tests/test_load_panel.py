@@ -416,6 +416,7 @@ def test_a_load_larger_than_one_slice_matches_the_oracle():
 
 @st.composite
 def random_panels(draw):
+    # Ids and covariate names hold every character a CSV field quotes for.
     n_cov = draw(st.integers(0, 2))
     floats = st.floats(allow_nan=False, allow_infinity=False, width=64)
     units = []
@@ -431,11 +432,12 @@ def random_panels(draw):
                                          min_size=n * n_cov, max_size=n * n_cov)))
             cov = cov.reshape(n, n_cov)
         units.append(UnitSeries(
-            draw(st.sampled_from(["u", "v,w", 'x"y', "z z"])) + str(k),
+            draw(st.sampled_from(["u", "v,w", 'x"y', "z z", "a\rb", "c\nd", '",\r\n'])) + str(k),
             np.array(times), np.array(draw(st.lists(floats, min_size=n, max_size=n))),
             tau=tau, is_control=control, covariates=cov))
+    odd = st.sampled_from(["", ",", '"', "\r", "\n", ' "a,\r\nb"'])
     return PanelData(draw(st.permutations(units)),
-                     covariate_names=[f"x{j}" for j in range(n_cov)])
+                     covariate_names=[f"x{j}" + draw(odd) for j in range(n_cov)])
 
 
 @settings(max_examples=100, deadline=None,
@@ -444,9 +446,15 @@ def random_panels(draw):
 def test_write_load_round_trip_is_bit_exact(panel, slice_rows, tmp_path_factory):
     path = tmp_path_factory.mktemp("round_trip") / "panel.csv"
     write_panel(panel, path)
+    stream = io.StringIO(newline="")
+    write_panel(panel, stream)
+    with open(path, newline="", encoding="utf-8") as fh:
+        assert fh.read() == stream.getvalue()
+    stream.seek(0)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(csvrows, "_SLICE_ROWS", slice_rows)
         loaded = load_panel(path)
+        assert_same_panel(load_panel(stream), panel)
     assert_same_panel(loaded, panel)
     for got, want in zip(loaded.units, panel.units):
         assert got.unit_id == want.unit_id and got.tau == want.tau

@@ -5,7 +5,9 @@ component panels worked by hand, the closed-form mean recursion, and
 large-sample moment checks with 3-standard-error tolerances.
 """
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import re
@@ -56,6 +58,9 @@ def test_spec_rejects_nonstationary_rho_with_stationary_init():
         DgpSpec(rho=1.0, init_mode="stationary")
     with pytest.raises(ConfigError):
         DgpSpec(rho=(0.0, 1.2), init_mode="stationary")
+    # Either end of an interval law may leave the stationary region.
+    with pytest.raises(ConfigError, match=re.escape("requires |rho| < 1")):
+        DgpSpec(n=50, rho=(-1.5, 0.5), init_mode="stationary")
     # The fixed initial condition has no such restriction.
     DgpSpec(rho=1.0, init_mode="fixed", trend_mode="recursive")
 
@@ -73,6 +78,9 @@ def test_spec_rejects_malformed_laws_and_enums():
         DgpSpec(trend_power=0)
     with pytest.raises(ConfigError):
         DgpSpec(n=0)
+    for law in ("ab", [0.0, "x"], [None, 1.0], {"lo": 0.0}):
+        with pytest.raises(ConfigError, match="rho law must be a number or"):
+            DgpSpec(rho=law)
 
 
 def test_spec_to_dict_converts_laws_to_lists():
@@ -80,6 +88,11 @@ def test_spec_to_dict_converts_laws_to_lists():
     assert d["rho"] == [0.0, 0.99]
     assert d["delta"] == 1.0
     assert d["mu"] == [-1.0, 1.0]
+    # A two-element list is an interval law, so a report's spec reads back.
+    for spec in (DgpSpec(rho=(0.0, 0.99), delta=1.0), *(preset(n)[0] for n in PRESET_NAMES)):
+        assert DgpSpec(**spec.to_dict()) == spec
+        assert DgpSpec(**json.loads(json.dumps(spec.to_dict()))) == spec
+    assert DgpSpec(rho=[0.1, 0.5]).rho == (0.1, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +608,21 @@ def test_report_csv_layout_round_trips_floats():
     assert q1_bias[:3] == ["pr", "1", "bias"]
     assert q1_bias[3] == ""
     assert float(q1_bias[4]) == report.cell("pr_q1_R2").bias
+
+
+@pytest.mark.parametrize("group", ["a,b", 'say "hi"', "x\ry", "x\ny"])
+def test_report_csv_quotes_a_group_label_that_needs_it(group):
+    spec = DgpSpec(n=6, T=6, tau=5, include_ar=True)
+    cells = (GridCell(estimator="pr", q=0, R=1, group=group),
+             GridCell(estimator="pr", q=0, R=2, group=group),
+             GridCell(estimator="pr", q=1, R=2))
+    report = run_monte_carlo(spec, cells, n_reps=3, master_seed=8)
+    rows = list(csv.reader(io.StringIO(report.to_csv_text(), newline="")))
+    assert rows[0] == ["label", "q", "metric", "R=1", "R=2"]
+    assert [len(r) for r in rows] == [5] * 7
+    assert [r[:3] for r in rows[1:4]] == [[group, "0", m] for m in ("bias", "mc_se", "coverage")]
+    assert float(rows[1][4]) == report.cell(f"{group}_q0_R2").bias
+    assert rows[4][:4] == ["pr", "1", "bias", ""]
 
 
 def test_report_cell_lookup_raises_for_unknown_name():

@@ -221,7 +221,7 @@ def _se(u: np.ndarray, mean, total=_fsum):
     """sqrt of the (1/n) variance of ``u`` about ``mean``, over n: along the
     last axis, with sums taken by ``total``."""
     n = u.shape[-1]
-    return np.sqrt(total((u - np.expand_dims(mean, -1)) ** 2) / n / n)
+    return np.sqrt(total((u - np.asarray(mean)[..., None]) ** 2) / n / n)
 
 
 def mb_variance(residuals, gradients, psi) -> float:
@@ -229,12 +229,13 @@ def mb_variance(residuals, gradients, psi) -> float:
 
     Each residual is recentred by (mean forecast gradient) @ (unit influence
     vector) before the plain variance formula is applied: units that moved
-    the first-stage coefficients have that feedback removed.
+    the first-stage coefficients have that feedback removed.  ``gradients``
+    and ``psi`` are (n, k); a 1-D pair is one coefficient's, (n, 1).
     """
     u = np.asarray(residuals, dtype=float)
-    G = np.atleast_2d(np.asarray(gradients, dtype=float))
-    P = np.atleast_2d(np.asarray(psi, dtype=float))
-    if G.shape[0] != u.size or P.shape != G.shape:
+    G, P = (np.asarray(a, dtype=float) for a in (gradients, psi))
+    G, P = (a[:, None] if a.ndim == 1 else a for a in (G, P))  # one coefficient
+    if G.ndim != 2 or G.shape[0] != u.size or P.shape != G.shape:
         raise ConfigError("residuals, gradients, and psi must align")
     gbar = G.mean(axis=0)
     ustar = u - P @ gbar
@@ -412,30 +413,117 @@ def _unit_weights(basis: BasisSpec, block: CohortBlock, rows: np.ndarray, win: s
 # the residual kernel
 
 
+def _contrast(Y: np.ndarray, columns) -> np.ndarray:
+    """The products of the outcome rows ``Y`` (..., n, T) with the contrast
+    ``columns``, as an (m, ..., n) array.  A column (j, i0, w) is the
+    contrast e_j - w on the window of ``len(w)`` periods starting at
+    period index ``i0``, giving Y[..., j] - Y[..., window] @ w; per unit,
+    ``w`` is an (n, R) array of each unit's weights.
+
+    Each column is its own matrix-vector product, so its bits depend on
+    that column and ``Y`` alone, not on the columns beside it: a Monte
+    Carlo chunk can stack every cell's columns in one call, and each cell
+    gets the residuals it gets alone.  (One matrix product over the
+    stacked columns does not keep that: BLAS rounds a column differently
+    as the number of columns beside it changes.)"""
+    P = np.empty((len(columns),) + Y.shape[:-1])
+    for k, (j, i0, w) in enumerate(columns):
+        window = Y[..., i0:i0 + w.shape[-1]]
+        np.subtract(Y[..., j], window @ w if w.ndim == 1 else (window * w).sum(axis=-1),
+                    out=P[k])
+    return P
+
+
+class _Part(NamedTuple):
+    """A used block of a kernel layout: its index among the kernel's
+    blocks, the block rows used, its contrast columns (``_contrast``; the
+    residual's first, then with the lagged outcome that outcome's
+    gradient) and the (n_rows, n_model_covariates) covariate gradients
+    x_j - X_win w, which no outcome enters."""
+
+    block: int
+    rows: object
+    columns: tuple
+    cov_grads: np.ndarray
+
+
+class _Layout(NamedTuple):
+    """A kernel resolved on its blocks: the used ``parts``, the units'
+    panel ``positions`` and ``ids`` in panel order, the permutation
+    ``order`` from part order to panel order (None when they agree), and
+    the ``dropped`` units."""
+
+    blocks: Sequence[CohortBlock]
+    parts: tuple
+    positions: np.ndarray
+    ids: np.ndarray
+    order: np.ndarray | None
+    dropped: tuple
+
+    def apply(self, beta=(), outcomes=None) -> _Residuals:
+        """The residuals, one contrast product per used block over its
+        outcome rows; ``outcomes[k]`` stands in for those of ``blocks[k]``
+        and may carry leading replication axes, as may ``beta``."""
+        return self.finish([
+            _contrast((self.blocks[p.block].outcomes if outcomes is None
+                       else outcomes[p.block])[..., p.rows, :], p.columns)
+            for p in self.parts], beta)
+
+    def finish(self, products, beta=()) -> _Residuals:
+        """The residuals from each part's contrast products, one (..., n_rows)
+        array per column: the first column less grads @ ``beta``, where the
+        gradients stack the other columns and the covariate gradients."""
+        beta = np.asarray(beta, dtype=float)
+        residuals, grads = [], []
+        for p, (first, *rest) in zip(self.parts, products):
+            g = np.stack(rest, axis=-1) if rest else np.empty(first.shape + (0,))
+            if p.cov_grads.shape[-1]:
+                g = np.concatenate([g, np.broadcast_to(
+                    p.cov_grads, g.shape[:-1] + p.cov_grads.shape[-1:])], axis=-1)
+            residuals.append(first - (g * beta[..., None, :]).sum(axis=-1) if g.shape[-1]
+                             else first)
+            grads.append(g)
+        if not residuals:
+            residuals, grads = [np.empty(0)], [np.empty((0, 0))]
+        return _Residuals(self.positions, self.ids, _in_order(residuals, self.order, -1),
+                          _in_order(grads, self.order, -2), self.dropped)
+
+
+def _in_order(arrays: list, order, axis: int) -> np.ndarray:
+    """The parts' ``arrays`` joined along the unit ``axis`` and put in
+    panel ``order`` (None when they already are)."""
+    joined = arrays[0] if len(arrays) == 1 else np.concatenate(arrays, axis=axis)
+    return joined if order is None else np.take(joined, order, axis=axis)
+
+
 def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
             tau_shift: int = 0, lagged: bool = False, cov_idx: Sequence[int] = (),
-            het: bool = False):
-    """The residual kernel for ``blocks``, split where the outcomes enter.
+            het: bool = False) -> _Layout:
+    """The residual kernel for ``blocks``, laid out before any outcome is read.
 
     Resolves each block's window, target, weights (from a per-process
-    memo) and drops once, and returns ``apply(beta=(), outcomes=None)``:
-    the residuals y(tau - tau_shift + h) - forecast of the units used, in panel
-    order, each block's from one product over its outcome rows,
-    ``Y[..., j] - (Y[..., win] - X beta) @ w - x_j' beta``, where the model
-    columns X stack the ``lagged`` outcome and the covariates ``cov_idx``
-    (without a model, ``Y[..., j] - Y[..., win] @ w``).  ``outcomes[k]``
-    stands in for the outcomes of ``blocks[k]``; it and ``beta`` may carry
-    leading replication axes.  With ``lagged``, ``R="all"`` leaves the
-    run's first period to serve as the window's first lag.
+    memo) and drops once.  A residual y(tau - tau_shift + h) - forecast is
+    a fixed linear contrast of the unit's outcome row, so each used block
+    gets its contrast columns here: e_j - w on the window, and with the
+    ``lagged`` outcome e_{j-1} - w on the window shifted back one period,
+    the gradient y_{j-1} - w'y_{win-1}.  The model's covariates ``cov_idx``
+    enter through their gradients x_j - X_win w, built here too.  The
+    returned layout's ``apply(beta=(), outcomes=None)`` makes one product
+    per used block and gives the residuals of the units used, in panel
+    order: the first column less grads @ beta, which is
+    ``Y[..., j] - (Y[..., win] - X beta) @ w - x_j' beta``.  With
+    ``lagged``, ``R="all"`` leaves the run's first period to serve as the
+    window's first lag.
 
     With ``het`` the covariates enter each unit's window regression
     instead, with unit-specific coefficients: there is no model, and each
-    unit has its own weights (``_unit_weights``).
+    unit has its own weights (``_unit_weights``), so its own contrast row.
     """
     if not blocks:
         raise EstimationError("no units to estimate on")
     q = config.basis.order
     p = q + 1 + len(cov_idx)
+    model_cov = () if het else cov_idx
     parts, dropped = [], []
     for k, b in enumerate(blocks):
         try:
@@ -471,51 +559,39 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
             except RankDeficiencyError:
                 dropped.append((b, rows, "window design is rank deficient"))
                 continue
-        parts.append((k, rows, i0, i1, j, w))
+        columns = ((j, i0, w),) + (((j - 1, i0 - 1, w),) if lagged else ())
+        cov_grads = np.stack([b.covariates[rows, j, c] - b.covariates[rows, i0:i1 + 1, c] @ w
+                              for c in model_cov], axis=-1) if model_cov else np.empty((0, 0))
+        parts.append(_Part(k, rows, columns, cov_grads))
 
-    used = [(blocks[k], rows) for k, rows, *_ in parts]
+    used = [(blocks[p.block], p.rows) for p in parts]
     positions = np.concatenate([np.empty(0, dtype=int)] + [b.positions[r] for b, r in used])
-    order = np.argsort(positions)
     ids = np.concatenate([np.empty(0, dtype=object)] + [b.unit_ids[r] for b, r in used])
+    order = None if np.all(positions[:-1] < positions[1:]) else np.argsort(positions)
+    if order is not None:
+        positions, ids = positions[order], ids[order]
     dropped = tuple((u, r) for _, u, r in sorted(
         (at, u, r) for b, rows, r in dropped
         for at, u in zip(b.positions[rows], b.unit_ids[rows])))
-    model_cov = () if het else cov_idx
-
-    def apply(beta=(), outcomes=None) -> _Residuals:
-        beta = np.asarray(beta, dtype=float)
-        coef = [beta[..., c, None] for c in range(beta.shape[-1])]
-        residuals, grads = [], []
-        for k, rows, i0, i1, j, w in parts:
-            b = blocks[k]
-            Y = (b.outcomes if outcomes is None else outcomes[k])[..., rows, :]
-            terms = [(Y[..., i0 - 1:i1], Y[..., j - 1])] if lagged else []
-            terms += [(b.covariates[rows, i0:i1 + 1, c], b.covariates[rows, j, c])
-                      for c in model_cov]
-            modeled = sum(bk[..., None] * Xw for bk, (Xw, _) in zip(coef, terms))
-            Ywin = Y[..., i0:i1 + 1] - modeled
-            forecast = (sum(bk * xt for bk, (_, xt) in zip(coef, terms))
-                        + (Ywin @ w if w.ndim == 1 else (Ywin * w).sum(axis=-1)))
-            g = np.empty(Y.shape[:-1] + (len(terms),))
-            for c, (Xw, xt) in enumerate(terms):
-                g[..., c] = xt - Xw @ w
-            residuals.append(Y[..., j] - forecast)
-            grads.append(g)
-        return _Residuals(positions[order], ids[order],
-                          np.concatenate(residuals or [np.empty(0)], axis=-1)[..., order],
-                          np.concatenate(grads or [np.empty((0, 0))], axis=-2)[..., order, :],
-                          dropped)
-    return apply
+    return _Layout(blocks, tuple(parts), positions, ids, order, dropped)
 
 
-def _point_se(res: _Residuals, first=None, total=_fsum):
+def _aligned(psi: np.ndarray, at: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """The influence vectors ``psi`` of the units at the increasing panel
+    positions ``at``, gathered for the units at ``positions``: zero for a
+    unit the first stage did not use."""
+    i = np.minimum(np.searchsorted(at, positions), at.size - 1)
+    return np.where((at[i] == positions)[:, None], psi[..., i, :], 0.0)
+
+
+def _point_se(res: _Residuals, psi=None, total=_fsum):
     """Point estimate and standard error, per replication when ``res``
     carries a leading axis, with sums taken by ``total`` over the last.
 
-    With a fitted first stage, ``first`` = (influence vectors, their panel
-    positions), each residual is recentred by (mean gradient) @ (its
-    influence vector; zero for a unit the fit did not use).  Fewer than two
-    units give no standard error, so no interval: ``EstimationError``.
+    With a fitted first stage, ``psi`` holds the influence vectors of the
+    units of ``res`` (``_aligned``), and each residual is recentred by
+    (mean gradient) @ (its influence vector).  Fewer than two units give
+    no standard error, so no interval: ``EstimationError``.
     """
     n = res.residuals.shape[-1]
     if n < 2:
@@ -524,19 +600,17 @@ def _point_se(res: _Residuals, first=None, total=_fsum):
                               f"only one usable unit ({res.ids[0]}); a standard "
                               "error needs at least two")
     point = total(res.residuals) / n
-    if first is None:
+    if psi is None:
         return point, _se(res.residuals, point, total)
-    psi, at = first
-    full = np.zeros(psi.shape[:-2] + (max(at[-1], res.positions[-1]) + 1, psi.shape[-1]))
-    full[..., at, :] = psi
-    gbar = res.grads.mean(axis=-2)[..., None]
-    u = res.residuals - (full[..., res.positions, :] @ gbar)[..., 0]
+    gbar = res.grads.mean(axis=-2)[..., None, :]
+    u = res.residuals - (psi * gbar).sum(axis=-1)
     return point, _se(u, total(u) / n, total)
 
 
 def _summarize(res: _Residuals, h, level, first: AhEstimate | None = None) -> FatEstimate:
     """``FatEstimate`` of one panel's residuals, summed exactly."""
-    point, se = map(float, _point_se(res, first and (first.psi, first.positions)))
+    psi = first and _aligned(first.psi, first.positions, res.positions)
+    point, se = map(float, _point_se(res, psi))
     return FatEstimate(
         horizon=h, point=point, se=se, ci=_interval(point, se, level),
         level=level, n_used=len(res.ids), unit_ids=tuple(res.ids), residuals=res.residuals,
@@ -576,7 +650,7 @@ def fat(panel: PanelData, config: ForecastConfig, h: int = 1,
     FatEstimate
     """
     h = as_count("h", h, 1)
-    return _summarize(_kernel(panel.treated_blocks, config, h)(), h, level)
+    return _summarize(_kernel(panel.treated_blocks, config, h).apply(), h, level)
 
 
 def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
@@ -589,7 +663,7 @@ def placebo_fat(panel: PanelData, config: ForecastConfig, lag: int,
     """
     lag = as_count("lag", lag, 0)
     h = as_count("h", h, 1)
-    return _summarize(_kernel(panel.treated_blocks, config, h, tau_shift=lag)(),
+    return _summarize(_kernel(panel.treated_blocks, config, h, tau_shift=lag).apply(),
                       h, level)
 
 
@@ -615,8 +689,8 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
             "an adoption date"
         )
     cc = config if config_control is None else config_control
-    t = _kernel(treated, config, h)()
-    c = _kernel(controls, cc, h)()
+    t = _kernel(treated, config, h).apply()
+    c = _kernel(controls, cc, h).apply()
     est_t = _summarize(t, h, level)
     est_c = _summarize(c._replace(dropped=c.dropped + skipped), h, level)
     point = est_t.point - est_c.point
@@ -824,7 +898,7 @@ def model_based_fat(panel: PanelData, mb: MbConfig, h: int = 1,
     if not panel.treated_blocks:
         raise EstimationError("no treated units")
     res = _kernel(panel.treated_blocks, mb.forecast_config(), h,
-                  lagged=mb.lagged_outcome, cov_idx=cov_idx)(beta)
+                  lagged=mb.lagged_outcome, cov_idx=cov_idx).apply(beta)
     return _summarize(res, h, level, first)
 
 
@@ -844,5 +918,5 @@ def covariate_fat_heterogeneous(panel: PanelData, config: ForecastConfig,
     cov_idx = _covariate_columns(panel, names)
     if not cov_idx:
         raise ConfigError("no covariates selected")
-    return _summarize(_kernel(panel.treated_blocks, config, h, cov_idx=cov_idx, het=True)(),
+    return _summarize(_kernel(panel.treated_blocks, config, h, cov_idx=cov_idx, het=True).apply(),
                       h, level)

@@ -50,7 +50,8 @@ class UnitSeries:
     times : ndarray of int
         Observed periods, strictly increasing (gaps allowed).
     outcomes : ndarray of float
-        One outcome per observed period.
+        One finite outcome per observed period; a non-finite one raises
+        ``PanelFormatError``, as ``load_panel`` refuses it.
     tau : int or None
         Last untreated period: treatment is active strictly after ``tau``.
         ``None`` only for control units without an assigned cohort date.
@@ -92,6 +93,10 @@ def _check_series(series, uid, lead: tuple) -> None:
         raise PanelFormatError(f"unit {uid!r}: empty series")
     if times.size > 1 and not np.all(np.diff(times) > 0):
         raise PanelFormatError(f"unit {uid!r}: times must be strictly increasing")
+    finite = np.isfinite(outcomes).all(axis=-1)
+    if not finite.all():
+        bad = series.unit_ids[np.argmin(finite)] if lead else uid
+        raise PanelFormatError(f"unit {bad!r}: outcomes must be finite")
     if covariates is not None:
         covariates = np.asarray(covariates, dtype=float)
         if covariates.ndim != outcomes.ndim + 1 or covariates.shape[:-1] != outcomes.shape:
@@ -120,7 +125,8 @@ class CohortBlock:
     these three, so estimators resolve them once per block and compute
     every unit's forecast as one product over the dense outcome rows.
     Construction checks the block's shapes, its time grid and its date
-    with the same messages ``UnitSeries`` uses, naming the first unit.
+    with the same messages ``UnitSeries`` uses, naming the first unit, and
+    refuses a non-finite outcome, naming its unit.
 
     Attributes
     ----------

@@ -30,8 +30,8 @@ from .errors import ConfigError, EstimationError, RankDeficiencyError
 # fat, placebo_fat, dfat and model_based_fat are not called here, but the
 # benchmark's tracer (perfbench/spans.py) wraps each of them as an attribute
 # of this module, and a traced run fails if one is missing.
-from .estimators import (_ah_fit, _ah_settings, _interval, _kernel, _point_se, dfat,
-                         fat, model_based_fat, placebo_fat)
+from .estimators import (_ah_fit, _aligned, _ah_settings, _contrast, _interval, _kernel,
+                         _point_se, dfat, fat, model_based_fat, placebo_fat)
 from .panel import CohortBlock, PanelData, csv_field, csv_number, csv_text
 
 # A parameter that is either common to all units or drawn per unit from a
@@ -256,7 +256,9 @@ class GridCell:
     name); it separates variants such as differently instrumented
     model-based fits that share an estimator kind.  ``instrument_lag``
     (default 3) and ``detrend`` set an mb cell's first stage, as in
-    ``anderson_hsiao``; any other cell refuses them.
+    ``anderson_hsiao``; any other cell refuses them.  ``lag`` shifts a
+    placebo cell's adoption date back; any other cell refuses a non-zero
+    one.
     """
 
     estimator: str = "pr"
@@ -277,6 +279,9 @@ class GridCell:
         if self.estimator != "mb" and unread:
             raise ConfigError(f"a {self.estimator} cell takes no {', '.join(unread)}: "
                               "only mb cells fit a first stage")
+        if self.estimator != "placebo" and self.lag:
+            raise ConfigError(f"a {self.estimator} cell takes no lag: "
+                              "only placebo cells shift adoption")
         if self.instrument_lag is None and self.estimator == "mb":
             object.__setattr__(self, "instrument_lag", 3)
 
@@ -370,10 +375,12 @@ class McReport:
 # Replications simulated and evaluated together: each cell's per-call cost
 # is paid once a chunk.  At the presets' 1,000 units and 6 periods a
 # chunk's outcomes take 2.4 MB, and a random walk's noise as much again
-# while it is drawn; 1,000 replications of common_shock or components_all
-# peak at 43 or 47 MB resident, numpy included.
+# while it is drawn; the contrast product takes 0.4 MB a column, 3.2 MB
+# for nonstationary_init's 8 and 4.8 MB for components_all's 12.  1,000
+# replications of common_shock, components_all or nonstationary_init peak
+# at 43, 49 or 55 MB resident, numpy included.
 _CHUNK = 50
-_ARRAY_SUM = functools.partial(np.sum, axis=-1)
+_ARRAY_SUM = functools.partial(np.add.reduce, axis=-1)
 
 
 def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
@@ -390,13 +397,20 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     (B, N, T) array whose treated and control rows are the stacks the
     estimators read; no panel is built per replication.  A simulated
     panel's layout (windows, targets, weights, drops) depends on the spec
-    alone, so one layout panel is built per run, each cell is laid out
-    once a chunk on it, and the estimators' residual kernel applies that
-    layout to the chunk's outcomes.  Each
+    alone, so each cell is laid out once per run by the estimators'
+    residual kernel, on one layout panel.  Every residual is a fixed
+    contrast of its unit's outcome row: the cells' contrast columns are
+    stacked per block without repeats (an mb cell shares its residual
+    column with the pr cell of its window, a pr cell with dfat's treated
+    side), so a chunk makes one contrast product for the treated block
+    and one for the controls, and each cell finishes from its columns.
+    The product's per-column bits do not depend on the columns beside it,
+    so a cell gets the same numbers alone as in any grid.  Each
     (``instrument_lag``, ``detrend``) group of mb cells fits one first
-    stage a chunk; a replication whose moment matrix is singular fails the
-    group's cells.  Points and standard errors are array sums, within
-    about 1e-13 relative of the single-panel estimators' exact sums.
+    stage a chunk and aligns its influence vectors with the used units
+    once; a replication whose moment matrix is singular fails the group's
+    cells.  Points and standard errors are array sums, within about 1e-13
+    relative of the single-panel estimators' exact sums.
 
     Summaries per cell: ``bias`` (mean point estimate minus the truth),
     ``mc_se`` (standard deviation of point estimates across replications,
@@ -420,22 +434,33 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                for c in cells]
     # The layout of every chunk; its outcomes are never read.
     layout = _panel(spec, np.zeros((spec.n + spec.n_control, spec.T)))
+    # Each cell's residual kernels, laid out once for the run; None for a
+    # cell that cannot be laid out, which fails in every replication.
+    stack, plans = _Stack(layout), []
+    for cell, (config, _) in zip(cells, configs):
+        try:
+            plans.append(stack.plan(cell, config))
+        except (EstimationError, RankDeficiencyError):
+            plans.append(None)
     # (point, se, interval covers the truth) of each replication a cell ran
     done: list[list[tuple]] = [[] for _ in cells]
     for start in range(0, n_reps, _CHUNK):
         Y = _draw_outcomes(spec, [np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
                                   for r in range(start, min(start + _CHUNK, n_reps))])
-        stacks, fits = [Y[:, :spec.n], Y[:, spec.n:]], {}
-        for j, (cell, (config, key)) in enumerate(zip(cells, configs)):
+        stacks = ([Y[:, :spec.n]], [Y[:, spec.n:]])  # each side's blocks' outcomes
+        products, fits = stack.products(stacks), {}
+        for j, (cell, plan, (_, key)) in enumerate(zip(cells, plans, configs)):
+            if plan is None:
+                continue
             try:
-                point, se = _chunk_estimates(layout, stacks, cell, config, key, fits)
+                point, se = _chunk_estimates(layout, stacks, products, cell, plan, key, fits)
             except (EstimationError, RankDeficiencyError):
                 continue
             lo, hi = _interval(point, se, 0.95)
             ok = ~np.isnan(point)
             covers = (lo <= truths[j]) & (truths[j] <= hi)
             done[j] += zip(point[ok].tolist(), se[ok].tolist(), covers[ok].tolist())
-        del Y, stacks  # freed before the next chunk is drawn
+        del Y, stacks, products  # freed before the next chunk is drawn
 
     results = []
     for cell, truth, ok in zip(cells, truths, done):
@@ -456,29 +481,76 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                     cells=tuple(results), preset=preset)
 
 
-def _chunk_estimates(panel: PanelData, stacks, cell: GridCell, config: ForecastConfig,
-                     key, fits: dict):
+class _Stack:
+    """The residual kernels of a Monte Carlo run, laid out on its layout
+    ``panel``, and their contrast columns stacked per block without
+    repeats, so that a chunk makes one contrast product per block.
+
+    Kernels sit on a side, 0 for the treated blocks and 1 for the
+    controls', and cells with the same window share one."""
+
+    def __init__(self, panel: PanelData):
+        self.sides = (panel.treated_blocks, panel.control_blocks)
+        self.columns: dict = {}  # (side, block) -> {column key: (place, column)}
+        self.kernels: dict = {}  # kernel arguments -> (side, kernel, places)
+
+    def plan(self, cell: GridCell, config: ForecastConfig) -> list:
+        """``cell``'s kernels as (side, kernel, places) triples, where
+        ``places`` holds each used block's column places in its stack."""
+        plan = [self._kernel(0, config, cell.h, cell.lag, cell.estimator == "mb")]
+        if cell.estimator == "dfat":
+            # Simulated controls all carry the adoption date.
+            plan.append(self._kernel(1, config, cell.h, 0, False))
+        return plan
+
+    def _kernel(self, side: int, config: ForecastConfig, h: int, shift: int,
+                lagged: bool) -> tuple:
+        key = (side, config, h, shift, lagged)
+        if key not in self.kernels:
+            kernel = _kernel(self.sides[side], config, h, tau_shift=shift, lagged=lagged)
+            places = []
+            for p in kernel.parts:
+                stacked = self.columns.setdefault((side, p.block), {})
+                column_keys = [(j, i0, w.tobytes()) for j, i0, w in p.columns]
+                for ck, column in zip(column_keys, p.columns):
+                    stacked.setdefault(ck, (len(stacked), column))
+                places.append([stacked[ck][0] for ck in column_keys])
+            self.kernels[key] = (side, kernel, places)
+        return self.kernels[key]
+
+    def products(self, stacks) -> dict:
+        """Each block's contrast product with its stacked columns, the
+        outcomes of block b on side s being ``stacks[s][b]``."""
+        return {(side, b): _contrast(stacks[side][b], [c for _, c in stacked.values()])
+                for (side, b), stacked in self.columns.items()}
+
+
+def _chunk_estimates(panel: PanelData, stacks, products: dict, cell: GridCell,
+                     plan: list, key, fits: dict):
     """Point estimates and standard errors of ``cell`` in each replication
-    of a chunk, laid out on ``panel`` and applied to ``stacks`` (the chunk's
-    outcomes, block by block, treated first); NaN where the first stage is
-    singular.  ``fits`` keeps the mb groups' first stages by ``key``, an mb
-    cell's (instrument lag, detrend)."""
-    treated = panel.treated_blocks
-    outcomes, control_outcomes = stacks[:len(treated)], stacks[len(treated):]
+    of a chunk, finished from the chunk's stacked contrast ``products``
+    along the cell's ``plan``; NaN where the first stage is singular.
+    ``fits`` keeps the mb groups' first stages by ``key``, an mb cell's
+    (instrument lag, detrend), fitted on the treated ``stacks`` of
+    ``panel``, and their influence vectors aligned with the used units."""
+    beta, psi = (), None
     if cell.estimator == "mb":
         if key not in fits:  # a fit that raises is tried again by each cell
-            fits[key] = _ah_fit(panel, outcomes, *key, [])
+            fits[key] = _ah_fit(panel, stacks[0], *key, [])
         beta, _, psi, at, _, _ = fits[key]
-        apply = _kernel(treated, config, cell.h, lagged=True)
-        return _point_se(apply(beta, outcomes), (psi, at), _ARRAY_SUM)
-    lag = cell.lag if cell.estimator == "placebo" else 0
-    point, se = _point_se(_kernel(treated, config, cell.h, tau_shift=lag)(outcomes=outcomes),
-                          total=_ARRAY_SUM)
-    if cell.estimator == "dfat":
-        # Simulated controls all carry the adoption date.
-        c_point, c_se = _point_se(_kernel(panel.control_blocks, config, cell.h)(
-            outcomes=control_outcomes), total=_ARRAY_SUM)
-        return point - c_point, np.hypot(se, c_se)
+    estimates = []
+    for side, kernel, places in plan:
+        res = kernel.finish([[products[side, p.block][i][..., p.rows] for i in columns]
+                             for p, columns in zip(kernel.parts, places)], beta)
+        if psi is not None:
+            aligned = (key, res.positions.tobytes())
+            if aligned not in fits:
+                fits[aligned] = _aligned(psi, at, res.positions)
+            psi = fits[aligned]
+        estimates.append(_point_se(res, psi, _ARRAY_SUM))
+    (point, se), *control = estimates
+    for c_point, c_se in control:
+        point, se = point - c_point, np.hypot(se, c_se)
     return point, se
 
 

@@ -516,6 +516,7 @@ def test_simulate_bad_dgp_is_usage_error(tmp_path, capsys, dgp, message, study):
     ({"h": 0}, "h must be an integer >= 1, got 0"),
     ({"h": 1.5}, "h must be an integer >= 1, got 1.5"),
     ({"estimator": "placebo", "lag": -1}, "lag must be an integer >= 0, got -1"),
+    ({"lag": 2}, "a pr cell takes no lag: only placebo cells shift adoption"),
 ])
 def test_simulate_cell_with_a_bad_horizon_or_lag_is_usage_error(
         tmp_path, capsys, cell, message):

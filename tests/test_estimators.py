@@ -130,6 +130,18 @@ def test_mb_variance_hand_example():
     assert mb_variance(u, g, p) == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
+def test_mb_variance_reads_1d_gradients_as_one_coefficient():
+    rng = np.random.default_rng(3)
+    u, g, p = rng.normal(size=(3, 7))
+    se = mb_variance(u, g, p)
+    assert se == mb_variance(u, g[:, None], p[:, None])
+    res = estimators_module._Residuals(np.arange(7), np.arange(7).astype(str), u,
+                                       g[:, None], ())
+    assert se == float(estimators_module._point_se(res, p[:, None])[1])
+    with pytest.raises(ConfigError, match="must align"):
+        mb_variance(u, g, p[:-1])
+
+
 def test_confidence_interval_uses_normal_quantile():
     y = np.array([1.0, 4.0, 9.0, 16.0, 25.0])
     yb = np.array([1.0, 4.0, 9.0, 16.0, 21.0])

@@ -223,6 +223,21 @@ def test_from_blocks_refuses_no_blocks():
     assert refusal(lambda: PanelData.from_blocks([])) == refusal(lambda: PanelData([]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_outcome_is_refused_naming_its_unit(value):
+    # A panel that holds it could not be written and read back, and an
+    # estimate would read past it; the loader refuses it as well.
+    bad = np.arange(6, dtype=float)
+    bad[1] = value
+    message = "unit 'b': outcomes must be finite"
+    for build in (lambda: unit("b", outcomes=bad),
+                  lambda: PanelData([unit("a"), unit("b", outcomes=bad)]),
+                  lambda: block(("a", "b", "c"), outcomes=np.stack(
+                      [np.zeros(6), bad, np.full(6, np.nan)])),
+                  lambda: PanelData.from_blocks([block(("b",), outcomes=bad[None])])):
+        assert refusal(build) == message
+
+
 def test_a_panel_takes_no_time_unit():
     # The panel keeps no period label, and covariate names are keyword-only:
     # an old positional label is a TypeError, not a list of covariate names.

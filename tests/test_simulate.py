@@ -248,6 +248,17 @@ def test_grid_cell_refuses_a_bad_horizon_or_lag(field, value):
         GridCell(estimator="placebo", **{field: value})
 
 
+@pytest.mark.parametrize("estimator", ["pr", "dfat", "mb"])
+def test_only_a_placebo_cell_takes_a_lag(estimator):
+    with pytest.raises(ConfigError, match=f"^a {estimator} cell takes no lag: "
+                                          "only placebo cells shift adoption$"):
+        GridCell(estimator=estimator, q=0, R=2, lag=2)
+    assert GridCell(estimator=estimator, q=0, R=2, lag=0).lag == 0
+    assert GridCell(estimator="placebo", q=0, R=2, lag=0).name == "placebo_lag0_q0_R2"
+    for name in PRESET_NAMES:
+        assert all(c.lag == 0 or c.estimator == "placebo" for c in preset(name)[1])
+
+
 def test_grid_cell_takes_numpy_integers_as_python_ints():
     cell = GridCell(estimator="placebo", h=np.int64(2), lag=np.int32(1))
     assert (cell.h, cell.lag) == (2, 1) and type(cell.h) is type(cell.lag) is int
@@ -388,6 +399,7 @@ def _direct_cells(spec, cells, n_reps, master_seed):
 _PANEL = DgpSpec(n=12, n_control=9, T=7, tau=5, include_ar=True, rho=0.2, true_att=0.3)
 _DYNAMIC = DgpSpec(n=40, T=8, tau=6, trend_mode="recursive", init_mode="fixed",
                    rho=0.4, mu=(-1.0, 1.0), delta=0.5)
+_MIXED = dataclasses.replace(_DYNAMIC, n=30, n_control=20, true_att=0.3)
 DIRECT_CASES = {
     "pr": (_PANEL, (GridCell(estimator="pr", q=1, R=3),
                     GridCell(estimator="pr", q=0, R="all", h=1),
@@ -410,7 +422,19 @@ DIRECT_CASES = {
                       GridCell(estimator="mb", q=0, R=1, instrument_lag=2,
                                detrend=False, group="mb_missp", h=2),
                       GridCell(estimator="pr", q=1, R=2))),
+    # Every kind of cell on one recursive-trend spec with controls: pr, mb
+    # and dfat's treated side share one residual column, and a window
+    # longer than the history fails every replication.
+    "mixed": (_MIXED, (GridCell(estimator="pr", q=1, R=3),
+                       GridCell(estimator="placebo", q=0, R=2, lag=1),
+                       GridCell(estimator="dfat", q=1, R=3),
+                       GridCell(estimator="mb", q=1, R=3, instrument_lag=3,
+                                detrend=True, group="mb"),
+                       GridCell(estimator="mb", q=0, R=2, instrument_lag=2,
+                                detrend=False, group="mb_missp"),
+                       GridCell(estimator="pr", q=0, R=7))),
 }
+_ALWAYS_FAILS = {"pr_q0_R7"}
 
 
 @pytest.mark.parametrize("kind", DIRECT_CASES)
@@ -421,7 +445,58 @@ def test_monte_carlo_matches_direct_estimation(kind):
     spec, cells = DIRECT_CASES[kind]
     report = run_monte_carlo(spec, cells, n_reps=6, master_seed=99)
     assert_rows_close([c.to_dict() for c in report.cells], _direct_cells(spec, cells, 6, 99))
-    assert all(c.n_ok == 6 and c.n_failed == 0 for c in report.cells)
+    assert all((c.n_ok, c.n_failed) == ((0, 6) if c.name in _ALWAYS_FAILS else (6, 0))
+               for c in report.cells)
+
+
+@pytest.mark.parametrize("name", PRESET_NAMES)
+def test_a_cell_gets_the_same_result_alone_as_in_its_grid(name):
+    # A chunk stacks the contrast columns of every cell it runs, so a
+    # column's product must not round differently beside other columns:
+    # each cell's row is byte-identical alone and in its preset's grid,
+    # over two chunks.
+    spec, cells = preset(name)
+    spec = dataclasses.replace(spec, n=min(spec.n, 200), n_control=min(spec.n_control, 200))
+    grid = run_monte_carlo(spec, cells, 60, 23)
+    for cell, row in zip(cells, grid.cells):
+        (alone,) = run_monte_carlo(spec, (cell,), 60, 23).cells
+        assert json.dumps(alone.to_dict()) == json.dumps(row.to_dict()), cell.name
+
+
+def test_kernel_residuals_on_a_chunk_are_the_estimators_on_each_panel():
+    # The residuals the Monte Carlo finishes from are, replication by
+    # replication, the bytes the public estimators give on that
+    # replication's simulated panel.
+    spec = _MIXED
+    seeds = [np.random.SeedSequence(entropy=4, spawn_key=(r,)) for r in range(5)]
+    Y = simulate_module._draw_outcomes(spec, seeds)
+    treated, controls = [Y[:, :spec.n]], [Y[:, spec.n:]]
+    layout = simulate_module._panel(spec, np.zeros(Y.shape[1:]))
+    kernel = estimators_module._kernel
+    panels = [simulate_dgp(spec, seed) for seed in seeds]
+    config, h = ForecastConfig(q=1, R=3), 2
+    first = estimators_module._ah_fit(layout, treated, 3, True, [])
+    chunks = {
+        "fat": kernel(layout.treated_blocks, config, h).apply(outcomes=treated),
+        "placebo": kernel(layout.treated_blocks, config, h, tau_shift=1).apply(
+            outcomes=treated),
+        "control": kernel(layout.control_blocks, config, h).apply(outcomes=controls),
+        "mb": kernel(layout.treated_blocks, config, h, lagged=True).apply(
+            first[0], treated),
+    }
+    for r, panel in enumerate(panels):
+        both = dfat(panel, config, h)
+        single = {
+            "fat": fat(panel, config, h), "placebo": placebo_fat(panel, config, 1, h),
+            "control": both.control,
+            "mb": model_based_fat(panel, MbConfig(q=1, R=3), h,
+                                  first=anderson_hsiao(panel, 3, True)),
+        }
+        assert both.treated.residuals.tobytes() == single["fat"].residuals.tobytes()
+        for key, est in single.items():
+            res = chunks[key]
+            assert res.ids.tolist() == list(est.unit_ids)
+            assert res.residuals[r].tobytes() == est.residuals.tobytes(), (r, key)
 
 
 def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():

@@ -421,11 +421,12 @@ def _contrast(Y: np.ndarray, columns) -> np.ndarray:
     ``w`` is an (n, R) array of each unit's weights.
 
     Each column is its own matrix-vector product, so its bits depend on
-    that column and ``Y`` alone, not on the columns beside it: a Monte
-    Carlo chunk can stack every cell's columns in one call, and each cell
-    gets the residuals it gets alone.  (One matrix product over the
-    stacked columns does not keep that: BLAS rounds a column differently
-    as the number of columns beside it changes.)"""
+    that column and the unit's row alone, not on the columns beside it or
+    the replications stacked with it: a Monte Carlo chunk's residuals are,
+    replication by replication, the single-panel estimators' bits, and a
+    lagged kernel's residual column is the plain kernel's of its window.
+    (One matrix product over the columns does not keep that: BLAS rounds a
+    column differently as the number of columns beside it changes.)"""
     P = np.empty((len(columns),) + Y.shape[:-1])
     for k, (j, i0, w) in enumerate(columns):
         window = Y[..., i0:i0 + w.shape[-1]]
@@ -460,14 +461,18 @@ class _Layout(NamedTuple):
     order: np.ndarray | None
     dropped: tuple
 
+    def products(self, outcomes=None) -> list:
+        """Each used block's contrast products with its own columns, one
+        ``_contrast`` call a block over its outcome rows; ``outcomes[k]``
+        stands in for those of ``blocks[k]`` and may carry leading
+        replication axes."""
+        return [_contrast((self.blocks[p.block].outcomes if outcomes is None
+                           else outcomes[p.block])[..., p.rows, :], p.columns)
+                for p in self.parts]
+
     def apply(self, beta=(), outcomes=None) -> _Residuals:
-        """The residuals, one contrast product per used block over its
-        outcome rows; ``outcomes[k]`` stands in for those of ``blocks[k]``
-        and may carry leading replication axes, as may ``beta``."""
-        return self.finish([
-            _contrast((self.blocks[p.block].outcomes if outcomes is None
-                       else outcomes[p.block])[..., p.rows, :], p.columns)
-            for p in self.parts], beta)
+        """The residuals on ``outcomes``: ``finish(products(outcomes), beta)``."""
+        return self.finish(self.products(outcomes), beta)
 
     def finish(self, products, beta=()) -> _Residuals:
         """The residuals from each part's contrast products, one (..., n_rows)
@@ -508,9 +513,10 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
     ``lagged`` outcome e_{j-1} - w on the window shifted back one period,
     the gradient y_{j-1} - w'y_{win-1}.  The model's covariates ``cov_idx``
     enter through their gradients x_j - X_win w, built here too.  The
-    returned layout's ``apply(beta=(), outcomes=None)`` makes one product
-    per used block and gives the residuals of the units used, in panel
-    order: the first column less grads @ beta, which is
+    returned layout's ``products(outcomes=None)`` makes one product per
+    used block, and its ``finish(products, beta=())`` gives the residuals
+    of the units used, in panel order: the first column less
+    grads @ beta, which is
     ``Y[..., j] - (Y[..., win] - X beta) @ w - x_j' beta``.  With
     ``lagged``, ``R="all"`` leaves the run's first period to serve as the
     window's first lag.
@@ -579,7 +585,9 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
 def _aligned(psi: np.ndarray, at: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """The influence vectors ``psi`` of the units at the increasing panel
     positions ``at``, gathered for the units at ``positions``: zero for a
-    unit the first stage did not use."""
+    unit the first stage did not use; ``psi`` itself when the units agree."""
+    if np.array_equal(at, positions):
+        return psi
     i = np.minimum(np.searchsorted(at, positions), at.size - 1)
     return np.where((at[i] == positions)[:, None], psi[..., i, :], 0.0)
 

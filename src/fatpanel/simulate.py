@@ -20,6 +20,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -30,8 +31,8 @@ from .errors import ConfigError, EstimationError, RankDeficiencyError
 # fat, placebo_fat, dfat and model_based_fat are not called here, but the
 # benchmark's tracer (perfbench/spans.py) wraps each of them as an attribute
 # of this module, and a traced run fails if one is missing.
-from .estimators import (_ah_fit, _aligned, _ah_settings, _contrast, _interval, _kernel,
-                         _point_se, dfat, fat, model_based_fat, placebo_fat)
+from .estimators import (_ah_fit, _aligned, _ah_settings, _interval, _kernel, _point_se,
+                         dfat, fat, model_based_fat, placebo_fat)
 from .panel import CohortBlock, PanelData, csv_field, csv_number, csv_text
 
 # A parameter that is either common to all units or drawn per unit from a
@@ -63,6 +64,11 @@ class DgpSpec:
 
     ``true_att`` is added to treated units at every period after ``tau``;
     ``common_shock`` is added to every unit after ``tau``.
+
+    The sizes ``n``, ``n_control``, ``T``, ``tau`` and ``trend_power``
+    must be integers (``5.0`` is refused), the include flags bools, and
+    every number and interval end finite; anything else raises
+    ``ConfigError`` naming the field.
     """
 
     n: int = 100
@@ -82,16 +88,25 @@ class DgpSpec:
     common_shock: float = 0.0
 
     def __post_init__(self):
-        if self.n < 1 or self.n_control < 0:
-            raise ConfigError("need n >= 1 treated units and n_control >= 0")
-        if not 1 <= self.tau < self.T:
+        for name, least in (("n", 1), ("n_control", 0), ("T", 2), ("tau", 1),
+                            ("trend_power", 1)):
+            object.__setattr__(self, name, as_count(name, getattr(self, name), least))
+        if not self.tau < self.T:
             raise ConfigError("periods must satisfy T > tau >= 1")
         if self.trend_mode not in ("additive", "recursive"):
             raise ConfigError(f"unknown trend_mode {self.trend_mode!r}")
         if self.init_mode not in ("stationary", "fixed"):
             raise ConfigError(f"unknown init_mode {self.init_mode!r}")
-        if self.trend_power < 1:
-            raise ConfigError("trend_power must be >= 1")
+        for name in ("include_ar", "include_walk", "include_trend"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):
+                raise ConfigError(f"{name} must be true or false, got {flag!r}")
+            object.__setattr__(self, name, bool(flag))
+        for name in ("true_att", "common_shock"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
         for name in ("rho", "mu", "delta"):
             law = getattr(self, name)
             interval = isinstance(law, (tuple, list))
@@ -100,6 +115,8 @@ class DgpSpec:
             except (TypeError, ValueError):
                 raise ConfigError(f"{name} law must be a number or (lo, hi), "
                                   f"got {law!r}") from None
+            if not np.isfinite(value).all():
+                raise ConfigError(f"{name} law must be finite, got {law!r}")
             if interval and (len(value) != 2 or not value[0] <= value[1]):
                 raise ConfigError(f"{name} law must be (lo, hi) with lo <= hi")
             object.__setattr__(self, name, value)
@@ -273,6 +290,8 @@ class GridCell:
     def __post_init__(self):
         if self.estimator not in ("pr", "mb", "placebo", "dfat"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
+        if self.group is not None and not isinstance(self.group, str):
+            raise ConfigError(f"group must be a string, got {self.group!r}")
         object.__setattr__(self, "h", as_count("h", self.h, 1))
         object.__setattr__(self, "lag", as_count("lag", self.lag, 0))
         unread = [k for k in ("instrument_lag", "detrend") if getattr(self, k) is not None]
@@ -375,10 +394,14 @@ class McReport:
 # Replications simulated and evaluated together: each cell's per-call cost
 # is paid once a chunk.  At the presets' 1,000 units and 6 periods a
 # chunk's outcomes take 2.4 MB, and a random walk's noise as much again
-# while it is drawn; the contrast product takes 0.4 MB a column, 3.2 MB
-# for nonstationary_init's 8 and 4.8 MB for components_all's 12.  1,000
+# while it is drawn.  A kernel's contrast products take 0.4 MB a column
+# and live from the first cell that reads them to the last: common_shock's
+# two kernels have a 500-unit column each, components_all's 12 kernels one
+# column each and one alive at a time, and nonstationary_init's 4 pr
+# kernels one each and its 4 lagged kernels two each, whose 8 columns stay
+# alive from the mb cells to the mb_missp cells that share them.  1,000
 # replications of common_shock, components_all or nonstationary_init peak
-# at 43, 49 or 55 MB resident, numpy included.
+# at 43, 47 or 53 MB resident, numpy included.
 _CHUNK = 50
 _ARRAY_SUM = functools.partial(np.add.reduce, axis=-1)
 
@@ -397,20 +420,18 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     (B, N, T) array whose treated and control rows are the stacks the
     estimators read; no panel is built per replication.  A simulated
     panel's layout (windows, targets, weights, drops) depends on the spec
-    alone, so each cell is laid out once per run by the estimators'
-    residual kernel, on one layout panel.  Every residual is a fixed
-    contrast of its unit's outcome row: the cells' contrast columns are
-    stacked per block without repeats (an mb cell shares its residual
-    column with the pr cell of its window, a pr cell with dfat's treated
-    side), so a chunk makes one contrast product for the treated block
-    and one for the controls, and each cell finishes from its columns.
-    The product's per-column bits do not depend on the columns beside it,
-    so a cell gets the same numbers alone as in any grid.  Each
+    alone, so each residual kernel is laid out once per run by the
+    estimators' ``_kernel``, on one layout panel, and cells of the same
+    window share one (a pr cell and dfat's treated side; an mb and an
+    mb_missp cell).  In each chunk a kernel makes its contrast products
+    (``_Layout.products``) the first time a cell reads them and drops them
+    after the last, and every cell finishes from its own kernel's products
+    with its own beta, as the single-panel estimators do.  Each
     (``instrument_lag``, ``detrend``) group of mb cells fits one first
-    stage a chunk and aligns its influence vectors with the used units
-    once; a replication whose moment matrix is singular fails the group's
-    cells.  Points and standard errors are array sums, within about 1e-13
-    relative of the single-panel estimators' exact sums.
+    stage a chunk and aligns its influence vectors with each kernel's used
+    units once; a replication whose moment matrix is singular fails the
+    group's cells.  Points and standard errors are array sums, within
+    about 1e-13 relative of the single-panel estimators' exact sums.
 
     Summaries per cell: ``bias`` (mean point estimate minus the truth),
     ``mc_se`` (standard deviation of point estimates across replications,
@@ -434,28 +455,41 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                for c in cells]
     # The layout of every chunk; its outcomes are never read.
     layout = _panel(spec, np.zeros((spec.n + spec.n_control, spec.T)))
-    # Each cell's residual kernels, laid out once for the run; None for a
-    # cell that cannot be laid out, which fails in every replication.
-    stack, plans = _Stack(layout), []
-    for cell, (config, _) in zip(cells, configs):
+    # Each cell's residual kernels by their keys (side, 0 treated or 1
+    # controls; window; horizon; shift; lagged), laid out once for the run
+    # and shared by cells of the same window; None for a kernel that cannot
+    # be laid out, whose cells fail in every replication.
+    sides, kernels = (layout.treated_blocks, layout.control_blocks), {}
+    plans = [[(0, config, c.h, c.lag, c.estimator == "mb")]
+             # Simulated controls all carry the adoption date.
+             + ([(1, config, c.h, 0, False)] if c.estimator == "dfat" else [])
+             for c, (config, _) in zip(cells, configs)]
+    for k in dict.fromkeys(k for plan in plans for k in plan):
+        side, config, h, shift, lagged = k
         try:
-            plans.append(stack.plan(cell, config))
+            kernels[k] = _kernel(sides[side], config, h, tau_shift=shift, lagged=lagged)
         except (EstimationError, RankDeficiencyError):
-            plans.append(None)
+            kernels[k] = None
+    last = {k: j for j, plan in enumerate(plans) for k in plan}
     # (point, se, interval covers the truth) of each replication a cell ran
     done: list[list[tuple]] = [[] for _ in cells]
     for start in range(0, n_reps, _CHUNK):
         Y = _draw_outcomes(spec, [np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
                                   for r in range(start, min(start + _CHUNK, n_reps))])
         stacks = ([Y[:, :spec.n]], [Y[:, spec.n:]])  # each side's blocks' outcomes
-        products, fits = stack.products(stacks), {}
+        products, fits = {}, {}
         for j, (cell, plan, (_, key)) in enumerate(zip(cells, plans, configs)):
-            if plan is None:
+            if any(kernels[k] is None for k in plan):
                 continue
             try:
-                point, se = _chunk_estimates(layout, stacks, products, cell, plan, key, fits)
+                point, se = _chunk_estimates(layout, stacks, kernels, products, cell, plan,
+                                             key, fits)
             except (EstimationError, RankDeficiencyError):
                 continue
+            finally:  # a kernel's products go with the last cell that reads them
+                for k in plan:
+                    if last[k] == j:
+                        products.pop(k, None)
             lo, hi = _interval(point, se, 0.95)
             ok = ~np.isnan(point)
             covers = (lo <= truths[j]) & (truths[j] <= hi)
@@ -481,72 +515,30 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                     cells=tuple(results), preset=preset)
 
 
-class _Stack:
-    """The residual kernels of a Monte Carlo run, laid out on its layout
-    ``panel``, and their contrast columns stacked per block without
-    repeats, so that a chunk makes one contrast product per block.
-
-    Kernels sit on a side, 0 for the treated blocks and 1 for the
-    controls', and cells with the same window share one."""
-
-    def __init__(self, panel: PanelData):
-        self.sides = (panel.treated_blocks, panel.control_blocks)
-        self.columns: dict = {}  # (side, block) -> {column key: (place, column)}
-        self.kernels: dict = {}  # kernel arguments -> (side, kernel, places)
-
-    def plan(self, cell: GridCell, config: ForecastConfig) -> list:
-        """``cell``'s kernels as (side, kernel, places) triples, where
-        ``places`` holds each used block's column places in its stack."""
-        plan = [self._kernel(0, config, cell.h, cell.lag, cell.estimator == "mb")]
-        if cell.estimator == "dfat":
-            # Simulated controls all carry the adoption date.
-            plan.append(self._kernel(1, config, cell.h, 0, False))
-        return plan
-
-    def _kernel(self, side: int, config: ForecastConfig, h: int, shift: int,
-                lagged: bool) -> tuple:
-        key = (side, config, h, shift, lagged)
-        if key not in self.kernels:
-            kernel = _kernel(self.sides[side], config, h, tau_shift=shift, lagged=lagged)
-            places = []
-            for p in kernel.parts:
-                stacked = self.columns.setdefault((side, p.block), {})
-                column_keys = [(j, i0, w.tobytes()) for j, i0, w in p.columns]
-                for ck, column in zip(column_keys, p.columns):
-                    stacked.setdefault(ck, (len(stacked), column))
-                places.append([stacked[ck][0] for ck in column_keys])
-            self.kernels[key] = (side, kernel, places)
-        return self.kernels[key]
-
-    def products(self, stacks) -> dict:
-        """Each block's contrast product with its stacked columns, the
-        outcomes of block b on side s being ``stacks[s][b]``."""
-        return {(side, b): _contrast(stacks[side][b], [c for _, c in stacked.values()])
-                for (side, b), stacked in self.columns.items()}
-
-
-def _chunk_estimates(panel: PanelData, stacks, products: dict, cell: GridCell,
-                     plan: list, key, fits: dict):
+def _chunk_estimates(panel: PanelData, stacks, kernels: dict, products: dict,
+                     cell: GridCell, plan: list, key, fits: dict):
     """Point estimates and standard errors of ``cell`` in each replication
-    of a chunk, finished from the chunk's stacked contrast ``products``
-    along the cell's ``plan``; NaN where the first stage is singular.
-    ``fits`` keeps the mb groups' first stages by ``key``, an mb cell's
-    (instrument lag, detrend), fitted on the treated ``stacks`` of
-    ``panel``, and their influence vectors aligned with the used units."""
+    of a chunk, finished from the contrast products of the ``kernels`` its
+    ``plan`` names, each with the cell's own beta; NaN where the first
+    stage is singular.  ``products`` keeps each kernel's products on the
+    chunk's ``stacks``, made the first time a cell reads them.  ``fits``
+    keeps the mb groups' first stages by ``key``, an mb cell's (instrument
+    lag, detrend), fitted on the treated ``stacks`` of ``panel``, and
+    their influence vectors aligned with each kernel's used units."""
     beta, psi = (), None
     if cell.estimator == "mb":
         if key not in fits:  # a fit that raises is tried again by each cell
             fits[key] = _ah_fit(panel, stacks[0], *key, [])
         beta, _, psi, at, _, _ = fits[key]
     estimates = []
-    for side, kernel, places in plan:
-        res = kernel.finish([[products[side, p.block][i][..., p.rows] for i in columns]
-                             for p, columns in zip(kernel.parts, places)], beta)
+    for k in plan:
+        if k not in products:
+            products[k] = kernels[k].products(stacks[k[0]])
+        res = kernels[k].finish(products[k], beta)
         if psi is not None:
-            aligned = (key, res.positions.tobytes())
-            if aligned not in fits:
-                fits[aligned] = _aligned(psi, at, res.positions)
-            psi = fits[aligned]
+            if (key, k) not in fits:
+                fits[key, k] = _aligned(psi, at, res.positions)
+            psi = fits[key, k]
         estimates.append(_point_se(res, psi, _ARRAY_SUM))
     (point, se), *control = estimates
     for c_point, c_se in control:

@@ -8,6 +8,7 @@ beyond argument plumbing and serialization.
 import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -501,6 +502,17 @@ def test_simulate_config_overrides(tmp_path, config, spec, names):
     ({"n": 10, "rho": "ab"}, "rho law must be a number or (lo, hi), got 'ab'"),
     ({"n": 10, "rho": [-1.5, 0.5]}, "stationary initialization requires |rho| < 1"),
     ({"n": 10, "sigma": 1.0}, "bad dgp spec: "),
+    # Each field is refused by name; JSON's NaN and Infinity read as floats.
+    ({"n": 20.5}, "n must be an integer >= 1, got 20.5"),
+    ({"T": 6.0}, "T must be an integer >= 2, got 6.0"),
+    ({"tau": 5.0}, "tau must be an integer >= 1, got 5.0"),
+    ({"n": True}, "n must be an integer >= 1, got True"),
+    ({"include_ar": "no"}, "include_ar must be true or false, got 'no'"),
+    ({"trend_power": 1.5}, "trend_power must be an integer >= 1, got 1.5"),
+    ({"true_att": math.nan}, "true_att must be a finite number, got nan"),
+    ({"common_shock": math.inf}, "common_shock must be a finite number, got inf"),
+    ({"mu": math.nan}, "mu law must be finite, got nan"),
+    ({"mu": [0.0, math.inf]}, "mu law must be finite, got [0.0, inf]"),
 ])
 @pytest.mark.parametrize("study", [{"preset": "stationary"}, {"cells": [{"q": 0, "R": 3}]}])
 def test_simulate_bad_dgp_is_usage_error(tmp_path, capsys, dgp, message, study):
@@ -510,6 +522,18 @@ def test_simulate_bad_dgp_is_usage_error(tmp_path, capsys, dgp, message, study):
     assert main(["simulate", "--config", str(cfg_path), "--out-json", str(out)]) == 1
     assert not out.exists()
     assert capsys.readouterr().err.startswith(f"fatpanel: error: {message}")
+
+
+def test_simulate_cell_with_a_non_string_group_is_usage_error(tmp_path, capsys):
+    config = {"dgp": {"n": 10, "T": 6, "tau": 5},
+              "cells": [{"estimator": "pr", "q": 0, "R": 3, "group": 5}], "reps": 2}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(config))
+    out, table = tmp_path / "o.json", tmp_path / "o.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--out-json", str(out),
+                 "--out-csv", str(table)]) == 1
+    assert not out.exists() and not table.exists()
+    assert capsys.readouterr().err == "fatpanel: error: group must be a string, got 5\n"
 
 
 @pytest.mark.parametrize("cell, message", [

@@ -83,6 +83,40 @@ def test_spec_rejects_malformed_laws_and_enums():
             DgpSpec(rho=law)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n", 20.5, "n must be an integer >= 1, got 20.5"),
+    ("n", True, "n must be an integer >= 1, got True"),
+    ("n_control", -1, "n_control must be an integer >= 0, got -1"),
+    ("T", 6.0, "T must be an integer >= 2, got 6.0"),
+    ("tau", 5.0, "tau must be an integer >= 1, got 5.0"),
+    ("tau", 0, "tau must be an integer >= 1, got 0"),
+    ("trend_power", 1.5, "trend_power must be an integer >= 1, got 1.5"),
+    ("include_ar", "no", "include_ar must be true or false, got 'no'"),
+    ("include_walk", 1, "include_walk must be true or false, got 1"),
+    ("include_trend", None, "include_trend must be true or false, got None"),
+    ("true_att", math.nan, "true_att must be a finite number, got nan"),
+    ("true_att", "0.5", "true_att must be a finite number, got '0.5'"),
+    ("common_shock", math.inf, "common_shock must be a finite number, got inf"),
+    ("common_shock", True, "common_shock must be a finite number, got True"),
+    ("mu", math.nan, "mu law must be finite, got nan"),
+    ("mu", (0.0, math.inf), "mu law must be finite, got (0.0, inf)"),
+    ("rho", [-math.inf, 0.5], "rho law must be finite, got [-inf, 0.5]"),
+    ("delta", -math.inf, "delta law must be finite, got -inf"),
+])
+def test_spec_refuses_malformed_sizes_flags_and_numbers(field, value, message):
+    # Each used to run, crash later or give n_ok = 0 with no reason.
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        DgpSpec(**{field: value})
+
+
+def test_spec_takes_numpy_sizes_and_flags_as_python_values():
+    spec = DgpSpec(n=np.int64(4), T=np.int32(6), include_ar=np.bool_(False),
+                   true_att=np.float64(0.5))
+    assert (spec.n, spec.T, spec.include_ar) == (4, 6, False)
+    assert type(spec.n) is type(spec.T) is int and type(spec.include_ar) is bool
+    assert json.loads(json.dumps(spec.to_dict()))["true_att"] == 0.5
+
+
 def test_spec_to_dict_converts_laws_to_lists():
     d = DgpSpec(rho=(0.0, 0.99), delta=1.0).to_dict()
     assert d["rho"] == [0.0, 0.99]
@@ -257,6 +291,15 @@ def test_only_a_placebo_cell_takes_a_lag(estimator):
     assert GridCell(estimator="placebo", q=0, R=2, lag=0).name == "placebo_lag0_q0_R2"
     for name in PRESET_NAMES:
         assert all(c.lag == 0 or c.estimator == "placebo" for c in preset(name)[1])
+
+
+@pytest.mark.parametrize("group", [5, 1.5, True, ["mb"], b"mb"])
+def test_grid_cell_refuses_a_non_string_group(group):
+    # A report's CSV spells the label as text, so a number could not be written.
+    message = f"group must be a string, got {group!r}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        GridCell(estimator="mb", q=0, R=2, group=group)
+    assert GridCell(estimator="mb", q=0, R=2, group="mb_2").label == "mb_2"
 
 
 def test_grid_cell_takes_numpy_integers_as_python_ints():
@@ -497,6 +540,29 @@ def test_kernel_residuals_on_a_chunk_are_the_estimators_on_each_panel():
             res = chunks[key]
             assert res.ids.tolist() == list(est.unit_ids)
             assert res.residuals[r].tobytes() == est.residuals.tobytes(), (r, key)
+
+
+@pytest.mark.parametrize("name, n_reps, calls", [
+    # 4 pr kernels and 4 lagged ones, each shared by an mb and an mb_missp cell
+    ("nonstationary_init", 50, 8),
+    ("nonstationary_init", 120, 3 * 8),
+    # pr and dfat's treated side share one kernel; dfat's controls have one
+    ("common_shock", 50, 2),
+    ("common_shock", 120, 3 * 2),
+])
+def test_a_chunk_makes_one_product_per_distinct_kernel(monkeypatch, name, n_reps, calls):
+    made = []
+
+    def counted(Y, columns):
+        made.append(len(columns))
+        return contrast(Y, columns)
+
+    contrast = estimators_module._contrast
+    monkeypatch.setattr(estimators_module, "_contrast", counted)
+    spec, cells = preset(name)
+    report = run_monte_carlo(spec, cells, n_reps, 5)
+    assert len(made) == calls
+    assert all(c.n_ok == n_reps for c in report.cells)
 
 
 def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():

@@ -58,8 +58,7 @@ class FatEstimate:
     horizon : int
         Periods past the adoption date.
     point : float
-        Average of per-unit forecast residuals, accumulated in unit order
-        with compensated summation.
+        Average of per-unit forecast residuals (``_mean``).
     se : float
         Standard error of the point estimate.
     ci : (float, float)
@@ -207,21 +206,28 @@ class MbConfig:
 
 def fat_variance(residuals) -> float:
     """Standard error of the residual mean: sqrt of (1/n) sample variance / n."""
-    u = np.asarray(residuals, dtype=float)
+    u = _finite("residuals", residuals)
     if u.ndim != 1 or u.size < 2:
         raise ConfigError("residuals must be a 1-D array of at least two")
-    return float(_se(u, _fsum(u) / u.size))
+    return float(_se(u))
 
 
-def _fsum(a: np.ndarray) -> float:
-    return math.fsum(a.tolist())
+def _finite(name: str, values) -> np.ndarray:
+    a = np.asarray(values, dtype=float)
+    if not np.isfinite(a).all():
+        raise ConfigError(f"{name} must be finite")
+    return a
 
 
-def _se(u: np.ndarray, mean, total=_fsum):
-    """sqrt of the (1/n) variance of ``u`` about ``mean``, over n: along the
-    last axis, with sums taken by ``total``."""
-    n = u.shape[-1]
-    return np.sqrt(total((u - np.asarray(mean)[..., None]) ** 2) / n / n)
+def _mean(a: np.ndarray):
+    """The mean over the last axis, the units: the one sum over units, on a
+    contiguous axis so that its bits do not depend on the axes in front."""
+    return np.add.reduce(np.ascontiguousarray(a), axis=-1) / a.shape[-1]
+
+
+def _se(u: np.ndarray):
+    """sqrt of the (1/n) variance of ``u`` over the last axis, over n."""
+    return np.sqrt(_mean((u - _mean(u)[..., None]) ** 2) / u.shape[-1])
 
 
 def mb_variance(residuals, gradients, psi) -> float:
@@ -232,20 +238,12 @@ def mb_variance(residuals, gradients, psi) -> float:
     the first-stage coefficients have that feedback removed.  ``gradients``
     and ``psi`` are (n, k); a 1-D pair is one coefficient's, (n, 1).
     """
-    u = np.asarray(residuals, dtype=float)
-    G, P = (np.asarray(a, dtype=float) for a in (gradients, psi))
+    u = _finite("residuals", residuals)
+    G, P = (_finite(name, a) for name, a in (("gradients", gradients), ("psi", psi)))
     G, P = (a[:, None] if a.ndim == 1 else a for a in (G, P))  # one coefficient
     if G.ndim != 2 or G.shape[0] != u.size or P.shape != G.shape:
         raise ConfigError("residuals, gradients, and psi must align")
-    gbar = G.mean(axis=0)
-    ustar = u - P @ gbar
-    return fat_variance(ustar)
-
-
-def _zscore(level: float) -> float:
-    if not isinstance(level, (float, np.floating)) or not 0.0 < level < 1.0:
-        raise ConfigError(f"confidence level must be in (0, 1), got {level!r}")
-    return _normal_quantile(level)
+    return fat_variance(u - (P * _mean(G.T)).sum(axis=-1))
 
 
 # Typed, so a float32 level keeps its own quantile: Cephes works in double,
@@ -308,7 +306,9 @@ def _ndtri(p: float) -> float:
 
 
 def _interval(point: float, se: float, level: float) -> tuple[float, float]:
-    z = _zscore(level)
+    if not isinstance(level, (float, np.floating)) or not 0.0 < level < 1.0:
+        raise ConfigError(f"confidence level must be in (0, 1), got {level!r}")
+    z = _normal_quantile(level)
     return (point - z * se, point + z * se)
 
 
@@ -592,9 +592,9 @@ def _aligned(psi: np.ndarray, at: np.ndarray, positions: np.ndarray) -> np.ndarr
     return np.where((at[i] == positions)[:, None], psi[..., i, :], 0.0)
 
 
-def _point_se(res: _Residuals, psi=None, total=_fsum):
+def _point_se(res: _Residuals, psi=None):
     """Point estimate and standard error, per replication when ``res``
-    carries a leading axis, with sums taken by ``total`` over the last.
+    carries a leading axis.
 
     With a fitted first stage, ``psi`` holds the influence vectors of the
     units of ``res`` (``_aligned``), and each residual is recentred by
@@ -607,16 +607,14 @@ def _point_se(res: _Residuals, psi=None, total=_fsum):
         raise EstimationError(f"no usable units ({detail})" if n == 0 else
                               f"only one usable unit ({res.ids[0]}); a standard "
                               "error needs at least two")
-    point = total(res.residuals) / n
-    if psi is None:
-        return point, _se(res.residuals, point, total)
-    gbar = res.grads.mean(axis=-2)[..., None, :]
-    u = res.residuals - (psi * gbar).sum(axis=-1)
-    return point, _se(u, total(u) / n, total)
+    u = res.residuals
+    if psi is not None:
+        u = u - (psi * _mean(res.grads.swapaxes(-1, -2))[..., None, :]).sum(axis=-1)
+    return _mean(res.residuals), _se(u)
 
 
 def _summarize(res: _Residuals, h, level, first: AhEstimate | None = None) -> FatEstimate:
-    """``FatEstimate`` of one panel's residuals, summed exactly."""
+    """``FatEstimate`` of one panel's residuals."""
     psi = first and _aligned(first.psi, first.positions, res.positions)
     point, se = map(float, _point_se(res, psi))
     return FatEstimate(
@@ -702,7 +700,7 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
     est_t = _summarize(t, h, level)
     est_c = _summarize(c._replace(dropped=c.dropped + skipped), h, level)
     point = est_t.point - est_c.point
-    se = math.hypot(est_t.se, est_c.se)
+    se = float(np.hypot(est_t.se, est_c.se))
     return DfatEstimate(
         horizon=h, point=point, se=se, ci=_interval(point, se, level),
         level=level, treated=est_t, control=est_c,
@@ -845,8 +843,10 @@ def _ah_fit(panel: PanelData, outcomes, instrument_lag: int, detrend: bool,
     A_all = A_all[..., contrib, :, :]
     b_all = b_all[..., contrib, :]
 
-    ZtW = A_all.sum(axis=-3)
-    Ztdy = b_all.sum(axis=-2)
+    # In unit order: a plain sum leaves the order to the memory layout, and
+    # sums one moment's (n, 1, 1) pairwise but a chunk's (B, n, 1, 1) not.
+    ZtW = np.cumsum(A_all, axis=-3).take(-1, axis=-3)
+    Ztdy = np.cumsum(b_all, axis=-2).take(-1, axis=-2)
     s = np.linalg.svd(ZtW, compute_uv=False)
     weak = s[..., -1] < 1e-8 * np.maximum(s[..., 0], np.finfo(float).tiny)
     beta = _solve(ZtW, Ztdy[..., None])[..., 0]

@@ -67,8 +67,8 @@ class DgpSpec:
 
     The sizes ``n``, ``n_control``, ``T``, ``tau`` and ``trend_power``
     must be integers (``5.0`` is refused), the include flags bools, and
-    every number and interval end finite; anything else raises
-    ``ConfigError`` naming the field.
+    every number and interval end a finite number, not a bool; anything
+    else raises ``ConfigError`` naming the field.
     """
 
     n: int = 100
@@ -110,11 +110,13 @@ class DgpSpec:
         for name in ("rho", "mu", "delta"):
             law = getattr(self, name)
             interval = isinstance(law, (tuple, list))
+            malformed = ConfigError(f"{name} law must be a number or (lo, hi), got {law!r}")
+            if any(isinstance(v, (bool, np.bool_)) for v in (law if interval else [law])):
+                raise malformed
             try:
                 value = tuple(map(float, law)) if interval else float(law)
             except (TypeError, ValueError):
-                raise ConfigError(f"{name} law must be a number or (lo, hi), "
-                                  f"got {law!r}") from None
+                raise malformed from None
             if not np.isfinite(value).all():
                 raise ConfigError(f"{name} law must be finite, got {law!r}")
             if interval and (len(value) != 2 or not value[0] <= value[1]):
@@ -398,12 +400,11 @@ class McReport:
 # and live from the first cell that reads them to the last: common_shock's
 # two kernels have a 500-unit column each, components_all's 12 kernels one
 # column each and one alive at a time, and nonstationary_init's 4 pr
-# kernels one each and its 4 lagged kernels two each, whose 8 columns stay
-# alive from the mb cells to the mb_missp cells that share them.  1,000
-# replications of common_shock, components_all or nonstationary_init peak
-# at 43, 47 or 53 MB resident, numpy included.
+# kernels one each and its 4 lagged kernels two each, each alive only for
+# the mb and the mb_missp cell that share it, which finish one after the
+# other.  1,000 replications of common_shock, components_all or
+# nonstationary_init peak at 42, 47 or 51 MB resident, numpy included.
 _CHUNK = 50
-_ARRAY_SUM = functools.partial(np.add.reduce, axis=-1)
 
 
 def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
@@ -423,15 +424,16 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     alone, so each residual kernel is laid out once per run by the
     estimators' ``_kernel``, on one layout panel, and cells of the same
     window share one (a pr cell and dfat's treated side; an mb and an
-    mb_missp cell).  In each chunk a kernel makes its contrast products
-    (``_Layout.products``) the first time a cell reads them and drops them
-    after the last, and every cell finishes from its own kernel's products
-    with its own beta, as the single-panel estimators do.  Each
+    mb_missp cell).  In each chunk cells finish grouped by kernel, which
+    makes its contrast products (``_Layout.products``) for its first cell
+    and drops them after its last; each cell finishes from its own
+    kernel's products with its own beta, as the estimators do.  Each
     (``instrument_lag``, ``detrend``) group of mb cells fits one first
     stage a chunk and aligns its influence vectors with each kernel's used
     units once; a replication whose moment matrix is singular fails the
-    group's cells.  Points and standard errors are array sums, within
-    about 1e-13 relative of the single-panel estimators' exact sums.
+    group's cells.  Every sum over units is the estimators' own, so each
+    replication's fit, point and standard error are, bit for bit, those
+    of the single-panel estimators on its simulated panel.
 
     Summaries per cell: ``bias`` (mean point estimate minus the truth),
     ``mc_se`` (standard deviation of point estimates across replications,
@@ -470,7 +472,11 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
             kernels[k] = _kernel(sides[side], config, h, tau_shift=shift, lagged=lagged)
         except (EstimationError, RankDeficiencyError):
             kernels[k] = None
-    last = {k: j for j, plan in enumerate(plans) for k in plan}
+    # Cells finish grouped by their first kernel, so that its products can
+    # go after its last reader (an mb and an mb_missp cell share a kernel).
+    rank = {k: i for i, k in enumerate(dict.fromkeys(plan[0] for plan in plans))}
+    order = sorted(range(len(cells)), key=lambda j: rank[plans[j][0]])
+    last = {k: j for j in order for k in plans[j]}
     # (point, se, interval covers the truth) of each replication a cell ran
     done: list[list[tuple]] = [[] for _ in cells]
     for start in range(0, n_reps, _CHUNK):
@@ -478,7 +484,8 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                                   for r in range(start, min(start + _CHUNK, n_reps))])
         stacks = ([Y[:, :spec.n]], [Y[:, spec.n:]])  # each side's blocks' outcomes
         products, fits = {}, {}
-        for j, (cell, plan, (_, key)) in enumerate(zip(cells, plans, configs)):
+        for j in order:
+            cell, plan, (_, key) = cells[j], plans[j], configs[j]
             if any(kernels[k] is None for k in plan):
                 continue
             try:
@@ -500,6 +507,7 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     for cell, truth, ok in zip(cells, truths, done):
         n_ok, n_failed = len(ok), n_reps - len(ok)
         points, ses, covers = zip(*ok) if ok else ((), (), ())
+        # Sums across replications, not units: exact, whatever the chunking.
         mean = math.fsum(points) / n_ok if n_ok else math.nan
         mc_se = (math.sqrt(math.fsum((p - mean) ** 2 for p in points) / (n_ok - 1))
                  if n_ok >= 2 else math.nan)
@@ -539,7 +547,7 @@ def _chunk_estimates(panel: PanelData, stacks, kernels: dict, products: dict,
             if (key, k) not in fits:
                 fits[key, k] = _aligned(psi, at, res.positions)
             psi = fits[key, k]
-        estimates.append(_point_se(res, psi, _ARRAY_SUM))
+        estimates.append(_point_se(res, psi))
     (point, se), *control = estimates
     for c_point, c_se in control:
         point, se = point - c_point, np.hypot(se, c_se)

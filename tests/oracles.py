@@ -281,8 +281,8 @@ def _evaluate_cell(panel: PanelData, cell, config, first_stages: dict):
 def monte_carlo_per_replication(spec, cells, n_reps: int, master_seed: int,
                                 preset=None) -> McReport:
     """``run_monte_carlo`` with every replication simulated and estimated on
-    its own through the public estimators, which sum with ``math.fsum``;
-    one first stage per group and replication."""
+    its own through the public estimators; one first stage per group and
+    replication."""
     cells = tuple(cells)
     truths = [0.0 if c.estimator == "placebo" else spec.true_att for c in cells]
     configs = [MbConfig(q=c.q, R=c.R) if c.estimator == "mb"

@@ -513,6 +513,7 @@ def test_simulate_config_overrides(tmp_path, config, spec, names):
     ({"common_shock": math.inf}, "common_shock must be a finite number, got inf"),
     ({"mu": math.nan}, "mu law must be finite, got nan"),
     ({"mu": [0.0, math.inf]}, "mu law must be finite, got [0.0, inf]"),
+    ({"rho": False}, "rho law must be a number or (lo, hi), got False"),
 ])
 @pytest.mark.parametrize("study", [{"preset": "stationary"}, {"cells": [{"q": 0, "R": 3}]}])
 def test_simulate_bad_dgp_is_usage_error(tmp_path, capsys, dgp, message, study):

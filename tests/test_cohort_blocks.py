@@ -157,9 +157,9 @@ def oracle_ah(panel, lag, detrend, cov_idx, shift):
     if not uids:
         raise EstimationError(f"no unit has enough history for instrument lag {lag}")
     A_all, b_all = np.stack(As), np.stack(bs)
-    ZtW = A_all.sum(axis=0)
+    ZtW = sum(As[1:], As[0])  # in unit order, as the first stage sums
     try:
-        beta = np.linalg.solve(ZtW, b_all.sum(axis=0))
+        beta = np.linalg.solve(ZtW, sum(bs[1:], bs[0]))
         m = b_all - A_all @ beta
         psi = np.linalg.solve(ZtW / len(uids), m.T).T[:, :k - int(detrend)]
     except np.linalg.LinAlgError:

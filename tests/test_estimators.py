@@ -81,8 +81,8 @@ def test_two_units_average_in_order():
     assert est.point == pytest.approx(2.5, abs=1e-10)
     assert est.unit_ids == ("u0", "u1")
     np.testing.assert_allclose(est.residuals, [5.0, 0.0], atol=1e-10)
-    # The point is exactly the fixed-order compensated mean of residuals.
-    assert est.point == math.fsum(est.residuals.tolist()) / est.n_used
+    # The point is exactly the array sum of the residuals over their count.
+    assert est.point == np.add.reduce(est.residuals) / est.n_used
 
 
 def test_exact_polynomial_outcomes_give_zero_effect():
@@ -107,10 +107,21 @@ def test_fat_variance_hand_example():
 
 
 def test_variance_helpers_refuse_fewer_than_two_residuals():
-    # One residual gives no standard error, not a zero-width interval.
-    for call in (lambda: fat_variance([1.5]), lambda: fat_variance([]),
-                 lambda: mb_variance([1.5], [[0.2]], [[0.3]])):
-        with pytest.raises(ConfigError, match="at least two"):
+    # One residual gives no standard error, not a zero-width interval; a
+    # non-finite input gives none either, not a silent nan.
+    for call, message in (
+            (lambda: fat_variance([1.5]), "at least two"),
+            (lambda: fat_variance([]), "at least two"),
+            (lambda: mb_variance([1.5], [[0.2]], [[0.3]]), "at least two"),
+            (lambda: fat_variance([1.0, math.nan]), "residuals must be finite"),
+            (lambda: fat_variance([math.inf, 1.0]), "residuals must be finite"),
+            (lambda: mb_variance([1.0, math.nan], [[1.0], [1.0]], [[0.0], [0.0]]),
+             "residuals must be finite"),
+            (lambda: mb_variance([1.0, 2.0], [[1.0], [math.nan]], [[0.0], [0.0]]),
+             "gradients must be finite"),
+            (lambda: mb_variance([1.0, 2.0], [[1.0], [1.0]], [[-math.inf], [0.0]]),
+             "psi must be finite")):
+        with pytest.raises(ConfigError, match=message):
             call()
 
 
@@ -140,6 +151,15 @@ def test_mb_variance_reads_1d_gradients_as_one_coefficient():
     assert se == float(estimators_module._point_se(res, p[:, None])[1])
     with pytest.raises(ConfigError, match="must align"):
         mb_variance(u, g, p[:-1])
+
+
+def test_mb_variance_is_the_estimators_se_with_several_coefficients():
+    # The helper recentres and sums as the estimators do, bit for bit.
+    rng = np.random.default_rng(4)
+    for n, k in [(7, 2), (13, 3), (40, 4)] * 10:
+        u, g, p = rng.normal(size=n), rng.normal(size=(n, k)), rng.normal(size=(n, k))
+        res = estimators_module._Residuals(np.arange(n), np.arange(n).astype(str), u, g, ())
+        assert mb_variance(u, g, p) == float(estimators_module._point_se(res, p)[1])
 
 
 def test_confidence_interval_uses_normal_quantile():

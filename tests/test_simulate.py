@@ -102,6 +102,10 @@ def test_spec_rejects_malformed_laws_and_enums():
     ("mu", (0.0, math.inf), "mu law must be finite, got (0.0, inf)"),
     ("rho", [-math.inf, 0.5], "rho law must be finite, got [-inf, 0.5]"),
     ("delta", -math.inf, "delta law must be finite, got -inf"),
+    ("rho", False, "rho law must be a number or (lo, hi), got False"),
+    ("mu", [False, True], "mu law must be a number or (lo, hi), got [False, True]"),
+    ("delta", True, "delta law must be a number or (lo, hi), got True"),
+    ("mu", (0.0, np.bool_(True)), "mu law must be a number or (lo, hi), got (0.0, np.True_)"),
 ])
 def test_spec_refuses_malformed_sizes_flags_and_numbers(field, value, message):
     # Each used to run, crash later or give n_ok = 0 with no reason.
@@ -381,17 +385,15 @@ def test_monte_carlo_takes_numpy_integers():
     assert type(report.n_reps) is int and type(report.master_seed) is int
 
 
-def assert_rows_close(got, want):
-    """Report rows that agree in every count, flag and coverage exactly and
-    in every other float within 1e-12 relative."""
+def assert_rows_equal(got, want):
+    """Report rows that agree in every field, every float bit for bit: by
+    ``repr``, which round-trips a float, matches NaN with NaN and tells
+    -0.0 from 0.0."""
     assert [g["name"] for g in got] == [w["name"] for w in want]
     for g, w in zip(got, want):
         assert g.keys() == w.keys()
         for key, expected in w.items():
-            if isinstance(expected, float) and key != "coverage":
-                assert g[key] == pytest.approx(expected, rel=1e-12, abs=0.0), (g["name"], key)
-            else:
-                assert g[key] == expected, (g["name"], key)
+            assert repr(g[key]) == repr(expected), (g["name"], key, g[key], expected)
 
 
 def _direct_cells(spec, cells, n_reps, master_seed):
@@ -484,20 +486,20 @@ _ALWAYS_FAILS = {"pr_q0_R7"}
 def test_monte_carlo_matches_direct_estimation(kind):
     # Every cell row must match a hand-rolled loop over child seeds split
     # from the master seed by replication index, through the public
-    # estimators: counts exactly, floats to the batch sums' 1e-12.
+    # estimators: counts and floats exactly.
     spec, cells = DIRECT_CASES[kind]
     report = run_monte_carlo(spec, cells, n_reps=6, master_seed=99)
-    assert_rows_close([c.to_dict() for c in report.cells], _direct_cells(spec, cells, 6, 99))
+    assert_rows_equal([c.to_dict() for c in report.cells], _direct_cells(spec, cells, 6, 99))
     assert all((c.n_ok, c.n_failed) == ((0, 6) if c.name in _ALWAYS_FAILS else (6, 0))
                for c in report.cells)
 
 
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_a_cell_gets_the_same_result_alone_as_in_its_grid(name):
-    # A chunk stacks the contrast columns of every cell it runs, so a
-    # column's product must not round differently beside other columns:
-    # each cell's row is byte-identical alone and in its preset's grid,
-    # over two chunks.
+    # Cells of one window share a kernel and its products, and a chunk
+    # finishes its cells grouped by kernel, not in grid order: neither may
+    # change a cell's bits, so each cell's row is byte-identical alone and
+    # in its preset's grid, over two chunks.
     spec, cells = preset(name)
     spec = dataclasses.replace(spec, n=min(spec.n, 200), n_control=min(spec.n_control, 200))
     grid = run_monte_carlo(spec, cells, 60, 23)
@@ -507,9 +509,9 @@ def test_a_cell_gets_the_same_result_alone_as_in_its_grid(name):
 
 
 def test_kernel_residuals_on_a_chunk_are_the_estimators_on_each_panel():
-    # The residuals the Monte Carlo finishes from are, replication by
-    # replication, the bytes the public estimators give on that
-    # replication's simulated panel.
+    # The first stages and the residuals the Monte Carlo finishes from
+    # are, replication by replication, the bytes the public estimators
+    # give on that replication's simulated panel.
     spec = _MIXED
     seeds = [np.random.SeedSequence(entropy=4, spawn_key=(r,)) for r in range(5)]
     Y = simulate_module._draw_outcomes(spec, seeds)
@@ -518,7 +520,10 @@ def test_kernel_residuals_on_a_chunk_are_the_estimators_on_each_panel():
     kernel = estimators_module._kernel
     panels = [simulate_dgp(spec, seed) for seed in seeds]
     config, h = ForecastConfig(q=1, R=3), 2
-    first = estimators_module._ah_fit(layout, treated, 3, True, [])
+    # One moment with lag 2, or lag 3 undetrended; two with lag 3 detrended.
+    fits = {key: estimators_module._ah_fit(layout, treated, *key, [])
+            for key in ((3, True), (3, False), (2, False))}
+    first = fits[3, True]
     chunks = {
         "fat": kernel(layout.treated_blocks, config, h).apply(outcomes=treated),
         "placebo": kernel(layout.treated_blocks, config, h, tau_shift=1).apply(
@@ -536,6 +541,10 @@ def test_kernel_residuals_on_a_chunk_are_the_estimators_on_each_panel():
                                   first=anderson_hsiao(panel, 3, True)),
         }
         assert both.treated.residuals.tobytes() == single["fat"].residuals.tobytes()
+        for (lag, detrend), (beta, _, psi, *_) in fits.items():
+            one = anderson_hsiao(panel, lag, detrend)
+            assert beta[r].tobytes() == one.beta.tobytes(), (r, lag, detrend)
+            assert psi[r].tobytes() == one.psi.tobytes(), (r, lag, detrend)
         for key, est in single.items():
             res = chunks[key]
             assert res.ids.tolist() == list(est.unit_ids)
@@ -575,7 +584,7 @@ def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():
              GridCell(estimator="mb", q=0, R=1, instrument_lag=2, group="b"),
              GridCell(estimator="mb", q=1, R=2, instrument_lag=3, group="a"))
     report = run_monte_carlo(spec, cells, n_reps=4, master_seed=5)
-    assert_rows_close([c.to_dict() for c in report.cells], _direct_cells(spec, cells, 4, 5))
+    assert_rows_equal([c.to_dict() for c in report.cells], _direct_cells(spec, cells, 4, 5))
     for name in ("a_q0_R1", "a_q1_R2"):
         row = report.cell(name)
         assert (row.n_ok, row.n_failed, row.degenerate) == (0, 4, True)
@@ -625,7 +634,7 @@ def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(mo
              GridCell(estimator="pr", q=1, R=2))
     report = run_monte_carlo(spec, cells, n_reps=5, master_seed=3)
     expected = monte_carlo_per_replication(spec, cells, 5, 3)
-    assert_rows_close([c.to_dict() for c in report.cells],
+    assert_rows_equal([c.to_dict() for c in report.cells],
                       [c.to_dict() for c in expected.cells])
     assert [(c.n_ok, c.n_failed) for c in report.cells] == [(4, 1), (4, 1), (5, 0)]
 
@@ -646,14 +655,13 @@ def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(mo
 @pytest.mark.parametrize("name", PRESET_NAMES)
 def test_monte_carlo_matches_the_per_replication_oracle(name):
     # Every preset, at up to 200 units a group, over one full chunk and a
-    # ragged one: counts exactly, floats within 1e-12 of the oracle's
-    # compensated sums.
+    # ragged one: counts and floats exactly.
     spec, cells = preset(name)
     spec = dataclasses.replace(spec, n=min(spec.n, 200), n_control=min(spec.n_control, 200))
     n_reps = simulate_module._CHUNK + 7
     report = run_monte_carlo(spec, cells, n_reps, 17, preset=name)
     expected = monte_carlo_per_replication(spec, cells, n_reps, 17, preset=name)
-    assert_rows_close([c.to_dict() for c in report.cells],
+    assert_rows_equal([c.to_dict() for c in report.cells],
                       [c.to_dict() for c in expected.cells])
 
 

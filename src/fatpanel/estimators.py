@@ -226,8 +226,16 @@ def _mean(a: np.ndarray):
 
 
 def _se(u: np.ndarray):
-    """sqrt of the (1/n) variance of ``u`` over the last axis, over n."""
-    return np.sqrt(_mean((u - _mean(u)[..., None]) ** 2) / u.shape[-1])
+    """sqrt of the (1/n) variance of ``u`` over the last axis, over n.
+    Where the squares overflow, the deviations are scaled by a power of
+    two first; that is exact, so no other input changes a bit."""
+    d = u - _mean(u)[..., None]
+    with np.errstate(over="ignore"):
+        se = np.sqrt(_mean(d ** 2) / u.shape[-1])
+    if np.isinf(se).any():
+        e = np.frexp(np.abs(d).max(axis=-1))[1]
+        se = np.where(np.isinf(se), np.ldexp(_se(np.ldexp(d, -e[..., None])), e), se)
+    return se
 
 
 def mb_variance(residuals, gradients, psi) -> float:
@@ -707,48 +715,6 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
     )
 
 
-def _ah_moments(block: CohortBlock, Y: np.ndarray, lag: int, detrend: bool,
-                cov_idx: list[int]):
-    """Moment blocks A_i = Z'W and b_i = Z'dy of every unit in ``block``,
-    whose outcomes ``Y`` may carry leading replication axes.
-
-    Period t <= the block's ``tau`` gives a moment row when t-1, t-2 and t-lag are
-    observed; with covariates, only for the units whose covariates at t
-    and t-1 are complete.  Rows are accumulated in time order.  Returns
-    (A, b, rows) with shapes (..., n, k, k), (..., n, k) and (n,).
-    """
-    times = block.times
-    t = times[times <= block.tau]
-    at = [np.searchsorted(times, t - d) for d in (1, 2, lag)]
-    valid = np.logical_and.reduce([times[i] == t - d for i, d in zip(at, (1, 2, lag))])
-    js = np.flatnonzero(valid)
-    i1, i2, il = (i[valid] for i in at)
-    dy = Y[..., js] - Y[..., i1]
-    W = [Y[..., i1] - Y[..., i2]]
-    Z = [Y[..., il]]
-    rows = np.ones(dy.shape[-2:], dtype=bool)
-    if cov_idx:
-        x_t = block.covariates[:, js][:, :, cov_idx]
-        x_1 = block.covariates[:, i1][:, :, cov_idx]
-        rows = ~(np.isnan(x_t).any(axis=2) | np.isnan(x_1).any(axis=2))
-        W += list(np.moveaxis(x_t - x_1, 2, 0))
-        Z += list(np.moveaxis(x_1, 2, 0))
-    if detrend:
-        W.append(np.ones(rows.shape))
-        Z.append(np.ones(rows.shape))
-    # Rows a unit lacks add exact zeros, leaving its sums as if skipped.
-    for x in W + Z:
-        x[..., ~rows] = 0.0
-    A = np.zeros(dy.shape[:-1] + (len(W), len(W)))
-    b = np.zeros(dy.shape[:-1] + (len(W),))
-    for j in range(js.size):
-        for a, z in enumerate(Z):
-            b[..., a] += z[..., j] * dy[..., j]
-            for c, w in enumerate(W):
-                A[..., a, c] += z[..., j] * w[..., j]
-    return A, b, rows.sum(axis=1)
-
-
 def _covariate_columns(panel: PanelData, names: Sequence[str]) -> list[int]:
     unknown = [c for c in names if c not in panel.covariate_names]
     if unknown:
@@ -788,7 +754,10 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     enter differenced, instrumented by their first lag.
 
     A nearly singular first stage is flagged as ``weak`` but still solved,
-    since weak-instrument noise is informative in itself.
+    since weak-instrument noise is informative in itself.  The fit is laid
+    out on the panel's treated blocks first (``_ah_layout``: moment rows,
+    covariate masks and contributing units) and then made on their
+    outcomes, as the Monte Carlo makes it on each chunk's.
 
     Returns
     -------
@@ -797,16 +766,17 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
         contributing units with their panel positions.
     """
     instrument_lag, detrend = _ah_settings(instrument_lag, detrend)
-    beta, intercept, psi, contrib, weak, n_obs = _ah_fit(
-        panel, None, instrument_lag, detrend, _covariate_columns(panel, covariates))
+    layout = _ah_layout(panel.treated_blocks, instrument_lag, detrend,
+                        _covariate_columns(panel, covariates))
+    beta, intercept, psi, weak = layout.fit()
     return AhEstimate(
         beta=beta,
         intercept=float(intercept[0]) if detrend else None,
         psi=psi,
-        positions=contrib,
+        positions=layout.positions,
         weak=bool(weak),
-        n_units=contrib.size,
-        n_obs=n_obs,
+        n_units=layout.positions.size,
+        n_obs=layout.n_obs,
         covariate_names=tuple(covariates),
         instrument_lag=instrument_lag,
         detrend=detrend,
@@ -814,46 +784,110 @@ def anderson_hsiao(panel: PanelData, instrument_lag: int = 3,
     )
 
 
-def _ah_fit(panel: PanelData, outcomes, instrument_lag: int, detrend: bool,
-            cov_idx: list[int]) -> tuple:
-    """``anderson_hsiao`` on ``panel``, or on ``outcomes`` standing in for
-    its treated blocks' with leading replication axes: the coefficients,
-    the intercept (empty without ``detrend``), the influence vectors of the
-    contributing units, their positions, the weak flags and the moment-row
-    count.  A replication whose moment matrix is exactly singular gets NaN
-    coefficients and influence vectors."""
-    blocks = panel.treated_blocks
+class _AhLayout(NamedTuple):
+    """A first stage laid out on its blocks (``_ah_layout``).  Each of the
+    ``parts`` is a contributing block's (index, rows used, moment rows,
+    mask, dx, x1): the outcome columns t, t-1, t-2 and t-lag of each of
+    its m moment rows, (m, 4); the (m, n_rows) mask of the rows each unit
+    has, None when it has all; and each row's covariate columns x_t -
+    x_{t-1} of W and x_{t-1} of Z, (m, c, n_rows), zero off the mask.
+    ``positions`` are the contributing units' in panel order, ``order``
+    the permutation from part order to panel order (None when they
+    agree), and ``n_obs`` the moment-row count."""
+
+    blocks: Sequence[CohortBlock]
+    parts: tuple
+    positions: np.ndarray
+    order: np.ndarray | None
+    n_obs: int
+    detrend: bool
+
+    def fit(self, outcomes=None) -> tuple:
+        """The coefficients, the intercept (empty without ``detrend``), the
+        influence vectors of the units at ``positions`` and the weak flags,
+        on the blocks' outcomes or on ``outcomes[k]`` standing in for those
+        of ``blocks[k]`` with leading replication axes.  A replication whose
+        moment matrix is exactly singular gets NaN beta and psi."""
+        M = _in_order([_ah_moments((self.blocks[b].outcomes if outcomes is None
+                                    else outcomes[b])[..., units, :], *rest, self.detrend)
+                       for b, units, *rest in self.parts], self.order, -1)
+        k, lead, n = M.shape[0], M.shape[2:-1], M.shape[-1]
+        # In unit order: a plain sum leaves the order to the memory layout.
+        S = np.moveaxis(np.cumsum(M, axis=-1)[..., -1], (0, 1), (-2, -1))
+        s = np.linalg.svd(S[..., 1:], compute_uv=False)
+        weak = s[..., -1] < 1e-8 * np.maximum(s[..., 0], np.finfo(float).tiny)
+        beta = _solve(S[..., 1:], S[..., :1])[..., 0]
+        keep = k - self.detrend
+        # Every unit's A_i @ beta in one product over a contiguous
+        # (..., n k, k) array: the bits of n stacked (k, k) products.
+        Ab = (np.ascontiguousarray(np.moveaxis(M[:, 1:], (0, 1), (-2, -1)))
+              .reshape(lead + (n * k, k)) @ beta[..., :, None])
+        m = np.moveaxis(M[:, 0], 0, -1) - Ab.reshape(lead + (n, k))
+        psi = _solve(S[..., 1:] / n, m.swapaxes(-1, -2)).swapaxes(-1, -2)[..., :keep]
+        return beta[..., :keep], beta[..., keep:], psi, weak
+
+
+def _ah_layout(blocks: Sequence[CohortBlock], lag: int, detrend: bool,
+               cov_idx: Sequence[int]) -> _AhLayout:
+    """The first stage of ``anderson_hsiao`` on ``blocks``, laid out before
+    any outcome is read: period t <= a block's ``tau`` gives a moment row
+    when t-1, t-2 and t-``lag`` are observed, and with covariates only for
+    the units whose covariates at t and t-1 are complete."""
     if not blocks:
         raise EstimationError("no treated units")
-    outcomes = [b.outcomes for b in blocks] if outcomes is None else outcomes
-    k = 1 + len(cov_idx) + (1 if detrend else 0)
-    lead = outcomes[0].shape[:-2]
-    A_all = np.zeros(lead + (len(panel), k, k))
-    b_all = np.zeros(lead + (len(panel), k))
-    rows = np.zeros(len(panel), dtype=int)
-    for block, Y in zip(blocks, outcomes):
-        at = block.positions
-        A_all[..., at, :, :], b_all[..., at, :], rows[at] = _ah_moments(
-            block, Y, instrument_lag, detrend, cov_idx)
-    contrib = np.flatnonzero(rows)
-    if not contrib.size:
-        raise EstimationError(
-            f"no unit has enough history for instrument lag {instrument_lag}"
-        )
-    A_all = A_all[..., contrib, :, :]
-    b_all = b_all[..., contrib, :]
+    parts, n_obs = [], 0
+    for k, block in enumerate(blocks):
+        times = block.times
+        t = times[times <= block.tau]
+        at = [np.searchsorted(times, t - d) for d in (1, 2, lag)]
+        valid = np.logical_and.reduce([times[i] == t - d for i, d in zip(at, (1, 2, lag))])
+        rows = np.stack([np.flatnonzero(valid)] + [i[valid] for i in at], axis=1)
+        ok = np.ones((len(rows), len(block.unit_ids)), dtype=bool)  # (m, n)
+        dx = x1 = np.empty((len(rows), 0, ok.shape[1]))
+        if cov_idx:
+            X = block.covariates[:, :, cov_idx].transpose(1, 2, 0)
+            x_t, x_1 = X[rows[:, 0]], X[rows[:, 1]]  # (m, c, n)
+            ok = ~(np.isnan(x_t).any(axis=1) | np.isnan(x_1).any(axis=1))
+            dx, x1 = (np.where(ok[:, None], x, 0.0) for x in (x_t - x_1, x_1))
+        units = np.flatnonzero(ok.any(axis=0))
+        if units.size == ok.shape[1]:
+            units = slice(None)
+        elif not units.size:
+            continue
+        n_obs += int(ok.sum())
+        ok = ok[:, units]
+        parts.append((k, units, rows, None if ok.all() else ok, dx[..., units], x1[..., units]))
+    if not parts:
+        raise EstimationError(f"no unit has enough history for instrument lag {lag}")
+    positions = np.concatenate([blocks[k].positions[units] for k, units, *_ in parts])
+    order = None if np.all(positions[:-1] < positions[1:]) else np.argsort(positions)
+    return _AhLayout(blocks, tuple(parts), positions if order is None else positions[order],
+                     order, n_obs, detrend)
 
-    # In unit order: a plain sum leaves the order to the memory layout, and
-    # sums one moment's (n, 1, 1) pairwise but a chunk's (B, n, 1, 1) not.
-    ZtW = np.cumsum(A_all, axis=-3).take(-1, axis=-3)
-    Ztdy = np.cumsum(b_all, axis=-2).take(-1, axis=-2)
-    s = np.linalg.svd(ZtW, compute_uv=False)
-    weak = s[..., -1] < 1e-8 * np.maximum(s[..., 0], np.finfo(float).tiny)
-    beta = _solve(ZtW, Ztdy[..., None])[..., 0]
-    keep = k - (1 if detrend else 0)
-    m = b_all - (A_all @ beta[..., None, :, None])[..., 0]
-    psi = _solve(ZtW / contrib.size, m.swapaxes(-1, -2)).swapaxes(-1, -2)[..., :keep]
-    return beta[..., :keep], beta[..., keep:], psi, contrib, weak, int(rows.sum())
+
+def _ah_moments(Y: np.ndarray, rows, mask, dx, x1, detrend: bool) -> np.ndarray:
+    """The moments Z'[dy, W] of a layout part's units, as a (k, 1 + k, ...,
+    n) array, from their outcomes ``Y``, which may carry leading
+    replication axes.  Each entry is summed over the moment ``rows`` in
+    time order from 0.0; a row a unit lacks adds zeros."""
+    k = 1 + dx.shape[1] + detrend
+    M = np.zeros((k, 1 + k) + Y.shape[:-1])
+    for r, (t, t1, t2, tl) in enumerate(rows):
+        y1 = Y[..., t1]
+        dy, w, z = Y[..., t] - y1, y1 - Y[..., t2], Y[..., tl]
+        if mask is not None:
+            dy, w, z = (np.where(mask[r], x, 0.0) for x in (dy, w, z))
+        dyW, Z = [dy, w, *dx[r]], [z, *x1[r]]
+        for a, za in enumerate(Z):
+            for c, x in enumerate(dyW):
+                M[a, c] += za * x
+        if detrend:  # the intercept's column, 1 on a row and 0 off the mask
+            M[-1, -1] += 1.0 if mask is None else mask[r]
+            for a, x in enumerate(Z):
+                M[a, -1] += x
+            for c, x in enumerate(dyW):
+                M[-1, c] += x
+    return M
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

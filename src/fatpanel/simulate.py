@@ -31,8 +31,8 @@ from .errors import ConfigError, EstimationError, RankDeficiencyError
 # fat, placebo_fat, dfat and model_based_fat are not called here, but the
 # benchmark's tracer (perfbench/spans.py) wraps each of them as an attribute
 # of this module, and a traced run fails if one is missing.
-from .estimators import (_ah_fit, _aligned, _ah_settings, _interval, _kernel, _point_se,
-                         dfat, fat, model_based_fat, placebo_fat)
+from .estimators import (_ah_layout, _aligned, _ah_settings, _interval, _kernel,
+                         _point_se, dfat, fat, model_based_fat, placebo_fat)
 from .panel import CohortBlock, PanelData, csv_field, csv_number, csv_text
 
 # A parameter that is either common to all units or drawn per unit from a
@@ -402,8 +402,11 @@ class McReport:
 # column each and one alive at a time, and nonstationary_init's 4 pr
 # kernels one each and its 4 lagged kernels two each, each alive only for
 # the mb and the mb_missp cell that share it, which finish one after the
-# other.  1,000 replications of common_shock, components_all or
-# nonstationary_init peak at 42, 47 or 51 MB resident, numpy included.
+# other.  A first-stage fit's moments take k(1 + k) such columns, k being
+# its instrument count (2.4 MB for nonstationary_init's detrended lag-3
+# group), about as much again while they are summed, and live only while
+# it fits.  1,000 replications of common_shock, components_all or
+# nonstationary_init peak at 42, 46 or 51 MB resident, numpy included.
 _CHUNK = 50
 
 
@@ -428,12 +431,15 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     makes its contrast products (``_Layout.products``) for its first cell
     and drops them after its last; each cell finishes from its own
     kernel's products with its own beta, as the estimators do.  Each
-    (``instrument_lag``, ``detrend``) group of mb cells fits one first
-    stage a chunk and aligns its influence vectors with each kernel's used
-    units once; a replication whose moment matrix is singular fails the
-    group's cells.  Every sum over units is the estimators' own, so each
-    replication's fit, point and standard error are, bit for bit, those
-    of the single-panel estimators on its simulated panel.
+    (``instrument_lag``, ``detrend``) group of mb cells is laid out once
+    per run too, by ``anderson_hsiao``'s own ``_ah_layout`` (moment rows
+    and contributing units), next to the kernels; in each chunk it fits
+    once on the treated outcomes and aligns its influence vectors with
+    each kernel's used units once, and a replication whose moment matrix
+    is singular fails the group's cells.  Every sum over units is the
+    estimators' own, so each replication's fit, point and standard error
+    are, bit for bit, those of the single-panel estimators on its
+    simulated panel.
 
     Summaries per cell: ``bias`` (mean point estimate minus the truth),
     ``mc_se`` (standard deviation of point estimates across replications,
@@ -472,6 +478,14 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
             kernels[k] = _kernel(sides[side], config, h, tau_shift=shift, lagged=lagged)
         except (EstimationError, RankDeficiencyError):
             kernels[k] = None
+    # Each mb group's first stage by its (instrument lag, detrend), laid out
+    # once for the run; None for one that cannot be, whose cells all fail.
+    firsts = {}
+    for key in dict.fromkeys(key for _, key in configs if key):
+        try:
+            firsts[key] = _ah_layout(layout.treated_blocks, *key, [])
+        except EstimationError:
+            firsts[key] = None
     # Cells finish grouped by their first kernel, so that its products can
     # go after its last reader (an mb and an mb_missp cell share a kernel).
     rank = {k: i for i, k in enumerate(dict.fromkeys(plan[0] for plan in plans))}
@@ -486,11 +500,11 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
         products, fits = {}, {}
         for j in order:
             cell, plan, (_, key) = cells[j], plans[j], configs[j]
-            if any(kernels[k] is None for k in plan):
+            if any(kernels[k] is None for k in plan) or (key and firsts[key] is None):
                 continue
             try:
-                point, se = _chunk_estimates(layout, stacks, kernels, products, cell, plan,
-                                             key, fits)
+                point, se = _chunk_estimates(stacks, kernels, firsts, products, fits,
+                                             plan, key)
             except (EstimationError, RankDeficiencyError):
                 continue
             finally:  # a kernel's products go with the last cell that reads them
@@ -523,21 +537,23 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                     cells=tuple(results), preset=preset)
 
 
-def _chunk_estimates(panel: PanelData, stacks, kernels: dict, products: dict,
-                     cell: GridCell, plan: list, key, fits: dict):
-    """Point estimates and standard errors of ``cell`` in each replication
+def _chunk_estimates(stacks, kernels: dict, firsts: dict, products: dict, fits: dict,
+                     plan: list, key):
+    """Point estimates and standard errors of a cell in each replication
     of a chunk, finished from the contrast products of the ``kernels`` its
     ``plan`` names, each with the cell's own beta; NaN where the first
     stage is singular.  ``products`` keeps each kernel's products on the
-    chunk's ``stacks``, made the first time a cell reads them.  ``fits``
-    keeps the mb groups' first stages by ``key``, an mb cell's (instrument
-    lag, detrend), fitted on the treated ``stacks`` of ``panel``, and
-    their influence vectors aligned with each kernel's used units."""
+    chunk's ``stacks``, made the first time a cell reads them.  ``key`` is
+    an mb cell's (instrument lag, detrend), None for any other cell;
+    ``fits`` keeps by it the fit of that group's laid-out first stage
+    (``firsts[key]``) on the treated ``stacks``, made for the group's
+    first cell, and its influence vectors aligned with each kernel's used
+    units."""
     beta, psi = (), None
-    if cell.estimator == "mb":
-        if key not in fits:  # a fit that raises is tried again by each cell
-            fits[key] = _ah_fit(panel, stacks[0], *key, [])
-        beta, _, psi, at, _, _ = fits[key]
+    if key:
+        if key not in fits:
+            fits[key] = firsts[key].fit(stacks[0])
+        beta, _, psi, _ = fits[key]
     estimates = []
     for k in plan:
         if k not in products:
@@ -545,7 +561,7 @@ def _chunk_estimates(panel: PanelData, stacks, kernels: dict, products: dict,
         res = kernels[k].finish(products[k], beta)
         if psi is not None:
             if (key, k) not in fits:
-                fits[key, k] = _aligned(psi, at, res.positions)
+                fits[key, k] = _aligned(psi, firsts[key].positions, res.positions)
             psi = fits[key, k]
         estimates.append(_point_se(res, psi))
     (point, se), *control = estimates

@@ -428,6 +428,21 @@ def test_estimate_on_one_usable_unit_is_estimation_error(tmp_path, capsys):
          "error": "only one usable unit (a); a standard error needs at least two"}]
 
 
+def test_estimate_on_residuals_whose_squares_overflow_writes_a_finite_se(tmp_path):
+    # Residuals of +-1e200 square past the largest double; the report
+    # carries a finite se and interval, not the non-JSON token Infinity.
+    path = tmp_path / "big.csv"
+    path.write_text("unit,time,outcome,treated_at\n"
+                    "a,1,0,2\na,2,0,2\na,3,1e200,2\nb,1,0,2\nb,2,0,2\nb,3,-1e200,2\n")
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", str(path), "--q", "0", "--r", "2",
+                 "--out-json", str(out)]) == 0
+    assert "Infinity" not in out.read_text()
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["se"] == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+    assert all(math.isfinite(x) for x in result["ci"])
+
+
 def test_estimate_reports_a_failed_pair_and_keeps_going(tmp_path, capsys):
     # On 7 periods adopting after period 5, horizon 5 has no target period.
     path = sim_panel_csv(tmp_path, T=7, tau=5)

@@ -29,7 +29,8 @@ from fatpanel.estimators import (
     placebo_fat,
 )
 from fatpanel.cli import main
-from fatpanel.panel import PanelData, UnitSeries, apply_anticipation, validate, write_panel
+from fatpanel.panel import (PanelData, UnitSeries, apply_anticipation, load_panel, validate,
+                            write_panel)
 from fatpanel.simulate import DgpSpec, simulate_dgp
 from oracles import fat_balanced_avg, fat_pooled
 
@@ -104,6 +105,15 @@ def test_fat_variance_hand_example():
     # residuals (0, 2): mean 1, population variance 1, se = sqrt(1/2)
     assert fat_variance([0.0, 2.0]) == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert fat_variance([1.0, 1.0, 1.0]) == 0.0
+
+
+def test_fat_variance_of_residuals_whose_squares_overflow_is_finite():
+    # (1e200)^2 overflows a double; the deviations are scaled by a power
+    # of two instead, and a row that does not overflow keeps its bits.
+    assert fat_variance([1e200, -1e200]) == pytest.approx(1e200 / math.sqrt(2), rel=1e-15)
+    se = estimators_module._se(np.array([[1e200, -1e200, 3e200], [1.0, 2.0, 4.0]]))
+    assert se[0] == pytest.approx(math.sqrt(8 / 9) * 1e200, rel=1e-15)
+    assert se[1] == fat_variance([1.0, 2.0, 4.0])
 
 
 def test_variance_helpers_refuse_fewer_than_two_residuals():
@@ -588,6 +598,50 @@ def test_constant_outcomes_make_first_stage_singular():
     panel = make_panel(np.full((4, 6), 2.0), np.arange(6), tau=5)
     with pytest.raises(EstimationError):
         anderson_hsiao(panel, instrument_lag=2, detrend=False)
+
+
+def test_stacked_first_stage_on_interleaved_blocks_is_each_copys_fit(tmp_path):
+    # A loaded staggered panel whose treated cohorts (four dates, late
+    # starts, a gap) interleave in panel position, with covariate holes
+    # that leave some units no moment row.  One layout fitted on three
+    # perturbed copies of its treated outcomes, stacked, gives each copy's
+    # anderson_hsiao fit byte for byte.
+    rng = np.random.default_rng(2026)
+    units = []
+    for i in range(60):
+        tau = int(rng.choice([5, 6, 7, 8]))
+        start = int(rng.choice([0, 0, 0, tau - 3]))
+        times = np.array([t for t in range(start, 11) if not (i % 7 == 3 and t == 1)])
+        cov = rng.normal(size=(times.size, 2))
+        cov[rng.random(cov.shape) < 0.1] = np.nan
+        units.append(UnitSeries(f"u{i}", times, rng.normal(size=times.size) + 0.3 * times,
+                                tau=tau, is_control=i % 5 == 0, covariates=cov))
+    path = tmp_path / "staggered.csv"
+    write_panel(PanelData(units, covariate_names=("x", "z")), path)
+    panel = load_panel(path)
+    blocks = panel.treated_blocks
+    stacked = [b.outcomes + rng.normal(size=(3,) + b.outcomes.shape) for b in blocks]
+    copies = [PanelData.from_blocks(
+        [dataclasses.replace(b, outcomes=Y[r]) for b, Y in zip(blocks, stacked)]
+        + list(panel.control_blocks), covariate_names=panel.covariate_names)
+        for r in range(3)]
+    for lag, detrend, covariates in ((3, True, ("x", "z")), (2, False, ("z",)),
+                                     (2, True, ("x",)), (3, False, ())):
+        layout = estimators_module._ah_layout(blocks, lag, detrend, [
+            panel.covariate_names.index(c) for c in covariates])
+        assert layout.order is not None  # the blocks interleave
+        assert np.all(np.diff(layout.positions) > 0)
+        beta, intercept, psi, weak = layout.fit(stacked)
+        for r, copy in enumerate(copies):
+            one = anderson_hsiao(copy, lag, detrend, covariates)
+            assert beta[r].tobytes() == one.beta.tobytes()
+            assert intercept[r].tolist() == ([one.intercept] if detrend else [])
+            assert psi[r].tobytes() == one.psi.tobytes()
+            assert layout.positions.tobytes() == one.positions.tobytes()
+            assert (bool(weak[r]), layout.n_obs) == (one.weak, one.n_obs)
+        if lag == 3 and detrend:  # the holes drop some units and some of their rows
+            assert one.n_units < sum(len(b.unit_ids) for b in blocks)
+            assert any(mask is not None for _, _, _, mask, _, _ in layout.parts)
 
 
 # ---------------------------------------------------------------------------

@@ -521,7 +521,7 @@ def test_kernel_residuals_on_a_chunk_are_the_estimators_on_each_panel():
     panels = [simulate_dgp(spec, seed) for seed in seeds]
     config, h = ForecastConfig(q=1, R=3), 2
     # One moment with lag 2, or lag 3 undetrended; two with lag 3 detrended.
-    fits = {key: estimators_module._ah_fit(layout, treated, *key, [])
+    fits = {key: estimators_module._ah_layout(layout.treated_blocks, *key, []).fit(treated)
             for key in ((3, True), (3, False), (2, False))}
     first = fits[3, True]
     chunks = {
@@ -593,21 +593,23 @@ def test_monte_carlo_counts_a_failed_first_stage_against_each_cell():
 
 def test_monte_carlo_fits_one_first_stage_per_group(monkeypatch):
     # nonstationary_init has 8 model-based cells in 2 first-stage groups;
-    # each group is fitted once on a chunk's stacked outcomes, and no cell
-    # goes through the per-panel estimators.
+    # each group is laid out once a run and fitted once on each chunk's
+    # stacked outcomes, and no cell goes through the per-panel estimators.
     chunk = simulate_module._CHUNK
-    fits = []
-    fit = simulate_module._ah_fit
-    monkeypatch.setattr(simulate_module, "_ah_fit", lambda panel, stacks, *a: (
-        fits.append((stacks[0].shape[0], *a)) or fit(panel, stacks, *a)))
+    layouts, fits = [], []
+    lay_out, fit = simulate_module._ah_layout, estimators_module._AhLayout.fit
+    monkeypatch.setattr(simulate_module, "_ah_layout", lambda blocks, *a: (
+        layouts.append(a) or lay_out(blocks, *a)))
+    monkeypatch.setattr(estimators_module._AhLayout, "fit", lambda self, stacks: (
+        fits.append((stacks[0].shape[0], self.detrend)) or fit(self, stacks)))
     for name in ("fat", "placebo_fat", "dfat", "model_based_fat"):
         monkeypatch.setattr(simulate_module, name, None)
     spec, cells = preset("nonstationary_init")
     assert sum(c.estimator == "mb" for c in cells) == 8
     run_monte_carlo(dataclasses.replace(spec, n=40), cells, n_reps=chunk + 3,
                     master_seed=0)
-    assert fits == [(chunk, 3, True, []), (chunk, 2, False, []),
-                    (3, 3, True, []), (3, 2, False, [])]
+    assert layouts == [(3, True, []), (2, False, [])]
+    assert fits == [(chunk, True), (chunk, False), (3, True), (3, False)]
 
 
 def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(monkeypatch):
@@ -642,7 +644,8 @@ def test_monte_carlo_fails_only_the_replication_whose_first_stage_is_singular(mo
               for r in range(5)]
     assert (panels[2].treated_blocks[0].outcomes == 1.0).all()
     stacked = [np.stack([p.treated_blocks[0].outcomes for p in panels])]
-    beta, _, psi, _, _, _ = estimators_module._ah_fit(panels[0], stacked, 3, True, [])
+    beta, _, psi, _ = estimators_module._ah_layout(
+        panels[0].treated_blocks, 3, True, []).fit(stacked)
     assert np.isnan(beta[2]).all() and np.isnan(psi[2]).all()
     for r in (0, 1, 3, 4):
         one = estimators_module.anderson_hsiao(panels[r], 3, True)

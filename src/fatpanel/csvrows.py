@@ -69,6 +69,7 @@ def read_rows(fh: TextIO, schema: Mapping[str, object] | None) -> SortedRows:
         header = next(reader)
     except StopIteration:
         raise PanelFormatError("empty input: no header row") from None
+    header[:1] = [name.removeprefix("\ufeff") for name in header[:1]]  # a spreadsheet's BOM
     mapping, covariate_cols = _resolve_schema(schema, header)
     rows = _RowColumns(header, mapping, covariate_cols)
     rownum, failure = 2, None

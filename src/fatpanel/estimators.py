@@ -226,16 +226,24 @@ def _mean(a: np.ndarray):
 
 
 def _se(u: np.ndarray):
-    """sqrt of the (1/n) variance of ``u`` over the last axis, over n.
-    Where the squares overflow, the deviations are scaled by a power of
-    two first; that is exact, so no other input changes a bit."""
-    d = u - _mean(u)[..., None]
-    with np.errstate(over="ignore"):
+    """sqrt of the (1/n) variance of ``u`` over the last axis, over n; where
+    the mean or the squares overflow, ``_rescaled``, so no other input changes a bit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = u - _mean(u)[..., None]
         se = np.sqrt(_mean(d ** 2) / u.shape[-1])
-    if np.isinf(se).any():
-        e = np.frexp(np.abs(d).max(axis=-1))[1]
-        se = np.where(np.isinf(se), np.ldexp(_se(np.ldexp(d, -e[..., None])), e), se)
-    return se
+    return se if np.isfinite(se).all() else _rescaled(_se, u, se)
+
+
+def _rescaled(f, u: np.ndarray, value):
+    """``value``, ``f(u)``, made again as 2^e f(u / 2^e), 2^e above the
+    largest |u|, where it is not finite but ``u`` is: nothing overflows
+    below 1.  Deviations, unlike ``u``, are infinite once a mean overflows."""
+    top = np.abs(u).max(axis=-1)
+    redo = ~np.isfinite(value) & np.isfinite(top)
+    if not redo.any():
+        return value
+    e = np.frexp(top)[1]
+    return np.where(redo, np.ldexp(f(np.ldexp(u, -e[..., None])), e), value)
 
 
 def mb_variance(residuals, gradients, psi) -> float:
@@ -618,7 +626,10 @@ def _point_se(res: _Residuals, psi=None):
     u = res.residuals
     if psi is not None:
         u = u - (psi * _mean(res.grads.swapaxes(-1, -2))[..., None, :]).sum(axis=-1)
-    return _mean(res.residuals), _se(u)
+    point = _mean(res.residuals)
+    if np.isinf(point).any():  # a mean of finite doubles is finite: the sum overflowed
+        point = _rescaled(_mean, res.residuals, point)
+    return point, _se(u)
 
 
 def _summarize(res: _Residuals, h, level, first: AhEstimate | None = None) -> FatEstimate:

@@ -16,11 +16,12 @@ The interchange format is a delimited text file with a header row::
     unit,time,outcome,treated_at[,control_flag][,x1,x2,...]
 
 Times and treatment dates are integers, outcomes and covariates decimal
-numbers with "." as the decimal mark, encoding UTF-8.  Outcomes must be
-finite; a blank covariate field means the value is missing.  ``write_panel``
-emits exactly this layout, every field spelled by ``csv_field`` or
-``csv_number``, the rule of every CSV the package writes, so that a
-write/load round trip reproduces the panel bit for bit.  ``csvrows`` reads the text into checked, sorted column
+numbers with "." as the decimal mark, encoding UTF-8, after at most one
+byte-order mark.  Outcomes must be finite; a blank covariate field means
+the value is missing.  ``write_panel`` emits exactly this layout, every
+field spelled by ``csv_field`` or ``csv_number``, the rule of every CSV
+the package writes, so that a write/load round trip reproduces the panel
+bit for bit.  ``csvrows`` reads the text into checked, sorted column
 arrays, which ``load_panel`` groups into cohort blocks.
 """
 

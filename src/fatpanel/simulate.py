@@ -395,18 +395,10 @@ class McReport:
 
 # Replications simulated and evaluated together: each cell's per-call cost
 # is paid once a chunk.  At the presets' 1,000 units and 6 periods a
-# chunk's outcomes take 2.4 MB, and a random walk's noise as much again
-# while it is drawn.  A kernel's contrast products take 0.4 MB a column
-# and live from the first cell that reads them to the last: common_shock's
-# two kernels have a 500-unit column each, components_all's 12 kernels one
-# column each and one alive at a time, and nonstationary_init's 4 pr
-# kernels one each and its 4 lagged kernels two each, each alive only for
-# the mb and the mb_missp cell that share it, which finish one after the
-# other.  A first-stage fit's moments take k(1 + k) such columns, k being
-# its instrument count (2.4 MB for nonstationary_init's detrended lag-3
-# group), about as much again while they are summed, and live only while
-# it fits.  1,000 replications of common_shock, components_all or
-# nonstationary_init peak at 42, 46 or 51 MB resident, numpy included.
+# chunk's outcomes take 2.4 MB, a random walk's noise as much again while
+# it is drawn, and each column of a kernel's contrast products 0.4 MB.
+# 1,000 replications of common_shock, components_all or nonstationary_init
+# peak at 42, 45 or 50 MB resident, numpy included.
 _CHUNK = 50
 
 
@@ -423,23 +415,19 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     ``_draw_outcomes``, the simulator behind ``simulate_dgp``, as one
     (B, N, T) array whose treated and control rows are the stacks the
     estimators read; no panel is built per replication.  A simulated
-    panel's layout (windows, targets, weights, drops) depends on the spec
-    alone, so each residual kernel is laid out once per run by the
-    estimators' ``_kernel``, on one layout panel, and cells of the same
-    window share one (a pr cell and dfat's treated side; an mb and an
-    mb_missp cell).  In each chunk cells finish grouped by kernel, which
-    makes its contrast products (``_Layout.products``) for its first cell
-    and drops them after its last; each cell finishes from its own
-    kernel's products with its own beta, as the estimators do.  Each
-    (``instrument_lag``, ``detrend``) group of mb cells is laid out once
-    per run too, by ``anderson_hsiao``'s own ``_ah_layout`` (moment rows
-    and contributing units), next to the kernels; in each chunk it fits
-    once on the treated outcomes and aligns its influence vectors with
-    each kernel's used units once, and a replication whose moment matrix
-    is singular fails the group's cells.  Every sum over units is the
-    estimators' own, so each replication's fit, point and standard error
-    are, bit for bit, those of the single-panel estimators on its
-    simulated panel.
+    panel's layout depends on the spec alone, so each residual kernel
+    (``_kernel``) and each (``instrument_lag``, ``detrend``) group's first
+    stage (``_ah_layout``) is laid out once a run, and the cells are
+    gathered under their treated kernel (a pr cell and dfat's treated
+    side, or an mb and an mb_missp cell of one window, share one).  Each
+    chunk fits every first stage once, then walks the kernels: a kernel
+    makes its contrast products once, and each of its cells finishes from
+    them with its own beta.  A replication whose moment matrix is singular
+    fails its group's cells.  A dfat cell applies its control kernel
+    itself, so two dfat cells of one window under different ``group``
+    labels each apply it.  Every sum over units is the estimators' own, so
+    each replication's fit, point and standard error are, bit for bit,
+    those of the single-panel estimators on its simulated panel.
 
     Summaries per cell: ``bias`` (mean point estimate minus the truth),
     ``mc_se`` (standard deviation of point estimates across replications,
@@ -463,64 +451,56 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                for c in cells]
     # The layout of every chunk; its outcomes are never read.
     layout = _panel(spec, np.zeros((spec.n + spec.n_control, spec.T)))
-    # Each cell's residual kernels by their keys (side, 0 treated or 1
-    # controls; window; horizon; shift; lagged), laid out once for the run
-    # and shared by cells of the same window; None for a kernel that cannot
-    # be laid out, whose cells fail in every replication.
-    sides, kernels = (layout.treated_blocks, layout.control_blocks), {}
-    plans = [[(0, config, c.h, c.lag, c.estimator == "mb")]
-             # Simulated controls all carry the adoption date.
-             + ([(1, config, c.h, 0, False)] if c.estimator == "dfat" else [])
-             for c, (config, _) in zip(cells, configs)]
-    for k in dict.fromkeys(k for plan in plans for k in plan):
-        side, config, h, shift, lagged = k
-        try:
-            kernels[k] = _kernel(sides[side], config, h, tau_shift=shift, lagged=lagged)
-        except (EstimationError, RankDeficiencyError):
-            kernels[k] = None
-    # Each mb group's first stage by its (instrument lag, detrend), laid out
-    # once for the run; None for one that cannot be, whose cells all fail.
-    firsts = {}
-    for key in dict.fromkeys(key for _, key in configs if key):
-        try:
-            firsts[key] = _ah_layout(layout.treated_blocks, *key, [])
-        except EstimationError:
-            firsts[key] = None
-    # Cells finish grouped by their first kernel, so that its products can
-    # go after its last reader (an mb and an mb_missp cell share a kernel).
-    rank = {k: i for i, k in enumerate(dict.fromkeys(plan[0] for plan in plans))}
-    order = sorted(range(len(cells)), key=lambda j: rank[plans[j][0]])
-    last = {k: j for j in order for k in plans[j]}
-    # (point, se, interval covers the truth) of each replication a cell ran
-    done: list[list[tuple]] = [[] for _ in cells]
+    # Kernels by their keys (side, 0 treated or 1 controls; window; horizon;
+    # shift; lagged) and first stages by theirs, laid out once a run; None
+    # for one that cannot be, whose cells fail in every replication.  Each
+    # treated kernel's runnable cells: (index, first-stage key, control kernel).
+    sides, kernels, firsts, groups = (layout.treated_blocks, layout.control_blocks), {}, {}, {}
+    for j, (c, (config, key)) in enumerate(zip(cells, configs)):
+        plan = [(0, config, c.h, c.lag, key is not None)]
+        if c.estimator == "dfat":  # simulated controls all carry the adoption date
+            plan.append((1, config, c.h, 0, False))
+        for k in plan:
+            if k not in kernels:
+                try:
+                    kernels[k] = _kernel(sides[k[0]], config, c.h, tau_shift=k[3], lagged=k[4])
+                except (EstimationError, RankDeficiencyError):
+                    kernels[k] = None
+        if key and key not in firsts:
+            try:
+                firsts[key] = _ah_layout(layout.treated_blocks, *key, [])
+            except EstimationError:
+                firsts[key] = None
+        if all(kernels[k] is not None for k in plan) and (not key or firsts[key] is not None):
+            control = kernels[plan[1]] if plan[1:] else None
+            groups.setdefault(plan[0], (kernels[plan[0]], []))[1].append((j, key, control))
+    # Each cell's (3, n) point, se and covers-the-truth rows, one a chunk
+    done = [[np.empty((3, 0))] for _ in cells]
     for start in range(0, n_reps, _CHUNK):
         Y = _draw_outcomes(spec, [np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
                                   for r in range(start, min(start + _CHUNK, n_reps))])
-        stacks = ([Y[:, :spec.n]], [Y[:, spec.n:]])  # each side's blocks' outcomes
-        products, fits = {}, {}
-        for j in order:
-            cell, plan, (_, key) = cells[j], plans[j], configs[j]
-            if any(kernels[k] is None for k in plan) or (key and firsts[key] is None):
-                continue
-            try:
-                point, se = _chunk_estimates(stacks, kernels, firsts, products, fits,
-                                             plan, key)
-            except (EstimationError, RankDeficiencyError):
-                continue
-            finally:  # a kernel's products go with the last cell that reads them
-                for k in plan:
-                    if last[k] == j:
-                        products.pop(k, None)
-            lo, hi = _interval(point, se, 0.95)
-            ok = ~np.isnan(point)
-            covers = (lo <= truths[j]) & (truths[j] <= hi)
-            done[j] += zip(point[ok].tolist(), se[ok].tolist(), covers[ok].tolist())
-        del Y, stacks, products  # freed before the next chunk is drawn
+        treated, controls = [Y[:, :spec.n]], [Y[:, spec.n:]]  # each side's blocks' outcomes
+        # Each first stage with its fit on the chunk, made before any products.
+        fits = {key: (first, first.fit(treated)) for key, first in firsts.items()
+                if first is not None}
+        for kernel, members in groups.values():
+            products = kernel.products(treated)
+            for j, key, control in members:
+                try:
+                    point, se = _estimates(kernel, products, fits.get(key), control, controls)
+                except (EstimationError, RankDeficiencyError):
+                    continue
+                lo, hi = _interval(point, se, 0.95)
+                ok = ~np.isnan(point)
+                covers = (lo <= truths[j]) & (truths[j] <= hi)
+                done[j].append(np.array([point, se, covers])[:, ok])
+            del products
+        del Y, treated, controls, fits  # freed before the next chunk is drawn
 
     results = []
     for cell, truth, ok in zip(cells, truths, done):
-        n_ok, n_failed = len(ok), n_reps - len(ok)
-        points, ses, covers = zip(*ok) if ok else ((), (), ())
+        points, ses, covers = np.concatenate(ok, axis=1).tolist()
+        n_ok, n_failed = len(points), n_reps - len(points)
         # Sums across replications, not units: exact, whatever the chunking.
         mean = math.fsum(points) / n_ok if n_ok else math.nan
         mc_se = (math.sqrt(math.fsum((p - mean) ** 2 for p in points) / (n_ok - 1))
@@ -537,35 +517,18 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
                     cells=tuple(results), preset=preset)
 
 
-def _chunk_estimates(stacks, kernels: dict, firsts: dict, products: dict, fits: dict,
-                     plan: list, key):
-    """Point estimates and standard errors of a cell in each replication
-    of a chunk, finished from the contrast products of the ``kernels`` its
-    ``plan`` names, each with the cell's own beta; NaN where the first
-    stage is singular.  ``products`` keeps each kernel's products on the
-    chunk's ``stacks``, made the first time a cell reads them.  ``key`` is
-    an mb cell's (instrument lag, detrend), None for any other cell;
-    ``fits`` keeps by it the fit of that group's laid-out first stage
-    (``firsts[key]``) on the treated ``stacks``, made for the group's
-    first cell, and its influence vectors aligned with each kernel's used
-    units."""
+def _estimates(kernel, products, stage, control, controls):
+    """A cell's points and standard errors on a chunk: its treated ``kernel``
+    finished from its ``products`` with an mb cell's first ``stage`` (layout,
+    fit), less a dfat cell's ``control`` kernel applied to the ``controls``.
+    The residuals go when it returns."""
     beta, psi = (), None
-    if key:
-        if key not in fits:
-            fits[key] = firsts[key].fit(stacks[0])
-        beta, _, psi, _ = fits[key]
-    estimates = []
-    for k in plan:
-        if k not in products:
-            products[k] = kernels[k].products(stacks[k[0]])
-        res = kernels[k].finish(products[k], beta)
-        if psi is not None:
-            if (key, k) not in fits:
-                fits[key, k] = _aligned(psi, firsts[key].positions, res.positions)
-            psi = fits[key, k]
-        estimates.append(_point_se(res, psi))
-    (point, se), *control = estimates
-    for c_point, c_se in control:
+    if stage:
+        first, (beta, _, psi, _) = stage
+        psi = _aligned(psi, first.positions, kernel.positions)
+    point, se = _point_se(kernel.finish(products, beta), psi)
+    if control is not None:
+        c_point, c_se = _point_se(control.apply(outcomes=controls))
         point, se = point - c_point, np.hypot(se, c_se)
     return point, se
 

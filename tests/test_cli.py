@@ -443,6 +443,23 @@ def test_estimate_on_residuals_whose_squares_overflow_writes_a_finite_se(tmp_pat
     assert all(math.isfinite(x) for x in result["ci"])
 
 
+def test_estimate_on_residuals_whose_sum_overflows_writes_a_finite_point(tmp_path):
+    # Residuals of 1.5e308 and 1e308 sum past the largest double, but their
+    # mean is finite: the report carries it with a finite se and interval,
+    # not the non-JSON tokens Infinity and NaN.
+    path = tmp_path / "big.csv"
+    path.write_text("unit,time,outcome,treated_at\n"
+                    "a,1,1,2\na,2,2,2\na,3,1.5e308,2\nb,1,1,2\nb,2,3,2\nb,3,1e308,2\n")
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", str(path), "--q", "0", "--r", "2",
+                 "--out-json", str(out)]) == 0
+    assert "Infinity" not in out.read_text() and "NaN" not in out.read_text()
+    (result,) = json.loads(out.read_text())["results"]
+    assert result["point"] == pytest.approx(1.25e308, rel=1e-15)
+    assert result["se"] == pytest.approx(0.25e308 / math.sqrt(2), rel=1e-15)
+    assert all(math.isfinite(x) for x in result["ci"])
+
+
 def test_estimate_reports_a_failed_pair_and_keeps_going(tmp_path, capsys):
     # On 7 periods adopting after period 5, horizon 5 has no target period.
     path = sim_panel_csv(tmp_path, T=7, tau=5)

@@ -116,6 +116,24 @@ def test_fat_variance_of_residuals_whose_squares_overflow_is_finite():
     assert se[1] == fat_variance([1.0, 2.0, 4.0])
 
 
+def test_fat_of_residuals_whose_sum_overflows_is_finite():
+    # 1.5e308 + 1e308 overflows a double, but a mean of finite doubles is
+    # finite: the point and the standard error are made again on the
+    # residuals scaled by a power of two, and a replication stacked beside
+    # one that overflows keeps its bits.
+    est = fat(make_panel([[1.0, 2.0, 1.5e308], [1.0, 3.0, 1e308]], [1, 2, 3], 2),
+              ForecastConfig(q=0, R=2))
+    assert est.point == pytest.approx(1.25e308, rel=1e-15)
+    assert est.se == pytest.approx(0.25e308 / math.sqrt(2), rel=1e-15)
+    assert all(math.isfinite(x) for x in est.ci)
+    u = np.array([[1.5e308, 1e308, 1.5e308], [1.0, 2.0, 4.0]])
+    point, se = estimators_module._point_se(estimators_module._Residuals(
+        np.arange(3), np.array(["a", "b", "c"], dtype=object), u, np.empty((2, 3, 0)), ()))
+    assert point[0] == pytest.approx(4 / 3 * 1e308, rel=1e-15)
+    assert se[0] == pytest.approx(math.sqrt(1 / 54) * 1e308, rel=1e-15)
+    assert (point[1], se[1]) == (7 / 3, fat_variance([1.0, 2.0, 4.0]))
+
+
 def test_variance_helpers_refuse_fewer_than_two_residuals():
     # One residual gives no standard error, not a zero-width interval; a
     # non-finite input gives none either, not a silent nan.

@@ -358,6 +358,20 @@ def test_covariate_faults_rank_in_column_order(slice_rows):
     assert want == (PanelFormatError, "row 3: covariate 'z' 'q' is not a number")
 
 
+@pytest.mark.parametrize("source", ["path", "stream"])
+def test_a_byte_order_mark_before_the_header_is_not_part_of_it(source, tmp_path):
+    # Spreadsheets' "CSV UTF-8" starts the text with U+FEFF; its header
+    # still names the unit column, by path or by stream.  Only one mark
+    # goes: a second is part of the first column's name.
+    text = "unit,time,outcome,treated_at\na,1,1.0,2\na,2,2.0,2\nb,1,3.0,2\n"
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    got = load_panel(path if source == "path" else io.StringIO("\ufeff" + text, newline=""))
+    assert_same_panel(got, oracle_load(text))
+    with pytest.raises(PanelFormatError, match="^missing required column 'unit'$"):
+        load_panel(io.StringIO("\ufeff\ufeff" + text))
+
+
 @pytest.mark.parametrize("schema", [5, ["unit"], {"unit": 3}, {"time": None},
                                     {"covariates": 7}, {"covariates": "x"},
                                     {"covariates": ["x", 1]}])

@@ -668,6 +668,26 @@ def test_monte_carlo_matches_the_per_replication_oracle(name):
                       [c.to_dict() for c in expected.cells])
 
 
+def test_cells_that_share_a_kernel_apart_in_the_grid_match_the_oracle():
+    # The mb and mb_missp cells share a lagged kernel, and the pr cell and
+    # both dfat cells a plain one, with other cells between them in the
+    # grid; the two dfat cells differ in their group label alone.  Over a
+    # full chunk and a ragged one, counts and floats exactly.
+    cells = (GridCell(estimator="mb", q=1, R=2, instrument_lag=3, group="mb"),
+             GridCell(estimator="pr", q=0, R=1),
+             GridCell(estimator="mb", q=1, R=2, instrument_lag=2, detrend=False,
+                      group="mb_missp"),
+             GridCell(estimator="dfat", q=0, R=1),
+             GridCell(estimator="placebo", q=0, R=1, lag=1),
+             GridCell(estimator="dfat", q=0, R=1, group="dfat_b"))
+    n_reps = simulate_module._CHUNK + 7
+    report = run_monte_carlo(_MIXED, cells, n_reps, 31)
+    expected = monte_carlo_per_replication(_MIXED, cells, n_reps, 31)
+    assert_rows_equal([c.to_dict() for c in report.cells],
+                      [c.to_dict() for c in expected.cells])
+    assert all(c.n_ok == n_reps for c in report.cells)
+
+
 def test_monte_carlo_fails_a_cell_with_one_usable_unit():
     # One unit gives no standard error: the cell fails in every replication
     # instead of reporting zero-width intervals.

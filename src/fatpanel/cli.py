@@ -48,6 +48,8 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 from .basis import ForecastConfig, as_integer
 from .errors import (ConfigError, EstimationError, PanelFormatError,
                      RankDeficiencyError)
@@ -260,7 +262,10 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
     results, lines, failures = [], [], []
     for key, prefix, run in cells:
         try:
-            est = run()
+            # A residual sum past the largest double is remade on scaled
+            # residuals (``estimators._rescaled``), so its warning is noise.
+            with np.errstate(over="ignore"):
+                est = run()
         except (EstimationError, RankDeficiencyError) as exc:
             results.append({**key, "error": str(exc)})
             failures.append(exc)

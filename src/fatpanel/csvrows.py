@@ -1,12 +1,23 @@
 """Reading the panel interchange format into checked column arrays.
 
 ``read_rows`` reads the delimited text described in ``panel`` in slices
-of a fixed number of records and turns each slice into column arrays at
-once: unit ids become integer codes in order of first appearance; times,
+of ``_SLICE_ROWS`` lines, each made a few lines longer where needed to
+end with a record (a quoted field may hold a line break).  numpy's C
+tokenizer, ``np.loadtxt``, reads each slice: it splits the records with
+the quoting of ``csv``, parses times as 64-bit integers and outcomes as
+doubles, and refuses the slice when a record has the wrong number of
+fields or one of those fields does not parse.  It alone accepts records.
+Unit ids then become integer codes in order of first appearance;
 treatment dates, control flags and covariates are parsed once per
-distinct string, and outcomes go through ``float``.  The checks that
-relate rows to each other run on the arrays after the last slice,
-followed by one stable sort by (unit, time).
+distinct string.  The checks that relate rows to each other run on the
+arrays after the last slice, followed by one stable sort by (unit, time).
+
+A slice that numpy refuses, or that holds an outcome that is not finite,
+goes to ``_RowColumns.name``: it reads the slice again with ``csv`` and
+runs every check of a record, only to name the fault.  It never accepts
+a record.  When all it finds is blank records (every field blank), which
+numpy refuses and the format skips, numpy reads the slice again without
+them.
 
 Every error in the rows is a fault, (row, rank, message), kept in one
 list, and the load raises the smallest: the first offending row in file
@@ -16,18 +27,23 @@ treatment date, control flag, agreement with the unit's first row (date,
 then flag), an unseen (unit, time), covariates in column order.  That is
 the error of a reader that takes one record at a time.  Reading stops
 after the first slice that holds a fault, as no later row can come
-first.  Only when there is no fault: a reader error from ``csv``, then a
-header without rows, then the first unit with neither a date nor a
-control flag.  Blank records are skipped but counted in row numbers.
+first.  Only when there is no fault: a reader error from ``csv`` (such
+as a field longer than ``csv.field_size_limit()``, a limit numpy does
+not have), then a header without rows, then the first unit with neither
+a date nor a control flag.  Blank records are skipped but counted in row
+numbers.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import re
+import warnings
+from collections import defaultdict
 from functools import partial
 from itertools import islice
-from typing import Mapping, NamedTuple, Sequence, TextIO
+from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -56,7 +72,7 @@ class SortedRows(NamedTuple):
     covariates: np.ndarray  # (n_rows, n_covariates)
 
 
-# Records read and converted at a time: enough that the per-slice overhead
+# Lines read and converted at a time: enough that the per-slice overhead
 # is small, few enough that one slice's parsed text (some hundred kB for a
 # narrow file) is all a load holds of the file besides its column arrays.
 _SLICE_ROWS = 1024
@@ -64,26 +80,63 @@ _SLICE_ROWS = 1024
 
 def read_rows(fh: TextIO, schema: Mapping[str, object] | None) -> SortedRows:
     """The checked rows of a panel text stream, sorted by (unit, time)."""
-    reader = csv.reader(fh)
-    try:
-        header = next(reader)
+    try:  # ``csv`` reads the header alone: a quoted name may hold a line break
+        header = next(csv.reader(fh))
     except StopIteration:
         raise PanelFormatError("empty input: no header row") from None
     header[:1] = [name.removeprefix("\ufeff") for name in header[:1]]  # a spreadsheet's BOM
     mapping, covariate_cols = _resolve_schema(schema, header)
     rows = _RowColumns(header, mapping, covariate_cols)
     rownum, failure = 2, None
-    while True:
-        records = []
-        try:
-            records.extend(islice(reader, _SLICE_ROWS))
-        except csv.Error as exc:  # the records before it are kept
-            failure = exc
-        rows.add(records, np.arange(rownum, rownum + len(records)))
-        rownum += len(records)
+    for lines, starts in _slices(fh):
+        failure = rows.read(lines, starts, rownum)
+        rownum += len(lines if starts is None else starts)
         # No row after a slice with a fault can hold a smaller one.
-        if rows.faults or failure is not None or not records:
-            return rows.sorted_rows(failure)
+        if rows.faults or failure is not None:
+            break
+    return rows.sorted_rows(failure)
+
+
+# Read from the start of a record, a line that ends inside a quoted field:
+# whole fields, then a quote that the line does not close.  As ``csv``
+# reads a field, it is empty, unquoted (a quote inside is text) or quoted
+# (``""`` is a quote, and any text after the closing quote is kept).
+_FIELD = r'(?:"(?:[^"]|"")*"(?!")[^,]*|[^",][^,]*)?'
+_OPENS_QUOTE = re.compile(rf'(?:{_FIELD},)*"(?:[^"]|"")*')
+
+
+def _slices(fh: TextIO) -> Iterator[tuple[list[str], list[int] | None]]:
+    """The data lines of ``fh`` in slices that end where a record ends.
+
+    Yields (lines, starts): ``starts`` indexes the lines that begin a
+    record, and is None when every line is one, in a slice with no quote.
+    """
+    while lines := list(islice(fh, _SLICE_ROWS)):
+        if '"' not in "".join(lines):
+            yield lines, None
+            continue
+        starts, quoted, i = [], False, 0
+        while i < len(lines):
+            if not quoted:
+                starts.append(i)
+            if '"' in lines[i]:  # inside quotes, a line reads as if it opened them
+                line = '"' + lines[i] if quoted else lines[i]
+                quoted = _OPENS_QUOTE.fullmatch(line) is not None
+            i += 1
+            if quoted and i == len(lines):
+                lines.extend(islice(fh, 1))
+        yield lines, starts
+
+
+def _loadtxt(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+    """numpy's reading of ``lines``, or None when it refuses them."""
+    try:
+        with warnings.catch_warnings():  # a slice of empty lines reads as no rows
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
+                              comments=None, ndmin=1)
+    except ValueError:
+        return None
 
 
 # Fault ranks: the order in which a row's checks run.  Covariate ``j``
@@ -98,7 +151,9 @@ class _Fault(Exception):
 
 def _convert(kind: type, value: str, what: str, rank: int):
     try:
-        if "_" in value:  # ``int`` and ``float`` take digit-group underscores
+        # ``int`` and ``float`` also take digit-group underscores and
+        # non-ASCII digits, which the format and numpy do not.
+        if "_" in value or not value.strip().isascii():
             raise ValueError
         return kind(value)
     except ValueError:
@@ -150,7 +205,10 @@ class _RowColumns:
         self.ita = col.get(mapping["treated_at"])
         self.icf = col.get(mapping["control_flag"])
         self.icov = [col[c] for c in covariate_cols]
-        self.ids: dict[str, int] = {}
+        numeric = {self.it: np.int64, self.iy: np.float64}
+        self.dtype = np.dtype([(f"f{i}", numeric.get(i, object)) for i in range(self.width)])
+        self.ids: dict[str, int] = defaultdict()  # a new id's code is its order
+        self.ids.default_factory = self.ids.__len__
         self.taus: dict[int | None, int] = {}
         self.slices: list[tuple] = []
         self.faults: list[tuple[int, int, str]] = []
@@ -177,48 +235,112 @@ class _RowColumns:
     def _tau_code(self, value: str) -> int:
         return self.taus.setdefault(_date(value), len(self.taus))
 
-    def add(self, records: list, rownums: np.ndarray) -> None:
-        """Append ``records`` as columns and their fields' faults."""
-        width = self.width
-        cols = list(zip(*records)) if set(map(len, records)) == {width} else None
-        if cols is None or not all(map(str.strip, set(cols[self.iu]))):
-            # Rare: blank records to skip, or records of the wrong width,
-            # which are faults and are otherwise skipped too.
-            kept = [i for i, r in enumerate(records) if any(map(str.strip, r))]
-            for i in kept:
-                if len(records[i]) != width:
-                    self._fault(rownums[i], _WIDTH,
-                                f"expected {width} fields, got {len(records[i])}")
-            kept = [i for i in kept if len(records[i]) == width]
-            records, rownums = [records[i] for i in kept], rownums[kept]
-            if not records:
-                return
-            cols = list(zip(*records))
-        n = len(records)
-        times = self._lookup(cols[self.it], _time, np.int64, rownums)
-        try:  # one scan of the slice's text keeps underscores from ``float``
-            if "_" in "".join(cols[self.iy]):
-                raise ValueError
-            y = np.fromiter(map(float, cols[self.iy]), np.float64, n)
-        except ValueError:
-            y = self._lookup(cols[self.iy], _outcome, np.float64, rownums)
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            self._fault(rownums[bad[0]], _NONFINITE,
-                        f"outcome {cols[self.iy][bad[0]]!r} is not finite")
+    def read(self, lines: list[str], starts: list[int] | None, rownum: int) -> csv.Error | None:
+        """Add a slice of records, numbered from ``rownum``, as numpy reads them.
+
+        ``starts`` indexes the lines that begin a record, or is None when
+        every line does.  A slice that numpy refuses goes to ``name``;
+        returns the ``csv`` reader's error met there.
+        """
+        firsts = range(len(lines)) if starts is None else starts
+        # ``csv`` refuses a field longer than its limit, and numpy has none.
+        limit = csv.field_size_limit()
+        too_long = (len("".join(lines)) > limit and
+                    max(np.add.reduceat(np.fromiter(map(len, lines), np.intp), firsts)) > limit)
+        table = None if too_long else _loadtxt(lines, self.dtype)
+        if table is not None:
+            # numpy skips an empty line, which is a blank record.
+            kept = (np.arange(len(firsts)) if len(table) == len(firsts) else
+                    np.array([k for k, i in enumerate(firsts) if lines[i].strip("\r\n")],
+                             dtype=np.intp))
+            if self._add(table, rownum + kept):
+                return None
+        failure, rest = self.name(lines, rownum)
+        if rest is not None:
+            lines, rownums = rest
+            if not self._add(_loadtxt(lines, self.dtype), rownums):
+                # Refused, though no check names a fault.
+                raise PanelFormatError(f"rows {rownum} to {rownum + len(firsts) - 1}: "
+                                       "a record is not in the panel format")
+        return failure
+
+    def _add(self, table: np.ndarray | None, rownums: np.ndarray) -> bool:
+        """Append numpy's ``table``, one row for each of ``rownums``.
+
+        False, adding nothing, when there is no table, the lengths differ
+        or an outcome is not finite.
+        """
+        if table is None or len(table) != len(rownums):
+            return False
+        y = table[f"f{self.iy}"]
+        if not np.isfinite(y).all():
+            return False
+        if len(table):
+            column = lambda i: table[f"f{i}"].tolist()
+            self._keep(column(self.iu), table[f"f{self.it}"].copy(), y.copy(),
+                       *self._checked(column, rownums), rownums)
+        return True
+
+    def _checked(self, column, rownums: np.ndarray) -> tuple:
+        """The treatment date codes, control flags and covariates of a
+        slice whose field ``i`` is ``column(i)``, after their checks."""
+        n = len(rownums)
         taus = (np.full(n, self._tau_code("")) if self.ita is None
-                else self._lookup(cols[self.ita], self._tau_code, np.intp, rownums))
+                else self._lookup(column(self.ita), self._tau_code, np.intp, rownums))
         flags = (np.zeros(n, bool) if self.icf is None
-                 else self._lookup(cols[self.icf], _flag, bool, rownums))
+                 else self._lookup(column(self.icf), _flag, bool, rownums))
         cov = np.empty((n, len(self.icov)))
         for j, (i, name) in enumerate(zip(self.icov, self.covariate_names)):
-            cov[:, j] = self._lookup(cols[i], partial(
+            cov[:, j] = self._lookup(column(i), partial(
                 _covariate, what=f"covariate {name!r}", rank=_COVARIATE + j),
                 np.float64, rownums)
-        for uid in dict.fromkeys(cols[self.iu]):
-            self.ids.setdefault(uid, len(self.ids))
-        codes = np.fromiter(map(self.ids.__getitem__, cols[self.iu]), np.intp, n)
-        self.slices.append((codes, times, y, taus, flags, cov, rownums))
+        return taus, flags, cov
+
+    def _keep(self, uids: Sequence[str], *columns) -> None:
+        """Append a slice's columns, its unit ids as codes."""
+        codes = np.fromiter(map(self.ids.__getitem__, uids), np.intp, len(uids))
+        self.slices.append((codes, *columns))
+
+    def name(self, lines: list[str], rownum: int):
+        """Name the fault of a slice that numpy refused, by ``csv``'s reading.
+
+        Runs every check of a record on the slice's records, numbered from
+        ``rownum``.  Returns (failure, rest): ``failure`` is the ``csv``
+        reader's error, and ``rest`` is None when the load ends here, on a
+        fault or that error.  Otherwise no row is added, and ``rest`` is
+        (lines, row numbers) of the records that are not blank, for numpy
+        to read again.
+        """
+        reader = csv.reader(lines)
+        records, ends, failure = [], [0], None
+        try:
+            for record in reader:
+                records.append(record)
+                ends.append(reader.line_num)
+        except csv.Error as exc:  # the records before it are checked
+            failure = exc
+        rownums = np.arange(rownum, rownum + len(records))
+        kept = [i for i, r in enumerate(records) if any(map(str.strip, r))]
+        for i in kept:
+            if len(records[i]) != self.width:
+                self._fault(rownums[i], _WIDTH, f"expected {self.width} fields, "
+                                                f"got {len(records[i])}")
+        full = [i for i in kept if len(records[i]) == self.width]
+        if full:
+            cols, at = list(zip(*(records[i] for i in full))), rownums[full]
+            times = self._lookup(cols[self.it], _time, np.int64, at)
+            y = self._lookup(cols[self.iy], _outcome, np.float64, at)
+            bad = np.flatnonzero(~np.isfinite(y))
+            if bad.size:
+                self._fault(at[bad[0]], _NONFINITE,
+                            f"outcome {cols[self.iy][bad[0]]!r} is not finite")
+            checked = self._checked(cols.__getitem__, at)
+        if self.faults or failure is not None:
+            if full:  # for the checks across rows
+                self._keep(cols[self.iu], times, y, *checked, at)
+            return failure, None
+        return None, ([line for i in kept for line in lines[ends[i]:ends[i + 1]]],
+                      rownums[kept])
 
     def sorted_rows(self, failure: csv.Error | None) -> SortedRows:
         """All rows, checked and stably sorted by (unit, time).
@@ -296,4 +418,10 @@ def _resolve_schema(schema: Mapping[str, object] | None, header: list[str]):
         for c in covariates:
             if c not in header:
                 raise PanelFormatError(f"missing covariate column {c!r}")
+    # numpy parses the time and outcome columns as numbers, not text.
+    used = [mapping[k] for k in _SCHEMA_KEYS if mapping[k] in header] + list(covariates)
+    for k in ("time", "outcome"):
+        if used.count(mapping[k]) > 1:
+            raise ConfigError(f"schema reads column {mapping[k]!r} as the {k} "
+                              "and as another field")
     return mapping, list(covariates)

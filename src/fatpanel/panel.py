@@ -16,13 +16,14 @@ The interchange format is a delimited text file with a header row::
     unit,time,outcome,treated_at[,control_flag][,x1,x2,...]
 
 Times and treatment dates are integers, outcomes and covariates decimal
-numbers with "." as the decimal mark, encoding UTF-8, after at most one
-byte-order mark.  Outcomes must be finite; a blank covariate field means
-the value is missing.  ``write_panel`` emits exactly this layout, every
-field spelled by ``csv_field`` or ``csv_number``, the rule of every CSV
-the package writes, so that a write/load round trip reproduces the panel
-bit for bit.  ``csvrows`` reads the text into checked, sorted column
-arrays, which ``load_panel`` groups into cohort blocks.
+numbers with "." as the decimal mark, all in ASCII digits; the encoding
+is UTF-8, after at most one byte-order mark.  Outcomes must be finite; a
+blank covariate field means the value is missing.  ``write_panel`` emits
+exactly this layout, every field spelled by ``csv_field`` or
+``csv_number``, the rule of every CSV the package writes, so that a
+write/load round trip reproduces the panel bit for bit.  ``csvrows``
+reads the text into checked, sorted column arrays, which ``load_panel``
+groups into cohort blocks.
 """
 
 from __future__ import annotations
@@ -297,17 +298,21 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
         ``treated_at``, ``control_flag``, plus ``covariates`` (a list of
         column names).  Unnamed extra columns become covariates.
 
-    The rows are read in slices of a fixed number of records and turned
-    into columns at once, so a load never holds the text of the whole
-    file.  Each unit's rows are sorted by time and the units grouped into
-    cohort blocks, in order of first appearance, and the panel is built
-    from those blocks: no ``UnitSeries`` is made until ``units`` is read.
-    Blank rows are skipped but counted in the row numbers of messages.
+    numpy's C tokenizer (``np.loadtxt``) reads the rows, a slice of
+    lines at a time, so a load never holds the text of the whole file,
+    and it alone decides which records are accepted.  A slice it refuses
+    is read again by ``csv`` and the per-row checks only to name the
+    fault (``csvrows``).  Each unit's rows are sorted by time and the
+    units grouped into cohort blocks, in order of first appearance, and
+    the panel is built from those blocks: no ``UnitSeries`` is made until
+    ``units`` is read.  Blank rows are skipped but counted in the row
+    numbers of messages.
 
     Raises
     ------
     PanelFormatError
-        On missing columns, non-numeric fields, a time outside 64 bits, an
+        On missing columns, non-numeric fields (a non-ASCII digit or a
+        digit-group underscore included), a time outside 64 bits, an
         outcome that is not finite (``nan``, ``inf``), duplicate (unit, time)
         observations, inconsistent treatment dates within a unit, or a unit
         that has neither a treatment date nor a control flag.  The error
@@ -317,7 +322,8 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
         covariates in column order.
     ConfigError
         When ``schema`` is not a mapping, a column name in it is not a
-        string, or its ``covariates`` is not a list of strings.
+        string, its ``covariates`` is not a list of strings, or it reads
+        the time or outcome column as another field too.
     csv.Error
         The ``csv`` reader's own error, such as a field longer than
         ``csv.field_size_limit()``, when no row before it holds a fault.

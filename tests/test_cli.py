@@ -460,6 +460,22 @@ def test_estimate_on_residuals_whose_sum_overflows_writes_a_finite_point(tmp_pat
     assert all(math.isfinite(x) for x in result["ci"])
 
 
+def test_estimate_whose_residual_sum_overflows_writes_nothing_to_stderr(tmp_path):
+    # The mean is remade on scaled residuals, so numpy's overflow warning
+    # from the first sum must not reach the terminal.
+    path = tmp_path / "big.csv"
+    path.write_text("unit,time,outcome,treated_at\n"
+                    "a,1,1,2\na,2,2,2\na,3,1.5e308,2\nb,1,1,2\nb,2,3,2\nb,3,1e308,2\n")
+    src = Path(fatpanel.__file__).resolve().parents[1]
+    code = "import sys, fatpanel.cli; sys.exit(fatpanel.cli.main(sys.argv[1:]))"
+    out = subprocess.run(
+        [sys.executable, "-c", code, "estimate", "--q", "0", "--r", "2",
+         "--input", str(path), "--out-json", str(tmp_path / "o.json")],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+        timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+
+
 def test_estimate_reports_a_failed_pair_and_keeps_going(tmp_path, capsys):
     # On 7 periods adopting after period 5, horizon 5 has no target period.
     path = sim_panel_csv(tmp_path, T=7, tau=5)

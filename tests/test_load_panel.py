@@ -33,11 +33,11 @@ from fatpanel.simulate import DgpSpec, simulate_dgp
 # the row-by-row oracle
 
 
-# The format has plain integers and decimals: no digit-group underscores,
-# which Python's ``int`` and ``float`` would take.
+# The format has plain integers and decimals: no digit-group underscores
+# and no non-ASCII digits, which Python's ``int`` and ``float`` would take.
 def _parse_int(value: str, what: str, row: int) -> int:
     try:
-        if "_" in value:
+        if "_" in value or not value.strip().isascii():
             raise ValueError
         return int(value)
     except ValueError:
@@ -46,7 +46,7 @@ def _parse_int(value: str, what: str, row: int) -> int:
 
 def _parse_float(value: str, what: str, row: int) -> float:
     try:
-        if "_" in value:
+        if "_" in value or not value.strip().isascii():
             raise ValueError
         return float(value)
     except ValueError:
@@ -314,6 +314,8 @@ BAD_ROWS = {
     "blank_then_date_mismatch": " , , , , , \nu11,5,1.0,3,0,",
     "time_underscore": "u11,1_0,1.0,2,0,", "outcome_underscore": "u11,5,1_0.5,2,0,",
     "date_underscore": "u11,5,1.0,2_0,0,", "covariate_underscore": "u11,5,1.0,2,0,1_0",
+    "time_non_ascii": "u11,\u0663,1.0,2,0,", "outcome_non_ascii": "u11,5,\u0663,2,0,",
+    "date_non_ascii": "u11,5,1.0,\u0662,0,", "covariate_non_ascii": "u11,5,1.0,2,0,\u0663",
 }
 
 
@@ -349,6 +351,32 @@ def test_digit_group_underscores_are_refused(row, message, slice_rows):
     text = f"unit,time,outcome,treated_at,x\nu,1,1.0,2,1\n{row}\n"
     want = assert_loads_like_oracle(text, slice_rows)
     assert want == (PanelFormatError, f"row 3: {message}")
+
+
+@pytest.mark.parametrize("slice_rows", [1, 1024])
+@pytest.mark.parametrize("row, message", [
+    ("u,\u0663,1.0,2,1", "time '\u0663' is not an integer"),
+    ("u,2,\u0663,2,1", "outcome '\u0663' is not a number"),
+    ("u,2,\u0661.5,2,1", "outcome '\u0661.5' is not a number"),
+    ("u,2,1.0,\u0662,1", "treatment date '\u0662' is not an integer"),
+    ("u,2,1.0,2,\u0663", "covariate 'x' '\u0663' is not a number"),
+])
+def test_non_ascii_digits_are_refused(row, message, slice_rows):
+    # Python's int and float read the Arabic-Indic digit three as 3; the
+    # format, like numpy's parser, takes ASCII digits only.
+    text = f"unit,time,outcome,treated_at,x\nu,1,1.0,2,1\n{row}\n"
+    want = assert_loads_like_oracle(text, slice_rows)
+    assert want == (PanelFormatError, f"row 3: {message}")
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+def test_unicode_whitespace_around_a_number_is_allowed(slice_rows):
+    text = ("unit,time,outcome,treated_at,x\n"
+            "u,\u20031\u2003,\xa01.5\u3000,\u20092\u2009,\u20023\n"
+            "u,2,2.5,2,\n")
+    panel = assert_loads_like_oracle(text, slice_rows)
+    (block,) = panel.treated_blocks
+    assert block.outcomes.tolist() == [[1.5, 2.5]] and block.tau == 2
 
 
 @pytest.mark.parametrize("slice_rows", [1, 1024])
@@ -414,6 +442,20 @@ def test_a_reader_error_comes_after_the_rows_before_it():
     assert got[0] is csv.Error
 
 
+@pytest.mark.parametrize("slice_rows", [1, 1024])
+def test_a_record_longer_than_the_csv_field_limit_is_read_by_numpy(slice_rows):
+    # csv's limit is on a field, not a record: a long record of short
+    # fields loads, and a field past the limit is csv's error.
+    text = "unit,time,outcome,treated_at\na,1,1.000000000000001,3\na,2,2.0,3\n"
+    limit = csv.field_size_limit(20)
+    try:
+        assert isinstance(assert_loads_like_oracle(text, slice_rows), PanelData)
+        got = assert_loads_like_oracle(text + "a,3,1.0000000000000000001,3\n", slice_rows)
+    finally:
+        csv.field_size_limit(limit)
+    assert got == (csv.Error, "field larger than field limit (20)")
+
+
 def test_a_load_larger_than_one_slice_matches_the_oracle():
     panel = simulate_dgp(DgpSpec(n=300, n_control=120, T=6, tau=3), 4)
     rows = panel_to_csv_text(panel).splitlines()
@@ -422,6 +464,95 @@ def test_a_load_larger_than_one_slice_matches_the_oracle():
     assert len(body) > csvrows._SLICE_ROWS
     text = "\n".join([rows[0]] + body) + "\n"
     assert_loads_like_oracle(text, csvrows._SLICE_ROWS)
+
+
+# ---------------------------------------------------------------------------
+# the slices numpy reads: record boundaries, blank records, line endings
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(['"', '""', ",", "a", " ", "\n", "\r\n", "\r"]),
+                     max_size=30).map("".join),
+       slice_rows=st.sampled_from([1, 2, 3, 1024]))
+def test_slices_end_where_csv_records_end(text, slice_rows):
+    # Each slice ends with a record, so a quoted line break never splits
+    # one, and ``starts`` marks the lines where ``csv`` begins a record.
+    reader = csv.reader(io.StringIO(text, newline=""))
+    ends = [0]
+    try:
+        for _ in reader:
+            ends.append(reader.line_num)
+    except csv.Error:
+        return
+    got, offset = [], 0
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csvrows, "_SLICE_ROWS", slice_rows)
+        for lines, starts in csvrows._slices(io.StringIO(text, newline="")):
+            got += [offset + i for i in (range(len(lines)) if starts is None else starts)]
+            offset += len(lines)
+    assert got == ends[:-1]
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+@pytest.mark.parametrize("bad", ["", "b,x,1.0,3\n"])
+def test_a_quoted_line_break_across_a_slice_boundary(bad, slice_rows):
+    # Records 3 and 4 each span two lines; row numbers count records.
+    text = ('unit,time,outcome,treated_at\na,1,1.0,3\n"b\nc",1,2.0,3\n'
+            '"b\r\nc",2,2.5,3\na,2,1.5,3\n' + bad)
+    want = assert_loads_like_oracle(text, slice_rows)
+    if bad:
+        assert want == (PanelFormatError, "row 6: time 'x' is not an integer")
+    else:
+        ids = [uid for b in want.treated_blocks for uid in b.unit_ids.tolist()]
+        assert ids == ["a", "b\nc", "b\r\nc"]
+
+
+BLANKS = ["\n", "\r\n", "   \n", "\t\n", " , ,\n", ",,,\n", " , , , \n", '""\n', '" ",,,\n']
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+def test_blank_records_count_in_the_row_number_of_a_date_mismatch(slice_rows):
+    # numpy skips an empty line and refuses the other blank records, which
+    # the load drops before numpy reads the slice again.
+    head = "unit,time,outcome,treated_at\na,1,1.0,3\n"
+    assert_loads_like_oracle(head + "".join(BLANKS) + "a,2,1.0,3\n", slice_rows)
+    want = assert_loads_like_oracle(head + "".join(BLANKS) + "a,2,1.0,4\n", slice_rows)
+    assert want == (PanelFormatError,
+                    f"row {3 + len(BLANKS)}: unit 'a' has inconsistent treatment dates")
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+def test_carriage_return_line_endings(slice_rows):
+    text = "unit,time,outcome,treated_at\ra,1,1.0,3\r\ra,2,2.0,3\rb,1,3.0,3\r"
+    assert isinstance(assert_loads_like_oracle(text, slice_rows), PanelData)
+    want = assert_loads_like_oracle(text + "b,1,4.0,3\r", slice_rows)
+    assert want == (PanelFormatError, "row 6: duplicate observation ('b', 1)")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+@pytest.mark.parametrize("after", ["", "\n", "\r\n\r\n\n"])
+def test_a_header_without_rows_is_refused_without_a_warning(after, slice_rows):
+    # numpy warns of a slice of empty lines; the warning stays inside.
+    want = assert_loads_like_oracle("unit,time,outcome,treated_at\n" + after, slice_rows)
+    assert want == (PanelFormatError, "input has a header but no data rows")
+
+
+def test_what_numpy_refuses_is_never_accepted(monkeypatch):
+    # The checks that name faults never accept a record: a slice that
+    # numpy refuses though no check finds its fault still fails the load.
+    monkeypatch.setattr(csvrows, "_loadtxt", lambda lines, dtype: None)
+    with pytest.raises(PanelFormatError,
+                       match="^rows 2 to 3: a record is not in the panel format$"):
+        load_panel(io.StringIO("unit,time,outcome,treated_at\na,1,1.0,3\na,2,2.0,3\n"))
+
+
+@pytest.mark.parametrize("schema", [{"unit": "time"}, {"outcome": "time"},
+                                    {"treated_at": "outcome"}, {"covariates": ["time"]}])
+def test_a_time_or_outcome_column_read_as_another_field_is_a_config_error(schema):
+    text = "unit,time,outcome,treated_at\na,1,1.0,3\n"
+    with pytest.raises(ConfigError, match="^schema reads column '(time|outcome)' as the"):
+        load_panel(io.StringIO(text), schema=schema)
 
 
 # ---------------------------------------------------------------------------

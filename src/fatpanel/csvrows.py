@@ -1,23 +1,31 @@
 """Reading the panel interchange format into checked column arrays.
 
 ``read_rows`` reads the delimited text described in ``panel`` in slices
-of ``_SLICE_ROWS`` lines, each made a few lines longer where needed to
-end with a record (a quoted field may hold a line break).  numpy's C
-tokenizer, ``np.loadtxt``, reads each slice: it splits the records with
-the quoting of ``csv``, parses times as 64-bit integers and outcomes as
-doubles, and refuses the slice when a record has the wrong number of
-fields or one of those fields does not parse.  It alone accepts records.
-Unit ids then become integer codes in order of first appearance;
-treatment dates, control flags and covariates are parsed once per
-distinct string.  The checks that relate rows to each other run on the
-arrays after the last slice, followed by one stable sort by (unit, time).
+of ``_SLICE_ROWS`` lines.  numpy's C tokenizer, ``np.loadtxt``, reads
+each slice: it splits the records with the quoting of ``csv``, parses
+times as 64-bit integers and outcomes as doubles, and refuses the slice
+when a record has the wrong number of fields or one of those fields does
+not parse.  It alone accepts records.  Unit ids then become integer
+codes in order of first appearance; treatment dates, control flags and
+covariates are parsed once per distinct string.  The checks that relate
+rows to each other run on the arrays after the last slice, followed by
+one stable sort by (unit, time).
 
-A slice that numpy refuses, or that holds an outcome that is not finite,
-goes to ``_RowColumns.name``: it reads the slice again with ``csv`` and
-runs every check of a record, only to name the fault.  It never accepts
-a record.  When all it finds is blank records (every field blank), which
-numpy refuses and the format skips, numpy reads the slice again without
-them.
+A slice in which numpy finds one record a line is read once: only when
+its last line holds a quote does ``csv`` look at whether that record
+goes on (a quoted field may hold a line break), and if it does, the
+slice grows until the record ends and numpy reads it again.  In any
+other slice (a record over several lines, a blank record or a fault)
+``csv`` finds the lines that begin a record, so that row numbers count
+records, and numpy reads the slice again without its one-line blank
+records, which the format skips: numpy skips an empty line and refuses
+one of blanks and commas.
+
+A slice that numpy still refuses, or that holds an outcome that is not
+finite, goes to ``_RowColumns.name``: it reads the slice again with
+``csv`` and runs every check of a record, only to name the fault.  It
+never accepts a record.  When all it finds is blank records (every
+field blank, as in ``"",""``), numpy reads the slice again without them.
 
 Every error in the rows is a fault, (row, rank, message), kept in one
 list, and the load raises the smallest: the first offending row in file
@@ -38,11 +46,11 @@ from __future__ import annotations
 
 import csv
 import math
-import re
 import warnings
 from collections import defaultdict
 from functools import partial
-from itertools import islice
+from itertools import compress, islice
+from operator import methodcaller
 from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
 
 import numpy as np
@@ -88,54 +96,66 @@ def read_rows(fh: TextIO, schema: Mapping[str, object] | None) -> SortedRows:
     mapping, covariate_cols = _resolve_schema(schema, header)
     rows = _RowColumns(header, mapping, covariate_cols)
     rownum, failure = 2, None
-    for lines, starts in _slices(fh):
-        failure = rows.read(lines, starts, rownum)
-        rownum += len(lines if starts is None else starts)
+    while lines := list(islice(fh, _SLICE_ROWS)):
+        failure, records = rows.read(lines, fh, rownum)
+        rownum += records
         # No row after a slice with a fault can hold a smaller one.
         if rows.faults or failure is not None:
             break
     return rows.sorted_rows(failure)
 
 
-# Read from the start of a record, a line that ends inside a quoted field:
-# whole fields, then a quote that the line does not close.  As ``csv``
-# reads a field, it is empty, unquoted (a quote inside is text) or quoted
-# (``""`` is a quote, and any text after the closing quote is kept).
-_FIELD = r'(?:"(?:[^"]|"")*"(?!")[^,]*|[^",][^,]*)?'
-_OPENS_QUOTE = re.compile(rf'(?:{_FIELD},)*"(?:[^"]|"")*')
+def _record_starts(lines: list[str], first: int, more: Iterator[str]) -> list[int]:
+    """The lines, from ``first`` (where a record begins) on, that begin a record.
 
-
-def _slices(fh: TextIO) -> Iterator[tuple[list[str], list[int] | None]]:
-    """The data lines of ``fh`` in slices that end where a record ends.
-
-    Yields (lines, starts): ``starts`` indexes the lines that begin a
-    record, and is None when every line is one, in a slice with no quote.
+    ``csv`` reads the records; while the last one is open (a quoted field
+    may hold a line break), lines move from ``more`` to the end of
+    ``lines``.  A ``csv`` error ends the walk: naming the slice's fault
+    meets it again.
     """
-    while lines := list(islice(fh, _SLICE_ROWS)):
-        if '"' not in "".join(lines):
-            yield lines, None
-            continue
-        starts, quoted, i = [], False, 0
-        while i < len(lines):
-            if not quoted:
-                starts.append(i)
-            if '"' in lines[i]:  # inside quotes, a line reads as if it opened them
-                line = '"' + lines[i] if quoted else lines[i]
-                quoted = _OPENS_QUOTE.fullmatch(line) is not None
-            i += 1
-            if quoted and i == len(lines):
-                lines.extend(islice(fh, 1))
-        yield lines, starts
+    n = len(lines)
+
+    def feed() -> Iterator[str]:
+        yield from lines[first:]
+        for line in more:
+            lines.append(line)
+            yield line
+
+    reader, starts = csv.reader(feed()), []
+    try:
+        while (k := reader.line_num) < n - first:
+            starts.append(first + k)
+            next(reader)
+    except csv.Error:
+        pass
+    return starts
 
 
-def _loadtxt(lines: list[str], dtype: np.dtype) -> np.ndarray | None:
+_NO_COMMAS = methodcaller("replace", ",", "")
+
+
+def _too_long(lines: list[str], starts: Sequence[int]) -> bool:
+    """Whether a record is longer than ``csv``'s field limit, which numpy lacks."""
+    limit = csv.field_size_limit()
+    return (len("".join(lines)) > limit and
+            max(np.add.reduceat(np.fromiter(map(len, lines), np.intp), starts)) > limit)
+
+
+def _loadtxt(lines: list[str], dtype: np.dtype, usecols: int | None = None) -> np.ndarray | None:
     """numpy's reading of ``lines``, or None when it refuses them."""
     try:
-        with warnings.catch_warnings():  # a slice of empty lines reads as no rows
+        with warnings.catch_warnings():
+            # A slice of empty lines reads as no rows.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # numpy from 1.23 reads an integer written as a float ("1.5")
+            # with this warning, keeping the integer part; its loadtxt tests
+            # (test_implicit_cast_float_to_int_fails) make it an error, which
+            # numpy's reader reports as a ValueError.  Later numpy refuses.
+            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
+                                    DeprecationWarning)
             return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
-                              comments=None, ndmin=1)
-    except ValueError:
+                              comments=None, ndmin=1, usecols=usecols)
+    except (ValueError, DeprecationWarning):
         return None
 
 
@@ -205,8 +225,16 @@ class _RowColumns:
         self.ita = col.get(mapping["treated_at"])
         self.icf = col.get(mapping["control_flag"])
         self.icov = [col[c] for c in covariate_cols]
-        numeric = {self.it: np.int64, self.iy: np.float64}
-        self.dtype = np.dtype([(f"f{i}", numeric.get(i, object)) for i in range(self.width)])
+        # numpy reads the time as 64-bit integers, the outcome as doubles
+        # and every other column as text.  A column that the schema reads
+        # twice (the time as a covariate too, say) takes the first of these
+        # types, and numpy reads it once more for each other type.
+        reads = [(self.it, np.dtype(np.int64)), (self.iy, np.dtype(np.float64))]
+        reads += [(i, np.dtype(object)) for i in (self.iu, self.ita, self.icf, *self.icov)
+                  if i is not None]
+        first = dict(reversed(reads))
+        self.dtype = np.dtype([(f"f{i}", first.get(i, object)) for i in range(self.width)])
+        self.rereads = list(dict.fromkeys((i, t) for i, t in reads if t != first[i]))
         self.ids: dict[str, int] = defaultdict()  # a new id's code is its order
         self.ids.default_factory = self.ids.__len__
         self.taus: dict[int | None, int] = {}
@@ -235,48 +263,62 @@ class _RowColumns:
     def _tau_code(self, value: str) -> int:
         return self.taus.setdefault(_date(value), len(self.taus))
 
-    def read(self, lines: list[str], starts: list[int] | None, rownum: int) -> csv.Error | None:
-        """Add a slice of records, numbered from ``rownum``, as numpy reads them.
+    def read(self, lines: list[str], more: Iterator[str], rownum: int) -> tuple:
+        """Add the records that begin in ``lines``, numbered from ``rownum``,
+        as numpy reads them; returns (``csv``'s error, the number of records).
 
-        ``starts`` indexes the lines that begin a record, or is None when
-        every line does.  A slice that numpy refuses goes to ``name``;
-        returns the ``csv`` reader's error met there.
+        When the last record is open, lines move from ``more`` to the end
+        of ``lines``.  A slice that numpy refuses after its blank records
+        are dropped goes to ``name``, and the error is the one met there.
         """
-        firsts = range(len(lines)) if starts is None else starts
-        # ``csv`` refuses a field longer than its limit, and numpy has none.
-        limit = csv.field_size_limit()
-        too_long = (len("".join(lines)) > limit and
-                    max(np.add.reduceat(np.fromiter(map(len, lines), np.intp), firsts)) > limit)
-        table = None if too_long else _loadtxt(lines, self.dtype)
-        if table is not None:
-            # numpy skips an empty line, which is a blank record.
-            kept = (np.arange(len(firsts)) if len(table) == len(firsts) else
-                    np.array([k for k, i in enumerate(firsts) if lines[i].strip("\r\n")],
-                             dtype=np.intp))
-            if self._add(table, rownum + kept):
-                return None
+        n = len(lines)
+        table = _loadtxt(lines, self.dtype)
+        if table is not None and len(table) == n:  # each line is a record
+            starts = range(n)
+            if '"' in lines[-1]:  # the last may go on past the slice
+                _record_starts(lines, n - 1, more)
+        else:  # records over several lines, blank records, or a fault
+            starts = _record_starts(lines, 0, more) if '"' in "".join(lines) else range(n)
+        body, kept = lines, np.arange(len(starts))
+        if table is None or len(table) != len(starts):
+            # numpy skips an empty line and refuses one of blanks and commas,
+            # both blank records: numpy reads the others.  (A record over
+            # several lines opens a quote in its first.)
+            filled = np.fromiter(map(bool, map(str.strip, map(_NO_COMMAS, lines))), bool)
+            keep = filled[starts]
+            sizes = np.diff([*starts, len(lines)])
+            body = list(compress(lines, np.repeat(keep, sizes).tolist()))
+            kept = np.flatnonzero(keep)
+        if table is None or len(lines) > n or len(table) != len(kept):
+            table = _loadtxt(body, self.dtype)
+        if not _too_long(lines, starts) and self._add(body, table, rownum + kept):
+            return None, len(starts)
         failure, rest = self.name(lines, rownum)
         if rest is not None:
-            lines, rownums = rest
-            if not self._add(_loadtxt(lines, self.dtype), rownums):
+            body, rownums = rest
+            if not self._add(body, _loadtxt(body, self.dtype), rownums):
                 # Refused, though no check names a fault.
-                raise PanelFormatError(f"rows {rownum} to {rownum + len(firsts) - 1}: "
+                raise PanelFormatError(f"rows {rownum} to {rownum + len(starts) - 1}: "
                                        "a record is not in the panel format")
-        return failure
+        return failure, len(starts)
 
-    def _add(self, table: np.ndarray | None, rownums: np.ndarray) -> bool:
-        """Append numpy's ``table``, one row for each of ``rownums``.
+    def _add(self, lines: list[str], table: np.ndarray | None, rownums: np.ndarray) -> bool:
+        """Append numpy's ``table`` of ``lines``, one row for each of ``rownums``.
 
         False, adding nothing, when there is no table, the lengths differ
         or an outcome is not finite.
         """
         if table is None or len(table) != len(rownums):
             return False
-        y = table[f"f{self.iy}"]
+        again = {use: _loadtxt(lines, use[1], usecols=use[0]) for use in self.rereads}
+        if any(column is None for column in again.values()):
+            return False
+        field = lambda i, dtype: again.get((i, dtype), table[f"f{i}"])
+        y = field(self.iy, np.dtype(np.float64))
         if not np.isfinite(y).all():
             return False
         if len(table):
-            column = lambda i: table[f"f{i}"].tolist()
+            column = lambda i: field(i, np.dtype(object)).tolist()
             self._keep(column(self.iu), table[f"f{self.it}"].copy(), y.copy(),
                        *self._checked(column, rownums), rownums)
         return True
@@ -418,10 +460,4 @@ def _resolve_schema(schema: Mapping[str, object] | None, header: list[str]):
         for c in covariates:
             if c not in header:
                 raise PanelFormatError(f"missing covariate column {c!r}")
-    # numpy parses the time and outcome columns as numbers, not text.
-    used = [mapping[k] for k in _SCHEMA_KEYS if mapping[k] in header] + list(covariates)
-    for k in ("time", "outcome"):
-        if used.count(mapping[k]) > 1:
-            raise ConfigError(f"schema reads column {mapping[k]!r} as the {k} "
-                              "and as another field")
     return mapping, list(covariates)

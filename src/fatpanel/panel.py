@@ -300,9 +300,10 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
 
     numpy's C tokenizer (``np.loadtxt``) reads the rows, a slice of
     lines at a time, so a load never holds the text of the whole file,
-    and it alone decides which records are accepted.  A slice it refuses
-    is read again by ``csv`` and the per-row checks only to name the
-    fault (``csvrows``).  Each unit's rows are sorted by time and the
+    and it alone decides which records are accepted.  A slice with a
+    record over several lines or a blank record costs a ``csv`` pass and
+    a second read; a slice it still refuses is read by ``csv`` and the
+    per-row checks only to name the fault (``csvrows``).  Each unit's rows are sorted by time and the
     units grouped into cohort blocks, in order of first appearance, and
     the panel is built from those blocks: no ``UnitSeries`` is made until
     ``units`` is read.  Blank rows are skipped but counted in the row
@@ -322,8 +323,7 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
         covariates in column order.
     ConfigError
         When ``schema`` is not a mapping, a column name in it is not a
-        string, its ``covariates`` is not a list of strings, or it reads
-        the time or outcome column as another field too.
+        string, or its ``covariates`` is not a list of strings.
     csv.Error
         The ``csv`` reader's own error, such as a field longer than
         ``csv.field_size_limit()``, when no row before it holds a fault.

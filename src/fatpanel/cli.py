@@ -43,12 +43,11 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
-
-import numpy as np
+from typing import Mapping, Sequence, TextIO, Union
 
 from .basis import ForecastConfig, as_integer
 from .errors import (ConfigError, EstimationError, PanelFormatError,
@@ -58,7 +57,8 @@ from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
                          covariate_fat_heterogeneous, dfat, fat, model_based_fat,
                          placebo_fat)
 from .panel import PanelData, apply_anticipation, csv_field, csv_text, load_panel, validate
-from .simulate import REPORT_SCHEMA, DgpSpec, GridCell, preset, run_monte_carlo
+from .simulate import (JSON_LAYOUT, REPORT_SCHEMA, DgpSpec, GridCell, preset,
+                       run_monte_carlo)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -210,17 +210,18 @@ def _single(cfg: RunConfig, field: str):
     return values[0]
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write_json(payload: dict, fh: TextIO) -> None:
+    # Streamed: the encoded text is never held whole.
+    json.dump(payload, fh, **JSON_LAYOUT)
+    fh.write("\n")
 
 
 def _emit(cfg: RunConfig, payload: dict, table: str) -> None:
-    text = _json_text(payload)
     if cfg.out_json is not None:
         with open(cfg.out_json, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            _write_json(payload, fh)
     else:
-        sys.stdout.write(text)
+        _write_json(payload, sys.stdout)
     if cfg.out_csv is not None:
         with open(cfg.out_csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(table)
@@ -260,12 +261,10 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
     writing, the command fails, with the first cell's error, only when
     every cell failed."""
     results, lines, failures = [], [], []
+    spell = functools.cache(csv_field)  # each unit id is quoted once a command
     for key, prefix, run in cells:
         try:
-            # A residual sum past the largest double is remade on scaled
-            # residuals (``estimators._rescaled``), so its warning is noise.
-            with np.errstate(over="ignore"):
-                est = run()
+            est = run()
         except (EstimationError, RankDeficiencyError) as exc:
             results.append({**key, "error": str(exc)})
             failures.append(exc)
@@ -277,7 +276,7 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
             # A residual is finite, so ``repr`` spells it as ``csv_number`` would.
             cells_before = ",".join(map(str, (*prefix, *group)))
             lines += [f"{cells_before},{unit_id},{resid!r}" for unit_id, resid in
-                      zip(map(csv_field, part.unit_ids), part.residuals.tolist())]
+                      zip(map(spell, part.unit_ids), part.residuals.tolist())]
     _emit(cfg, {**_base_payload(cfg, kind), "results": results}, csv_text(header, lines))
     if len(failures) == len(results):
         raise failures[0]

@@ -5,11 +5,15 @@ of ``_SLICE_ROWS`` lines.  numpy's C tokenizer, ``np.loadtxt``, reads
 each slice: it splits the records with the quoting of ``csv``, parses
 times as 64-bit integers and outcomes as doubles, and refuses the slice
 when a record has the wrong number of fields or one of those fields does
-not parse.  It alone accepts records.  Unit ids then become integer
-codes in order of first appearance; treatment dates, control flags and
-covariates are parsed once per distinct string.  The checks that relate
-rows to each other run on the arrays after the last slice, followed by
-one stable sort by (unit, time).
+not parse.  It alone accepts records.  The other columns are parsed a
+run at a time: a unit's rows come together, so numpy's text columns hold
+runs of equal strings, and each run's string is parsed once (a string
+once a slice, however many runs it begins) and its value spread over the
+run.  So unit ids become integer codes in order of first appearance, and
+treatment dates, control flags and covariates their values.  The checks
+that relate rows to each other run on the arrays after the last slice;
+only rows that are not already in (unit, time) order are then sorted,
+stably, by (unit, time).
 
 A slice in which numpy finds one record a line is read once: only when
 its last line holds a quote does ``csv`` look at whether that record
@@ -68,12 +72,14 @@ class SortedRows(NamedTuple):
 
     Units are in order of first appearance; rows are sorted by (unit,
     time), so unit ``k``'s rows run from ``starts[k]`` to the next start.
+    Unit ``k``'s treatment date is ``tau_values[tau_codes[k]]``.
     """
 
     covariate_names: tuple[str, ...]
-    unit_ids: list[str]
-    taus: list[int | None]
-    flags: list[bool]
+    unit_ids: np.ndarray  # of str
+    tau_codes: np.ndarray
+    tau_values: list[int | None]
+    flags: np.ndarray  # of bool
     starts: np.ndarray
     times: np.ndarray
     outcomes: np.ndarray
@@ -103,6 +109,17 @@ def read_rows(fh: TextIO, schema: Mapping[str, object] | None) -> SortedRows:
         if rows.faults or failure is not None:
             break
     return rows.sorted_rows(failure)
+
+
+def _runs(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The start, the length and the string of each run of equal strings
+    of ``column``."""
+    column = np.asarray(column, dtype=object)
+    new = np.empty(len(column), bool)
+    new[:1] = True
+    np.not_equal(column[1:], column[:-1], out=new[1:])
+    starts = new.nonzero()[0]
+    return starts, np.append(starts[1:], len(column)) - starts, column[starts].tolist()
 
 
 def _record_starts(lines: list[str], first: int, more: Iterator[str]) -> list[int]:
@@ -245,20 +262,23 @@ class _RowColumns:
         self.faults.append((row, rank, f"row {row}: {message}"))
 
     def _lookup(self, column: Sequence[str], parse, dtype, rownums: np.ndarray) -> np.ndarray:
-        """``parse`` of each distinct string of ``column``, spread over its rows.
+        """``parse`` of each run of equal strings of ``column``, spread over its rows.
 
-        The first row whose string breaks the rule becomes a fault.
+        A string is parsed once however many runs begin with it.  The first
+        row of the first run whose string breaks the rule becomes a fault.
         """
+        starts, sizes, heads = _runs(column)
         table, broken = {}, {}
-        for s in set(column):
+        for s in set(heads):
             try:
                 table[s] = parse(s)
             except _Fault as fault:
                 table[s], broken[s] = 0, fault.args
         if broken:
-            i = next(i for i, s in enumerate(column) if s in broken)
-            self._fault(rownums[i], *broken[column[i]])
-        return np.fromiter(map(table.__getitem__, column), dtype, len(column))
+            k = next(k for k, s in enumerate(heads) if s in broken)
+            self._fault(rownums[starts[k]], *broken[heads[k]])
+        values = np.fromiter(map(table.__getitem__, heads), dtype, len(heads))
+        return values.repeat(sizes)
 
     def _tau_code(self, value: str) -> int:
         return self.taus.setdefault(_date(value), len(self.taus))
@@ -318,7 +338,7 @@ class _RowColumns:
         if not np.isfinite(y).all():
             return False
         if len(table):
-            column = lambda i: field(i, np.dtype(object)).tolist()
+            column = lambda i: field(i, np.dtype(object))
             self._keep(column(self.iu), table[f"f{self.it}"].copy(), y.copy(),
                        *self._checked(column, rownums), rownums)
         return True
@@ -340,8 +360,9 @@ class _RowColumns:
 
     def _keep(self, uids: Sequence[str], *columns) -> None:
         """Append a slice's columns, its unit ids as codes."""
-        codes = np.fromiter(map(self.ids.__getitem__, uids), np.intp, len(uids))
-        self.slices.append((codes, *columns))
+        _, sizes, heads = _runs(uids)
+        codes = np.fromiter(map(self.ids.__getitem__, heads), np.intp, len(heads))
+        self.slices.append((codes.repeat(sizes), *columns))
 
     def name(self, lines: list[str], rownum: int):
         """Name the fault of a slice that numpy refused, by ``csv``'s reading.
@@ -392,17 +413,16 @@ class _RowColumns:
         time) seen before.  Raises, in this order: the smallest fault,
         ``failure``, a header without rows, the first unit with neither a
         treatment date nor a control flag.  Consumes the slices, so their
-        arrays are freed before the sorted copies are made.
+        arrays are freed before the sorted copies are made; rows that
+        already come in (unit, time) order are not sorted.
         """
         if self.ids:  # some row was added
             codes, times, y, taus, flags, cov, rownums = map(np.concatenate, zip(*self.slices))
             self.slices = []
-            order = np.lexsort((times, codes))
-            sorted_codes, sorted_times = codes[order], times[order]
-            same_unit = sorted_codes[1:] == sorted_codes[:-1]
-            starts = np.flatnonzero(np.r_[True, ~same_unit])
-            first = np.minimum.reduceat(order, starts)
-            uids = list(self.ids)
+            uids = np.array(list(self.ids), dtype=object)
+            # Codes count up in order of first appearance: a unit's first
+            # row is the first with a code above every code before it.
+            first = np.flatnonzero(np.r_[True, codes[1:] > np.maximum.accumulate(codes[:-1])])
             for rank, what, values in ((_DATE_MISMATCH, "treatment dates", taus),
                                        (_FLAG_MISMATCH, "control flags", flags)):
                 differs = values != values[first][codes]
@@ -410,9 +430,15 @@ class _RowColumns:
                     i = int(np.argmax(differs))
                     self._fault(rownums[i], rank,
                                 f"unit {uids[codes[i]]!r} has inconsistent {what}")
-            repeats = order[1:][same_unit & (sorted_times[1:] == sorted_times[:-1])]
+            same_unit = codes[1:] == codes[:-1]
+            if not ((codes[1:] > codes[:-1]) | same_unit & (times[1:] >= times[:-1])).all():
+                order = np.lexsort((times, codes))  # stable: rows in order would stay so
+                codes, times, y, cov, rownums = (a[order] for a in (codes, times, y, cov,
+                                                                     rownums))
+                same_unit = codes[1:] == codes[:-1]
+            repeats = 1 + np.flatnonzero(same_unit & (times[1:] == times[:-1]))
             if repeats.size:
-                i = int(repeats.min())
+                i = repeats[np.argmin(rownums[repeats])]
                 self._fault(rownums[i], _DUPLICATE,
                             f"duplicate observation ({uids[codes[i]]!r}, {int(times[i])})")
         if self.faults:
@@ -421,15 +447,14 @@ class _RowColumns:
             raise failure
         if not self.ids:
             raise PanelFormatError("input has a header but no data rows")
-        tau_values = list(self.taus)
-        taus = [tau_values[code] for code in taus[first].tolist()]
-        flags = flags[first].tolist()
-        for uid, tau, is_control in zip(uids, taus, flags):
-            if tau is None and not is_control:
-                raise PanelFormatError(
-                    f"unit {uid!r} has no treatment date and is not flagged as control")
-        return SortedRows(self.covariate_names, uids, taus, flags, starts,
-                          sorted_times, y[order], cov[order])
+        taus, flags = taus[first], flags[first]
+        orphans = ~flags & (taus == self.taus.get(None, -1))
+        if orphans.any():
+            raise PanelFormatError(f"unit {uids[np.argmax(orphans)]!r} has no treatment "
+                                   "date and is not flagged as control")
+        starts = np.flatnonzero(np.r_[True, ~same_unit])
+        return SortedRows(self.covariate_names, uids, taus, list(self.taus), flags,
+                          starts, times, y, cov)
 
 
 def _resolve_schema(schema: Mapping[str, object] | None, header: list[str]):

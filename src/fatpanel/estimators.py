@@ -626,7 +626,8 @@ def _point_se(res: _Residuals, psi=None):
     u = res.residuals
     if psi is not None:
         u = u - (psi * _mean(res.grads.swapaxes(-1, -2))[..., None, :]).sum(axis=-1)
-    point = _mean(res.residuals)
+    with np.errstate(over="ignore"):  # the sum may overflow; then the mean is made again
+        point = _mean(res.residuals)
     if np.isinf(point).any():  # a mean of finite doubles is finite: the sum overflowed
         point = _rescaled(_mean, res.residuals, point)
     return point, _se(u)

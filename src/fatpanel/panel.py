@@ -303,11 +303,14 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     and it alone decides which records are accepted.  A slice with a
     record over several lines or a blank record costs a ``csv`` pass and
     a second read; a slice it still refuses is read by ``csv`` and the
-    per-row checks only to name the fault (``csvrows``).  Each unit's rows are sorted by time and the
-    units grouped into cohort blocks, in order of first appearance, and
-    the panel is built from those blocks: no ``UnitSeries`` is made until
-    ``units`` is read.  Blank rows are skipped but counted in the row
-    numbers of messages.
+    per-row checks only to name the fault (``csvrows``).  Ids, dates,
+    flags and covariates are parsed once a run of equal strings, not once
+    a row.  Each unit's rows are sorted by time, unless the rows already
+    come in order, and the units grouped into cohort blocks by array
+    sorts over their flags, dates and time grids, in order of first
+    appearance; the panel is built from those blocks: no ``UnitSeries``
+    is made until ``units`` is read.  Blank rows are skipped but counted
+    in the row numbers of messages.
 
     Raises
     ------
@@ -336,21 +339,27 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
 
 def _load_stream(fh: TextIO, schema) -> PanelData:
     rows = read_rows(fh, schema)
-    lengths = np.diff(np.r_[rows.starts, rows.times.size])
-    groups: dict[tuple, list[int]] = {}
-    for code, (s, m) in enumerate(zip(rows.starts.tolist(), lengths.tolist())):
-        key = (rows.flags[code], rows.taus[code], rows.times[s:s + m].tobytes())
-        groups.setdefault(key, []).append(code)
-    ids = np.array(rows.unit_ids, dtype=object)
-    blocks = []
-    for (is_control, tau, _), codes in groups.items():
-        codes = np.array(codes)
+    lengths = np.diff(rows.starts, append=rows.times.size)
+    # A block's units share a length, so each length class is sorted on its
+    # own: its keys are one copy of its rows, where a time grid padded to
+    # the longest unit could be far larger than the file.
+    by_length = np.argsort(lengths, kind="stable")
+    groups = []
+    for codes in np.split(by_length, 1 + np.flatnonzero(np.diff(lengths[by_length]))):
         at = rows.starts[codes][:, None] + np.arange(lengths[codes[0]])
-        blocks.append(CohortBlock(
-            is_control=is_control, tau=tau, times=rows.times[at[0]],
-            outcomes=rows.outcomes[at],
-            covariates=rows.covariates[at] if rows.covariate_names else None,
-            positions=codes, unit_ids=ids[codes]))
+        # One row a unit: its flag, its date and its time grid.  The sort
+        # is stable, so equal rows, a block, keep panel order.
+        keys = np.column_stack([rows.flags[codes], rows.tau_codes[codes], rows.times[at]])
+        order = np.lexsort(keys.T)
+        keys = keys[order]
+        cuts = 1 + np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1))
+        groups += zip(np.split(codes[order], cuts), np.split(at[order], cuts))
+    groups.sort(key=lambda group: group[0][0])  # blocks in order of first appearance
+    blocks = [CohortBlock(
+        is_control=rows.flags[codes[0]], tau=rows.tau_values[rows.tau_codes[codes[0]]],
+        times=rows.times[at[0]], outcomes=rows.outcomes[at],
+        covariates=rows.covariates[at] if rows.covariate_names else None,
+        positions=codes, unit_ids=rows.unit_ids[codes]) for codes, at in groups]
     return PanelData.from_blocks(blocks, covariate_names=rows.covariate_names)
 
 

@@ -41,6 +41,8 @@ ParamLaw = Union[float, tuple]
 
 #: Layout version of every JSON report, ``McReport``'s and the CLI's.
 REPORT_SCHEMA = 1
+#: ``json.dump`` settings of every JSON report.
+JSON_LAYOUT = {"indent": 2, "sort_keys": True}
 
 
 @dataclass(frozen=True)
@@ -377,7 +379,7 @@ class McReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return json.dumps(self.to_dict(), **JSON_LAYOUT)
 
     def to_csv_text(self) -> str:
         """Table-style text: one block row per (label, q), columns by R."""

@@ -107,6 +107,7 @@ def test_fat_variance_hand_example():
     assert fat_variance([1.0, 1.0, 1.0]) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
 def test_fat_variance_of_residuals_whose_squares_overflow_is_finite():
     # (1e200)^2 overflows a double; the deviations are scaled by a power
     # of two instead, and a row that does not overflow keeps its bits.
@@ -116,6 +117,7 @@ def test_fat_variance_of_residuals_whose_squares_overflow_is_finite():
     assert se[1] == fat_variance([1.0, 2.0, 4.0])
 
 
+@pytest.mark.filterwarnings("error")
 def test_fat_of_residuals_whose_sum_overflows_is_finite():
     # 1.5e308 + 1e308 overflows a double, but a mean of finite doubles is
     # finite: the point and the standard error are made again on the

@@ -13,6 +13,7 @@ input must give bit-identical cohort blocks, faulty input the same error.
 import csv
 import io
 import math
+import sys
 import warnings
 from itertools import islice
 
@@ -584,6 +585,80 @@ def test_an_integer_written_as_a_float_is_refused_where_numpy_warns(monkeypatch)
 
     monkeypatch.setattr(np, "loadtxt", loadtxt)
     assert csvrows._loadtxt(["1.5\n"], np.dtype(np.int64)) is None
+
+
+# ---------------------------------------------------------------------------
+# runs of equal values: parsed once a run, sorted only when out of order
+
+
+def _sorted_rows_sorts(text, slice_rows, monkeypatch):
+    """(what the load gives, as ``outcome``, whether ``sorted_rows`` sorted)."""
+    callers, lexsort = [], np.lexsort
+
+    def spy(keys, *args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return lexsort(keys, *args, **kwargs)
+
+    monkeypatch.setattr(np, "lexsort", spy)
+    monkeypatch.setattr(csvrows, "_SLICE_ROWS", slice_rows)
+    got = outcome(lambda: load_panel(io.StringIO(text, newline="")))
+    monkeypatch.undo()
+    return got, "sorted_rows" in callers
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 3, 1024])
+@pytest.mark.parametrize("field, bad, message", [
+    (3, "2.5", "treatment date '2.5' is not an integer"),
+    (4, "maybe", "bad control flag 'maybe'"),
+])
+def test_a_bad_value_repeated_across_slice_boundaries_names_its_first_row(
+        field, bad, message, slice_rows):
+    # Unit b's rows 5 to 8 hold the same bad string, a run that crosses a
+    # slice boundary at every slice size below 4; unit d holds it again.
+    rows = [[uid, str(t), "1.0", "2", "0"] for uid, n in (("a", 3), ("b", 4), ("c", 2), ("d", 2))
+            for t in range(1, n + 1)]
+    for row in rows:
+        if row[0] in "bd":
+            row[field] = bad
+    text = "unit,time,outcome,treated_at,control_flag\n" + "".join(
+        ",".join(row) + "\n" for row in rows)
+    assert assert_loads_like_oracle(text, slice_rows) == (PanelFormatError, f"row 5: {message}")
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+def test_a_unit_whose_rows_come_in_two_runs(slice_rows, monkeypatch):
+    # a's date is spelled two ways, one a run; its rows are sorted together.
+    text = ("unit,time,outcome,treated_at\n"
+            "a,3,1.0,3\na,1,2.0,3\nb,1,3.0,3\nb,2,4.0,3\na,2,5.0, 03\na,4,6.0, 03\n")
+    want = assert_loads_like_oracle(text, slice_rows)
+    assert [b.unit_ids.tolist() for b in want.treated_blocks] == [["a"], ["b"]]
+    np.testing.assert_array_equal(want.treated_blocks[0].outcomes, [[2.0, 5.0, 1.0, 6.0]])
+    assert _sorted_rows_sorts(text, slice_rows, monkeypatch)[1]
+    text = text.replace(" 03", " 04")
+    assert assert_loads_like_oracle(text, slice_rows) == (
+        PanelFormatError, "row 6: unit 'a' has inconsistent treatment dates")
+
+
+@pytest.mark.parametrize("slice_rows", [1, 3, 1024])
+def test_rows_are_sorted_only_when_out_of_order(slice_rows, monkeypatch):
+    rows = [f"u{k},{t},{k + t / 4},3" for k in range(4) for t in range(1, 6)]
+    text = "unit,time,outcome,treated_at\n" + "\n".join(rows) + "\n"
+    got, sorted_ = _sorted_rows_sorts(text, slice_rows, monkeypatch)
+    assert_same_panel(got, oracle_load(text))
+    assert not sorted_
+    rows[12], rows[13] = rows[13], rows[12]  # u2's times 3 and 4
+    text = "unit,time,outcome,treated_at\n" + "\n".join(rows) + "\n"
+    got, sorted_ = _sorted_rows_sorts(text, slice_rows, monkeypatch)
+    assert_same_panel(got, assert_loads_like_oracle(text, slice_rows))
+    assert sorted_
+
+
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
+def test_an_adjacent_duplicate_in_rows_that_are_in_order(slice_rows, monkeypatch):
+    text = "unit,time,outcome,treated_at\na,1,1.0,3\na,2,2.0,3\na,2,2.5,3\nb,1,1.0,3\n"
+    want = assert_loads_like_oracle(text, slice_rows)
+    assert want == (PanelFormatError, "row 4: duplicate observation ('a', 2)")
+    assert _sorted_rows_sorts(text, slice_rows, monkeypatch) == (want, False)
 
 
 # ---------------------------------------------------------------------------

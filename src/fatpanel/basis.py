@@ -203,13 +203,6 @@ class ForecastWeights:
                 "is degenerate"
             )
 
-    def to_json(self) -> dict:
-        return {
-            "times": [int(t) for t in self.times],
-            "weights": [float(w) for w in self.weights],
-            "target": float(self.target),
-        }
-
 
 def _window_array(window, basis: BasisSpec) -> np.ndarray:
     t = np.atleast_1d(np.asarray(window, dtype=float))

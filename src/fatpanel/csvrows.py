@@ -18,18 +18,17 @@ stably, by (unit, time).
 A slice in which numpy finds one record a line is read once: only when
 its last line holds a quote does ``csv`` look at whether that record
 goes on (a quoted field may hold a line break), and if it does, the
-slice grows until the record ends and numpy reads it again.  In any
-other slice (a record over several lines, a blank record or a fault)
-``csv`` finds the lines that begin a record, so that row numbers count
-records, and numpy reads the slice again without its one-line blank
-records, which the format skips: numpy skips an empty line and refuses
-one of blanks and commas.
-
-A slice that numpy still refuses, or that holds an outcome that is not
-finite, goes to ``_RowColumns.name``: it reads the slice again with
-``csv`` and runs every check of a record, only to name the fault.  It
-never accepts a record.  When all it finds is blank records (every
-field blank, as in ``"",""``), numpy reads the slice again without them.
+slice grows until the record ends and numpy reads it again.  Any other
+slice with a quote, or one with a line longer than ``csv``'s field
+limit (which numpy lacks), is walked once by ``csv``: its records, the
+line each begins at (row numbers count records) and the reader's error.
+A blank record (every field blank, as in ``"",""``), which the format
+skips, is one of those records or, without a quote, a line of blanks
+and commas; numpy reads the slice again without them, unless all it
+skipped were empty lines.  A slice that numpy still refuses, or with an
+outcome that is not finite, goes to ``_RowColumns.name`` with ``csv``'s
+records (walked then if need be), which runs every check of a record
+only to name the fault: it never accepts a record.
 
 Every error in the rows is a fault, (row, rank, message), kept in one
 list, and the load raises the smallest: the first offending row in file
@@ -51,7 +50,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from collections import defaultdict
+from collections import Counter, defaultdict
 from functools import partial
 from itertools import compress, islice
 from operator import methodcaller
@@ -122,13 +121,12 @@ def _runs(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
     return starts, np.append(starts[1:], len(column)) - starts, column[starts].tolist()
 
 
-def _record_starts(lines: list[str], first: int, more: Iterator[str]) -> list[int]:
-    """The lines, from ``first`` (where a record begins) on, that begin a record.
+def _records(lines: list[str], first: int, more: Iterator[str]) -> tuple:
+    """(records, the line each begins at, the error that ended the walk) of
+    ``csv``'s walk over ``lines`` from ``first``, where a record begins.
 
-    ``csv`` reads the records; while the last one is open (a quoted field
-    may hold a line break), lines move from ``more`` to the end of
-    ``lines``.  A ``csv`` error ends the walk: naming the slice's fault
-    meets it again.
+    While the last record is open (a quoted field may hold a line break),
+    lines move from ``more`` to the end of ``lines``.
     """
     n = len(lines)
 
@@ -138,24 +136,23 @@ def _record_starts(lines: list[str], first: int, more: Iterator[str]) -> list[in
             lines.append(line)
             yield line
 
-    reader, starts = csv.reader(feed()), []
+    reader, records, starts = csv.reader(feed()), [], []
     try:
         while (k := reader.line_num) < n - first:
             starts.append(first + k)
-            next(reader)
-    except csv.Error:
-        pass
-    return starts
+            records.append(next(reader))
+    except csv.Error as exc:
+        return records, starts, exc
+    return records, starts, None
 
 
 _NO_COMMAS = methodcaller("replace", ",", "")
 
 
-def _too_long(lines: list[str], starts: Sequence[int]) -> bool:
-    """Whether a record is longer than ``csv``'s field limit, which numpy lacks."""
+def _too_long(lines: list[str]) -> bool:
+    """Whether a line is longer than ``csv``'s field limit, which numpy lacks."""
     limit = csv.field_size_limit()
-    return (len("".join(lines)) > limit and
-            max(np.add.reduceat(np.fromiter(map(len, lines), np.intp), starts)) > limit)
+    return len("".join(lines)) > limit and max(map(len, lines)) > limit
 
 
 def _loadtxt(lines: list[str], dtype: np.dtype, usecols: int | None = None) -> np.ndarray | None:
@@ -164,15 +161,9 @@ def _loadtxt(lines: list[str], dtype: np.dtype, usecols: int | None = None) -> n
         with warnings.catch_warnings():
             # A slice of empty lines reads as no rows.
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-            # numpy from 1.23 reads an integer written as a float ("1.5")
-            # with this warning, keeping the integer part; its loadtxt tests
-            # (test_implicit_cast_float_to_int_fails) make it an error, which
-            # numpy's reader reports as a ValueError.  Later numpy refuses.
-            warnings.filterwarnings("error", r"loadtxt\(\): Parsing an integer via a float",
-                                    DeprecationWarning)
             return np.loadtxt(lines, dtype=dtype, delimiter=",", quotechar='"',
                               comments=None, ndmin=1, usecols=usecols)
-    except (ValueError, DeprecationWarning):
+    except ValueError:
         return None
 
 
@@ -289,38 +280,38 @@ class _RowColumns:
 
         When the last record is open, lines move from ``more`` to the end
         of ``lines``.  A slice that numpy refuses after its blank records
-        are dropped goes to ``name``, and the error is the one met there.
+        are dropped goes to ``name`` with the records of ``csv``'s walk,
+        made then if need be, and the error is that walk's.
         """
         n = len(lines)
         table = _loadtxt(lines, self.dtype)
-        if table is not None and len(table) == n:  # each line is a record
-            starts = range(n)
-            if '"' in lines[-1]:  # the last may go on past the slice
-                _record_starts(lines, n - 1, more)
-        else:  # records over several lines, blank records, or a fault
-            starts = _record_starts(lines, 0, more) if '"' in "".join(lines) else range(n)
-        body, kept = lines, np.arange(len(starts))
-        if table is None or len(table) != len(starts):
-            # numpy skips an empty line and refuses one of blanks and commas,
-            # both blank records: numpy reads the others.  (A record over
-            # several lines opens a quote in its first.)
-            filled = np.fromiter(map(bool, map(str.strip, map(_NO_COMMAS, lines))), bool)
-            keep = filled[starts]
-            sizes = np.diff([*starts, len(lines)])
-            body = list(compress(lines, np.repeat(keep, sizes).tolist()))
-            kept = np.flatnonzero(keep)
-        if table is None or len(lines) > n or len(table) != len(kept):
-            table = _loadtxt(body, self.dtype)
-        if not _too_long(lines, starts) and self._add(body, table, rownum + kept):
-            return None, len(starts)
-        failure, rest = self.name(lines, rownum)
-        if rest is not None:
-            body, rownums = rest
-            if not self._add(body, _loadtxt(body, self.dtype), rownums):
-                # Refused, though no check names a fault.
-                raise PanelFormatError(f"rows {rownum} to {rownum + len(starts) - 1}: "
-                                       "a record is not in the panel format")
-        return failure, len(starts)
+        one_a_line = table is not None and len(table) == n
+        records, starts, failure, keep = None, range(n), None, np.ones(n, bool)
+        if _too_long(lines) or not one_a_line and '"' in "".join(lines):
+            records, starts, failure = _records(lines, 0, more)
+            keep = np.fromiter((any(map(str.strip, r)) for r in records), bool, len(records))
+        elif not one_a_line:  # with no quote, a record is a line
+            keep = np.fromiter(map(bool, map(str.strip, map(_NO_COMMAS, lines))), bool, n)
+        elif '"' in lines[-1]:  # the last record may go on past the slice
+            failure = _records(lines, n - 1, more)[2]
+        if failure is None:
+            body, kept = lines, np.flatnonzero(keep)
+            # numpy skips an empty line and refuses other blank records: a
+            # slice that grew, or whose table a blank record spoiled, is read again.
+            if len(lines) > n or (len(kept) < len(keep)
+                                  and (table is None or len(table) != len(kept))):
+                sizes = np.diff([*starts, len(lines)])
+                body = list(compress(lines, np.repeat(keep, sizes).tolist()))
+                table = _loadtxt(body, self.dtype)
+            if self._add(body, table, rownum + kept):
+                return None, len(keep)
+        if records is None:
+            records, _, failure = _records(lines, 0, more)
+        self.name(records, rownum)
+        if not self.faults and failure is None:  # refused, though no check names a fault
+            raise PanelFormatError(f"rows {rownum} to {rownum + len(records) - 1}: "
+                                   "a record is not in the panel format")
+        return failure, len(records)
 
     def _add(self, lines: list[str], table: np.ndarray | None, rownums: np.ndarray) -> bool:
         """Append numpy's ``table`` of ``lines``, one row for each of ``rownums``.
@@ -364,24 +355,13 @@ class _RowColumns:
         codes = np.fromiter(map(self.ids.__getitem__, heads), np.intp, len(heads))
         self.slices.append((codes.repeat(sizes), *columns))
 
-    def name(self, lines: list[str], rownum: int):
-        """Name the fault of a slice that numpy refused, by ``csv``'s reading.
+    def name(self, records: list[list[str]], rownum: int) -> None:
+        """Name the fault of a slice that numpy refused, from ``csv``'s records.
 
-        Runs every check of a record on the slice's records, numbered from
-        ``rownum``.  Returns (failure, rest): ``failure`` is the ``csv``
-        reader's error, and ``rest`` is None when the load ends here, on a
-        fault or that error.  Otherwise no row is added, and ``rest`` is
-        (lines, row numbers) of the records that are not blank, for numpy
-        to read again.
+        Runs every check of a record on the records that are not blank,
+        numbered from ``rownum``, and keeps the full ones for the checks
+        across rows.  Reads no text.
         """
-        reader = csv.reader(lines)
-        records, ends, failure = [], [0], None
-        try:
-            for record in reader:
-                records.append(record)
-                ends.append(reader.line_num)
-        except csv.Error as exc:  # the records before it are checked
-            failure = exc
         rownums = np.arange(rownum, rownum + len(records))
         kept = [i for i, r in enumerate(records) if any(map(str.strip, r))]
         for i in kept:
@@ -397,13 +377,7 @@ class _RowColumns:
             if bad.size:
                 self._fault(at[bad[0]], _NONFINITE,
                             f"outcome {cols[self.iy][bad[0]]!r} is not finite")
-            checked = self._checked(cols.__getitem__, at)
-        if self.faults or failure is not None:
-            if full:  # for the checks across rows
-                self._keep(cols[self.iu], times, y, *checked, at)
-            return failure, None
-        return None, ([line for i in kept for line in lines[ends[i]:ends[i + 1]]],
-                      rownums[kept])
+            self._keep(cols[self.iu], times, y, *self._checked(cols.__getitem__, at), at)
 
     def sorted_rows(self, failure: csv.Error | None) -> SortedRows:
         """All rows, checked and stably sorted by (unit, time).
@@ -485,4 +459,8 @@ def _resolve_schema(schema: Mapping[str, object] | None, header: list[str]):
         for c in covariates:
             if c not in header:
                 raise PanelFormatError(f"missing covariate column {c!r}")
+    counts = Counter(header)
+    for c in (*mapping.values(), *covariates):
+        if counts[c] > 1:
+            raise PanelFormatError(f"column {c!r} appears more than once in the header")
     return mapping, list(covariates)

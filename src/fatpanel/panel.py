@@ -232,6 +232,9 @@ class PanelData:
     def _install(self, blocks: Sequence[CohortBlock], names: tuple[str, ...]) -> None:
         if not blocks:
             raise PanelFormatError("panel has no units")
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise PanelFormatError(f"covariate name {name!r} appears more than once")
         positions = np.concatenate([b.positions for b in blocks])
         ids = np.concatenate([b.unit_ids for b in blocks])
         n = positions.size
@@ -301,21 +304,22 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     numpy's C tokenizer (``np.loadtxt``) reads the rows, a slice of
     lines at a time, so a load never holds the text of the whole file,
     and it alone decides which records are accepted.  A slice with a
-    record over several lines or a blank record costs a ``csv`` pass and
-    a second read; a slice it still refuses is read by ``csv`` and the
-    per-row checks only to name the fault (``csvrows``).  Ids, dates,
-    flags and covariates are parsed once a run of equal strings, not once
-    a row.  Each unit's rows are sorted by time, unless the rows already
-    come in order, and the units grouped into cohort blocks by array
-    sorts over their flags, dates and time grids, in order of first
-    appearance; the panel is built from those blocks: no ``UnitSeries``
-    is made until ``units`` is read.  Blank rows are skipped but counted
-    in the row numbers of messages.
+    record over several lines or a blank record costs a second read and,
+    when it holds a quote, one ``csv`` walk, whose records the per-row
+    checks read to name the fault of a slice numpy still refuses
+    (``csvrows``).  Ids, dates, flags and covariates are parsed once a
+    run of equal strings, not once a row.  Each unit's rows are sorted by
+    time, unless the rows already come in order, and the units grouped
+    into cohort blocks by array sorts over their flags, dates and time
+    grids, in order of first appearance; the panel is built from those
+    blocks: no ``UnitSeries`` is made until ``units`` is read.  Blank
+    rows are skipped but counted in the row numbers of messages.
 
     Raises
     ------
     PanelFormatError
-        On missing columns, non-numeric fields (a non-ASCII digit or a
+        On missing columns, a column the schema reads that the header
+        names twice, non-numeric fields (a non-ASCII digit or a
         digit-group underscore included), a time outside 64 bits, an
         outcome that is not finite (``nan``, ``inf``), duplicate (unit, time)
         observations, inconsistent treatment dates within a unit, or a unit

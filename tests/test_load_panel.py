@@ -14,7 +14,6 @@ import csv
 import io
 import math
 import sys
-import warnings
 from itertools import islice
 
 import numpy as np
@@ -412,6 +411,25 @@ def test_a_malformed_schema_is_a_config_error(schema):
         load_panel(io.StringIO(text), schema=schema)
 
 
+@pytest.mark.parametrize("header, schema, repeated", [
+    ("unit,time,outcome,treated_at,x,x", None, "x"),
+    ("unit,time,outcome,treated_at,time", None, "time"),
+    ("unit,time,outcome,treated_at,x,x", {"covariates": ["x"]}, "x"),
+    ("id,time,outcome,treated_at,x,x", {"unit": "x", "covariates": []}, "x"),
+    ("unit,time,outcome,treated_at,x,x", {"covariates": []}, None),
+])
+def test_a_column_the_schema_reads_appears_once_in_the_header(header, schema, repeated):
+    # Each name the schema reads names one column; repeats it does not
+    # read are left alone.
+    text = f"{header}\na,1,1.0,3,20,21\na,2,2.0,3,20,21\n"
+    got = outcome(lambda: load_panel(io.StringIO(text), schema=schema))
+    if repeated is None:
+        assert got.covariate_names == ()
+    else:
+        assert got == (PanelFormatError,
+                       f"column {repeated!r} appears more than once in the header")
+
+
 def test_the_rows_before_a_parse_failure_are_checked_first():
     # An inconsistent date in the first slice beats a bad time in the second.
     n = csvrows._SLICE_ROWS
@@ -445,18 +463,20 @@ def test_a_reader_error_comes_after_the_rows_before_it():
     assert got[0] is csv.Error
 
 
-@pytest.mark.parametrize("slice_rows", [1, 1024])
+@pytest.mark.parametrize("slice_rows", [1, 2, 1024])
 def test_a_record_longer_than_the_csv_field_limit_is_read_by_numpy(slice_rows):
     # csv's limit is on a field, not a record: a long record of short
-    # fields loads, and a field past the limit is csv's error.
+    # fields loads, and a field past the limit is csv's error, also when a
+    # quoted line break splits it into lines shorter than the limit.
     text = "unit,time,outcome,treated_at\na,1,1.000000000000001,3\na,2,2.0,3\n"
     limit = csv.field_size_limit(20)
     try:
         assert isinstance(assert_loads_like_oracle(text, slice_rows), PanelData)
-        got = assert_loads_like_oracle(text + "a,3,1.0000000000000000001,3\n", slice_rows)
+        got = [assert_loads_like_oracle(text + last, slice_rows)
+               for last in ("a,3,1.0000000000000000001,3\n", 'a,3,1.0,"33333333\n333333333333"\n')]
     finally:
         csv.field_size_limit(limit)
-    assert got == (csv.Error, "field larger than field limit (20)")
+    assert got == [(csv.Error, "field larger than field limit (20)")] * 2
 
 
 def test_a_load_larger_than_one_slice_matches_the_oracle():
@@ -489,7 +509,7 @@ def test_record_starts_are_where_csv_begins_a_record(text, slice_rows):
         return
     fh, got, offset = io.StringIO(text, newline=""), [], 0
     while lines := list(islice(fh, slice_rows)):
-        got += [offset + i for i in csvrows._record_starts(lines, 0, fh)]
+        got += [offset + i for i in csvrows._records(lines, 0, fh)[1]]
         offset += len(lines)
     assert got == ends[:-1]
 
@@ -559,6 +579,34 @@ def test_what_numpy_refuses_is_never_accepted(monkeypatch):
         load_panel(io.StringIO("unit,time,outcome,treated_at\na,1,1.0,3\na,2,2.0,3\n"))
 
 
+@pytest.mark.parametrize("blank", ["", '"",""\n'])
+@pytest.mark.parametrize("bad", ["", "x"])
+def test_a_refused_quoted_slice_is_walked_by_csv_once(bad, blank, monkeypatch):
+    # One csv walk finds the records, the blank one that numpy refuses
+    # and any fault; numpy reads the slice again only without a blank one.
+    text = f'unit,time,outcome,treated_at\n"a",1,1.0,3\n{blank}"b\nc",1{bad},2.0,3\n'
+    readers, reads = [], []
+    reader, loadtxt = csv.reader, csvrows._loadtxt
+
+    def reader_spy(*args, **kwargs):
+        readers.append(sys._getframe(1).f_code.co_name)
+        return reader(*args, **kwargs)
+
+    def loadtxt_spy(*args, **kwargs):
+        reads.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", reader_spy)
+    monkeypatch.setattr(csvrows, "_loadtxt", loadtxt_spy)
+    got = outcome(lambda: load_panel(io.StringIO(text, newline="")))
+    monkeypatch.undo()
+    assert readers == ["read_rows", "_records"] and len(reads) == 1 + bool(blank)
+    if bad:
+        assert got == (PanelFormatError, f"row {3 + bool(blank)}: time '1x' is not an integer")
+    else:
+        assert [b.unit_ids.tolist() for b in got.treated_blocks] == [["a", "b\nc"]]
+
+
 @pytest.mark.parametrize("schema", [{"unit": "time"}, {"outcome": "time"},
                                     {"treated_at": "outcome"}, {"control_flag": "time"},
                                     {"covariates": ["time", "outcome"]}])
@@ -573,18 +621,6 @@ def test_a_time_or_outcome_column_read_as_another_field_too(schema, last):
         assert_same_panel(got, want)
     else:
         assert got == want
-
-
-def test_an_integer_written_as_a_float_is_refused_where_numpy_warns(monkeypatch):
-    # numpy from 1.23 reads "1.5" as the integer 1 with a DeprecationWarning;
-    # the load makes that warning numpy's refusal.
-    def loadtxt(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning)
-        return np.array([1])
-
-    monkeypatch.setattr(np, "loadtxt", loadtxt)
-    assert csvrows._loadtxt(["1.5\n"], np.dtype(np.int64)) is None
 
 
 # ---------------------------------------------------------------------------

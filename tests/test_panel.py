@@ -223,6 +223,18 @@ def test_from_blocks_refuses_no_blocks():
     assert refusal(lambda: PanelData.from_blocks([])) == refusal(lambda: PanelData([]))
 
 
+def test_a_covariate_name_appears_once():
+    # write_panel would write a header that names one column twice.
+    text = "unit,time,outcome,treated_at,x\na,1,1.0,5,0.5\n"
+    message = "covariate name 'x' appears more than once"
+    assert refusal(lambda: PanelData([unit("a", covariates=np.zeros((6, 2)))],
+                                     covariate_names=("x", "x"))) == message
+    assert refusal(lambda: PanelData.from_blocks([block(covariates=np.zeros((1, 6, 2)))],
+                                                 covariate_names=("x", "x"))) == message
+    assert refusal(lambda: load_panel(io.StringIO(text),
+                                      schema={"covariates": ["x", "x"]})) == message
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_outcome_is_refused_naming_its_unit(value):
     # A panel that holds it could not be written and read back, and an

@@ -34,15 +34,15 @@ Every error in the rows is a fault, (row, rank, message), kept in one
 list, and the load raises the smallest: the first offending row in file
 order, and within it the first check of this order: field count, time
 (an integer, then within 64 bits), outcome (a number, then finite),
-treatment date, control flag, agreement with the unit's first row (date,
-then flag), an unseen (unit, time), covariates in column order.  That is
-the error of a reader that takes one record at a time.  Reading stops
-after the first slice that holds a fault, as no later row can come
-first.  Only when there is no fault: a reader error from ``csv`` (such
-as a field longer than ``csv.field_size_limit()``, a limit numpy does
-not have), then a header without rows, then the first unit with neither
-a date nor a control flag.  Blank records are skipped but counted in row
-numbers.
+treatment date (an integer within 64 bits), control flag, agreement with
+the unit's first row (date, then flag), an unseen (unit, time),
+covariates in column order.  That is the error of a reader that takes
+one record at a time.  Reading stops after the first slice that holds a
+fault, as no later row can come first.  Only when there is no fault: a
+reader error from ``csv`` (such as a field longer than
+``csv.field_size_limit()``, a limit numpy does not have), then a header
+without rows, then the first unit with neither a date nor a control
+flag.  Blank records are skipped but counted in row numbers.
 """
 
 from __future__ import annotations
@@ -189,18 +189,19 @@ def _convert(kind: type, value: str, what: str, rank: int):
         raise _Fault(rank, f"{what} {value!r} is not {noun}") from None
 
 
-def _time(value: str) -> int:
-    t = _convert(int, value, "time", _TIME)
-    if not _INT64.min <= t <= _INT64.max:
-        raise _Fault(_TIME_RANGE, f"time {value!r} is outside the 64-bit integer range")
-    return t
+def _int64(value: str, what: str, rank: int, range_rank: int) -> int:
+    n = _convert(int, value, what, rank)
+    if not _INT64.min <= n <= _INT64.max:
+        raise _Fault(range_rank, f"{what} {value!r} is outside the 64-bit integer range")
+    return n
 
 
+_time = partial(_int64, what="time", rank=_TIME, range_rank=_TIME_RANGE)
 _outcome = partial(_convert, float, what="outcome", rank=_OUTCOME)
 
 
 def _date(value: str) -> int | None:
-    return _convert(int, value, "treatment date", _DATE) if value.strip() else None
+    return _int64(value, "treatment date", _DATE, _DATE) if value.strip() else None
 
 
 def _flag(value: str) -> bool:

@@ -8,8 +8,9 @@ re-expresses them relative to each unit's adoption date.
 
 A panel holds only cohort blocks, dense arrays of the units that share a
 control flag, ``tau`` and time grid, and every reader works a block at a
-time.  ``PanelData(units)`` groups ``UnitSeries`` into blocks, and
-``PanelData.units`` builds them back from the blocks on each read.
+time.  One rule groups units into blocks, rows and blocks in panel order:
+``_merged`` for ``PanelData(units)`` and the date transforms, array sorts
+in ``load_panel``; ``PanelData.units`` rebuilds the units on each read.
 
 The interchange format is a delimited text file with a header row::
 
@@ -37,7 +38,7 @@ from typing import Iterable, Mapping, Sequence, TextIO
 import numpy as np
 
 from .basis import ForecastConfig, as_count
-from .csvrows import read_rows
+from .csvrows import _INT64, read_rows
 from .errors import ConfigError, PanelFormatError
 
 
@@ -105,6 +106,9 @@ def _check_series(series, uid, lead: tuple) -> None:
             raise PanelFormatError(f"unit {uid!r}: covariates must be (n_obs, k)")
     if tau is None and not series.is_control:
         raise PanelFormatError(f"unit {uid!r}: treated units need a treatment date")
+    if tau is not None and not _INT64.min <= int(tau) <= _INT64.max:
+        raise PanelFormatError(
+            f"unit {uid!r}: treatment date {int(tau)} is outside the 64-bit integer range")
     object.__setattr__(series, "times", times)
     object.__setattr__(series, "outcomes", outcomes)
     object.__setattr__(series, "covariates", covariates)
@@ -171,20 +175,31 @@ class CohortBlock:
         _check_series(self, unit_ids[0], unit_ids.shape)
 
 
-def _cohort_block(units: Sequence[UnitSeries], positions: list[int],
-                  n_covariates: int) -> CohortBlock:
-    units = [units[i] for i in positions]
-    first = units[0]
-    covariates = None
-    if n_covariates:
-        missing = np.full((first.n_obs, n_covariates), np.nan)
-        covariates = np.array([missing if u.covariates is None else u.covariates
-                               for u in units])
-    return CohortBlock(
-        is_control=first.is_control, tau=first.tau, times=first.times,
-        outcomes=np.array([u.outcomes for u in units]), covariates=covariates,
-        positions=positions, unit_ids=[u.unit_id for u in units],
-    )
+def _merged(parts: Iterable[tuple]) -> list[CohortBlock]:
+    """The cohort blocks of ``parts``, in the panel order of their first units.
+
+    A part is (is_control, tau, times, outcomes, covariates, positions,
+    unit_ids) for units that share the first three.  Parts that share them
+    and the covariate width (0 without covariates) make one block, its rows
+    in panel order, so a unit of the wrong width meets ``_install``'s check.
+    """
+    groups: dict[tuple, list[tuple]] = {}
+    for part in parts:
+        is_control, tau, times, _, covariates, _, _ = part
+        k = 0 if covariates is None else covariates.shape[-1]
+        groups.setdefault((is_control, tau, times.tobytes(), k), []).append(part)
+    blocks = []
+    for (is_control, tau, _, k), group in groups.items():
+        _, _, times, outcomes, covariates, positions, unit_ids = zip(*group)
+        positions = np.concatenate(positions)
+        order = np.argsort(positions)
+        blocks.append(CohortBlock(
+            is_control=is_control, tau=tau, times=times[0],
+            outcomes=np.concatenate(outcomes)[order],
+            covariates=np.concatenate(covariates)[order] if k else None,
+            positions=positions[order], unit_ids=np.concatenate(unit_ids)[order]))
+    blocks.sort(key=lambda b: b.positions[0])
+    return blocks
 
 
 class PanelData:
@@ -207,14 +222,13 @@ class PanelData:
     def __init__(self, units: Iterable[UnitSeries], *, covariate_names: Iterable[str] = ()):
         units = tuple(units)
         names = tuple(covariate_names)
-        groups: dict[tuple, list[int]] = {}
-        for i, u in enumerate(units):
-            # Keying on the covariate width sends a unit whose width differs
-            # from the declared names to the block check in its own block.
-            k = len(names) if u.covariates is None else u.covariates.shape[1]
-            groups.setdefault((u.is_control, u.tau, u.times.tobytes(), k), []).append(i)
-        self._install([_cohort_block(units, positions, key[-1])
-                       for key, positions in groups.items()], names)
+        positions = np.arange(len(units))[:, None]
+        ids = np.array([u.unit_id for u in units], dtype=object)[:, None]
+        self._install(_merged(
+            (u.is_control, u.tau, u.times, u.outcomes[None],
+             u.covariates[None] if u.covariates is not None
+             else np.full((1, u.n_obs, len(names)), np.nan) if names else None,
+             at, uid) for u, at, uid in zip(units, positions, ids)), names)
 
     @classmethod
     def from_blocks(cls, blocks: Iterable[CohortBlock], *,
@@ -320,14 +334,14 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     PanelFormatError
         On missing columns, a column the schema reads that the header
         names twice, non-numeric fields (a non-ASCII digit or a
-        digit-group underscore included), a time outside 64 bits, an
-        outcome that is not finite (``nan``, ``inf``), duplicate (unit, time)
-        observations, inconsistent treatment dates within a unit, or a unit
-        that has neither a treatment date nor a control flag.  The error
-        names the first offending row in file order, and a row's checks
-        run in that order: field count, time, outcome, treatment date,
-        control flag, agreement with the unit's first row, an unseen time,
-        covariates in column order.
+        digit-group underscore included), a time or treatment date outside
+        64 bits, an outcome that is not finite (``nan``, ``inf``), duplicate
+        (unit, time) observations, inconsistent treatment dates within a
+        unit, or a unit that has neither a treatment date nor a control
+        flag.  The error names the first offending row in file order, and
+        a row's checks run in that order: field count, time, outcome,
+        treatment date, control flag, agreement with the unit's first row,
+        an unseen time, covariates in column order.
     ConfigError
         When ``schema`` is not a mapping, a column name in it is not a
         string, or its ``covariates`` is not a list of strings.
@@ -540,39 +554,12 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
     )
 
 
-def _regrouped(pieces: list[tuple], panel: PanelData) -> PanelData:
-    """A panel of ``pieces``, grouped into blocks as ``PanelData(units)`` would.
-
-    A piece is (block, rows, tau, times): the ``rows`` of ``block``, to carry
-    the date ``tau`` and the time grid ``times``.  Pieces that then share a
-    control flag, date and grid make one block, its rows in panel order, and
-    the blocks follow the panel order of their first units.
-    """
-    groups: dict[tuple, list] = {}
-    for b, rows, tau, times in pieces:
-        groups.setdefault((b.is_control, tau, times.tobytes()), []).append((b, rows, times))
-    blocks = []
-    for (is_control, tau, _), parts in groups.items():
-
-        def gather(field):
-            return np.concatenate([getattr(b, field)[rows] for b, rows, _ in parts])
-
-        positions = gather("positions")
-        order = np.argsort(positions)
-        blocks.append(CohortBlock(
-            is_control=is_control, tau=tau, times=parts[0][2],
-            outcomes=gather("outcomes")[order],
-            covariates=gather("covariates")[order] if panel.covariate_names else None,
-            positions=positions[order], unit_ids=gather("unit_ids")[order]))
-    blocks.sort(key=lambda b: b.positions[0])
-    return PanelData.from_blocks(blocks, covariate_names=panel.covariate_names)
-
-
 def reindex_time_to_adoption(panel: PanelData) -> PanelData:
     """Re-express every unit's clock relative to its own adoption date.
 
     Time t becomes t - tau, so the last untreated period of every unit sits
-    at 0.  Applying the function twice is the same as applying it once.
+    at 0.  Applying the function twice is the same as applying it once.  An
+    event time outside the 64-bit range raises, naming the first such unit.
     """
     missing = sorted((at, uid) for b in panel._blocks if b.tau is None
                      for at, uid in zip(b.positions.tolist(), b.unit_ids.tolist()))
@@ -580,7 +567,14 @@ def reindex_time_to_adoption(panel: PanelData) -> PanelData:
         raise PanelFormatError(
             f"cannot reindex: units without a treatment date: {[uid for _, uid in missing]}"
         )
-    return _regrouped([(b, slice(None), 0, b.times - b.tau) for b in panel._blocks], panel)
+    wrapped = [(b.positions.min(), b.unit_ids[b.positions.argmin()]) for b in panel._blocks
+               if int(b.times[0]) - b.tau < _INT64.min or int(b.times[-1]) - b.tau > _INT64.max]
+    if wrapped:
+        raise PanelFormatError(f"cannot reindex: unit {min(wrapped)[1]!r} has event times "
+                               "outside the 64-bit integer range")
+    return PanelData.from_blocks(_merged(
+        (b.is_control, 0, b.times - b.tau, b.outcomes, b.covariates, b.positions, b.unit_ids)
+        for b in panel._blocks), covariate_names=panel.covariate_names)
 
 
 def apply_anticipation(panel: PanelData, delta) -> PanelData:
@@ -604,14 +598,17 @@ def apply_anticipation(panel: PanelData, delta) -> PanelData:
             raise ConfigError(f"delta names units not in the panel: {unknown}")
     else:
         delta = as_count("delta", delta, 0)
-    pieces = []
+    parts, moved = [], False
     for b in panel._blocks:
-        if b.tau is None:
-            pieces.append((b, slice(None), None, b.times))
-            continue
-        per_row = (np.full(b.unit_ids.size, delta) if shifts is None
+        n = b.unit_ids.size
+        per_row = (np.zeros(n, int) if b.tau is None else np.full(n, delta) if shifts is None
                    else np.array([shifts.get(uid, 0) for uid in b.unit_ids.tolist()]))
-        pieces += [(b, per_row == d, b.tau - d, b.times) for d in np.unique(per_row).tolist()]
-    if all(b.tau == tau for b, _, tau, _ in pieces):
+        moved = moved or per_row.any()
+        for d in np.unique(per_row).tolist():
+            rows = per_row == d
+            parts.append((b.is_control, None if b.tau is None else b.tau - d, b.times,
+                          b.outcomes[rows], None if b.covariates is None else b.covariates[rows],
+                          b.positions[rows], b.unit_ids[rows]))
+    if not moved:
         return panel
-    return _regrouped(pieces, panel)
+    return PanelData.from_blocks(_merged(parts), covariate_names=panel.covariate_names)

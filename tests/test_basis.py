@@ -6,6 +6,7 @@ import pytest
 from fatpanel.basis import (
     BasisSpec,
     ForecastConfig,
+    ForecastWeights,
     _qr,
     _solve_upper,
     _solver_design,
@@ -283,6 +284,34 @@ def test_fourier_design_rank_failure():
     # With period 2 every sine column vanishes on integer times.
     with pytest.raises(RankDeficiencyError, match="rank deficient"):
         forecast_weights(BasisSpec("fourier", order=1, period=2.0), [1, 2, 3], 4)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: BasisSpec("spline"), ConfigError, "unknown basis family 'spline'"),
+    (lambda: BasisSpec("custom", order=1), ConfigError, "custom basis requires functions"),
+    (lambda: BasisSpec("custom", order=1, functions=(np.ones_like,)), ConfigError,
+     "custom basis needs order + 1 = 2 functions, got 1"),
+    (lambda: binomial_weights(-1), ConfigError, "q must be >= 0"),
+    (lambda: forecast_weights(BasisSpec(order=0), [], 1), ConfigError,
+     "window must be a non-empty 1-D sequence of times"),
+    (lambda: ForecastWeights(times=[1, 2], weights=[1.0], target=3.0), ConfigError,
+     "times and weights must have matching length"),
+    (lambda: ForecastWeights(times=[1, 2], weights=[1.0, 1.0], target=3.0),
+     RankDeficiencyError,
+     "forecast weights sum to 2.0, not 1; the window design is degenerate"),
+], ids=["unknown_family", "custom_without_functions", "custom_too_few_functions",
+        "negative_binomial_order", "empty_window", "misaligned_weights",
+        "weights_not_summing_to_one"])
+def test_basis_refusals_name_their_fault(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_an_integral_float_window_gives_integer_times():
+    fw = forecast_weights(BasisSpec(order=1), [1.0, 2.0, 3.0], 4)
+    assert fw.times.dtype == np.int64 and fw.times.tolist() == [1, 2, 3]
+    assert forecast_weights(BasisSpec(order=1), [1.0, 2.5, 3.0], 4).times.dtype == float
 
 
 def test_fourier_requires_period():

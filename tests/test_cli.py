@@ -884,6 +884,31 @@ def test_malformed_setting_is_usage_error(tmp_path, capsys, command, setting,
     assert message in err
 
 
+@pytest.mark.parametrize("command, text, message", [
+    ("estimate", None, "cannot read config file {path}: "),
+    ("estimate", "{not json", "config file {path} is not valid JSON: "),
+    ("estimate", "[1]", "config file must contain a JSON object"),
+    ("estimate", '{"estimator": "bogus"}',
+     "estimator must be one of ('pr', 'mb', 'covariate_het'), got 'bogus'"),
+    ("estimate", '{"q": []}', "q list must be nonempty"),
+    ("simulate", '{"dgp": {}, "cells": [1]}', "each cell must be a JSON object"),
+    ("simulate", '{"dgp": {}, "cells": [{"bogus": 1}]}', "bad cell {'bogus': 1}: "),
+    ("simulate", '{"dgp": {}, "cells": 5}', "'int' object is not iterable"),
+], ids=["missing", "not_json", "not_an_object", "unknown_estimator", "no_q",
+        "cell_not_an_object", "unknown_cell_key", "cells_not_a_list"])
+def test_a_bad_config_file_is_usage_error(tmp_path, capsys, command, text, message):
+    path = tmp_path / "run.json"
+    if text is not None:
+        path.write_text(text)
+    argv = [command, "--config", str(path), "--out-json", str(tmp_path / "o.json")]
+    if command != "simulate":
+        argv += ["--input", sim_panel_csv(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("fatpanel: error: " + message.replace("{path}", str(path)))
+    assert err.count("\n") == 1 and not (tmp_path / "o.json").exists()
+
+
 # -- option tables -----------------------------------------------------------
 
 # Written out by hand, not read from the CLI, so that a change to either

@@ -91,6 +91,9 @@ def oracle_load(text, schema=None):
         tau = None
         if ita is not None and row[ita].strip() != "":
             tau = _parse_int(row[ita], "treatment date", rownum)
+            if not -2 ** 63 <= tau < 2 ** 63:
+                raise PanelFormatError(f"row {rownum}: treatment date {row[ita]!r} "
+                                       "is outside the 64-bit integer range")
         ctrl = False
         if icf is not None:
             raw = row[icf].strip().lower()
@@ -318,6 +321,8 @@ BAD_ROWS = {
     "date_underscore": "u11,5,1.0,2_0,0,", "covariate_underscore": "u11,5,1.0,2,0,1_0",
     "time_non_ascii": "u11,\u0663,1.0,2,0,", "outcome_non_ascii": "u11,5,\u0663,2,0,",
     "date_non_ascii": "u11,5,1.0,\u0662,0,", "covariate_non_ascii": "u11,5,1.0,2,0,\u0663",
+    "date_range": "u11,5,1.0,99999999999999999999,0,",
+    "date_range_and_flag": "u11,5,1.0,-9223372036854775809,maybe,",
 }
 
 
@@ -371,6 +376,19 @@ def test_non_ascii_digits_are_refused(row, message, slice_rows):
     assert want == (PanelFormatError, f"row 3: {message}")
 
 
+@pytest.mark.parametrize("slice_rows", [1, 1024])
+@pytest.mark.parametrize("date", ["99999999999999999999", " 9223372036854775808",
+                                  "-9223372036854775809"])
+def test_a_treatment_date_outside_64_bits_is_refused(date, slice_rows):
+    # Event times t - tau could not be held; the extremes themselves load.
+    text = "unit,time,outcome,treated_at\nu,1,1.0,{}\nu,2,2.0,{}\n"
+    assert assert_loads_like_oracle(text.format(2, date), slice_rows) == (
+        PanelFormatError, f"row 3: treatment date {date!r} is outside the 64-bit integer range")
+    for edge in (2 ** 63 - 1, -2 ** 63):
+        panel = assert_loads_like_oracle(text.format(edge, edge), slice_rows)
+        assert panel.treated_blocks[0].tau == edge
+
+
 @pytest.mark.parametrize("slice_rows", [1, 2, 1024])
 def test_unicode_whitespace_around_a_number_is_allowed(slice_rows):
     text = ("unit,time,outcome,treated_at,x\n"
@@ -409,6 +427,15 @@ def test_a_malformed_schema_is_a_config_error(schema):
     text = "unit,time,outcome,treated_at,x\na,1,1.0,2,\n"
     with pytest.raises(ConfigError, match="schema"):
         load_panel(io.StringIO(text), schema=schema)
+
+
+@pytest.mark.parametrize("schema, error, message", [
+    ({"units": "id"}, ConfigError, "unknown schema keys: ['units']"),
+    ({"covariates": ["z"]}, PanelFormatError, "missing covariate column 'z'"),
+])
+def test_a_schema_naming_what_is_not_there_is_refused(schema, error, message):
+    text = "unit,time,outcome,treated_at,x\na,1,1.0,2,\n"
+    assert outcome(lambda: load_panel(io.StringIO(text), schema=schema)) == (error, message)
 
 
 @pytest.mark.parametrize("header, schema, repeated", [

@@ -205,10 +205,35 @@ def refusal(build) -> str:
                                    covariate_names=("x",))),
     (lambda: PanelData([unit("a", covariates=np.zeros((6, 1)))]),
      lambda: PanelData.from_blocks([block(covariates=np.zeros((1, 6, 1)))])),
+    (lambda: PanelData([unit("a"), unit("b", tau=2 ** 63)]),
+     lambda: PanelData.from_blocks([block(), block(("b",), tau=2 ** 63, positions=[1])])),
 ], ids=["duplicate_id", "times_not_increasing", "misshapen_outcomes",
-        "treated_without_tau", "covariate_width", "undeclared_covariates"])
+        "treated_without_tau", "covariate_width", "undeclared_covariates",
+        "tau_outside_64_bits"])
 def test_from_blocks_refuses_with_the_per_unit_message(per_unit, from_blocks):
     assert refusal(from_blocks) == refusal(per_unit)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: UnitSeries("a", [], []), "unit 'a': empty series"),
+    (lambda: UnitSeries("a", [1, 2], [1.0, 2.0], tau=2, covariates=np.zeros(2)),
+     "unit 'a': covariates must be (n_obs, k)"),
+    (lambda: block(("a",), positions=[0, 1]),
+     "cohort block: positions and unit_ids must be 1-D and aligned"),
+    (lambda: block(()), "cohort block has no units"),
+    (lambda: unit(tau=2 ** 63),
+     "unit 'a': treatment date 9223372036854775808 is outside the 64-bit integer range"),
+    (lambda: unit(tau=-2 ** 63 - 1),
+     "unit 'a': treatment date -9223372036854775809 is outside the 64-bit integer range"),
+    (lambda: block(("b", "c"), tau=10 ** 20),
+     "unit 'b': treatment date 100000000000000000000 is outside the 64-bit integer range"),
+    (lambda: apply_anticipation(PanelData([unit("a"), unit("b", tau=-2 ** 63 + 1)]), 2),
+     "unit 'b': treatment date -9223372036854775809 is outside the 64-bit integer range"),
+], ids=["empty_series", "covariates_not_2d", "positions_and_ids", "no_units",
+        "tau_above_64_bits", "tau_below_64_bits", "block_tau_outside_64_bits",
+        "shifted_tau_outside_64_bits"])
+def test_series_and_blocks_refuse_with_exact_messages(build, message):
+    assert refusal(build) == message
 
 
 @pytest.mark.parametrize("layout", [[[0, 2]], [[0], [0]], [[1], [2]], [[-1, 0]]])
@@ -377,6 +402,13 @@ def test_validate_flags_short_and_gapped_windows():
     assert as_dict["ok"] is False and len(as_dict["units"]) == 4
 
 
+def test_a_validation_report_has_no_unit_the_panel_lacks():
+    report = validate(PanelData([unit("a")]), ForecastConfig(q=0, R=2))
+    assert report.unit("a").unit_id == "a"
+    with pytest.raises(KeyError, match="'b'"):
+        report.unit("b")
+
+
 def test_validate_anticipation_moves_the_window():
     u = UnitSeries("a", times=np.arange(1, 7), outcomes=np.zeros(6), tau=5)
     report = validate(apply_anticipation(PanelData([u]), 2), ForecastConfig(q=0, R=3))
@@ -415,6 +447,25 @@ def test_reindex_to_adoption():
     assert unit_of(r, "a").tau == 0 and unit_of(r, "b").tau == 0
     again = reindex_time_to_adoption(r)
     assert_panels_equal(again, r)
+
+
+def test_reindex_refuses_event_times_outside_64_bits():
+    # numpy would wrap t - tau; the error names the first such unit in
+    # panel order, whatever the order of the blocks and of their rows.
+    low = block(("a",), times=(-2, 0), tau=2 ** 63 - 1, positions=[2])
+    high = block(("d", "c"), times=(1, 2), tau=-2 ** 63, positions=[3, 1])
+    fine = block(("b",), times=(1, 2), tau=0, positions=[0])
+    message = "cannot reindex: unit {!r} has event times outside the 64-bit integer range"
+    assert refusal(lambda: reindex_time_to_adoption(
+        PanelData.from_blocks([low, high, fine]))) == message.format("c")
+    text = "unit,time,outcome,treated_at\na,1,1.0,{0}\na,2,2.0,{0}\n".format(-2 ** 63)
+    assert refusal(lambda: reindex_time_to_adoption(
+        load_panel(io.StringIO(text)))) == message.format("a")
+    # Event times at the ends of the range are kept.
+    edges = reindex_time_to_adoption(PanelData([unit("a", times=(-1, 0), tau=2 ** 63 - 1),
+                                                unit("b", times=(-1,), tau=-2 ** 63)]))
+    assert [b.times.tolist() for b in edges.treated_blocks] == [[-2 ** 63, 1 - 2 ** 63],
+                                                                [2 ** 63 - 1]]
 
 
 def test_reindex_requires_dates():

@@ -736,6 +736,19 @@ def test_monte_carlo_marks_always_failing_cell_degenerate():
     assert bad.to_dict()["mc_se"] is None
 
 
+def test_monte_carlo_marks_a_cell_whose_kernel_cannot_be_laid_out_degenerate():
+    # With no controls, dfat's control kernel cannot be laid out: the cell
+    # fails in every replication, while pr on the same draws does not.
+    spec = DgpSpec(n=20, n_control=0, T=6, tau=5)
+    cells = (GridCell(estimator="pr", q=0, R=2), GridCell(estimator="dfat", q=0, R=2))
+    report = run_monte_carlo(spec, cells, n_reps=3, master_seed=1)
+    good, bad = report.cell("pr_q0_R2"), report.cell("dfat_q0_R2")
+    assert good.n_ok == 3 and not good.degenerate
+    assert bad.n_ok == 0 and bad.n_failed == 3 and bad.degenerate
+    assert math.isnan(bad.bias)
+    assert report.to_json() == monte_carlo_per_replication(spec, cells, 3, 1).to_json()
+
+
 def test_monte_carlo_report_is_reproducible_bytewise():
     spec = DgpSpec(n=8, T=6, tau=5, include_ar=True)
     cells = (GridCell(estimator="pr", q=0, R=1),

@@ -32,7 +32,9 @@ panel is read; ``validate`` still reports the recorded dates.  Only
 Defaults are those of ``RunConfig``; config-file values win over flags so
 that a single artifact reproduces a run.  All JSON outputs carry
 ``"schema": 1`` and are byte-identical across reruns with the same
-configuration and inputs.
+configuration and inputs.  One streaming writer, ``simulate.write_json``,
+writes them all in ``json.dump``'s ``indent=2``, sorted-key layout, byte
+for byte, and never holds a report's text whole.
 
 Exit codes: 0 success, 1 usage or configuration problem, 2 input data or
 I/O problem, 3 estimation failure.
@@ -47,7 +49,7 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TextIO, Union
+from typing import Mapping, Sequence, Union
 
 from .basis import ForecastConfig, as_integer
 from .errors import (ConfigError, EstimationError, PanelFormatError,
@@ -57,8 +59,8 @@ from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
                          covariate_fat_heterogeneous, dfat, fat, model_based_fat,
                          placebo_fat)
 from .panel import PanelData, apply_anticipation, csv_field, csv_text, load_panel, validate
-from .simulate import (JSON_LAYOUT, REPORT_SCHEMA, DgpSpec, GridCell, preset,
-                       run_monte_carlo)
+from .simulate import (REPORT_SCHEMA, DgpSpec, GridCell, preset, run_monte_carlo,
+                       write_json)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -210,18 +212,12 @@ def _single(cfg: RunConfig, field: str):
     return values[0]
 
 
-def _write_json(payload: dict, fh: TextIO) -> None:
-    # Streamed: the encoded text is never held whole.
-    json.dump(payload, fh, **JSON_LAYOUT)
-    fh.write("\n")
-
-
 def _emit(cfg: RunConfig, payload: dict, table: str) -> None:
     if cfg.out_json is not None:
         with open(cfg.out_json, "w", encoding="utf-8", newline="") as fh:
-            _write_json(payload, fh)
+            write_json(payload, fh)
     else:
-        _write_json(payload, sys.stdout)
+        write_json(payload, sys.stdout)
     if cfg.out_csv is not None:
         with open(cfg.out_csv, "w", encoding="utf-8", newline="") as fh:
             fh.write(table)

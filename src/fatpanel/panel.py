@@ -60,7 +60,8 @@ class UnitSeries:
         ``None`` only for control units without an assigned cohort date.
     is_control : bool
         Control units never receive treatment; ``tau`` then records the
-        cohort date used to align them with treated units.
+        cohort date used to align them with treated units.  A flag that is
+        not a bool or ``np.bool_`` raises ``PanelFormatError``.
     covariates : ndarray or None
         Optional (n_obs, n_covariates) matrix aligned with ``times``.
     """
@@ -104,11 +105,15 @@ def _check_series(series, uid, lead: tuple) -> None:
         covariates = np.asarray(covariates, dtype=float)
         if covariates.ndim != outcomes.ndim + 1 or covariates.shape[:-1] != outcomes.shape:
             raise PanelFormatError(f"unit {uid!r}: covariates must be (n_obs, k)")
+    if not isinstance(series.is_control, (bool, np.bool_)):
+        raise PanelFormatError(f"unit {uid!r}: control flag must be a bool, got "
+                               f"{series.is_control!r}")
     if tau is None and not series.is_control:
         raise PanelFormatError(f"unit {uid!r}: treated units need a treatment date")
     if tau is not None and not _INT64.min <= int(tau) <= _INT64.max:
         raise PanelFormatError(
             f"unit {uid!r}: treatment date {int(tau)} is outside the 64-bit integer range")
+    object.__setattr__(series, "is_control", bool(series.is_control))
     object.__setattr__(series, "times", times)
     object.__setattr__(series, "outcomes", outcomes)
     object.__setattr__(series, "covariates", covariates)
@@ -130,9 +135,9 @@ class CohortBlock:
     A unit's window, target period and forecast weights depend only on
     these three, so estimators resolve them once per block and compute
     every unit's forecast as one product over the dense outcome rows.
-    Construction checks the block's shapes, its time grid and its date
-    with the same messages ``UnitSeries`` uses, naming the first unit, and
-    refuses a non-finite outcome, naming its unit.
+    Construction checks the block's shapes, its time grid, its date and its
+    control flag with the same messages ``UnitSeries`` uses, naming the first
+    unit, and refuses a non-finite outcome, naming its unit.
 
     Attributes
     ----------
@@ -164,7 +169,6 @@ class CohortBlock:
     def __post_init__(self):
         positions = np.asarray(self.positions, dtype=int)
         unit_ids = np.asarray(self.unit_ids, dtype=object)
-        object.__setattr__(self, "is_control", bool(self.is_control))
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "unit_ids", unit_ids)
         if unit_ids.ndim != 1 or positions.shape != unit_ids.shape:

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import json
+import io
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence, Union
+from json.encoder import encode_basestring_ascii
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
@@ -41,8 +42,105 @@ ParamLaw = Union[float, tuple]
 
 #: Layout version of every JSON report, ``McReport``'s and the CLI's.
 REPORT_SCHEMA = 1
-#: ``json.dump`` settings of every JSON report.
-JSON_LAYOUT = {"indent": 2, "sort_keys": True}
+
+# Parts a report writer holds before it hands them to the file.
+_FLUSH_PARTS = 4096
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+# The JSON text of a scalar, by its exact type.
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__, float: _float_text,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _subclass_text(value) -> str:
+    """The JSON text of a scalar whose type subclasses str, int or float."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_text(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _dict_heads(names: tuple) -> tuple:
+    """For a dict at ``names`` = (depth, *keys): its (key, text before the
+    value) pairs in key order, and the text that closes it.  A key that is
+    not a str raises ``TypeError``, from the sort or the quoting."""
+    depth, keys = names[0], sorted(names[1:])
+    gap = "\n" + "  " * (depth + 1)
+    heads = ["," + gap + encode_basestring_ascii(key) + ": " for key in keys]
+    heads[0] = "{" + heads[0][1:]
+    return tuple(zip(keys, heads)), gap[:-2] + "}"
+
+
+def write_json(payload, fh: TextIO) -> None:
+    """Write ``payload`` to ``fh`` as ``json.dumps(payload, indent=2,
+    sort_keys=True) + "\\n"`` would spell it, byte for byte.
+
+    The layout of every JSON report.  Dicts, lists and tuples nest; str,
+    int, float, bool and None (and subclasses of the first three, such as
+    ``np.float64``) are scalars, with ``NaN`` and ``Infinity`` spelled as
+    ``json`` spells them.  Anything else raises ``TypeError``, and so does
+    a dict key that is not a str, which ``json`` would have converted.
+    The text goes to ``fh`` whenever a few thousand parts are pending at
+    the next item of a list, so a report of many records is never held
+    whole, and each dict key set is sorted and quoted once a depth.
+    """
+    parts: list[str] = []
+    append = parts.append
+    heads: dict[tuple, tuple] = {}  # (depth, *keys) -> _dict_heads
+
+    # The loops spell a scalar item themselves: a call of put for each
+    # one made the session's reports about a fifth slower to write.
+    def put(value, depth: int) -> None:
+        if isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            names = (depth, *value)
+            pairs, close = heads.get(names) or heads.setdefault(names, _dict_heads(names))
+            for key, head in pairs:
+                append(head)
+                item = value[key]
+                text = _SCALAR_TEXT.get(type(item))
+                if text is None:
+                    put(item, depth + 1)
+                else:
+                    append(text(item))
+            append(close)
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            gap = "\n" + "  " * (depth + 1)
+            sep = "," + gap
+            append("[" + gap)
+            for i, item in enumerate(value):
+                if i:
+                    append(sep)
+                if len(parts) > _FLUSH_PARTS:
+                    fh.write("".join(parts))
+                    parts.clear()
+                text = _SCALAR_TEXT.get(type(item))
+                if text is None:
+                    put(item, depth + 1)
+                else:
+                    append(text(item))
+            append(gap[:-2] + "]")
+        else:
+            append(_SCALAR_TEXT.get(type(value), _subclass_text)(value))
+
+    put(payload, 0)
+    append("\n")
+    fh.write("".join(parts))
 
 
 @dataclass(frozen=True)
@@ -379,7 +477,10 @@ class McReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), **JSON_LAYOUT)
+        """The report as ``write_json`` writes it, without the final newline."""
+        text = io.StringIO()
+        write_json(self.to_dict(), text)
+        return text.getvalue()[:-1]
 
     def to_csv_text(self) -> str:
         """Table-style text: one block row per (label, q), columns by R."""

@@ -796,6 +796,29 @@ def test_importing_the_cli_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--q", "0", "1", "--r", "3", "--h", "1", "2"],
+    ["placebo", "--q", "0", "1", "--r", "3", "--lags", "0", "1"],
+    ["dfat", "--q", "0", "--r", "3", "--h", "1", "6"],
+    ["validate", "--q", "1", "--r", "7"],
+    ["simulate", "--preset", "common_shock", "--reps", "3", "--seed", "5"],
+], ids=lambda argv: argv[0])
+def test_every_report_has_json_dumps_indented_sorted_layout(tmp_path, capsys, argv):
+    if argv[0] != "simulate":
+        path = Path(sim_panel_csv(tmp_path, n=20, n_control=8, T=8))
+        # Unit t0001 loses periods 1-3, so reports hold a drop and a gap.
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(line for line in lines
+                                if not re.match(r"t0001,[123],", line)))
+        argv = argv + ["--input", str(path)]
+    out = tmp_path / "out.json"
+    assert main(argv + ["--out-json", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text
+
+
 def test_modules_keep_every_name_the_benchmark_tracer_wraps():
     # perfbench/spans.py swaps these module attributes for timing wrappers,
     # so a traced run needs each one, even where the module never calls it.

@@ -236,6 +236,31 @@ def test_series_and_blocks_refuse_with_exact_messages(build, message):
     assert refusal(build) == message
 
 
+@pytest.mark.parametrize("flag", ["no", 1, 0.0, None])
+def test_a_control_flag_that_is_not_a_bool_is_refused(flag):
+    # bool("no") is True: a flag read by its truth would make "no" a control.
+    message = f"unit 'a': control flag must be a bool, got {flag!r}"
+    assert refusal(lambda: UnitSeries("a", [1, 2], [1.0, 2.0], tau=2,
+                                      is_control=flag)) == message
+    assert refusal(lambda: block(("a", "b"), is_control=flag)) == message
+
+
+def test_a_numpy_bool_control_flag_is_kept_as_bool():
+    u = UnitSeries("a", [1, 2], [1.0, 2.0], tau=2, is_control=np.bool_(True))
+    b = block(is_control=np.bool_(False))
+    assert u.is_control is True and b.is_control is False
+    panel = PanelData([u, unit("b")])
+    assert [blk.unit_ids.tolist() for blk in panel.control_blocks] == [["a"]]
+    assert [v.is_control for v in panel.units] == [True, False]
+
+
+def test_a_simulated_panel_that_overflows_is_refused():
+    # The checks of the simulated blocks are the only check of the draws.
+    spec = DgpSpec(n=3, T=400, tau=5, rho=10.0, init_mode="fixed")
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert refusal(lambda: simulate_dgp(spec, 1)) == "unit 't0001': outcomes must be finite"
+
+
 @pytest.mark.parametrize("layout", [[[0, 2]], [[0], [0]], [[1], [2]], [[-1, 0]]])
 def test_from_blocks_refuses_positions_that_are_not_a_permutation(layout):
     blocks = [block([f"u{k}_{p}" for p in positions], positions=positions)

@@ -7,6 +7,7 @@ large-sample moment checks with 3-standard-error tolerances.
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -757,6 +758,18 @@ def test_monte_carlo_report_is_reproducible_bytewise():
     b = run_monte_carlo(spec, cells, n_reps=4, master_seed=7, preset=None)
     assert a.to_json() == b.to_json()
     assert a.to_csv_text() == b.to_csv_text()
+
+
+def test_monte_carlo_report_keeps_its_bytes():
+    # The digest is of the text json.dumps(indent=2, sort_keys=True) gave
+    # this report before write_json replaced it; a change that moves an MC
+    # bit on purpose updates it.
+    spec, cells = preset("nonstationary_init")
+    report = run_monte_carlo(spec, cells, 20, 0, preset="nonstationary_init")
+    text = report.to_json()
+    assert text == json.dumps(report.to_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5516759d3c7918756cd43a7db62f5d0ef2aa69350ee3805a32bb3a9a0d9f6468")
 
 
 def test_report_json_shape():

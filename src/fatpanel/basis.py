@@ -228,13 +228,9 @@ def _solver_design(basis: BasisSpec, window: np.ndarray, target: float):
     """
     if basis.family == "polynomial":
         lo, hi = window.min(), window.max()
-        if hi == lo:
-            # Single-point window: only order 0 can be fit.
-            X = np.ones((window.size, basis.order + 1))
-            Hrow = np.ones(basis.order + 1)
-            return X, Hrow
-        x = (2.0 * window - (lo + hi)) / (hi - lo)
-        xt = (2.0 * target - (lo + hi)) / (hi - lo)
+        span = (hi - lo) or 1.0  # a one-point window fits order 0, 1 at any x
+        x = (2.0 * window - (lo + hi)) / span
+        xt = (2.0 * target - (lo + hi)) / span
         return legendre.legvander(x, basis.order), legendre.legvander(
             np.array([xt]), basis.order
         )[0]

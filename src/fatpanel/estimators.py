@@ -42,7 +42,7 @@ import numpy as np
 from .basis import (BasisSpec, ForecastConfig, _qr, _solve_upper, _solver_design,
                     as_count, as_integer, forecast_weights)
 from .errors import ConfigError, EstimationError, RankDeficiencyError
-from .panel import CohortBlock, PanelData, _run_ending
+from .panel import CohortBlock, PanelData, _run_to
 
 
 # ---------------------------------------------------------------------------
@@ -351,14 +351,12 @@ def _resolve(block: CohortBlock, q: int, R, shrink: bool, eff_tau: int,
     is off.
     """
     times = block.times
-    i_tau = int(np.searchsorted(times, eff_tau))
-    if i_tau >= times.size or times[i_tau] != eff_tau:
+    i_tau, run, older = _run_to(times, eff_tau)
+    if not run:
         raise _DropUnit(f"no observation at effective adoption date {eff_tau}")
-    run = _run_ending(times, i_tau)
     R_i = run - lead if R == "all" else int(R)
     if run < R_i:
-        if times[0] < eff_tau - run + 1:
-            # Older observations exist, so the window has interior holes.
+        if older:  # the window has interior holes
             if not shrink:
                 raise EstimationError(
                     f"unit {block.unit_ids[0]!r}: missing periods inside the "
@@ -523,11 +521,14 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
     """The residual kernel for ``blocks``, laid out before any outcome is read.
 
     Resolves each block's window, target, weights (from a per-process
-    memo) and drops once.  A residual y(tau - tau_shift + h) - forecast is
-    a fixed linear contrast of the unit's outcome row, so each used block
-    gets its contrast columns here: e_j - w on the window, and with the
-    ``lagged`` outcome e_{j-1} - w on the window shifted back one period,
-    the gradient y_{j-1} - w'y_{win-1}.  The model's covariates ``cov_idx``
+    memo) and drops once; a block without a date, which only a control
+    block may be, drops its units with the reason ``"no adoption date"``,
+    and every drop is listed in panel order.  A residual
+    y(tau - tau_shift + h) - forecast is a fixed linear contrast of the
+    unit's outcome row, so each used block gets its contrast columns
+    here: e_j - w on the window, and with the ``lagged`` outcome
+    e_{j-1} - w on the window shifted back one period, the gradient
+    y_{j-1} - w'y_{win-1}.  The model's covariates ``cov_idx``
     enter through their gradients x_j - X_win w, built here too.  The
     returned layout's ``products(outcomes=None)`` makes one product per
     used block, and its ``finish(products, beta=())`` gives the residuals
@@ -549,6 +550,8 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
     parts, dropped = [], []
     for k, b in enumerate(blocks):
         try:
+            if b.tau is None:
+                raise _DropUnit("no adoption date")
             i0, i1, j = _resolve(b, q, config.R, config.shrink_window,
                                  b.tau - tau_shift, h, lead=int(lagged))
             if lagged and (i0 == 0 or b.times[i0 - 1] != b.times[i0] - 1
@@ -701,15 +704,13 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
     Controls are forecast from their own pre-period histories using their
     recorded cohort date, so any shock common to both groups after adoption
     cancels from the difference.  The two groups may use different window
-    settings via ``config_control``.
+    settings via ``config_control``.  A control without a date is dropped
+    with the reason ``"no adoption date"``, listed in panel order among the
+    control group's other drops; at least one control must have a date.
     """
     h = as_count("h", h, 1)
-    treated = panel.treated_blocks
-    controls = [b for b in panel.control_blocks if b.tau is not None]
-    skipped = tuple((u, "no adoption date") for _, u in sorted(
-        (at, u) for b in panel.control_blocks if b.tau is None
-        for at, u in zip(b.positions.tolist(), b.unit_ids)))
-    if not treated or not controls:
+    treated, controls = panel.treated_blocks, panel.control_blocks
+    if not treated or all(b.tau is None for b in controls):
         raise EstimationError(
             "dfat needs at least one treated unit and one control unit with "
             "an adoption date"
@@ -718,7 +719,7 @@ def dfat(panel: PanelData, config: ForecastConfig, h: int = 1,
     t = _kernel(treated, config, h).apply()
     c = _kernel(controls, cc, h).apply()
     est_t = _summarize(t, h, level)
-    est_c = _summarize(c._replace(dropped=c.dropped + skipped), h, level)
+    est_c = _summarize(c, h, level)
     point = est_t.point - est_c.point
     se = float(np.hypot(est_t.se, est_c.se))
     return DfatEstimate(

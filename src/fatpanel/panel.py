@@ -11,6 +11,8 @@ control flag, ``tau`` and time grid, and every reader works a block at a
 time.  One rule groups units into blocks, rows and blocks in panel order:
 ``_merged`` for ``PanelData(units)`` and the date transforms, array sorts
 in ``load_panel``; ``PanelData.units`` rebuilds the units on each read.
+One rule reads a block's pre-treatment window, ``_run_to``, for
+``validate`` here and for the estimators' residual kernel.
 
 The interchange format is a delimited text file with a header row::
 
@@ -120,12 +122,18 @@ def _check_series(series, uid, lead: tuple) -> None:
     object.__setattr__(series, "tau", None if tau is None else int(tau))
 
 
-def _run_ending(times: np.ndarray, i: int) -> int:
-    """Length of the unbroken run of consecutive periods ending at position ``i``."""
-    run = 1
-    while i - run >= 0 and times[i - run] == times[i] - run:
-        run += 1
-    return run
+def _run_to(times: np.ndarray, t: int) -> tuple[int, int, bool]:
+    """Where ``t`` sits in ``times``, the length of the unbroken run of
+    consecutive periods ending there (0 when ``t`` is not observed), and
+    whether an observed period lies before that run: the one reading of a
+    pre-treatment window, shared by ``validate`` and the estimators."""
+    i = int(np.searchsorted(times, t))
+    run = 0
+    if i < times.size and times[i] == t:
+        run = 1
+        while run <= i and times[i - run] == t - run:
+            run += 1
+    return i, run, bool(times[0] <= t - run)
 
 
 @dataclass(frozen=True, eq=False)
@@ -505,33 +513,18 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
     """
     q = config.basis.order
     required = config.R if isinstance(config.R, int) else None
-    needed = required if required is not None else q + 1
     diags = [None] * len(panel)
     for b in panel._blocks:
-        messages = []
-        fatal = False
-        eff_tau = None
-        run = 0
-        window_gap = False
-        if b.tau is None:  # only a control block may lack a date
-            messages.append("no treatment date")
-        else:
-            eff_tau = b.tau
-            i = int(np.searchsorted(b.times, eff_tau))
-            if i < b.times.size and b.times[i] == eff_tau:
-                run = _run_ending(b.times, i)
-            if run == 0:
-                messages.append(f"no observation at effective treatment date {eff_tau}")
-            elif run < needed:
-                # A gap only exists when older observations lie beyond the run.
-                window_gap = bool(b.times[0] < eff_tau - run + 1)
-        short = b.tau is not None and required is not None and run < required
+        dated = b.tau is not None  # only a control block may lack a date
+        _, run, older = _run_to(b.times, b.tau) if dated else (0, 0, False)
+        short = dated and required is not None and run < required
+        fatal = dated and run < q + 1
+        messages = [] if dated else ["no treatment date"]
+        if dated and not run:
+            messages.append(f"no observation at effective treatment date {b.tau}")
         if short:
-            messages.append(
-                f"contiguous pre-treatment run of {run} is shorter than R={required}"
-            )
-        if b.tau is not None and run < q + 1:
-            fatal = True
+            messages.append(f"contiguous pre-treatment run of {run} is shorter than R={required}")
+        if fatal:
             messages.append(f"fewer than q+1={q + 1} usable pre-treatment periods")
         series_gaps = bool(np.any(np.diff(b.times) > 1))
         complete = (np.ones(b.unit_ids.size, bool) if b.covariates is None
@@ -539,18 +532,12 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
         messages = tuple(messages)
         for at, uid, ok in zip(b.positions.tolist(), b.unit_ids.tolist(), complete.tolist()):
             diags[at] = UnitDiagnostics(
-                unit_id=uid,
-                tau=b.tau,
-                effective_tau=eff_tau,
-                pre_treatment_run=run,
-                required_window=required,
-                short_window=short,
-                window_gap=window_gap,
-                series_gaps=series_gaps,
-                covariates_complete=ok,
-                fatal=fatal,
-                messages=messages if ok else messages + ("incomplete covariates",),
-            )
+                unit_id=uid, tau=b.tau, effective_tau=b.tau, pre_treatment_run=run,
+                required_window=required, short_window=short,
+                # A gap only exists when older observations lie beyond a short run.
+                window_gap=0 < run < (required or q + 1) and older,
+                series_gaps=series_gaps, covariates_complete=ok, fatal=fatal,
+                messages=messages if ok else messages + ("incomplete covariates",))
     return ValidationReport(
         units=tuple(diags),
         balanced=panel.is_balanced(),
@@ -602,17 +589,15 @@ def apply_anticipation(panel: PanelData, delta) -> PanelData:
             raise ConfigError(f"delta names units not in the panel: {unknown}")
     else:
         delta = as_count("delta", delta, 0)
-    parts, moved = [], False
-    for b in panel._blocks:
-        n = b.unit_ids.size
-        per_row = (np.zeros(n, int) if b.tau is None else np.full(n, delta) if shifts is None
-                   else np.array([shifts.get(uid, 0) for uid in b.unit_ids.tolist()]))
-        moved = moved or per_row.any()
-        for d in np.unique(per_row).tolist():
-            rows = per_row == d
-            parts.append((b.is_control, None if b.tau is None else b.tau - d, b.times,
-                          b.outcomes[rows], None if b.covariates is None else b.covariates[rows],
-                          b.positions[rows], b.unit_ids[rows]))
-    if not moved:
+    per_block = [np.zeros(b.unit_ids.size, int) if b.tau is None
+                 else np.full(b.unit_ids.size, delta) if shifts is None
+                 else np.array([shifts.get(uid, 0) for uid in b.unit_ids.tolist()])
+                 for b in panel._blocks]
+    if not any(per_row.any() for per_row in per_block):
         return panel
-    return PanelData.from_blocks(_merged(parts), covariate_names=panel.covariate_names)
+    return PanelData.from_blocks(_merged(
+        (b.is_control, None if b.tau is None else b.tau - d, b.times,
+         *(None if a is None else a[per_row == d]
+           for a in (b.outcomes, b.covariates, b.positions, b.unit_ids)))
+        for b, per_row in zip(panel._blocks, per_block) for d in np.unique(per_row).tolist()),
+        covariate_names=panel.covariate_names)

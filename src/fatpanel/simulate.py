@@ -246,9 +246,12 @@ def _draw(law: ParamLaw, rngs: Sequence[np.random.Generator], size: int):
     return law
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _draw_outcomes(spec: DgpSpec, seeds: Sequence) -> np.ndarray:
     """The outcomes of one panel per seed, as a (B, N, T) array whose
-    units are the treated ones followed by the controls.
+    units are the treated ones followed by the controls.  Overflow is not
+    warned of: an explosive design gives non-finite outcomes, which
+    ``_panel`` refuses.
 
     Each seed is anything ``numpy.random.default_rng`` accepts, and each
     panel draws from its own stream in a fixed order (mu, rho, delta,
@@ -561,7 +564,7 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     sides, kernels, firsts, groups = (layout.treated_blocks, layout.control_blocks), {}, {}, {}
     for j, (c, (config, key)) in enumerate(zip(cells, configs)):
         plan = [(0, config, c.h, c.lag, key is not None)]
-        if c.estimator == "dfat":  # simulated controls all carry the adoption date
+        if c.estimator == "dfat":
             plan.append((1, config, c.h, 0, False))
         for k in plan:
             if k not in kernels:

@@ -119,6 +119,23 @@ def test_weight_route_equals_coefficient_route():
         assert abs(fw.weights @ y - fitted) < 1e-10
 
 
+def test_one_point_window_weights_are_those_of_the_all_ones_design():
+    # A one-point window maps to x = 0 with a unit span, and order 0's one
+    # Legendre column is 1 at any x: the design and target row are all
+    # ones, so the weights are those of the all-ones design bit for bit,
+    # int64-extreme times and targets included.
+    Q, Rm, _ = _qr(np.ones((1, 1)))
+    expected = (Q @ _solve_upper(Rm, np.ones(1))).tobytes()
+    lo, hi = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+    basis = BasisSpec("polynomial", order=0)
+    for t, target in [(0, 1), (5, 7), (-3, 10**6), (lo, hi), (hi, lo), (lo, lo + 1),
+                      (hi - 1, hi), (hi, hi), (0, hi), (0, lo)]:
+        X, H = _solver_design(basis, np.array([float(t)]), float(target))
+        assert X.tobytes() == np.ones((1, 1)).tobytes()
+        assert H.tobytes() == np.ones(1).tobytes()
+        assert forecast_weights(basis, [t], target).weights.tobytes() == expected
+
+
 def _oracle_windows():
     """Every polynomial window (q <= 8, R <= 15, h <= 5) and a grid of
     full-rank Fourier windows, as (basis, times, target)."""

@@ -301,7 +301,9 @@ def _check_fat_family(panel, s, shift=0):
     def run_dfat():
         t_ids, t_res, _, t_drop = oracle_residuals(treated, config, h, shift)
         c_ids, c_res, _, c_drop = oracle_residuals(controls, config, h, shift)
-        c_drop += skipped
+        # Undated controls are dropped in panel order among the others.
+        at = {u.unit_id: k for k, u in enumerate(panel.units)}
+        c_drop = tuple(sorted(c_drop + skipped, key=lambda d: at[d[0]]))
         return ((t_ids, t_res, t_drop, *_summary(t_ids, t_res, t_drop)),
                 (c_ids, c_res, c_drop, *_summary(c_ids, c_res, c_drop)))
     expected = _outcome(run_dfat)

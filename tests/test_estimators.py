@@ -875,18 +875,24 @@ def test_dfat_requires_both_groups():
 
 
 def test_dfat_skips_controls_without_a_date():
+    # An undated control is dropped in panel order among the other drops.
     times = np.arange(6)
     y = times.astype(float)
     units = [
         UnitSeries("t1", times, y, tau=4),
         UnitSeries("t2", times, y + 1.0, tau=4),
-        UnitSeries("c1", times, y, tau=4, is_control=True),
-        UnitSeries("c2", times, y, is_control=True),  # no date: unusable
+        UnitSeries("c0", times, y, is_control=True),  # no date: unusable
+        UnitSeries("c1", times[3:], y[3:], tau=4, is_control=True),  # run of 2
+        UnitSeries("c2", times, y, tau=4, is_control=True),
         UnitSeries("c3", times, y - 1.0, tau=4, is_control=True),
     ]
     est = dfat(PanelData(units), ForecastConfig(q=1, R=3))
-    assert est.control.n_used == 2
-    assert ("c2", "no adoption date") in est.control.dropped
+    assert est.control.unit_ids == ("c2", "c3")
+    assert est.control.dropped == (
+        ("c0", "no adoption date"),
+        ("c1", "pre-treatment history of 2 periods is shorter than R=3"))
+    with pytest.raises(EstimationError, match="dfat needs"):
+        dfat(PanelData(units[:3]), ForecastConfig(q=1, R=3))
 
 
 def test_dfat_allows_separate_control_settings():

@@ -2,6 +2,7 @@
 
 import inspect
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from fatpanel.panel import (
     CohortBlock,
     PanelData,
     UnitSeries,
+    _run_to,
     apply_anticipation,
     load_panel,
     panel_to_csv_text,
@@ -254,10 +256,13 @@ def test_a_numpy_bool_control_flag_is_kept_as_bool():
     assert [v.is_control for v in panel.units] == [True, False]
 
 
-def test_a_simulated_panel_that_overflows_is_refused():
+@pytest.mark.parametrize("spec", [
+    DgpSpec(n=3, T=400, tau=5, rho=10.0, init_mode="fixed"),
+    DgpSpec(n=3, T=20, tau=5, include_trend=True, delta=1e308, trend_power=3)])
+def test_a_simulated_panel_that_overflows_is_refused(spec):
     # The checks of the simulated blocks are the only check of the draws.
-    spec = DgpSpec(n=3, T=400, tau=5, rho=10.0, init_mode="fixed")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert refusal(lambda: simulate_dgp(spec, 1)) == "unit 't0001': outcomes must be finite"
 
 
@@ -403,6 +408,20 @@ def test_unit_without_covariates_writes_blank_fields():
     est = model_based_fat(loaded, mb, h=1)
     assert est.unit_ids == ("a", "c")
     assert est.dropped == (("b", "incomplete covariates on the window or target"),)
+
+
+@pytest.mark.parametrize("t, expected", [
+    (5, (3, 2, True)),  # the run 4, 5; periods 1 and 2 lie before it
+    (2, (1, 2, False)),
+    (7, (4, 1, True)),
+    (3, (2, 0, True)),  # not observed: no run
+    (0, (0, 0, False)),
+    (9, (5, 0, True)),
+    (-2**70, (0, 0, False)),  # dates past 64 bits, as a placebo lag can make
+    (2**70, (5, 0, True)),
+])
+def test_run_to_reads_the_run_ending_at_a_date(t, expected):
+    assert _run_to(np.array([1, 2, 4, 5, 7]), t) == expected
 
 
 def test_validate_flags_short_and_gapped_windows():

@@ -18,8 +18,8 @@ from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
                          anderson_hsiao, covariate_fat_heterogeneous, dfat,
                          fat, fat_variance, mb_variance, model_based_fat,
                          placebo_fat)
-from .panel import (PanelData, UnitDiagnostics, UnitSeries, ValidationReport,
-                    apply_anticipation, load_panel, panel_to_csv_text,
+from .panel import (BlockDiagnostics, PanelData, UnitDiagnostics, UnitSeries,
+                    ValidationReport, apply_anticipation, load_panel, panel_to_csv_text,
                     reindex_time_to_adoption, validate, write_panel)
 from .simulate import (DgpSpec, GridCell, McCellResult, McReport,
                        PRESET_NAMES, analytic_mean_recursion, preset,
@@ -28,7 +28,7 @@ from .simulate import (DgpSpec, GridCell, McCellResult, McReport,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AhEstimate", "BasisSpec", "ConfigError", "DfatEstimate", "DgpSpec",
+    "AhEstimate", "BasisSpec", "BlockDiagnostics", "ConfigError", "DfatEstimate", "DgpSpec",
     "EstimationError", "FatEstimate", "FatpanelError", "ForecastConfig",
     "ForecastWeights", "GridCell", "MbConfig", "McCellResult", "McReport",
     "PRESET_NAMES", "PanelData", "PanelFormatError", "RankDeficiencyError",

@@ -355,6 +355,10 @@ def cmd_validate(cfg: RunConfig) -> int:
     q = _single(cfg, "q")
     panel = _read_panel(cfg)
     report = validate(panel, cfg.forecast_config(q))
+    # Report the recorded dates: add back, once a block, the shift ``_read_panel`` applied.
+    recorded = lambda tau: None if tau is None else tau + cfg.delta
+    report = dataclasses.replace(report, common_tau=recorded(report.common_tau), blocks=tuple(
+        dataclasses.replace(d, tau=recorded(d.tau)) for d in report.blocks))
     payload = {
         "schema": REPORT_SCHEMA,
         "kind": "validation",
@@ -363,17 +367,14 @@ def cmd_validate(cfg: RunConfig) -> int:
         "R": cfg.r,
         "q": q,
         "delta": cfg.delta,
+        **report.to_dict(),
     }
-    payload.update(report.to_dict())
-    # Report the recorded dates: add back the shift ``_read_panel`` applied.
-    for unit in payload["units"]:
-        if unit["tau"] is not None:
-            unit["tau"] += cfg.delta
-    if payload["common_tau"] is not None:
-        payload["common_tau"] += cfg.delta
-    lines = [f"{csv_field(d.unit_id)},{d.fatal},{d.pre_treatment_run},{';'.join(d.messages)}"
-             for d in report.units]
-    _emit(cfg, payload, csv_text(("unit", "fatal", "pre_treatment_run", "messages"), lines))
+
+    def line(d):  # the cells a block's units share, after each unit's id
+        cells = f",{d.fatal},{d.pre_treatment_run},"
+        return lambda uid, _, messages: csv_field(uid) + cells + ";".join(messages)
+    _emit(cfg, payload, csv_text(("unit", "fatal", "pre_treatment_run", "messages"),
+                                 report.per_unit(line)))
     return EXIT_OK
 
 

@@ -31,11 +31,12 @@ groups into cohort blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Callable, Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -145,7 +146,9 @@ class CohortBlock:
     every unit's forecast as one product over the dense outcome rows.
     Construction checks the block's shapes, its time grid, its date and its
     control flag with the same messages ``UnitSeries`` uses, naming the first
-    unit, and refuses a non-finite outcome, naming its unit.
+    unit, and refuses a non-finite outcome, naming its unit.  Every
+    constructor but the loader's is checked: ``load_panel`` fills its blocks
+    unchecked, from rows ``read_rows`` has already checked one by one.
 
     Attributes
     ----------
@@ -255,23 +258,25 @@ class PanelData:
         panel._install(tuple(blocks), tuple(covariate_names))
         return panel
 
-    def _install(self, blocks: Sequence[CohortBlock], names: tuple[str, ...]) -> None:
+    def _install(self, blocks: Sequence[CohortBlock], names: tuple[str, ...],
+                 check: bool = True) -> None:
         if not blocks:
             raise PanelFormatError("panel has no units")
         for i, name in enumerate(names):
             if name in names[:i]:
                 raise PanelFormatError(f"covariate name {name!r} appears more than once")
-        positions = np.concatenate([b.positions for b in blocks])
-        ids = np.concatenate([b.unit_ids for b in blocks])
-        n = positions.size
-        if not np.array_equal(np.sort(positions), np.arange(n)):
-            raise PanelFormatError("block positions must be a permutation of 0..n-1")
-        if len(set(ids.tolist())) != n:
-            seen = set()
-            for uid in ids[np.argsort(positions)]:
-                if uid in seen:
-                    raise PanelFormatError(f"duplicate unit id {uid!r}")
-                seen.add(uid)
+        n = sum(b.unit_ids.size for b in blocks)
+        if check:  # the loader's ids and positions are unique from ``read_rows``
+            positions = np.concatenate([b.positions for b in blocks])
+            ids = np.concatenate([b.unit_ids for b in blocks])
+            if not np.array_equal(np.sort(positions), np.arange(n)):
+                raise PanelFormatError("block positions must be a permutation of 0..n-1")
+            if len(set(ids.tolist())) != n:
+                seen = set()
+                for uid in ids[np.argsort(positions)]:
+                    if uid in seen:
+                        raise PanelFormatError(f"duplicate unit id {uid!r}")
+                    seen.add(uid)
         for b in blocks:
             k = 0 if b.covariates is None else b.covariates.shape[2]
             if k != len(names):
@@ -338,8 +343,10 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     time, unless the rows already come in order, and the units grouped
     into cohort blocks by array sorts over their flags, dates and time
     grids, in order of first appearance; the panel is built from those
-    blocks: no ``UnitSeries`` is made until ``units`` is read.  Blank
-    rows are skipped but counted in the row numbers of messages.
+    blocks: no ``UnitSeries`` is made until ``units`` is read.  The blocks
+    and the panel skip the checks of ``CohortBlock`` and ``from_blocks``:
+    the row checks refuse every fault those would find, naming its row.
+    Blank rows are skipped but counted in the row numbers of messages.
 
     Raises
     ------
@@ -385,12 +392,19 @@ def _load_stream(fh: TextIO, schema) -> PanelData:
         cuts = 1 + np.flatnonzero((keys[1:] != keys[:-1]).any(axis=1))
         groups += zip(np.split(codes[order], cuts), np.split(at[order], cuts))
     groups.sort(key=lambda group: group[0][0])  # blocks in order of first appearance
-    blocks = [CohortBlock(
-        is_control=rows.flags[codes[0]], tau=rows.tau_values[rows.tau_codes[codes[0]]],
-        times=rows.times[at[0]], outcomes=rows.outcomes[at],
-        covariates=rows.covariates[at] if rows.covariate_names else None,
-        positions=codes, unit_ids=rows.unit_ids[codes]) for codes, at in groups]
-    return PanelData.from_blocks(blocks, covariate_names=rows.covariate_names)
+    # ``read_rows`` has checked every fact the block and panel checks would
+    # (finite outcomes, increasing times, 64-bit dates, unique ids, positions
+    # 0..n-1), so the blocks are filled with their fields' types unchecked.
+    blocks = [CohortBlock.__new__(CohortBlock) for _ in groups]
+    for block, (codes, at) in zip(blocks, groups):
+        vars(block).update(
+            is_control=bool(rows.flags[codes[0]]), tau=rows.tau_values[rows.tau_codes[codes[0]]],
+            times=rows.times[at[0]], outcomes=rows.outcomes[at],
+            covariates=rows.covariates[at] if rows.covariate_names else None,
+            positions=codes, unit_ids=rows.unit_ids[codes])
+    panel = PanelData.__new__(PanelData)
+    panel._install(blocks, rows.covariate_names, check=False)
+    return panel
 
 
 _NEEDS_QUOTES = re.compile('[,"\r\n]').search
@@ -471,17 +485,58 @@ class UnitDiagnostics:
         return {**vars(self), "messages": list(self.messages)}
 
 
+@dataclass(frozen=True, eq=False)
+class BlockDiagnostics:
+    """Validation findings for the units of one cohort block.
+
+    The units share every ``UnitDiagnostics`` field but their ids and
+    covariate completeness, aligned with their panel ``positions``; a unit
+    whose covariates are incomplete adds "incomplete covariates" to the
+    ``messages``.
+    """
+
+    tau: int | None
+    effective_tau: int | None
+    pre_treatment_run: int
+    required_window: int | None
+    short_window: bool
+    window_gap: bool
+    series_gaps: bool
+    fatal: bool
+    messages: tuple[str, ...]
+    positions: np.ndarray
+    unit_ids: np.ndarray
+    covariates_complete: np.ndarray
+
+
 @dataclass(frozen=True)
 class ValidationReport:
-    """Per-unit diagnostics plus panel-level structure flags."""
+    """Diagnostics per cohort block plus panel-level structure flags."""
 
-    units: tuple[UnitDiagnostics, ...]
+    blocks: tuple[BlockDiagnostics, ...]
     balanced: bool
     common_tau: int | None
 
+    def per_unit(self, spell: Callable) -> list:
+        """``spell(block)(unit_id, covariates_complete, messages)`` of every
+        unit, in panel order; ``spell`` runs once a block."""
+        spelled = [None] * sum(d.unit_ids.size for d in self.blocks)
+        for d in self.blocks:
+            unit, messages = spell(d), (d.messages + ("incomplete covariates",), d.messages)
+            for at, uid, ok in zip(d.positions.tolist(), d.unit_ids.tolist(),
+                                   d.covariates_complete.tolist()):
+                spelled[at] = unit(uid, ok, messages[ok])
+        return spelled
+
+    @functools.cached_property
+    def units(self) -> tuple[UnitDiagnostics, ...]:
+        """Every unit's diagnostics in panel order, built on the first read."""
+        return tuple(UnitDiagnostics(**{**u, "messages": tuple(u["messages"])})
+                     for u in self.to_dict()["units"])
+
     @property
     def ok(self) -> bool:
-        return not any(d.fatal for d in self.units)
+        return not any(d.fatal for d in self.blocks)
 
     @property
     def fatal_units(self) -> tuple[str, ...]:
@@ -494,11 +549,15 @@ class ValidationReport:
         raise KeyError(unit_id)
 
     def to_dict(self) -> dict:
+        def spell(d):  # the keys in ``UnitDiagnostics`` order, the unit's own set per unit
+            shared = {k: getattr(d, k, None) for k in UnitDiagnostics.__dataclass_fields__}
+            return lambda uid, ok, messages: dict(shared, unit_id=uid, covariates_complete=ok,
+                                                  messages=list(messages))
         return {
             "ok": self.ok,
             "balanced": self.balanced,
             "common_tau": self.common_tau,
-            "units": [d.to_dict() for d in self.units],
+            "units": self.per_unit(spell),
         }
 
 
@@ -509,11 +568,14 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
     effective treatment date is shorter than the requested window, and
     fatally when fewer than order + 1 periods are available at all, which
     makes the window regression underdetermined.  Reports gaps and
-    incomplete covariates; never raises on content.
+    incomplete covariates; never raises on content.  The findings are
+    worked out once a cohort block, covariate completeness once a unit,
+    and the report keeps them by block: no ``UnitDiagnostics`` is built
+    until ``units`` is read.
     """
     q = config.basis.order
     required = config.R if isinstance(config.R, int) else None
-    diags = [None] * len(panel)
+    blocks = []
     for b in panel._blocks:
         dated = b.tau is not None  # only a control block may lack a date
         _, run, older = _run_to(b.times, b.tau) if dated else (0, 0, False)
@@ -526,20 +588,17 @@ def validate(panel: PanelData, config: ForecastConfig) -> ValidationReport:
             messages.append(f"contiguous pre-treatment run of {run} is shorter than R={required}")
         if fatal:
             messages.append(f"fewer than q+1={q + 1} usable pre-treatment periods")
-        series_gaps = bool(np.any(np.diff(b.times) > 1))
-        complete = (np.ones(b.unit_ids.size, bool) if b.covariates is None
-                    else ~np.isnan(b.covariates).any(axis=(1, 2)))
-        messages = tuple(messages)
-        for at, uid, ok in zip(b.positions.tolist(), b.unit_ids.tolist(), complete.tolist()):
-            diags[at] = UnitDiagnostics(
-                unit_id=uid, tau=b.tau, effective_tau=b.tau, pre_treatment_run=run,
-                required_window=required, short_window=short,
-                # A gap only exists when older observations lie beyond a short run.
-                window_gap=0 < run < (required or q + 1) and older,
-                series_gaps=series_gaps, covariates_complete=ok, fatal=fatal,
-                messages=messages if ok else messages + ("incomplete covariates",))
+        blocks.append(BlockDiagnostics(
+            tau=b.tau, effective_tau=b.tau, pre_treatment_run=run, required_window=required,
+            short_window=short,
+            # A gap only exists when older observations lie beyond a short run.
+            window_gap=0 < run < (required or q + 1) and older,
+            series_gaps=bool(np.any(np.diff(b.times) > 1)), fatal=fatal,
+            messages=tuple(messages), positions=b.positions, unit_ids=b.unit_ids,
+            covariates_complete=(np.ones(b.unit_ids.size, bool) if b.covariates is None
+                                 else ~np.isnan(b.covariates).any(axis=(1, 2)))))
     return ValidationReport(
-        units=tuple(diags),
+        blocks=tuple(blocks),
         balanced=panel.is_balanced(),
         common_tau=panel.common_tau(),
     )

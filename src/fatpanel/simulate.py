@@ -516,6 +516,9 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     (r,), so results do not depend on execution order and extending the
     run leaves earlier replications unchanged.  A cell whose estimator
     raises in more than half of the replications is marked degenerate.
+    A design whose draw is not finite (an explosive one overflows) raises
+    the ``PanelFormatError`` that ``simulate_dgp`` raises for the first
+    such replication.
 
     Replications run in chunks of ``_CHUNK``, each drawn by
     ``_draw_outcomes``, the simulator behind ``simulate_dgp``, as one
@@ -585,6 +588,9 @@ def run_monte_carlo(spec: DgpSpec, cells: Sequence[GridCell], n_reps: int,
     for start in range(0, n_reps, _CHUNK):
         Y = _draw_outcomes(spec, [np.random.SeedSequence(entropy=master_seed, spawn_key=(r,))
                                   for r in range(start, min(start + _CHUNK, n_reps))])
+        finite = np.isfinite(Y).all(axis=(1, 2))
+        if not finite.all():  # refused as ``simulate_dgp`` refuses the first such draw
+            _panel(spec, Y[np.argmin(finite)])
         treated, controls = [Y[:, :spec.n]], [Y[:, spec.n:]]  # each side's blocks' outcomes
         # Each first stage with its fit on the chunk, made before any products.
         fits = {key: (first, first.fit(treated)) for key, first in firsts.items()

@@ -19,6 +19,7 @@ package computes, kept here as oracles:
   public estimators per replication and cell, summed exactly.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -28,7 +29,7 @@ from fatpanel.basis import (_RANK_RTOL, BasisSpec, ForecastConfig, _solver_desig
 from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
 from fatpanel.estimators import (MbConfig, _DropUnit, _resolve, _Residuals, _summarize,
                                  anderson_hsiao, dfat, fat, model_based_fat, placebo_fat)
-from fatpanel.panel import CohortBlock, PanelData, UnitDiagnostics, ValidationReport
+from fatpanel.panel import CohortBlock, PanelData, UnitDiagnostics
 from fatpanel import simulate as simulate_module
 from fatpanel.simulate import McCellResult, McReport
 
@@ -203,6 +204,20 @@ def unit_of(panel: PanelData, unit_id: str):
     return next(u for u in panel.units if u.unit_id == unit_id)
 
 
+@dataclasses.dataclass(frozen=True)
+class UnitReport:
+    """A validation report as one ``UnitDiagnostics`` a unit, with the
+    ``to_dict`` of ``ValidationReport``."""
+
+    units: tuple
+    balanced: bool
+    common_tau: int | None
+
+    def to_dict(self) -> dict:
+        return {"ok": not any(d.fatal for d in self.units), "balanced": self.balanced,
+                "common_tau": self.common_tau, "units": [d.to_dict() for d in self.units]}
+
+
 def oracle_validate(panel: PanelData, config: ForecastConfig, shift: int = 0):
     """``validate`` of ``panel`` with every dated unit's date moved back by
     ``shift``, one unit at a time."""
@@ -249,8 +264,8 @@ def oracle_validate(panel: PanelData, config: ForecastConfig, shift: int = 0):
             covariates_complete=cov_complete, fatal=fatal,
             messages=tuple(messages)))
     common = panel.common_tau()
-    return ValidationReport(units=tuple(diags), balanced=panel.is_balanced(),
-                            common_tau=None if common is None else common - shift)
+    return UnitReport(units=tuple(diags), balanced=panel.is_balanced(),
+                      common_tau=None if common is None else common - shift)
 
 
 # ---------------------------------------------------------------------------

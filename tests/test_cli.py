@@ -21,6 +21,7 @@ import pytest
 import fatpanel
 from fatpanel import cli as cli_module
 from fatpanel import estimators as estimators_module
+from fatpanel import panel as panel_module
 from fatpanel import simulate as simulate_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.cli import main
@@ -29,6 +30,7 @@ from fatpanel.estimators import (MbConfig, covariate_fat_heterogeneous, dfat, fa
                                  model_based_fat, placebo_fat)
 from fatpanel.panel import PanelData, UnitSeries, load_panel, write_panel
 from fatpanel.simulate import DgpSpec, preset, simulate_dgp
+from oracles import oracle_validate
 
 
 def sim_panel_csv(tmp_path, name="panel.csv", seed=11, **spec_kw):
@@ -496,6 +498,19 @@ def test_estimate_reports_a_failed_pair_and_keeps_going(tmp_path, capsys):
     assert len(rows) == 1 + est.n_used and all(r.startswith("0,2,1,") for r in rows[1:])
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dgp", [{"rho": 1e200, "init_mode": "fixed"},
+                                 {"T": 400, "rho": 10.0, "init_mode": "fixed"}])
+def test_simulate_refuses_a_design_whose_draw_overflows(tmp_path, capfd, dgp):
+    # A data error, as simulate_dgp's, with nothing but its message on stderr.
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps({"dgp": dgp, "cells": [{"q": 0, "R": 2}], "reps": 4}))
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(cfg_path), "--out-json", str(out)]) == 2
+    assert not out.exists()
+    assert capfd.readouterr() == ("", "fatpanel: error: unit 't0001': outcomes must be finite\n")
+
+
 def test_simulate_unknown_preset_is_usage_error(tmp_path):
     code = main(["simulate", "--preset", "nope", "--reps", "4",
                  "--out-json", str(tmp_path / "o.json")])
@@ -659,6 +674,47 @@ def test_validate_flagged_panel_still_exits_zero(tmp_path):
     assert units["g2"]["fatal"] is False
     assert units["g2"]["messages"] == []
     assert units["g3"]["fatal"] is True
+
+
+@pytest.mark.parametrize("flags, q, R, delta", [
+    (["--q", "1", "--r", "3", "--delta", "2"], 1, 3, 2),
+    (["--q", "0"], 0, "all", 0),
+    (["--q", "0", "--delta", "1"], 0, "all", 1),
+])
+def test_validate_writes_the_per_unit_oracles_report(tmp_path, monkeypatch, flags, q, R, delta):
+    # Staggered dates, a late starter, an interior gap, a covariate hole, a
+    # dated and an undated control and a quoted id.
+    rows = ["unit,time,outcome,treated_at,control_flag,x"]
+    for k, (uid, tau, flag, start) in enumerate([
+            ("a", 6, 0, 0), ('"b,1"', 6, 0, 2), ("c", 7, 0, 0), ("gap", 6, 0, 0),
+            ("late", 6, 0, 5), ("ctl", 6, 1, 0), ("undated", "", 1, 0), ("d", 6, 0, 0)]):
+        rows += [f"{uid},{t},{k + t / 8},{tau},{flag},{'' if (uid, t) == ('c', 3) else t}"
+                 for t in range(start, 10) if (uid, t) != ("gap", 3)]
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    report = oracle_validate(load_panel(path), ForecastConfig(q=q, R=R), delta).to_dict()
+    # The CLI reports the recorded dates, the effective ones shifted by delta.
+    for holder, key in [(report, "common_tau"), *((u, "tau") for u in report["units"])]:
+        holder[key] = None if holder[key] is None else holder[key] + delta
+    assert {"incomplete covariates", "no treatment date"} <= {
+        m for u in report["units"] for m in u["messages"]}
+    payload = {"schema": 1, "kind": "validation", "command": "validate",
+               "input": str(path), "R": R, "q": q, "delta": delta, **report}
+    table = io.StringIO()
+    writer = csv.writer(table, lineterminator="\n")
+    writer.writerow(["unit", "fatal", "pre_treatment_run", "messages"])
+    writer.writerows([u["unit_id"], u["fatal"], u["pre_treatment_run"], ";".join(u["messages"])]
+                     for u in report["units"])
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("UnitDiagnostics built")
+
+    monkeypatch.setattr(panel_module.UnitDiagnostics, "__init__", refuse)
+    assert main(["validate", "--input", str(path), *flags, "--out-json", str(tmp_path / "v.json"),
+                 "--out-csv", str(tmp_path / "v.csv")]) == 0
+    assert (tmp_path / "v.json").read_text(encoding="utf-8") == (
+        json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    assert (tmp_path / "v.csv").read_text(encoding="utf-8") == table.getvalue()
 
 
 # -- config file and determinism --------------------------------------------

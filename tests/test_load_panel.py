@@ -8,6 +8,9 @@ lines, padded integers, shuffled rows, controls with and without a date,
 blank covariates, faults of every kind spread over the file) is read by
 both with small slice sizes, so slice boundaries fall everywhere.  Valid
 input must give bit-identical cohort blocks, faulty input the same error.
+The loader fills its blocks without the checks of ``CohortBlock`` and
+``PanelData.from_blocks``, so every loaded panel is also rebuilt through
+them and must come back with the same fields of the same types.
 """
 
 import csv
@@ -26,7 +29,7 @@ from fatpanel import panel as panel_module
 from fatpanel.cli import main
 from fatpanel.csvrows import _FALSE_FLAGS, _TRUE_FLAGS, _resolve_schema
 from fatpanel.errors import ConfigError, PanelFormatError
-from fatpanel.panel import (PanelData, UnitSeries, apply_anticipation, load_panel,
+from fatpanel.panel import (CohortBlock, PanelData, UnitSeries, apply_anticipation, load_panel,
                             panel_to_csv_text, reindex_time_to_adoption, write_panel)
 from fatpanel.simulate import DgpSpec, simulate_dgp
 
@@ -180,7 +183,30 @@ def assert_blocks_identical(got, want):
             assert a.covariates.tobytes() == b.covariates.tobytes()
 
 
+def checked_fields(block):
+    """Every field of ``block`` with its type; an array's dtype and shape too."""
+    return {name: (type(v), v.dtype, v.shape, v.tolist() if v.dtype == object else v.tobytes())
+            if isinstance(v, np.ndarray) else (type(v), v) for name, v in vars(block).items()}
+
+
+def assert_blocks_are_checked_blocks(panel):
+    """The blocks of ``panel`` equal, field by field and type by type, the
+    blocks the checked constructors make of the same fields."""
+    again = PanelData.from_blocks([CohortBlock(**vars(b)) for b in panel._blocks],
+                                  covariate_names=panel.covariate_names)
+    assert (len(again), again.covariate_names) == (len(panel), panel.covariate_names)
+    assert ([checked_fields(b) for b in panel._blocks]
+            == [checked_fields(b) for b in again._blocks])
+    for b in panel._blocks:
+        assert type(b.is_control) is bool and (b.tau is None or type(b.tau) is int)
+        assert (b.times.dtype, b.outcomes.dtype, b.unit_ids.dtype) == (np.int64, np.float64,
+                                                                       object)
+
+
 def assert_same_panel(got, want):
+    """``got``, a loaded panel, has ``want``'s blocks, and the checked
+    constructors would have made the same ones of its blocks' fields."""
+    assert_blocks_are_checked_blocks(got)
     assert got.covariate_names == want.covariate_names
     assert len(got) == len(want)
     assert_blocks_identical(got.treated_blocks, want.treated_blocks)
@@ -300,6 +326,42 @@ def csv_cases(draw):
 def test_load_matches_row_oracle(case):
     text, slice_rows = case
     assert_loads_like_oracle(text, slice_rows)
+
+
+# ---------------------------------------------------------------------------
+# the loader's blocks skip the checks that ``read_rows`` has made
+
+
+def test_a_loaded_file_with_covariate_holes_and_undated_controls_has_checked_blocks():
+    text = ('unit,time,outcome,treated_at,control_flag,x1,x2\n'
+            + "".join(f'"u,{k}",{t},{k + t / 4},{"" if k % 3 == 0 else 3 + k % 2},'
+                      f'{int(k % 3 == 0)},{"" if (k + t) % 5 == 0 else t},{k}\n'
+                      for k in range(12) for t in range(k % 2, 6)))
+    panel = load_panel(io.StringIO(text, newline=""))
+    assert len(panel.control_blocks) == 2 and None in {b.tau for b in panel.control_blocks}
+    assert np.isnan(panel._blocks[0].covariates).any()
+    assert_blocks_are_checked_blocks(panel)
+
+
+@pytest.mark.parametrize("slice_rows", [1, 4, 1024])
+@pytest.mark.parametrize("bad_row, message", [
+    ("u11,5,nan,2,0,", "row 36: outcome 'nan' is not finite"),
+    ("u11,5,inf,2,0,", "row 36: outcome 'inf' is not finite"),
+    ("u11,5,-inf,2,0,", "row 36: outcome '-inf' is not finite"),
+    ("u11,3,9.0,2,0,", "row 38: duplicate observation ('u11', 3)"),
+    ("u11,5,1.0,99999999999999999999,0,",
+     "row 36: treatment date '99999999999999999999' is outside the 64-bit integer range"),
+    ("w,5,1.0,-9223372036854775809,0,",
+     "row 36: treatment date '-9223372036854775809' is outside the 64-bit integer range"),
+])
+def test_the_loader_refuses_what_the_block_checks_would_naming_the_row(
+        bad_row, message, slice_rows):
+    # The loader's blocks are not checked again: these rows' own checks are
+    # the only ones that refuse them.
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(csvrows, "_SLICE_ROWS", slice_rows)
+        assert outcome(lambda: load_panel(io.StringIO(fault_text(bad_row)))) == (
+            PanelFormatError, message)
 
 
 # One bad row per fault kind, then rows that break two checks at once.

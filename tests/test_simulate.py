@@ -22,7 +22,8 @@ from fatpanel import estimators as estimators_module
 from fatpanel import panel as panel_module
 from fatpanel import simulate as simulate_module
 from fatpanel.basis import ForecastConfig
-from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
+from fatpanel.errors import (ConfigError, EstimationError, PanelFormatError,
+                             RankDeficiencyError)
 from fatpanel.estimators import (MbConfig, anderson_hsiao, dfat, fat, model_based_fat,
                                  placebo_fat)
 from fatpanel.panel import PanelData, UnitSeries
@@ -748,6 +749,37 @@ def test_monte_carlo_marks_a_cell_whose_kernel_cannot_be_laid_out_degenerate():
     assert bad.n_ok == 0 and bad.n_failed == 3 and bad.degenerate
     assert math.isnan(bad.bias)
     assert report.to_json() == monte_carlo_per_replication(spec, cells, 3, 1).to_json()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("spec", [DgpSpec(rho=1e200, init_mode="fixed"),
+                                  DgpSpec(T=400, rho=10.0, init_mode="fixed")])
+def test_monte_carlo_refuses_a_design_whose_draw_overflows(spec):
+    # simulate_dgp refuses the same draw; no estimator runs on it.
+    cells = (GridCell(estimator="pr", q=0, R=2), GridCell(estimator="mb", q=0, R=2))
+    with pytest.raises(PanelFormatError, match=r"^unit 't0001': outcomes must be finite$"):
+        simulate_dgp(spec, np.random.SeedSequence(entropy=0, spawn_key=(0,)))
+    with pytest.raises(PanelFormatError, match=r"^unit 't0001': outcomes must be finite$"):
+        run_monte_carlo(spec, cells, n_reps=4, master_seed=0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_monte_carlo_refuses_the_first_replication_whose_draw_is_not_finite():
+    # A rho drawn near 1.92 overflows over 1,100 periods.  At this seed the
+    # first replication that does is in the second chunk, and it is a
+    # control that overflows.
+    spec = DgpSpec(n=2, n_control=2, T=1100, tau=5, rho=(0.0, 1.92), init_mode="fixed")
+    refusals = []
+    for r in range(100):
+        try:
+            simulate_dgp(spec, np.random.SeedSequence(entropy=5, spawn_key=(r,)))
+        except PanelFormatError as exc:
+            refusals.append((r, str(exc)))
+    (first, message), *_ = refusals
+    assert first >= simulate_module._CHUNK and message.startswith("unit 'c")
+    with pytest.raises(PanelFormatError) as info:
+        run_monte_carlo(spec, (GridCell(estimator="dfat", q=0, R=2),), 100, 5)
+    assert str(info.value) == message
 
 
 def test_monte_carlo_report_is_reproducible_bytewise():

@@ -51,6 +51,8 @@ import sys
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
+import numpy as np
+
 from .basis import ForecastConfig, as_integer
 from .errors import (ConfigError, EstimationError, PanelFormatError,
                      RankDeficiencyError)
@@ -58,7 +60,8 @@ from . import estimators
 from .estimators import (AhEstimate, DfatEstimate, FatEstimate, MbConfig,
                          covariate_fat_heterogeneous, dfat, fat, model_based_fat,
                          placebo_fat)
-from .panel import PanelData, apply_anticipation, csv_field, csv_text, load_panel, validate
+from .panel import (PanelData, apply_anticipation, csv_field, csv_rows, csv_text, load_panel,
+                    validate)
 from .simulate import (REPORT_SCHEMA, DgpSpec, GridCell, preset, run_monte_carlo,
                        write_json)
 
@@ -256,7 +259,7 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
     prefix.  A cell whose estimate fails is reported with its error; after
     writing, the command fails, with the first cell's error, only when
     every cell failed."""
-    results, lines, failures = [], [], []
+    results, parts, failures = [], [], []
     spell = functools.cache(csv_field)  # each unit id is quoted once a command
     for key, prefix, run in cells:
         try:
@@ -266,14 +269,14 @@ def _run_grid(cfg: RunConfig, kind: str, cells, header: Sequence[str]) -> int:
             failures.append(exc)
             continue
         results.append({**key, **est.to_dict()})
-        parts = (((("treated",), est.treated), (("control",), est.control))
-                 if isinstance(est, DfatEstimate) else (((), est),))
-        for group, part in parts:
-            # A residual is finite, so ``repr`` spells it as ``csv_number`` would.
-            cells_before = ",".join(map(str, (*prefix, *group)))
-            lines += [f"{cells_before},{unit_id},{resid!r}" for unit_id, resid in
-                      zip(map(spell, part.unit_ids), part.residuals.tolist())]
-    _emit(cfg, {**_base_payload(cfg, kind), "results": results}, csv_text(header, lines))
+        groups = (((("treated",), est.treated), (("control",), est.control))
+                  if isinstance(est, DfatEstimate) else (((), est),))
+        # A residual is finite, so ``repr`` spells it as ``csv_number`` would.
+        parts += [csv_rows(len(part.unit_ids), ",".join(map(str, (*prefix, *group))),
+                           map(spell, part.unit_ids), map(repr, part.residuals.tolist()))
+                  for group, part in groups]
+    _emit(cfg, {**_base_payload(cfg, kind), "results": results},
+          csv_text(header, "".join(parts)))
     if len(failures) == len(results):
         raise failures[0]
     return EXIT_OK
@@ -370,11 +373,16 @@ def cmd_validate(cfg: RunConfig) -> int:
         **report.to_dict(),
     }
 
-    def line(d):  # the cells a block's units share, after each unit's id
-        cells = f",{d.fatal},{d.pre_treatment_run},"
-        return lambda uid, _, messages: csv_field(uid) + cells + ";".join(messages)
+    # Each unit's id and the cells of its block, put in panel order by position.
+    ids, cells = np.empty(len(panel), object), np.empty(len(panel), object)
+    for d in report.blocks:
+        ids[d.positions] = d.unit_ids
+        shared, ok = f"{d.fatal},{d.pre_treatment_run},", d.covariates_complete
+        cells[d.positions[ok]] = shared + ";".join(d.messages)
+        cells[d.positions[~ok]] = shared + ";".join((*d.messages, "incomplete covariates"))
     _emit(cfg, payload, csv_text(("unit", "fatal", "pre_treatment_run", "messages"),
-                                 report.per_unit(line)))
+                                 csv_rows(ids.size, list(map(csv_field, ids.tolist())),
+                                          cells.tolist())))
     return EXIT_OK
 
 

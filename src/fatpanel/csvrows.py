@@ -5,18 +5,16 @@ of ``_SLICE_ROWS`` lines.  numpy's C tokenizer, ``np.loadtxt``, reads
 each slice: it splits the records with the quoting of ``csv``, parses
 times as 64-bit integers and outcomes as doubles, and refuses the slice
 when a record has the wrong number of fields or one of those fields does
-not parse.  It alone accepts records.  The other columns are parsed a
-run at a time: a unit's rows come together, so numpy's text columns hold
-runs of equal strings, and each run's string is parsed once (a string
-once a slice, however many runs it begins) and its value spread over the
-run.  So unit ids become integer codes in order of first appearance, and
-treatment dates, control flags and covariates their values.  The checks
-that relate rows to each other run on the arrays after the last slice;
-only rows that are not already in (unit, time) order are then sorted,
-stably, by (unit, time).
+not parse.  It alone accepts records.  A unit's rows come together, so
+the unit id, treatment date and control flag are kept once a run of rows
+along which all three are constant (one change mask), covariates parsed
+once a run of equal strings, and a string parsed once a slice, however
+many runs it begins.  The checks that relate rows to each other run on
+the runs after the last slice; only rows that are not already in (unit,
+time) order are then sorted, stably, by (unit, time).
 
 A slice in which numpy finds one record a line is read once: only when
-its last line holds a quote does ``csv`` look at whether that record
+its last line holds a quote does ``csv`` walk that record, to see if it
 goes on (a quoted field may hold a line break), and if it does, the
 slice grows until the record ends and numpy reads it again.  Any other
 slice with a quote, or one with a line longer than ``csv``'s field
@@ -27,8 +25,8 @@ skips, is one of those records or, without a quote, a line of blanks
 and commas; numpy reads the slice again without them, unless all it
 skipped were empty lines.  A slice that numpy still refuses, or with an
 outcome that is not finite, goes to ``_RowColumns.name`` with ``csv``'s
-records (walked then if need be), which runs every check of a record
-only to name the fault: it never accepts a record.
+records, walked then if need be but no line twice, which runs every
+check of a record only to name the fault: it never accepts a record.
 
 Every error in the rows is a fault, (row, rank, message), kept in one
 list, and the load raises the smallest: the first offending row in file
@@ -51,7 +49,7 @@ import csv
 import math
 import warnings
 from collections import Counter, defaultdict
-from functools import partial
+from functools import partial, reduce
 from itertools import compress, islice
 from operator import methodcaller
 from typing import Iterator, Mapping, NamedTuple, Sequence, TextIO
@@ -110,23 +108,23 @@ def read_rows(fh: TextIO, schema: Mapping[str, object] | None) -> SortedRows:
     return rows.sorted_rows(failure)
 
 
-def _runs(column: Sequence[str]) -> tuple[np.ndarray, np.ndarray, list[str]]:
-    """The start, the length and the string of each run of equal strings
-    of ``column``."""
-    column = np.asarray(column, dtype=object)
-    new = np.empty(len(column), bool)
-    new[:1] = True
-    np.not_equal(column[1:], column[:-1], out=new[1:])
-    starts = new.nonzero()[0]
-    return starts, np.append(starts[1:], len(column)) - starts, column[starts].tolist()
+def _runs(*columns: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The start and the length of each run of rows along which every one
+    of ``columns`` holds one string: one change mask for them all."""
+    columns = [np.asarray(column, dtype=object) for column in columns]
+    changed = reduce(np.logical_or, (c[1:] != c[:-1] for c in columns))
+    starts = np.flatnonzero(np.concatenate(([True], changed)))
+    return starts, np.diff(starts, append=changed.size + 1)
 
 
-def _records(lines: list[str], first: int, more: Iterator[str]) -> tuple:
+def _records(lines: list[str], first: int, more: Iterator[str], tail: tuple = ()) -> tuple:
     """(records, the line each begins at, the error that ended the walk) of
     ``csv``'s walk over ``lines`` from ``first``, where a record begins.
 
     While the last record is open (a quoted field may hold a line break),
-    lines move from ``more`` to the end of ``lines``.
+    lines move from ``more`` to the end of ``lines``.  ``tail``, the walk
+    from a later line, ends this one if it reaches that line at a record's
+    start: its records follow, walked once.
     """
     n = len(lines)
 
@@ -138,8 +136,10 @@ def _records(lines: list[str], first: int, more: Iterator[str]) -> tuple:
 
     reader, records, starts = csv.reader(feed()), [], []
     try:
-        while (k := reader.line_num) < n - first:
-            starts.append(first + k)
+        while (k := first + reader.line_num) < n:
+            if tail and k == tail[1][0]:
+                return records + tail[0], starts + tail[1], tail[2]
+            starts.append(k)
             records.append(next(reader))
     except csv.Error as exc:
         return records, starts, exc
@@ -253,13 +253,15 @@ class _RowColumns:
     def _fault(self, row: int, rank: int, message: str) -> None:
         self.faults.append((row, rank, f"row {row}: {message}"))
 
-    def _lookup(self, column: Sequence[str], parse, dtype, rownums: np.ndarray) -> np.ndarray:
-        """``parse`` of each run of equal strings of ``column``, spread over its rows.
+    def _lookup(self, column: Sequence[str], parse, dtype, rownums: np.ndarray, runs=None):
+        """``parse`` of each run's string of ``column``, and the runs' lengths:
+        ``runs`` (starts, lengths), by default the runs of equal strings.
 
         A string is parsed once however many runs begin with it.  The first
         row of the first run whose string breaks the rule becomes a fault.
         """
-        starts, sizes, heads = _runs(column)
+        starts, sizes = _runs(column) if runs is None else runs
+        heads = np.asarray(column, dtype=object)[starts].tolist()
         table, broken = {}, {}
         for s in set(heads):
             try:
@@ -269,8 +271,7 @@ class _RowColumns:
         if broken:
             k = next(k for k, s in enumerate(heads) if s in broken)
             self._fault(rownums[starts[k]], *broken[heads[k]])
-        values = np.fromiter(map(table.__getitem__, heads), dtype, len(heads))
-        return values.repeat(sizes)
+        return np.fromiter(map(table.__getitem__, heads), dtype, len(heads)), sizes
 
     def _tau_code(self, value: str) -> int:
         return self.taus.setdefault(_date(value), len(self.taus))
@@ -287,14 +288,14 @@ class _RowColumns:
         n = len(lines)
         table = _loadtxt(lines, self.dtype)
         one_a_line = table is not None and len(table) == n
-        records, starts, failure, keep = None, range(n), None, np.ones(n, bool)
+        records, starts, failure, keep, tail = None, range(n), None, np.ones(n, bool), ()
         if _too_long(lines) or not one_a_line and '"' in "".join(lines):
             records, starts, failure = _records(lines, 0, more)
             keep = np.fromiter((any(map(str.strip, r)) for r in records), bool, len(records))
         elif not one_a_line:  # with no quote, a record is a line
             keep = np.fromiter(map(bool, map(str.strip, map(_NO_COMMAS, lines))), bool, n)
         elif '"' in lines[-1]:  # the last record may go on past the slice
-            failure = _records(lines, n - 1, more)[2]
+            failure = (tail := _records(lines, n - 1, more))[2]
         if failure is None:
             body, kept = lines, np.flatnonzero(keep)
             # numpy skips an empty line and refuses other blank records: a
@@ -307,7 +308,7 @@ class _RowColumns:
             if self._add(body, table, rownum + kept):
                 return None, len(keep)
         if records is None:
-            records, _, failure = _records(lines, 0, more)
+            records, _, failure = _records(lines, 0, more, tail)
         self.name(records, rownum)
         if not self.faults and failure is None:  # refused, though no check names a fault
             raise PanelFormatError(f"rows {rownum} to {rownum + len(records) - 1}: "
@@ -330,31 +331,28 @@ class _RowColumns:
         if not np.isfinite(y).all():
             return False
         if len(table):
-            column = lambda i: field(i, np.dtype(object))
-            self._keep(column(self.iu), table[f"f{self.it}"].copy(), y.copy(),
-                       *self._checked(column, rownums), rownums)
+            self._keep(lambda i: field(i, np.dtype(object)), table[f"f{self.it}"].copy(),
+                       y.copy(), rownums)
         return True
 
-    def _checked(self, column, rownums: np.ndarray) -> tuple:
-        """The treatment date codes, control flags and covariates of a
-        slice whose field ``i`` is ``column(i)``, after their checks."""
-        n = len(rownums)
-        taus = (np.full(n, self._tau_code("")) if self.ita is None
-                else self._lookup(column(self.ita), self._tau_code, np.intp, rownums))
-        flags = (np.zeros(n, bool) if self.icf is None
-                 else self._lookup(column(self.icf), _flag, bool, rownums))
-        cov = np.empty((n, len(self.icov)))
-        for j, (i, name) in enumerate(zip(self.icov, self.covariate_names)):
-            cov[:, j] = self._lookup(column(i), partial(
-                _covariate, what=f"covariate {name!r}", rank=_COVARIATE + j),
-                np.float64, rownums)
-        return taus, flags, cov
-
-    def _keep(self, uids: Sequence[str], *columns) -> None:
-        """Append a slice's columns, its unit ids as codes."""
-        _, sizes, heads = _runs(uids)
+    def _keep(self, column, times: np.ndarray, y: np.ndarray, rownums: np.ndarray) -> None:
+        """Append a slice whose field ``i`` is ``column(i)``, after its fields'
+        checks: unit id, date and flag once a run of rows where all three are
+        constant (two codes, a flag, a length), the rest once a row."""
+        keys = [column(i) for i in (self.iu, self.ita, self.icf) if i is not None]
+        runs = _runs(*keys)
+        heads = np.asarray(keys[0], dtype=object)[runs[0]].tolist()
         codes = np.fromiter(map(self.ids.__getitem__, heads), np.intp, len(heads))
-        self.slices.append((codes.repeat(sizes), *columns))
+        taus = (np.full(len(heads), self._tau_code("")) if self.ita is None
+                else self._lookup(column(self.ita), self._tau_code, np.intp, rownums, runs)[0])
+        flags = (np.zeros(len(heads), bool) if self.icf is None
+                 else self._lookup(column(self.icf), _flag, bool, rownums, runs)[0])
+        cov = np.empty((len(rownums), len(self.icov)))
+        for j, (i, name) in enumerate(zip(self.icov, self.covariate_names)):
+            cov[:, j] = np.repeat(*self._lookup(column(i), partial(
+                _covariate, what=f"covariate {name!r}", rank=_COVARIATE + j),
+                np.float64, rownums))
+        self.slices.append((codes, taus, flags, runs[1], times, y, cov, rownums))
 
     def name(self, records: list[list[str]], rownum: int) -> None:
         """Name the fault of a slice that numpy refused, from ``csv``'s records.
@@ -372,13 +370,13 @@ class _RowColumns:
         full = [i for i in kept if len(records[i]) == self.width]
         if full:
             cols, at = list(zip(*(records[i] for i in full))), rownums[full]
-            times = self._lookup(cols[self.it], _time, np.int64, at)
-            y = self._lookup(cols[self.iy], _outcome, np.float64, at)
+            times = np.repeat(*self._lookup(cols[self.it], _time, np.int64, at))
+            y = np.repeat(*self._lookup(cols[self.iy], _outcome, np.float64, at))
             bad = np.flatnonzero(~np.isfinite(y))
             if bad.size:
                 self._fault(at[bad[0]], _NONFINITE,
                             f"outcome {cols[self.iy][bad[0]]!r} is not finite")
-            self._keep(cols[self.iu], times, y, *self._checked(cols.__getitem__, at), at)
+            self._keep(cols.__getitem__, times, y, at)
 
     def sorted_rows(self, failure: csv.Error | None) -> SortedRows:
         """All rows, checked and stably sorted by (unit, time).
@@ -392,19 +390,21 @@ class _RowColumns:
         already come in (unit, time) order are not sorted.
         """
         if self.ids:  # some row was added
-            codes, times, y, taus, flags, cov, rownums = map(np.concatenate, zip(*self.slices))
+            codes, taus, flags, sizes, times, y, cov, rownums = map(np.concatenate,
+                                                                      zip(*self.slices))
             self.slices = []
             uids = np.array(list(self.ids), dtype=object)
             # Codes count up in order of first appearance: a unit's first
-            # row is the first with a code above every code before it.
+            # run is the first with a code above every code before it.
             first = np.flatnonzero(np.r_[True, codes[1:] > np.maximum.accumulate(codes[:-1])])
             for rank, what, values in ((_DATE_MISMATCH, "treatment dates", taus),
                                        (_FLAG_MISMATCH, "control flags", flags)):
                 differs = values != values[first][codes]
                 if differs.any():
                     i = int(np.argmax(differs))
-                    self._fault(rownums[i], rank,
+                    self._fault(rownums[sizes[:i].sum()], rank,
                                 f"unit {uids[codes[i]]!r} has inconsistent {what}")
+            codes = codes.repeat(sizes)
             same_unit = codes[1:] == codes[:-1]
             if not ((codes[1:] > codes[:-1]) | same_unit & (times[1:] >= times[:-1])).all():
                 order = np.lexsort((times, codes))  # stable: rows in order would stay so

@@ -595,10 +595,14 @@ def _kernel(blocks: Sequence[CohortBlock], config: ForecastConfig, h: int,
     order = None if np.all(positions[:-1] < positions[1:]) else np.argsort(positions)
     if order is not None:
         positions, ids = positions[order], ids[order]
-    dropped = tuple((u, r) for _, u, r in sorted(
-        (at, u, r) for b, rows, r in dropped
-        for at, u in zip(b.positions[rows], b.unit_ids[rows])))
-    return _Layout(blocks, tuple(parts), positions, ids, order, dropped)
+    drops = [(b.positions[rows], b.unit_ids[rows], r) for b, rows, r in dropped]
+    if drops:  # a unit drops once, so one stable sort of the positions puts them in panel order
+        by_position = np.argsort(np.concatenate([a for a, _, _ in drops]), kind="stable")
+        uids = np.concatenate([u for _, u, _ in drops])
+        reasons = np.repeat(np.array([r for _, _, r in drops], dtype=object),
+                            [a.size for a, _, _ in drops])
+        dropped = zip(uids[by_position].tolist(), reasons[by_position].tolist())
+    return _Layout(blocks, tuple(parts), positions, ids, order, tuple(dropped))
 
 
 def _aligned(psi: np.ndarray, at: np.ndarray, positions: np.ndarray) -> np.ndarray:

@@ -338,8 +338,9 @@ def load_panel(source, schema: Mapping[str, object] | None = None) -> PanelData:
     record over several lines or a blank record costs a second read and,
     when it holds a quote, one ``csv`` walk, whose records the per-row
     checks read to name the fault of a slice numpy still refuses
-    (``csvrows``).  Ids, dates, flags and covariates are parsed once a
-    run of equal strings, not once a row.  Each unit's rows are sorted by
+    (``csvrows``).  Ids, dates and flags are kept once a run of rows that
+    share all three, and covariates parsed once a run of equal strings,
+    not once a row.  Each unit's rows are sorted by
     time, unless the rows already come in order, and the units grouped
     into cohort blocks by array sorts over their flags, dates and time
     grids, in order of first appearance; the panel is built from those
@@ -423,9 +424,25 @@ def csv_number(value: float) -> str:
     return "" if math.isnan(value) else repr(value)
 
 
-def csv_text(header: Sequence[str], lines: Iterable[str]) -> str:
-    """A CSV of ``header``, its names spelled by ``csv_field``, and ``lines``."""
-    return "\n".join([",".join(map(csv_field, header)), *lines]) + "\n"
+def csv_rows(n: int, *columns) -> str:
+    """``n`` CSV lines, each ending in a newline, of ``columns``: each one
+    ``str`` used on every line or ``n`` fields already spelled.
+
+    The fields and separators are slice-assigned into one token list and
+    joined once: no line is built on its own.
+    """
+    width = 2 * len(columns)
+    tokens = [","] * (n * width)
+    tokens[width - 1::width] = ["\n"] * n
+    for k, column in enumerate(columns):
+        tokens[2 * k::width] = [column] * n if isinstance(column, str) else column
+    return "".join(tokens)
+
+
+def csv_text(header: Sequence[str], rows: str) -> str:
+    """A CSV of ``header``, its names spelled by ``csv_field``, and ``rows``,
+    lines that each end in a newline (``csv_rows``)."""
+    return ",".join(map(csv_field, header)) + "\n" + rows
 
 
 def write_panel(panel: PanelData, dest) -> None:
@@ -446,23 +463,38 @@ def panel_to_csv_text(panel: PanelData) -> str:
     covariate names are spelled by ``csv_field``, outcomes by ``repr`` and
     covariates by ``csv_number``, so a reload reproduces the exact ids, names
     and float values; a missing (NaN) covariate is a blank field, which
-    ``load_panel`` reads as missing.
+    ``load_panel`` reads as missing.  One permutation puts the rows of
+    every block in panel order, each period is spelled once, and
+    ``csv_rows`` writes the columns.
     """
     has_controls = bool(panel.control_blocks)
     header = ["unit", "time", "outcome", "treated_at",
               *(["control_flag"] if has_controls else []), *panel.covariate_names]
-    rows = [None] * len(panel)  # each unit's lines, at its panel position
+    n, at = len(panel), 0
+    uids, cohorts = np.empty(n, object), np.empty(n, object)
+    first_row, lengths = np.empty(n, int), np.empty(n, int)
+    times, outcomes, covariates = [], [], []
     for b in panel._blocks:
-        shared = ("" if b.tau is None else str(b.tau)) + (
-            f",{int(b.is_control)}" if has_controls else "")
-        times = b.times.tolist()
-        tails = ([[shared] * len(times)] * b.unit_ids.size if b.covariates is None else
-                 [[shared + "".join("," + csv_number(v) for v in x) for x in xs]
-                  for xs in b.covariates.tolist()])
-        for at, uid, ys, ends in zip(b.positions.tolist(), map(csv_field, b.unit_ids),
-                                     b.outcomes.tolist(), tails):
-            rows[at] = "\n".join(f"{uid},{t},{y!r},{end}" for t, y, end in zip(times, ys, ends))
-    return csv_text(header, rows)
+        k, m = b.outcomes.shape
+        uids[b.positions] = b.unit_ids
+        cohorts[b.positions] = (("" if b.tau is None else str(b.tau))
+                                + (f",{int(b.is_control)}" if has_controls else ""))
+        first_row[b.positions], lengths[b.positions] = at + m * np.arange(k), m
+        at += k * m
+        times.append(np.tile(b.times, k))
+        outcomes.append(b.outcomes.ravel())
+        if panel.covariate_names:
+            covariates.append(b.covariates.reshape(k * m, -1))
+    # Every row of the unit at each position, in panel order.
+    order = np.arange(at) + np.repeat(first_row - np.cumsum(lengths) + lengths, lengths)
+    periods, which = np.unique(np.concatenate(times)[order], return_inverse=True)
+    columns = [np.repeat(np.array(list(map(csv_field, uids.tolist())), object), lengths).tolist(),
+               np.array(list(map(str, periods.tolist())), object)[which].tolist(),
+               map(repr, np.concatenate(outcomes)[order].tolist()),
+               np.repeat(cohorts, lengths).tolist()]
+    if covariates:
+        columns += [map(csv_number, c) for c in np.concatenate(covariates)[order].T.tolist()]
+    return csv_text(header, csv_rows(at, *columns))
 
 
 @dataclass(frozen=True)

@@ -495,8 +495,9 @@ class McReport:
                 vals = (getattr(by_key[label, q, h, r], metric)
                         if (label, q, h, r) in by_key else math.nan for r in r_values)
                 lines.append(f"{csv_field(label)},{q},{metric},"
-                             + ",".join(map(csv_number, vals)))
-        return csv_text(["label", "q", "metric", *(f"R={r}" for r in r_values)], lines)
+                             + ",".join(map(csv_number, vals)) + "\n")
+        return csv_text(["label", "q", "metric", *(f"R={r}" for r in r_values)],
+                        "".join(lines))
 
 
 # Replications simulated and evaluated together: each cell's per-call cost

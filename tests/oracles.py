@@ -16,7 +16,9 @@ package computes, kept here as oracles:
 * ``oracle_validate``: ``validate`` one ``UnitSeries`` at a time;
 * ``unit_of``: one unit of a panel, looked up by id in ``panel.units``;
 * ``monte_carlo_per_replication``: ``run_monte_carlo`` as one call of the
-  public estimators per replication and cell, summed exactly.
+  public estimators per replication and cell, summed exactly;
+* ``csv_per_row`` with ``residual_rows`` and ``validate_rows``: the CLI's
+  residual and ``validate`` CSVs, spelled one row at a time.
 """
 
 import dataclasses
@@ -27,8 +29,9 @@ import numpy as np
 from fatpanel.basis import (_RANK_RTOL, BasisSpec, ForecastConfig, _solver_design,
                            forecast_weights)
 from fatpanel.errors import ConfigError, EstimationError, RankDeficiencyError
-from fatpanel.estimators import (MbConfig, _DropUnit, _resolve, _Residuals, _summarize,
-                                 anderson_hsiao, dfat, fat, model_based_fat, placebo_fat)
+from fatpanel.estimators import (DfatEstimate, MbConfig, _DropUnit, _resolve, _Residuals,
+                                 _summarize, anderson_hsiao, dfat, fat, model_based_fat,
+                                 placebo_fat)
 from fatpanel.panel import CohortBlock, PanelData, UnitDiagnostics
 from fatpanel import simulate as simulate_module
 from fatpanel.simulate import McCellResult, McReport
@@ -332,3 +335,32 @@ def monte_carlo_per_replication(spec, cells, n_reps: int, master_seed: int,
         ))
     return McReport(spec=spec, master_seed=int(master_seed), n_reps=n_reps,
                     cells=tuple(results), preset=preset)
+
+
+def _csv_field(value) -> str:
+    text = repr(value) if isinstance(value, float) else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+def csv_per_row(header, rows) -> str:
+    """A CSV of ``header`` and ``rows`` built one line at a time: a float
+    spelled by ``repr``, anything else by ``str``, and a field holding a
+    comma, a quote, ``\\r`` or ``\\n`` quoted with its quotes doubled."""
+    return "".join(",".join(map(_csv_field, row)) + "\n" for row in (header, *rows))
+
+
+def residual_rows(prefix, est):
+    """The residual CSV rows of one estimate: ``prefix``, a dfat estimate's
+    group, then each unit's id and residual, a row at a time."""
+    groups = ((("treated",), est.treated), (("control",), est.control)) if isinstance(
+        est, DfatEstimate) else (((), est),)
+    for group, part in groups:
+        for uid, residual in zip(part.unit_ids, part.residuals.tolist()):
+            yield (*prefix, *group, uid, residual)
+
+
+def validate_rows(report):
+    """The ``validate`` CSV rows of ``report``: each unit's id, fatal flag,
+    pre-treatment run and messages, from its ``UnitDiagnostics``."""
+    for d in report.units:
+        yield d.unit_id, d.fatal, d.pre_treatment_run, ";".join(d.messages)

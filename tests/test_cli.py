@@ -25,12 +25,13 @@ from fatpanel import panel as panel_module
 from fatpanel import simulate as simulate_module
 from fatpanel.basis import ForecastConfig
 from fatpanel.cli import main
-from fatpanel.errors import EstimationError
-from fatpanel.estimators import (MbConfig, covariate_fat_heterogeneous, dfat, fat,
-                                 model_based_fat, placebo_fat)
-from fatpanel.panel import PanelData, UnitSeries, load_panel, write_panel
+from fatpanel.errors import EstimationError, RankDeficiencyError
+from fatpanel.estimators import (MbConfig, anderson_hsiao, covariate_fat_heterogeneous, dfat,
+                                 fat, model_based_fat, placebo_fat)
+from fatpanel.panel import (PanelData, UnitSeries, apply_anticipation, load_panel, validate,
+                            write_panel)
 from fatpanel.simulate import DgpSpec, preset, simulate_dgp
-from oracles import oracle_validate
+from oracles import csv_per_row, oracle_validate, residual_rows, validate_rows
 
 
 def sim_panel_csv(tmp_path, name="panel.csv", seed=11, **spec_kw):
@@ -279,6 +280,93 @@ def test_residual_and_validate_csvs_quote_ids_that_need_it(tmp_path):
     _, header, rows = read("v.csv")
     assert header == ["unit", "fatal", "pre_treatment_run", "messages"]
     assert [row[0] for row in rows] == sorted(ids)
+
+
+def writer_panel_csv(tmp_path):
+    """A panel whose ids hold a comma, a quote, ``\n`` or ``\r``, with
+    controls, an undated control, a unit with a gap and one whose
+    covariate is missing: every path of the CLI's CSV writers."""
+    rng = np.random.default_rng(8)
+    times = np.arange(1, 9)
+    units = []
+    for k, uid in enumerate(["a,1", 'b"2', "c\n3", "d", "e", "f", "g", "h", "i\r9"]):
+        keep = times != 2 if uid == "g" else slice(None)
+        x = rng.standard_normal((8, 1))
+        x[6, 0] = np.nan if uid == "e" else x[6, 0]
+        units.append(UnitSeries(uid, times[keep], np.cumsum(rng.standard_normal(8))[keep],
+                                tau=5 + (k % 2), covariates=x[keep]))
+    for uid in ["c,1", 'c"2', "c3", "c4", "c\n5"]:
+        units.append(UnitSeries(uid, times, np.cumsum(rng.standard_normal(8)), tau=5,
+                                is_control=True, covariates=rng.standard_normal((8, 1))))
+    units.append(UnitSeries("u,x", times, rng.standard_normal(8), tau=None, is_control=True,
+                            covariates=rng.standard_normal((8, 1))))
+    path = tmp_path / "writer.csv"
+    write_panel(PanelData(units, covariate_names=["x"]), path)
+    return str(path)
+
+
+def _cells(run, keys):
+    """(key, estimate) of every cell whose estimate does not fail."""
+    for key in keys:
+        try:
+            yield key, run(*key)
+        except (EstimationError, RankDeficiencyError):
+            pass
+
+
+@pytest.mark.parametrize("command", ["estimate", "estimate_mb", "placebo", "dfat", "validate",
+                                     "validate_delta"])
+def test_every_cli_csv_equals_its_per_row_spelling(tmp_path, command):
+    # Horizon 4 has no target period on 8 periods, and lag 4 no window:
+    # one failed cell a q.
+    path = writer_panel_csv(tmp_path)
+    panel = load_panel(path)
+    pr = lambda q: ForecastConfig(q=q, R=3)
+    if command == "estimate":
+        argv = ["estimate", "--q", "0", "1", "--r", "3", "--h", "1", "4", "2"]
+        header = ("q", "R", "horizon", "unit", "residual")
+        rows = [row for (q, h), est in _cells(lambda q, h: fat(panel, pr(q), h),
+                                              [(q, h) for q in (0, 1) for h in (1, 4, 2)])
+                for row in residual_rows((q, 3, h), est)]
+    elif command == "estimate_mb":
+        argv = ["estimate", "--estimator", "mb", "--q", "0", "1", "--r", "3", "--h", "1", "4"]
+        header = ("q", "R", "horizon", "unit", "residual")
+        first = anderson_hsiao(panel, 3, None, ())
+        rows = [row for (q, h), est in _cells(
+                    lambda q, h: model_based_fat(panel, MbConfig(q=q, R=3), h, first=first),
+                    [(q, h) for q in (0, 1) for h in (1, 4)])
+                for row in residual_rows((q, 3, h), est)]
+    elif command == "placebo":
+        argv = ["placebo", "--q", "0", "1", "--r", "3", "--lags", "0", "4", "--h", "1"]
+        header = ("q", "R", "lag", "horizon", "unit", "residual")
+        rows = [row for (q, lag), est in _cells(lambda q, lag: placebo_fat(panel, pr(q), lag, 1),
+                                                [(q, lag) for q in (0, 1) for lag in (0, 4)])
+                for row in residual_rows((q, 3, lag, 1), est)]
+    elif command == "dfat":
+        argv = ["dfat", "--q", "0", "1", "--r", "3", "--h", "1", "4"]
+        header = ("q", "R", "horizon", "group", "unit", "residual")
+        rows = [row for (q, h), est in _cells(lambda q, h: dfat(panel, pr(q), h),
+                                              [(q, h) for q in (0, 1) for h in (1, 4)])
+                for row in residual_rows((q, 3, h), est)]
+    else:
+        delta = 2 if command == "validate_delta" else 0
+        argv = ["validate", "--q", "1", "--r", "4", "--delta", str(delta)]
+        header = ("unit", "fatal", "pre_treatment_run", "messages")
+        rows = validate_rows(validate(apply_anticipation(panel, delta),
+                                      ForecastConfig(q=1, R=4)))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--input", path, "--out-json", str(tmp_path / "o.json"),
+                        "--out-csv", str(out)]) == 0
+    text = out.read_bytes().decode("utf-8")
+    assert text == csv_per_row(header, rows)
+    assert all(uid in text for uid in ('"a,1"', '"b""2"', '"c\n3"', '"i\r9"'))
+    if command.startswith("validate"):
+        assert "\ne,False," in text and "incomplete covariates\n" in text
+        assert '\n"u,x",False,0,no treatment date\n' in text
+    else:  # dfat lists both groups
+        results = json.loads((tmp_path / "o.json").read_text())["results"]
+        assert ["error" in r for r in results].count(True) == 2
+        assert (",control," in text) == (command == "dfat")
 
 
 # -- placebo ----------------------------------------------------------------

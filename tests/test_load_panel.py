@@ -764,6 +764,59 @@ def test_a_unit_whose_rows_come_in_two_runs(slice_rows, monkeypatch):
         PanelFormatError, "row 6: unit 'a' has inconsistent treatment dates")
 
 
+@pytest.mark.parametrize("slice_rows", [1, 4, 1024])
+@pytest.mark.parametrize("field, changed, what", [(3, "4", "treatment dates"),
+                                                  (4, "1", "control flags")])
+@pytest.mark.parametrize("units, unit, row", [
+    # a's second run of rows, after b's
+    ((("a", 2), ("b", 2), ("a", 3)), "a", 6),
+    # row 8, inside b's rows 4 to 9, which cross the boundary of slices of 4 at row 6
+    ((("a", 2), ("b", 6), ("c", 2)), "b", 8),
+    # row 6, the first row of the second slice of 4
+    ((("a", 2), ("b", 6), ("c", 2)), "b", 6),
+])
+def test_a_disagreement_found_per_run_names_its_first_row(
+        units, unit, row, field, changed, what, slice_rows):
+    # Dates and flags are checked once a run of rows that share a unit,
+    # a date and a flag: the fault names the first row that differs from
+    # the unit's first row, as a row-at-a-time reader would.
+    rows, seen = [], {}
+    for uid, n in units:
+        for _ in range(n):
+            seen[uid] = seen.get(uid, 0) + 1
+            rows.append([uid, str(seen[uid]), "1.0", "3", "0"])
+    for rownum, r in enumerate(rows, 2):
+        if r[0] == unit and rownum >= row:
+            r[field] = changed
+    text = "unit,time,outcome,treated_at,control_flag\n" + "".join(
+        ",".join(r) + "\n" for r in rows)
+    assert assert_loads_like_oracle(text, slice_rows) == (
+        PanelFormatError, f"row {row}: unit {unit!r} has inconsistent {what}")
+
+
+def test_a_refused_slice_whose_last_line_holds_a_quote_is_walked_once(monkeypatch):
+    # Every id is quoted, so ``csv`` walks the first slice's last record to
+    # see whether it goes on; row 702's ``inf`` then makes the slice refused,
+    # and naming the fault walks the lines before that record only.
+    header = "unit,time,outcome,treated_at\n"
+    rows = [f'"u{k // 10}",{k % 10 + 1},{"inf" if k == 700 else "1.5"},5\n'
+            for k in range(1500)]
+    walked, reader = [], csv.reader
+
+    def reader_spy(lines, *args, **kwargs):
+        def counted():
+            for line in lines:
+                walked.append(line)
+                yield line
+        return reader(counted(), *args, **kwargs)
+
+    monkeypatch.setattr(csv, "reader", reader_spy)
+    got = outcome(lambda: load_panel(io.StringIO(header + "".join(rows), newline="")))
+    monkeypatch.undo()
+    assert got == (PanelFormatError, "row 702: outcome 'inf' is not finite")
+    assert sorted(walked) == sorted([header, *rows[:csvrows._SLICE_ROWS]])
+
+
 @pytest.mark.parametrize("slice_rows", [1, 3, 1024])
 def test_rows_are_sorted_only_when_out_of_order(slice_rows, monkeypatch):
     rows = [f"u{k},{t},{k + t / 4},3" for k in range(4) for t in range(1, 6)]

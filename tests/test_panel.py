@@ -17,6 +17,7 @@ from fatpanel.panel import (
     UnitSeries,
     _run_to,
     apply_anticipation,
+    csv_rows,
     load_panel,
     panel_to_csv_text,
     reindex_time_to_adoption,
@@ -24,7 +25,7 @@ from fatpanel.panel import (
     write_panel,
 )
 from fatpanel.simulate import DgpSpec, simulate_dgp
-from oracles import unit_of
+from oracles import csv_per_row, unit_of
 
 
 def unit(uid="a", times=(1, 2, 3, 4, 5, 6), tau=5, **kw):
@@ -72,6 +73,41 @@ def test_round_trip_with_controls_and_covariates():
     text = panel_to_csv_text(panel)
     assert text.splitlines()[0] == "unit,time,outcome,treated_at,control_flag,x1,x2"
     assert_panels_equal(load_panel(io.StringIO(text)), panel)
+
+
+def test_csv_rows_of_no_lines_is_empty():
+    assert csv_rows(0, "1,2", [], map(repr, [])) == ""
+
+
+def test_csv_rows_of_constant_columns_repeats_one_line():
+    assert csv_rows(3, "a", "b,c", "") == "a,b,c,\n" * 3
+    assert csv_rows(2, ["x", "y"]) == "x\ny\n"
+
+
+def test_csv_rows_of_mixed_columns():
+    assert csv_rows(2, "1", ["x", '"y"'], map(repr, [0.5, -1e300]), "") == (
+        '1,x,0.5,\n1,"y",-1e+300,\n')
+
+
+def test_panel_text_equals_its_per_row_spelling():
+    # Blocks interleave in panel order, units have gaps, a covariate is
+    # missing, and ids need quoting.
+    rng = np.random.default_rng(2)
+    units = []
+    for k, uid in enumerate(["a,1", 'b"2', "c\n3", "d", "e\r5", "f", "g"]):
+        times = np.arange(1, 8) if k % 3 else np.array([1, 2, 4, 5, 6, 7])
+        x = rng.normal(size=(times.size, 2))
+        x[1, k % 2] = np.nan
+        units.append(UnitSeries(uid, times, rng.normal(size=times.size) * 1e-3,
+                                tau=None if k == 6 else 4 + k % 2, is_control=k >= 5,
+                                covariates=x))
+    panel = PanelData(units, covariate_names=("x,1", "x2"))
+    rows = [(u.unit_id, t, y, "" if u.tau is None else u.tau, int(u.is_control),
+             *("" if np.isnan(v) else v for v in x))
+            for u in panel.units
+            for t, y, x in zip(u.times.tolist(), u.outcomes.tolist(), u.covariates.tolist())]
+    assert panel_to_csv_text(panel) == csv_per_row(
+        ("unit", "time", "outcome", "treated_at", "control_flag", "x,1", "x2"), rows)
 
 
 def test_load_sorts_rows_within_unit():
